@@ -41,7 +41,8 @@ struct IsolateOptions {
   /// Worker processes; 0 = one per hardware thread.
   unsigned workers = 0;
   /// Retries a failed group gets on a fresh worker before it is
-  /// quarantined (so max_group_retries + 1 attempts total).
+  /// quarantined (so max_group_retries + 1 attempts total, plus one solo
+  /// attempt when its last failure was shared with a second lane).
   unsigned max_group_retries = 2;
   /// RLIMIT_AS per worker in MiB (0 = unlimited): a leaking or
   /// runaway-allocating group OOMs its own worker, not the campaign.

@@ -94,6 +94,9 @@ pid_t spawn_runner(const std::vector<std::string>& argv) {
                  std::strerror(errno));
     _exit(127);
   }
+  // Also from the parent, so the group exists before the dispatcher can
+  // signal it (EACCES once the child has exec'd means it is already set).
+  ::setpgid(pid, pid);
   return pid;
 }
 
@@ -391,8 +394,8 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
 
   const auto signal_running = [&](int sig) {
     for (Shard& s : shards) {
-      if (s.state == ShardState::kRunning && s.pid > 0) ::kill(s.pid, sig);
-      if (s.spec_pid > 0) ::kill(s.spec_pid, sig);
+      if (s.state == ShardState::kRunning && s.pid > 0) ::kill(-s.pid, sig);
+      if (s.spec_pid > 0) ::kill(-s.spec_pid, sig);
     }
   };
 
@@ -432,7 +435,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
               std::fprintf(log, "[dispatch] shard %u/%u complete\n", s.id,
                            options.shards);
               if (s.spec_pid > 0) {
-                ::kill(s.spec_pid, SIGTERM);
+                ::kill(-s.spec_pid, SIGTERM);
                 reap_blocking(s.spec_pid);
                 s.spec_pid = -1;
               }
@@ -460,7 +463,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                 "[dispatch] shard %u/%u lease stale (%.1fs > %.1fs); "
                 "revoking\n",
                 s.id, options.shards, age, options.stale_after_s);
-            ::kill(s.pid, SIGKILL);
+            ::kill(-s.pid, SIGKILL);
             reap_blocking(s.pid);
             s.pid = -1;
             redispatch(s, "stale lease");
@@ -513,7 +516,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                      "[dispatch] shard %u/%u speculative duplicate won\n",
                      s.id, options.shards);
         if (s.pid > 0) {
-          ::kill(s.pid, SIGTERM);
+          ::kill(-s.pid, SIGTERM);
           reap_blocking(s.pid);
           s.pid = -1;
         }
@@ -523,9 +526,11 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
       // under the normal supervision rules.
     }
 
-    if (now - last_status >=
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(options.heartbeat_period_s))) {
+    // min() marks "never written"; subtracting it would overflow.
+    if (last_status == Clock::time_point::min() ||
+        now - last_status >=
+            std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(options.heartbeat_period_s))) {
       write_status("running");
     }
 

@@ -14,7 +14,9 @@
 //                  its lease mtime (or spawn time, before the first
 //                  heartbeat lands) is younger than stale_after_s;
 //   revocation   = a stale lease or an abnormal child exit kills the
-//                  runner (SIGKILL for stale) and re-dispatches the
+//                  runner (SIGKILL for stale; every signal goes to the
+//                  runner's own process group, so its descendants, such
+//                  as --isolate workers, die with it) and re-dispatches the
 //                  shard under capped exponential backoff with
 //                  deterministic jitter, up to max_shard_retries;
 //   exclusion    = a fresh lease held by a live foreign pid blocks

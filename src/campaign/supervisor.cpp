@@ -72,8 +72,17 @@ struct WorkerContext {
   // a copy of the supervisor's (run_campaign, the test runner, main), and
   // an escaping exception would resume the parent's program in the child.
   try {
-    ipc::Frame frame;
-    while (ipc::read_frame(in_fd, &frame)) {
+    // The simulator pulls a request whenever one of its lanes is free:
+    // blocking when every lane is idle, a non-blocking peek at the pipe
+    // while another lane is still busy. EOF ends the stream once the
+    // lanes drain.
+    const auto pull = [&](bool wait) -> std::optional<std::size_t> {
+      if (!wait) {
+        pollfd p{in_fd, POLLIN, 0};
+        if (::poll(&p, 1, 0) <= 0) return std::nullopt;
+      }
+      ipc::Frame frame;
+      if (!ipc::read_frame(in_fd, &frame)) return std::nullopt;
       ipc::GroupRequest req;
       if (frame.tag != ipc::kTagGroup ||
           !ipc::decode_group_request(frame.payload, &req)) {
@@ -86,13 +95,14 @@ struct WorkerContext {
         // would, after the request was accepted.
         std::abort();
       }
-      const fault::GroupRecord rec =
-          ctx.sim.simulate(static_cast<std::size_t>(req.group));
+      return static_cast<std::size_t>(req.group);
+    };
+    ctx.sim.run(pull, [&](fault::GroupRecord&& rec) {
       if (!ipc::write_frame(out_fd, ipc::kTagRecord,
                             encode_record_payload(rec))) {
         _exit(2);
       }
-    }
+    });
   } catch (...) {
     // bad_alloc under RLIMIT_AS, or any simulator failure: die the way
     // an uncaught exception would, so the supervisor records SIGABRT.
@@ -104,15 +114,20 @@ struct WorkerContext {
   _exit(0);
 }
 
+/// One group request on its way through a worker. Queued requests use
+/// only `req` and `solo`; the times are set when a worker takes it.
+struct Job {
+  ipc::GroupRequest req;
+  bool solo = false;  // retry: runs alone in its worker
+  Clock::time_point started{};  // when the request was dispatched
+  Clock::time_point deadline = Clock::time_point::max();  // hang kill
+};
+
 struct Worker {
   pid_t pid = -1;
   int to_fd = -1;    // supervisor -> worker requests
   int from_fd = -1;  // worker -> supervisor results
-  bool busy = false;
-  std::uint64_t group = 0;
-  std::uint32_t attempt = 0;
-  Clock::time_point started;  // when the current request was dispatched
-  Clock::time_point deadline = Clock::time_point::max();
+  std::vector<Job> held;  // in flight, at most GroupSimulator::lanes()
 
   bool alive() const { return pid > 0; }
 };
@@ -148,7 +163,7 @@ Worker spawn_worker(const WorkerContext& ctx) {
 }
 
 /// Reaps a dead (or about-to-die) worker and closes its pipes. Returns
-/// the structured post-mortem for quarantine records.
+/// the structured post-mortem for quarantine records (attempts unset).
 fault::GroupError reap_worker(Worker* w) {
   int status = 0;
   rusage ru{};
@@ -159,7 +174,6 @@ fault::GroupError reap_worker(Worker* w) {
   fault::GroupError err;
   if (WIFSIGNALED(status)) err.term_signal = WTERMSIG(status);
   if (WIFEXITED(status)) err.exit_code = WEXITSTATUS(status);
-  err.attempts = w->attempt + 1;
   err.max_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
   err.cpu_ms =
       static_cast<std::uint64_t>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) *
@@ -168,7 +182,6 @@ fault::GroupError reap_worker(Worker* w) {
           1000;
   w->pid = -1;
   w->to_fd = w->from_fd = -1;
-  w->busy = false;
   return err;
 }
 
@@ -235,14 +248,14 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   // everything else forms the dispatch queue, in group order. Under a
   // shard restriction, out-of-class groups are neither queued nor
   // seeded — the shard's result covers only its residue class.
-  std::deque<ipc::GroupRequest> pending;
+  std::deque<Job> pending;
   for (std::size_t g = 0; g < out.groups_total; ++g) {
     if (sharded && g % options.sim.shard_count != options.sim.shard_index) {
       continue;
     }
     const auto it = journal.seeds.find(g);
     if (it == journal.seeds.end()) {
-      pending.push_back({g, 0});
+      pending.push_back({{g, 0}});
       continue;
     }
     plan.apply(it->second, &out.result);
@@ -322,10 +335,11 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   }
 
   std::vector<Worker> workers;
-  std::size_t inflight = 0;
+  // Groups one worker keeps in flight: one per simulator lane.
+  const std::size_t lanes = sim.lanes();
 
   // Grace period before a busy worker is declared hung and hard-killed.
-  // The worker enforces group_timeout_ms cooperatively inside simulate();
+  // The worker enforces group_timeout_ms cooperatively inside its kernel;
   // the hard deadline only fires when the group wedges the worker so
   // badly the cooperative check never runs.
   const auto hang_grace =
@@ -380,10 +394,16 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
     }
   };
 
-  // Retry-or-quarantine decision for a group whose worker died.
-  const auto fail_group = [&](std::uint64_t group, std::uint32_t attempt,
-                              fault::GroupError err, double duration_ms) {
-    if (attempt >= options.iso.max_group_retries) {
+  // Retry-or-quarantine decision for a group whose worker died. A death
+  // charges an attempt to every group the worker held, but only a group
+  // that failed while alone in its worker is quarantined: retries run
+  // alone, so the innocent partner of a poison group always gets a solo
+  // attempt, even with its retries spent.
+  const auto fail_group = [&](const Job& job, fault::GroupError err,
+                              double duration_ms, bool shared) {
+    const std::uint64_t group = job.req.group;
+    err.attempts = job.req.attempt + 1;
+    if (!shared && job.req.attempt >= options.iso.max_group_retries) {
       // The quarantine post-mortem covers *all* attempts — fold the
       // earlier dead attempts' rusage into the final one's, matching
       // the "on all N attempts" wording of the CLI report.
@@ -406,8 +426,26 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
       acc.cpu_ms += err.cpu_ms;
       // Retry at the front so a transient failure is re-attempted while
       // the campaign is still warm, with the attempt count advanced.
-      pending.push_front({group, attempt + 1});
+      pending.push_front({{group, job.req.attempt + 1}, /*solo=*/true});
     }
+  };
+
+  // Makes sure a failed worker is dead, reaps it, charges every group it
+  // held and (unless draining) respawns it.
+  const auto worker_died = [&](Worker& w, Clock::time_point now,
+                               bool respawn) {
+    ::kill(w.pid, SIGKILL);
+    const std::vector<Job> held = std::move(w.held);
+    w.held.clear();
+    const fault::GroupError err = reap_worker(&w);
+    ++out.worker_restarts;
+    for (const Job& job : held) {
+      fail_group(job, err,
+                 std::chrono::duration<double, std::milli>(now - job.started)
+                     .count(),
+                 held.size() > 1);
+    }
+    if (respawn) w = spawn_worker(ctx);
   };
 
   try {
@@ -425,54 +463,58 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
         draining = true;  // in-flight groups finish; nothing new starts
       }
 
+      // Fill free lanes. A solo request waits for an empty worker and
+      // keeps it to itself.
       if (!draining) {
         for (Worker& w : workers) {
-          if (pending.empty()) break;
-          if (!w.alive() || w.busy) continue;
-          const ipc::GroupRequest req = pending.front();
-          pending.pop_front();
-          w.group = req.group;
-          w.attempt = req.attempt;
-          if (!ipc::write_frame(w.to_fd, ipc::kTagGroup,
-                                ipc::encode_group_request(req))) {
-            // The worker died while idle (startup OOM, external kill).
-            // Indistinguishable from dying right after reading the
-            // request, so it costs the group an attempt — keeping every
-            // failure path bounded by max_group_retries.
-            const fault::GroupError err = reap_worker(&w);
-            ++out.worker_restarts;
-            fail_group(req.group, req.attempt, err, 0.0);
-            w = spawn_worker(ctx);
-            continue;
+          while (w.alive() && !pending.empty() && w.held.size() < lanes &&
+                 (w.held.empty() ||
+                  (!w.held.front().solo && !pending.front().solo))) {
+            Job job = pending.front();
+            pending.pop_front();
+            job.started = Clock::now();
+            job.deadline = hang_grace.count() != 0
+                               ? job.started + hang_grace
+                               : Clock::time_point::max();
+            w.held.push_back(job);
+            if (!ipc::write_frame(w.to_fd, ipc::kTagGroup,
+                                  ipc::encode_group_request(job.req))) {
+              // The worker died before reading the request (startup OOM,
+              // external kill). Indistinguishable from dying right after
+              // reading it, so it costs the request an attempt — keeping
+              // every failure path bounded by max_group_retries.
+              worker_died(w, job.started, /*respawn=*/true);
+              break;
+            }
           }
-          w.busy = true;
-          w.started = Clock::now();
-          w.deadline = hang_grace.count() != 0 ? w.started + hang_grace
-                                               : Clock::time_point::max();
-          ++inflight;
         }
       }
-
-      if (inflight == 0 && (draining || pending.empty())) break;
 
       std::vector<pollfd> fds;
       std::vector<std::size_t> fd_worker;
       for (std::size_t i = 0; i < workers.size(); ++i) {
-        if (!workers[i].alive() || !workers[i].busy) continue;
+        if (!workers[i].alive() || workers[i].held.empty()) continue;
         fds.push_back({workers[i].from_fd, POLLIN, 0});
         fd_worker.push_back(i);
       }
+      if (fds.empty() && (draining || pending.empty())) break;
 
       // Wake at least every 200 ms to notice drain requests and hang
-      // deadlines even when no worker produces events.
+      // deadlines even when no worker produces events. A worker's hang
+      // deadline is its earliest in-flight group's.
+      const auto hang_deadline = [](const Worker& w) {
+        Clock::time_point d = Clock::time_point::max();
+        for (const Job& job : w.held) d = std::min(d, job.deadline);
+        return d;
+      };
       int timeout_ms = 200;
       const Clock::time_point now = Clock::now();
       for (std::size_t i : fd_worker) {
-        const Worker& w = workers[i];
-        if (w.deadline == Clock::time_point::max()) continue;
-        auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        w.deadline - now)
-                        .count();
+        const Clock::time_point d = hang_deadline(workers[i]);
+        if (d == Clock::time_point::max()) continue;
+        auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(d - now)
+                .count();
         if (left < 0) left = 0;
         if (left < timeout_ms) timeout_ms = static_cast<int>(left);
       }
@@ -484,14 +526,14 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
       const Clock::time_point after = Clock::now();
       for (std::size_t k = 0; k < fds.size(); ++k) {
         Worker& w = workers[fd_worker[k]];
-        if (!w.alive() || !w.busy) continue;  // handled earlier this pass
+        if (!w.alive() || w.held.empty()) continue;  // handled this pass
         const bool readable = (fds[k].revents & (POLLIN | POLLHUP)) != 0;
         if (!readable) {
-          if (after >= w.deadline) {
+          if (after >= hang_deadline(w)) {
             // Hung: the cooperative timeout inside the worker never
             // fired. SIGKILL and let the EOF below classify it.
             ::kill(w.pid, SIGKILL);
-            w.deadline = Clock::time_point::max();
+            for (Job& job : w.held) job.deadline = Clock::time_point::max();
           }
           continue;
         }
@@ -499,27 +541,21 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
         fault::GroupRecord rec;
         const bool ok = ipc::read_frame(w.from_fd, &frame) &&
                         frame.tag == ipc::kTagRecord &&
-                        decode_record_payload(frame.payload, &rec) &&
-                        rec.group == w.group;
-        const double attempt_ms =
-            std::chrono::duration<double, std::milli>(after - w.started)
-                .count();
-        if (ok) {
-          w.busy = false;
-          --inflight;
-          resolve(rec, attempt_ms, w.attempt + 1);
+                        decode_record_payload(frame.payload, &rec);
+        const auto job = std::find_if(
+            w.held.begin(), w.held.end(),
+            [&](const Job& j) { return ok && j.req.group == rec.group; });
+        if (job != w.held.end()) {
+          const double attempt_ms =
+              std::chrono::duration<double, std::milli>(after - job->started)
+                  .count();
+          const std::uint32_t attempts = job->req.attempt + 1;
+          w.held.erase(job);
+          resolve(rec, attempt_ms, attempts);
           continue;
         }
-        // EOF (crash/OOM/hard kill) or a desynchronized stream: make
-        // sure it is dead, reap it, charge the attempt, respawn.
-        ::kill(w.pid, SIGKILL);
-        const std::uint64_t group = w.group;
-        const std::uint32_t attempt = w.attempt;
-        const fault::GroupError err = reap_worker(&w);
-        --inflight;
-        ++out.worker_restarts;
-        fail_group(group, attempt, err, attempt_ms);
-        if (!draining) w = spawn_worker(ctx);
+        // EOF (crash/OOM/hard kill) or a desynchronized stream.
+        worker_died(w, after, /*respawn=*/!draining);
       }
     }
 

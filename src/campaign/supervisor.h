@@ -15,9 +15,12 @@
 //   * groups travel over the pipe protocol in ipc.h; results come back
 //     in the journal's own payload encoding and are journaled by the
 //     supervisor exactly as the threaded mode journals them;
+//   * a worker keeps GroupSimulator::lanes() groups in flight (two under
+//     the compiled sweep);
 //   * a worker that crashes, OOMs, or blows its hang deadline is reaped
-//     (with rusage) and respawned; its group is retried on a fresh
-//     worker up to max_group_retries times and then quarantined — a
+//     (with rusage) and respawned; every group it held is charged an
+//     attempt and retried alone on a fresh worker, and a group that fails
+//     alone with its max_group_retries retries spent is quarantined — a
 //     structured GroupError verdict instead of a dead campaign.
 //
 // Results are bit-identical to the in-process mode for every

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -29,6 +30,11 @@ namespace sbst::fault {
 /// invoked concurrently from worker threads, so it (and the construction
 /// of an Environment) must not mutate shared state — capture inputs by
 /// value or by pointer-to-const.
+///
+/// An environment may only drive primary inputs and read primary
+/// outputs: the sweep kernel hands it a per-group port surface whose
+/// input words are copied into the simulation after drive() and whose
+/// output words are copied in before observe(); no other net is live.
 class Environment {
  public:
   virtual ~Environment() = default;
@@ -263,16 +269,14 @@ struct FaultSimResult {
   bool trace_fallback = false;
 };
 
-/// Work counters exposed by GroupSimulator for benchmarks: gate
-/// evaluations actually performed and machine cycles simulated.
-/// `gates_evaluated`, `cycles` and `evals_by_kind` are deterministic
-/// (bit-stable for a fixed netlist/engine); `eval_ns` is run-local wall
-/// clock spent inside simulate(), like GroupMetric::duration_ms.
+/// Work counters of the event kernels: gate evaluations actually
+/// performed and machine cycles simulated. Deterministic (bit-stable for
+/// a fixed netlist/engine); GroupSimulator copies the per-group deltas
+/// into each GroupRecord.
 struct KernelStats {
   std::uint64_t gates_evaluated = 0;
   std::uint64_t cycles = 0;
   std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};
-  std::uint64_t eval_ns = 0;
 };
 
 /// Runs sequential fault simulation of `faults` on `netlist` inside the
@@ -285,7 +289,7 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const EnvFactory& make_env,
                              const FaultSimOptions& options = {});
 
-// --- single-group simulation -----------------------------------------------
+// --- group-level simulation ------------------------------------------------
 //
 // run_fault_sim is built from two smaller pieces that campaign layers
 // (notably the process-isolation supervisor, which schedules groups
@@ -340,6 +344,10 @@ class SharedTraceSource;
 /// differential kernel against the (lazily recorded, campaign-shared)
 /// good trace, falling back to the full sweep if recording aborted;
 /// null selects the sweep kernel unconditionally.
+///
+/// The compiled sweep kernel simulates two groups side by side, one per
+/// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
+/// the next group the moment a lane's group ends.
 class GroupSimulator {
  public:
   /// `compiled` is the campaign-shared program (nl::compile(netlist));
@@ -366,8 +374,23 @@ class GroupSimulator {
   /// and bit-identical across both kernels.
   GroupRecord simulate(std::size_t group);
 
-  /// Work performed by this simulator so far, whichever kernel ran.
-  KernelStats stats() const;
+  /// Groups the kernel keeps in flight at once: 2 for the compiled sweep,
+  /// 1 for the event engine and the interpreted flavor.
+  std::size_t lanes() const;
+
+  /// Next-group source for run(). Called whenever a lane is free. With
+  /// `wait` true every lane is idle: return the next group, or nullopt to
+  /// end the stream. With `wait` false another lane is still busy: return
+  /// a group only if one is ready now; nullopt means "none yet" and the
+  /// kernel asks again at least every 16 cycles.
+  using PullGroup = std::function<std::optional<std::size_t>(bool wait)>;
+  /// Receives each finished record, in completion order (one per pulled
+  /// group; the record is identical to what simulate() returns).
+  using EmitRecord = std::function<void(GroupRecord&&)>;
+
+  /// Streams groups through the kernel until `pull` ends the stream and
+  /// every lane has drained.
+  void run(const PullGroup& pull, const EmitRecord& emit);
 
  private:
   struct Impl;

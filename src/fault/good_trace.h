@@ -97,7 +97,7 @@ std::shared_ptr<const GoodTrace> record_good_trace(
     std::shared_ptr<const nl::CompiledNetlist> compiled = nullptr);
 
 /// One-per-campaign lazy trace holder shared by every worker's
-/// GroupSimulator. The first simulate() call records (serialized by
+/// GroupSimulator. The first simulated group records it (serialized by
 /// call_once; concurrent workers wait, which costs no more than the
 /// serial good run they all depend on); later calls reuse the immutable
 /// trace. A campaign that is fully seeded from its journal never

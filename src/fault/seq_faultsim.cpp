@@ -51,71 +51,6 @@ void eval_with_injections(sim::LogicSim& s, const InjectionTable& inj) {
   }
 }
 
-/// Per-group fixup sites for the compiled sweep: the slotted (injected)
-/// combinational gates, grouped by level. Rebuilt per group.
-struct CompiledFixups {
-  std::vector<std::vector<nl::GateId>> by_level;  // sized max_level + 1
-  std::vector<std::uint32_t> levels;              // touched levels, sorted
-
-  void rebuild(const nl::CompiledNetlist& cn, const nl::Netlist& netlist,
-               const InjectionTable& inj) {
-    for (std::uint32_t lvl : levels) by_level[lvl].clear();
-    levels.clear();
-    if (by_level.size() < static_cast<std::size_t>(cn.lv.max_level) + 1) {
-      by_level.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
-    }
-    for (nl::GateId g : inj.slotted_gates()) {
-      if (netlist.gate(g).kind == nl::GateKind::kDff) continue;
-      const std::uint32_t lvl = cn.lv.level[g];
-      if (by_level[lvl].empty()) levels.push_back(lvl);
-      by_level[lvl].push_back(g);
-    }
-    std::sort(levels.begin(), levels.end());
-  }
-};
-
-/// Compiled-flavor fault-aware sweep: branch-free per-run evaluation,
-/// with the handful of injected gates re-evaluated interpretively at the
-/// end of their level (their consumers sit at strictly higher levels, so
-/// the fixup lands before anything reads the forced word). Operands are
-/// read through the fold roots because copies materialize only after the
-/// sweep. Bit-identical to eval_with_injections on every gate.
-void eval_compiled_with_injections(sim::LogicSim& s,
-                                   const nl::CompiledNetlist& cn,
-                                   const InjectionTable& inj,
-                                   const CompiledFixups& fixups) {
-  const nl::Netlist& netlist = s.netlist();
-  Word* const v = s.values().data();
-  if (fixups.levels.empty()) {
-    for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, v);
-  } else {
-    auto rd = [&](nl::GateId d) -> Word {
-      return d < cn.num_gates ? v[cn.fold_root[d]] : 0;
-    };
-    std::size_t fx = 0;
-    const std::uint32_t num_levels = cn.lv.max_level + 1;
-    for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
-      for (std::uint32_t r = cn.level_run_begin[lvl];
-           r < cn.level_run_begin[lvl + 1]; ++r) {
-        nl::eval_run(cn, cn.runs[r], v);
-      }
-      if (fx < fixups.levels.size() && fixups.levels[fx] == lvl) {
-        for (nl::GateId g : fixups.by_level[lvl]) {
-          const nl::Gate& gate = netlist.gate(g);
-          const detail::GateForce& f = inj.force_record(inj.slot(g));
-          Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
-          Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
-          Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
-          const Word w = sim::eval_gate(gate.kind, a, b, c);
-          v[g] = (w | f.set[0]) & ~f.clr[0];
-        }
-        ++fx;
-      }
-    }
-  }
-  nl::apply_copies(cn, v);
-}
-
 /// Applies stuck-at forcing on source gates (PIs, constants) and DFF
 /// outputs; must run after inputs are driven / DFFs updated.
 void apply_state_injections(sim::LogicSim& s, const InjectionTable& inj) {
@@ -213,6 +148,91 @@ static_assert(kFaultsPerGroup < 64,
               "bit 63 of the simulation word is reserved for the good "
               "machine");
 
+// --- two-lane sweep ----------------------------------------------------------
+//
+// The compiled sweep simulates two independent groups per pass: every
+// value slot holds one 64-bit simulation word per lane, each lane with
+// its own 63 faulty machines and its own good machine in bit 63. The
+// typedefs are deliberately non-dependent — GCC silently drops
+// vector_size on a template-dependent alias, leaving a scalar.
+constexpr int kLanes = 2;
+typedef Word LaneWord __attribute__((vector_size(16)));
+typedef std::int64_t LaneSigned __attribute__((vector_size(16)));
+static_assert(sizeof(LaneWord) == kLanes * sizeof(Word),
+              "one 64-bit simulation word per lane");
+
+/// An idle lane asks for a new group at least this often (in cycles)
+/// while the other lane is busy.
+constexpr unsigned kPollCycles = 16;
+
+/// One lane: the group it simulates and everything lane-local about it.
+struct SweepLane {
+  SweepLane(const nl::Netlist& netlist,
+            std::shared_ptr<const nl::CompiledNetlist> compiled)
+      : inj(netlist.size()), ports(netlist, std::move(compiled)) {}
+
+  bool busy = false;
+  GroupRecord rec;
+  InjectionTable inj;
+  // The environment's view of the lane: only its port nets are live.
+  // Input words are copied into the lane after drive(), output words
+  // out of it before observe().
+  sim::LogicSim ports;
+  std::unique_ptr<Environment> env;
+  Word all_mask = 0;
+  Word detected = 0;
+  std::uint64_t cycle = 0;
+  std::uint64_t evaluated = 0;  // cycles evaluated (work counters)
+  std::chrono::steady_clock::time_point deadline;
+};
+
+/// Forced re-evaluation of one injected combinational gate in one lane.
+struct LaneFixup {
+  nl::GateId gate;
+  int lane;
+  detail::GateForce force;
+};
+
+/// Two-lane sweep state of one simulator.
+struct LaneSweep {
+  LaneSweep(const nl::Netlist& netlist,
+            const std::shared_ptr<const nl::CompiledNetlist>& compiled)
+      : v(compiled->num_gates + 1), next(compiled->dff_gate.size()) {
+    const nl::CompiledNetlist& cn = *compiled;
+    fix_by_level.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
+    dff_index.assign(netlist.size(), 0);
+    for (std::size_t i = 0; i < cn.dff_gate.size(); ++i) {
+      dff_index[cn.dff_gate[i]] = static_cast<std::uint32_t>(i);
+    }
+    // Lane-local reset: sources and flip-flops take the values
+    // LogicSim::reset() gives them; everything else is recomputed before
+    // it is read.
+    const sim::LogicSim reset(netlist, compiled);
+    for (nl::GateId g = 0; g < netlist.size(); ++g) {
+      const nl::GateKind k = netlist.gate(g).kind;
+      if (k == nl::GateKind::kInput) pi_gates.push_back(g);
+      if (k == nl::GateKind::kInput || k == nl::GateKind::kDff ||
+          k == nl::GateKind::kConst0 || k == nl::GateKind::kConst1) {
+        reset_image.emplace_back(g, reset.word(g));
+      }
+    }
+    lanes.reserve(kLanes);
+    for (int l = 0; l < kLanes; ++l) lanes.emplace_back(netlist, compiled);
+  }
+
+  std::vector<LaneWord> v;     // value slots, num_gates + 1
+  std::vector<LaneWord> next;  // per DFF, sampled D words
+  std::vector<SweepLane> lanes;
+  std::vector<nl::GateId> pi_gates;
+  std::vector<std::pair<nl::GateId, Word>> reset_image;
+  std::vector<std::uint32_t> dff_index;  // gate -> Levelization::dffs index
+  // Comb fixups of the busy lanes, by level; fix_levels lists the
+  // non-empty levels in ascending order.
+  std::vector<std::vector<LaneFixup>> fix_by_level;
+  std::vector<std::uint32_t> fix_levels;
+  int busy = 0;
+};
+
 }  // namespace
 
 // --- GroupPlan --------------------------------------------------------------
@@ -279,6 +299,8 @@ GroupRecord GroupPlan::unstarted_record(std::size_t group) const {
 // --- GroupSimulator ---------------------------------------------------------
 
 struct GroupSimulator::Impl {
+  using Clock = std::chrono::steady_clock;
+
   const nl::Netlist& netlist;
   const nl::FaultList& faults;
   const GroupPlan& plan;
@@ -286,12 +308,12 @@ struct GroupSimulator::Impl {
   std::uint64_t max_cycles;
   std::uint64_t group_timeout_ms;
   KernelFlavor kernel;
-  std::chrono::steady_clock::time_point run_deadline =
-      std::chrono::steady_clock::time_point::max();
+  Clock::time_point run_deadline = Clock::time_point::max();
   // Campaign-shared compiled program (compiled privately when the caller
   // did not pass one). Initialized before `sim` so the simulator can
   // reuse it.
   std::shared_ptr<const nl::CompiledNetlist> compiled;
+  // Single-group state of the event engine and the interpreted sweep.
   sim::LogicSim sim;
   InjectionTable inj;
   // Per-cycle static sweep tallies: how many comb gates of each base-op
@@ -300,7 +322,6 @@ struct GroupSimulator::Impl {
   // evals_by_kind stays bit-stable across kernel flavors.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
-  CompiledFixups fixups;
   // Event-engine state: the campaign-shared trace source (null = sweep),
   // the flavor-selected differential kernel built on first successful
   // trace fetch, and a latch that pins the sweep fallback once recording
@@ -311,8 +332,8 @@ struct GroupSimulator::Impl {
   std::optional<CompiledEventKernel> cevent;
   std::shared_ptr<const GoodTrace> trace;
   bool event_unavailable = false;
-  KernelStats sweep_stats;
-  std::uint64_t eval_ns = 0;
+  // Compiled sweep, built on first use.
+  std::unique_ptr<LaneSweep> sweep;
 
   Impl(const nl::Netlist& n, const nl::FaultList& f, const GroupPlan& p,
        EnvFactory env, const FaultSimOptions& options,
@@ -335,12 +356,27 @@ struct GroupSimulator::Impl {
     }
   }
 
-  /// True when every non-DFF injection site of the current group has a
-  /// compiled node (faults never sit on BUF gates — fault.h strips them
-  /// from the universe — but hand-built fault lists can, and those
-  /// groups run the interpreted kernels instead).
-  bool group_compilable() const {
-    for (nl::GateId g : inj.slotted_gates()) {
+  /// Loads `group`'s faults into `table` and returns its empty record.
+  GroupRecord begin(std::size_t group, InjectionTable& table) const {
+    GroupRecord rec;
+    rec.group = group;
+    rec.count = plan.group_count(group);
+    rec.detect_cycle.assign(rec.count, -1);
+    table.clear();
+    const std::size_t base = group * kFaultsPerGroup;
+    for (std::uint32_t i = 0; i < rec.count; ++i) {
+      table.add(netlist, faults.faults[plan.active()[base + i]],
+                static_cast<int>(i));
+    }
+    return rec;
+  }
+
+  /// True when every non-DFF injection site of `table` has a compiled
+  /// node (faults never sit on BUF gates — fault.h strips them from the
+  /// universe — but hand-built fault lists can, and those groups run the
+  /// interpreted kernels instead).
+  bool compilable(const InjectionTable& table) const {
+    for (nl::GateId g : table.slotted_gates()) {
       if (netlist.gate(g).kind != nl::GateKind::kDff &&
           compiled->node_of_gate[g] == nl::kNoNode) {
         return false;
@@ -348,7 +384,353 @@ struct GroupSimulator::Impl {
     }
     return true;
   }
+
+  bool has_clock_bounds() const {
+    return group_timeout_ms != 0 || run_deadline != Clock::time_point::max();
+  }
+  Clock::time_point group_deadline() const {
+    return group_timeout_ms != 0
+               ? Clock::now() + std::chrono::milliseconds(group_timeout_ms)
+               : Clock::time_point::max();
+  }
+
+  /// Sweep work counters are normalized to the interpreted sweep (every
+  /// comb gate once per cycle, folded BUFs included), so they are a pure
+  /// function of (netlist, evaluated cycles) and bit-stable across kernel
+  /// flavors and lanes — journals written under either flavor agree.
+  void set_sweep_counters(GroupRecord& rec, std::uint64_t cycles) const {
+    rec.gates_evaluated = cycles * compiled->lv.comb_order.size();
+    rec.sim_cycles = cycles;
+    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
+      rec.evals_by_kind[i] = cycles * sweep_kinds_per_cycle[i];
+    }
+    rec.engine_used = GroupEngine::kSweep;
+  }
+
+  /// Event engine: fetch the campaign-shared good trace (the first fetch
+  /// records it; recording honours the run deadline and cancel flag). A
+  /// failed recording latches the sweep fallback for this worker.
+  void fetch_trace() {
+    if (trace_source && !trace && !event_unavailable) {
+      trace = trace_source->get();
+      if (!trace) event_unavailable = true;
+    }
+  }
+
+  GroupRecord simulate_event(std::size_t group);
+  GroupRecord simulate_interp(std::size_t group);
+  void run_lanes(std::size_t first, const PullGroup& pull,
+                 const EmitRecord& emit);
+
+  // Two-lane sweep steps (run_lanes).
+  void load_lane(int l, std::size_t group, const EmitRecord& emit);
+  void finish_lane(int l, bool timed_out, const EmitRecord& emit);
+  void rebuild_fixups();
+  void eval_lanes();
+  void step_lanes();
 };
+
+GroupRecord GroupSimulator::Impl::simulate_event(std::size_t group) {
+  GroupRecord rec = begin(group, inj);
+  KernelDeadlines deadlines;
+  deadlines.active = has_clock_bounds();
+  deadlines.group_deadline = group_deadline();
+  deadlines.run_deadline = run_deadline;
+  const auto run_event = [&](auto& k) {
+    const KernelStats before = k.stats();
+    k.simulate(inj, static_cast<int>(rec.count), deadlines, &rec);
+    const KernelStats& after = k.stats();
+    rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
+    rec.sim_cycles = after.cycles - before.cycles;
+    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
+      rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
+    }
+    rec.engine_used = GroupEngine::kEvent;
+  };
+  // The compiled kernel requires every injected comb gate to exist as a
+  // compiled node.
+  if (kernel == KernelFlavor::kCompiled && compilable(inj)) {
+    if (!cevent) cevent.emplace(netlist, *compiled, sim.po_bits(), trace);
+    run_event(*cevent);
+  } else {
+    if (!event) {
+      event.emplace(netlist, sim.levelization(), sim.po_bits(), trace);
+    }
+    run_event(*event);
+  }
+  return rec;
+}
+
+GroupRecord GroupSimulator::Impl::simulate_interp(std::size_t group) {
+  GroupRecord rec = begin(group, inj);
+  const Word all_mask = (Word{1} << rec.count) - 1;  // count <= 63
+  const bool bounded = has_clock_bounds();
+  const Clock::time_point deadline = group_deadline();
+  sim.reset();
+  apply_state_injections(sim, inj);
+  std::unique_ptr<Environment> env = make_env();
+
+  Word detected = 0;
+  std::uint64_t cycle = 0;
+  std::uint64_t evaluated = 0;
+  for (; cycle < max_cycles; ++cycle) {
+    // Amortized watchdog: one clock read every 1024 cycles keeps the
+    // bound within ~ms granularity without slowing the hot loop.
+    if (bounded && (cycle & 1023u) == 1023u) [[unlikely]] {
+      const Clock::time_point now = Clock::now();
+      if (now >= deadline || now >= run_deadline) {
+        rec.timed_out = true;
+        break;
+      }
+    }
+    env->drive(sim, cycle);
+    apply_state_injections(sim, inj);
+    eval_with_injections(sim, inj);
+    ++evaluated;
+
+    const Word diff = po_diff(sim) & all_mask & ~detected;
+    if (diff != 0) {
+      Word d = diff;
+      while (d != 0) {
+        const int bit = std::countr_zero(d);
+        d &= d - 1;
+        rec.detect_cycle[static_cast<std::size_t>(bit)] =
+            static_cast<std::int64_t>(cycle);
+      }
+      detected |= diff;
+      if (detected == all_mask) break;  // fault dropping: group done
+    }
+
+    const bool keep_going = env->observe(sim, cycle);
+    step_clock_with_injections(sim, inj);
+    if (!keep_going) {
+      ++cycle;
+      break;
+    }
+  }
+  rec.detected_mask = detected;
+  rec.cycles = cycle;
+  set_sweep_counters(rec, evaluated);
+  return rec;
+}
+
+// The two-lane compiled sweep. Each pass runs one cycle of every busy
+// lane: per-lane drive and source/Q forcing, one branch-free sweep of
+// the compiled runs over both lanes (with per-(gate, lane) fixups at
+// their level), per-lane detection and observe, one DFF step. A lane
+// whose group ends emits its record and is refilled from lane-local
+// reset on the next pass, while the other lane carries on. Every step is
+// lane-wise identical to simulate_interp, so records are bit-identical
+// whichever lane (and whichever partner) a group runs with.
+void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
+                                     const EmitRecord& emit) {
+  if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
+  LaneSweep& s = *sweep;
+  LaneWord* const v = s.v.data();
+  const std::vector<nl::GateId>& po_bits = sim.po_bits();
+  const bool bounded = has_clock_bounds();
+
+  std::size_t group = first;
+  bool have_group = true;
+  unsigned since_poll = kPollCycles;  // the first idle lane polls at once
+  for (;;) {
+    // Refill idle lanes. A group the compiled kernel cannot take runs
+    // alone on the interpreted sweep inside load_lane, and the lane
+    // pulls again.
+    for (int l = 0; l < kLanes; ++l) {
+      while (!s.lanes[static_cast<std::size_t>(l)].busy) {
+        if (!have_group) {
+          std::optional<std::size_t> next;
+          if (s.busy == 0) {
+            next = pull(true);
+            if (!next) return;  // stream ended, every lane drained
+          } else if (since_poll >= kPollCycles) {
+            next = pull(false);
+            if (!next) {
+              since_poll = 0;
+              break;
+            }
+          } else {
+            break;
+          }
+          group = *next;
+        }
+        have_group = false;
+        load_lane(l, group, emit);
+      }
+    }
+    ++since_poll;
+
+    // Cycle bounds, then drive: the environment sets the lane's port
+    // surface, whose input words enter the lane before source forcing.
+    for (int l = 0; l < kLanes; ++l) {
+      SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+      if (!ln.busy) continue;
+      if (ln.cycle >= max_cycles) {
+        finish_lane(l, false, emit);
+        continue;
+      }
+      // Amortized watchdog, as in simulate_interp.
+      if (bounded && (ln.cycle & 1023u) == 1023u) [[unlikely]] {
+        const Clock::time_point now = Clock::now();
+        if (now >= ln.deadline || now >= run_deadline) {
+          finish_lane(l, true, emit);
+          continue;
+        }
+      }
+      ln.env->drive(ln.ports, ln.cycle);
+      const Word* const pv = ln.ports.values().data();
+      for (nl::GateId g : s.pi_gates) v[g][l] = pv[g];
+      for (const Injection& i : ln.inj.sources()) {
+        v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
+      }
+      for (const Injection& i : ln.inj.dff_q()) {
+        v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
+      }
+    }
+    if (s.busy == 0) continue;
+
+    eval_lanes();
+
+    // Detection word per lane: bits where a machine's PO differs from
+    // its lane's good machine (bit 63; the arithmetic shift replicates it
+    // across the lane).
+    LaneWord diff = {0, 0};
+    for (nl::GateId b : po_bits) {
+      const LaneWord w = v[b];
+      diff |= w ^ std::bit_cast<LaneWord>(std::bit_cast<LaneSigned>(w) >> 63);
+    }
+    for (int l = 0; l < kLanes; ++l) {
+      SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+      if (!ln.busy) continue;
+      ++ln.evaluated;
+      const Word d = diff[l] & ln.all_mask & ~ln.detected;
+      if (d != 0) {
+        for (Word m = d; m != 0; m &= m - 1) {
+          ln.rec.detect_cycle[static_cast<std::size_t>(std::countr_zero(m))] =
+              static_cast<std::int64_t>(ln.cycle);
+        }
+        ln.detected |= d;
+        if (ln.detected == ln.all_mask) {  // fault dropping: group done
+          finish_lane(l, false, emit);
+          continue;
+        }
+      }
+      Word* const pv = ln.ports.values().data();
+      for (nl::GateId b : po_bits) pv[b] = v[b][l];
+      const bool keep_going = ln.env->observe(ln.ports, ln.cycle);
+      ++ln.cycle;
+      if (!keep_going) finish_lane(l, false, emit);
+    }
+    if (s.busy != 0) step_lanes();
+  }
+}
+
+void GroupSimulator::Impl::load_lane(int l, std::size_t group,
+                                     const EmitRecord& emit) {
+  SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
+  ln.rec = begin(group, ln.inj);
+  if (!compilable(ln.inj)) {
+    emit(simulate_interp(group));  // the lane stays idle
+    return;
+  }
+  LaneWord* const v = sweep->v.data();
+  for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
+  ln.ports.reset();
+  ln.env = make_env();
+  ln.all_mask = (Word{1} << ln.rec.count) - 1;  // count <= 63
+  ln.detected = 0;
+  ln.cycle = 0;
+  ln.evaluated = 0;
+  ln.deadline = group_deadline();
+  ln.busy = true;
+  ++sweep->busy;
+  rebuild_fixups();
+}
+
+void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
+                                       const EmitRecord& emit) {
+  SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
+  ln.busy = false;
+  --sweep->busy;
+  ln.env.reset();
+  rebuild_fixups();
+  ln.rec.timed_out = timed_out;
+  ln.rec.detected_mask = ln.detected;
+  ln.rec.cycles = ln.cycle;
+  set_sweep_counters(ln.rec, ln.evaluated);
+  emit(std::move(ln.rec));
+}
+
+void GroupSimulator::Impl::rebuild_fixups() {
+  LaneSweep& s = *sweep;
+  for (std::uint32_t lvl : s.fix_levels) s.fix_by_level[lvl].clear();
+  s.fix_levels.clear();
+  for (int l = 0; l < kLanes; ++l) {
+    const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+    if (!ln.busy) continue;
+    for (nl::GateId g : ln.inj.slotted_gates()) {
+      if (netlist.gate(g).kind == nl::GateKind::kDff) continue;  // D pin
+      const std::uint32_t lvl = compiled->lv.level[g];
+      if (s.fix_by_level[lvl].empty()) s.fix_levels.push_back(lvl);
+      s.fix_by_level[lvl].push_back(
+          {g, l, ln.inj.force_record(ln.inj.slot(g))});
+    }
+  }
+  std::sort(s.fix_levels.begin(), s.fix_levels.end());
+}
+
+// Branch-free runs over both lanes, with each injected gate re-evaluated
+// in its lane at the end of its level (its consumers sit at strictly
+// higher levels, so the fixup lands before anything reads the forced
+// word). Operands are read through the fold roots: folded BUF copies are
+// never materialized, since only POs (always materialized) and fold-rooted
+// DFF D slots are read from the lane.
+void GroupSimulator::Impl::eval_lanes() {
+  LaneSweep& s = *sweep;
+  const nl::CompiledNetlist& cn = *compiled;
+  LaneWord* const v = s.v.data();
+  std::size_t r = 0;
+  for (std::uint32_t lvl : s.fix_levels) {
+    for (const std::size_t end = cn.level_run_begin[lvl + 1]; r < end; ++r) {
+      nl::eval_run(cn, cn.runs[r], v);
+    }
+    for (const LaneFixup& fx : s.fix_by_level[lvl]) {
+      const nl::Gate& gate = netlist.gate(fx.gate);
+      const auto rd = [&](nl::GateId d) -> Word {
+        return d < cn.num_gates ? v[cn.fold_root[d]][fx.lane] : 0;
+      };
+      const detail::GateForce& f = fx.force;
+      const Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
+      const Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
+      const Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
+      v[fx.gate][fx.lane] =
+          (sim::eval_gate(gate.kind, a, b, c) | f.set[0]) & ~f.clr[0];
+    }
+  }
+  for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], v);
+}
+
+// Clocks every DFF in both lanes. D-pin forcing applies to the sampled
+// (pre-update) words, so a DFF feeding another DFF hands over its old,
+// forced-or-not Q. Q-output forcing is re-applied after the next drive.
+void GroupSimulator::Impl::step_lanes() {
+  LaneSweep& s = *sweep;
+  const nl::CompiledNetlist& cn = *compiled;
+  LaneWord* const v = s.v.data();
+  LaneWord* const next = s.next.data();
+  const std::size_t num_dffs = cn.dff_gate.size();
+  for (std::size_t i = 0; i < num_dffs; ++i) next[i] = v[cn.dff_d[i]];
+  for (int l = 0; l < kLanes; ++l) {
+    const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+    if (!ln.busy) continue;
+    for (const Injection& i : ln.inj.dff_d()) {
+      LaneWord& n = next[s.dff_index[i.gate]];
+      n[l] = force(n[l], i.mask, i.stuck);
+    }
+  }
+  for (std::size_t i = 0; i < num_dffs; ++i) v[cn.dff_gate[i]] = next[i];
+}
 
 GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
@@ -367,167 +749,37 @@ void GroupSimulator::set_run_deadline(
   impl_->run_deadline = deadline;
 }
 
-KernelStats GroupSimulator::stats() const {
-  KernelStats s = impl_->sweep_stats;
-  const auto fold = [&s](const KernelStats& k) {
-    s.gates_evaluated += k.gates_evaluated;
-    s.cycles += k.cycles;
-    for (std::size_t i = 0; i < s.evals_by_kind.size(); ++i) {
-      s.evals_by_kind[i] += k.evals_by_kind[i];
+std::size_t GroupSimulator::lanes() const {
+  const Impl& im = *impl_;
+  const bool sweep = !im.trace_source || im.trace_source->fell_back();
+  return im.kernel == KernelFlavor::kCompiled && sweep ? kLanes : 1;
+}
+
+void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
+  Impl& im = *impl_;
+  while (const std::optional<std::size_t> group = pull(true)) {
+    // The trace is fetched on the first simulated group, so a campaign
+    // fully seeded from its journal never records it.
+    im.fetch_trace();
+    if (!im.trace && im.kernel == KernelFlavor::kCompiled) {
+      im.run_lanes(*group, pull, emit);
+      return;
     }
-  };
-  if (impl_->event) fold(impl_->event->stats());
-  if (impl_->cevent) fold(impl_->cevent->stats());
-  s.eval_ns = impl_->eval_ns;
-  return s;
+    emit(im.trace ? im.simulate_event(*group) : im.simulate_interp(*group));
+  }
 }
 
 GroupRecord GroupSimulator::simulate(std::size_t group) {
-  using Clock = std::chrono::steady_clock;
-  Impl& im = *impl_;
-  const Clock::time_point started = Clock::now();
-  const std::vector<std::size_t>& active = im.plan.active();
-  const std::size_t base = group * kFaultsPerGroup;
-  const int count = static_cast<int>(im.plan.group_count(group));
-
-  GroupRecord rec;
-  rec.group = group;
-  rec.count = static_cast<std::uint32_t>(count);
-  rec.detect_cycle.assign(static_cast<std::size_t>(count), -1);
-
-  im.inj.clear();
-  for (int i = 0; i < count; ++i) {
-    im.inj.add(im.netlist, im.faults.faults[active[base + i]], i);
-  }
-  const Word all_mask = (Word{1} << count) - 1;  // count <= 63
-
-  // Per-group flavor guard: the compiled kernels require every injected
-  // comb gate to exist as a compiled node.
-  const bool use_compiled =
-      im.kernel == KernelFlavor::kCompiled && im.group_compilable();
-  const auto finish = [&](GroupRecord& r) -> GroupRecord {
-    im.eval_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             started)
-            .count());
-    return std::move(r);
-  };
-
-  // Event engine: fetch the campaign-shared good trace (the first fetch
-  // records it; recording honours the run deadline and cancel flag). A
-  // failed recording latches the sweep fallback for this worker.
-  if (im.trace_source && !im.trace && !im.event_unavailable) {
-    im.trace = im.trace_source->get();
-    if (!im.trace) im.event_unavailable = true;
-  }
-
-  const bool has_clock_bounds =
-      im.group_timeout_ms != 0 ||
-      im.run_deadline != Clock::time_point::max();
-  const Clock::time_point group_deadline =
-      im.group_timeout_ms != 0
-          ? Clock::now() + std::chrono::milliseconds(im.group_timeout_ms)
-          : Clock::time_point::max();
-
-  if (im.trace) {
-    KernelDeadlines deadlines;
-    deadlines.active = has_clock_bounds;
-    deadlines.group_deadline = group_deadline;
-    deadlines.run_deadline = im.run_deadline;
-    const auto run_event = [&](auto& kernel) {
-      const KernelStats before = kernel.stats();
-      kernel.simulate(im.inj, count, deadlines, &rec);
-      const KernelStats& after = kernel.stats();
-      rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
-      rec.sim_cycles = after.cycles - before.cycles;
-      for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-        rec.evals_by_kind[i] =
-            after.evals_by_kind[i] - before.evals_by_kind[i];
-      }
-      rec.engine_used = GroupEngine::kEvent;
-    };
-    if (use_compiled) {
-      if (!im.cevent) {
-        im.cevent.emplace(im.netlist, *im.compiled, im.sim.po_bits(),
-                          im.trace);
-      }
-      run_event(*im.cevent);
-    } else {
-      if (!im.event) {
-        im.event.emplace(im.netlist, im.sim.levelization(), im.sim.po_bits(),
-                         im.trace);
-      }
-      run_event(*im.event);
-    }
-    return finish(rec);
-  }
-
-  if (use_compiled) im.fixups.rebuild(*im.compiled, im.netlist, im.inj);
-  im.sim.reset();
-  apply_state_injections(im.sim, im.inj);
-  std::unique_ptr<Environment> env = im.make_env();
-
-  Word detected = 0;
-  std::uint64_t cycle = 0;
-  std::uint64_t evaluated_cycles = 0;
-  for (; cycle < im.max_cycles; ++cycle) {
-    // Amortized watchdog: one clock read every 1024 cycles keeps the
-    // bound within ~ms granularity without slowing the hot loop.
-    if (has_clock_bounds && (cycle & 1023u) == 1023u) [[unlikely]] {
-      const Clock::time_point now = Clock::now();
-      if (now >= group_deadline || now >= im.run_deadline) {
-        rec.timed_out = true;
-        break;
-      }
-    }
-    env->drive(im.sim, cycle);
-    apply_state_injections(im.sim, im.inj);
-    if (use_compiled) {
-      eval_compiled_with_injections(im.sim, *im.compiled, im.inj, im.fixups);
-    } else {
-      eval_with_injections(im.sim, im.inj);
-    }
-    ++evaluated_cycles;
-
-    const Word diff = po_diff(im.sim) & all_mask & ~detected;
-    if (diff != 0) {
-      Word d = diff;
-      while (d != 0) {
-        const int bit = std::countr_zero(d);
-        d &= d - 1;
-        rec.detect_cycle[static_cast<std::size_t>(bit)] =
-            static_cast<std::int64_t>(cycle);
-      }
-      detected |= diff;
-      if (detected == all_mask) break;  // fault dropping: group done
-    }
-
-    const bool keep_going = env->observe(im.sim, cycle);
-    step_clock_with_injections(im.sim, im.inj);
-    if (!keep_going) {
-      ++cycle;
-      break;
-    }
-  }
-  rec.detected_mask = detected;
-  rec.cycles = cycle;
-  // Sweep work counters are normalized to the interpreted sweep (every
-  // comb gate once per cycle, folded BUFs included), so they are a pure
-  // function of (netlist, evaluated_cycles) and bit-stable across
-  // kernel flavors — journals written under either flavor agree.
-  rec.gates_evaluated =
-      evaluated_cycles * im.sim.levelization().comb_order.size();
-  rec.sim_cycles = evaluated_cycles;
-  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    rec.evals_by_kind[i] = evaluated_cycles * im.sweep_kinds_per_cycle[i];
-  }
-  rec.engine_used = GroupEngine::kSweep;
-  im.sweep_stats.cycles += evaluated_cycles;
-  im.sweep_stats.gates_evaluated += rec.gates_evaluated;
-  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    im.sweep_stats.evals_by_kind[i] += rec.evals_by_kind[i];
-  }
-  return finish(rec);
+  GroupRecord out;
+  bool pulled = false;
+  run(
+      [&](bool) -> std::optional<std::size_t> {
+        if (pulled) return std::nullopt;
+        pulled = true;
+        return group;
+      },
+      [&](GroupRecord&& rec) { out = std::move(rec); });
+  return out;
 }
 
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
@@ -640,43 +892,86 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     }
   };
 
-  // Resolves one group: seed from storage, expire against the campaign
-  // deadline, or simulate. Seeded groups are not re-journaled; simulated
-  // and deadline-expired ones go through on_group.
-  auto process_group = [&](GroupSimulator& sim, std::size_t group) {
-    const bool timed =
-        static_cast<bool>(options.on_group_metric);  // one clock pair/group
-    const Clock::time_point started = timed ? Clock::now() : Clock::time_point();
-    GroupRecord rec;
-    bool seeded = false;
-    if (options.seed_group && options.seed_group(group, &rec)) {
-      if (rec.group != group || rec.count != plan.group_count(group) ||
-          rec.detect_cycle.size() != rec.count) {
-        throw std::runtime_error(
-            "fault-sim seed record does not match group " +
-            std::to_string(group) + " of this campaign");
-      }
-      seeded = true;
-    } else if (has_clock_bounds && Clock::now() >= run_deadline) {
-      // Unstarted at the campaign deadline: every fault is inconclusive.
-      rec = plan.unstarted_record(group);
-      rec.timed_out = true;
-    } else {
-      rec = sim.simulate(group);
-    }
+  // Resolves one group outcome. Seeded groups are not re-journaled;
+  // simulated and deadline-expired ones go through on_group.
+  const bool timed =
+      static_cast<bool>(options.on_group_metric);  // one clock pair/group
+  auto resolve = [&](const GroupRecord& rec, bool seeded, double ms) {
     apply_record(rec);
     if (!seeded && options.on_group) {
       std::lock_guard<std::mutex> lock(hook_mutex);
       options.on_group(rec);
     }
     if (timed) {
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - started)
-              .count();
       std::lock_guard<std::mutex> lock(hook_mutex);
       options.on_group_metric(rec, seeded, ms);
     }
     report_progress(seeded);
+  };
+  const auto ms_since = [](Clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+  };
+
+  // One worker's group stream. Schedule slots are claimed in order;
+  // seeded and deadline-expired groups resolve on the spot, the rest go
+  // to the simulator, which keeps up to lanes() of them in flight. A
+  // cancel (or another worker's failure) stops the claims; groups in
+  // flight finish.
+  std::atomic<std::size_t> next_slot{0};
+  std::atomic<bool> failed{false};
+  auto stream = [&](GroupSimulator& sim) {
+    // In-flight groups and when they were claimed (metric durations).
+    std::vector<std::pair<std::size_t, Clock::time_point>> claimed;
+    const auto pull = [&](bool) -> std::optional<std::size_t> {
+      for (;;) {
+        if (failed.load(std::memory_order_relaxed) ||
+            (options.cancel &&
+             options.cancel->load(std::memory_order_relaxed)) ||
+            next_slot.load(std::memory_order_relaxed) >= schedule.size()) {
+          return std::nullopt;
+        }
+        const std::size_t slot = next_slot.fetch_add(1);
+        if (slot >= schedule.size()) return std::nullopt;
+        const std::size_t group = schedule[slot];
+        const Clock::time_point started =
+            timed ? Clock::now() : Clock::time_point();
+        GroupRecord rec;
+        if (options.seed_group && options.seed_group(group, &rec)) {
+          if (rec.group != group || rec.count != plan.group_count(group) ||
+              rec.detect_cycle.size() != rec.count) {
+            throw std::runtime_error(
+                "fault-sim seed record does not match group " +
+                std::to_string(group) + " of this campaign");
+          }
+          resolve(rec, true, timed ? ms_since(started) : 0.0);
+        } else if (has_clock_bounds && Clock::now() >= run_deadline) {
+          // Unstarted at the campaign deadline: every fault is
+          // inconclusive.
+          rec = plan.unstarted_record(group);
+          rec.timed_out = true;
+          resolve(rec, false, timed ? ms_since(started) : 0.0);
+        } else {
+          claimed.emplace_back(group, started);
+          return group;
+        }
+      }
+    };
+    const auto emit = [&](GroupRecord&& rec) {
+      double ms = 0.0;
+      for (auto it = claimed.begin(); it != claimed.end(); ++it) {
+        if (it->first != rec.group) continue;
+        if (timed) ms = ms_since(it->second);
+        claimed.erase(it);
+        break;
+      }
+      resolve(rec, false, ms);
+    };
+    try {
+      sim.run(pull, emit);
+    } catch (...) {
+      failed.store(true);
+      throw;
+    }
   };
 
   unsigned threads =
@@ -688,31 +983,20 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     GroupSimulator sim(netlist, faults, plan, make_env, options,
                        trace_source, compiled);
     sim.set_run_deadline(run_deadline);
-    for (std::size_t group : schedule) {
-      if (options.cancel &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        break;
-      }
-      process_group(sim, group);
-    }
+    stream(sim);
   } else {
-    // Each worker lazily builds its own simulator + injection table (the
-    // LogicSim constructor levelizes the netlist, so eager construction
-    // of unused workers would be wasted).
+    // One task per worker, each streaming groups until the schedule is
+    // exhausted; every worker owns its simulator and injection tables.
     util::ThreadPool pool(threads);
     std::vector<std::unique_ptr<GroupSimulator>> workers(pool.size());
-    pool.run(
-        schedule.size(),
-        [&](std::size_t slot, unsigned w) {
-          if (!workers[w]) {
-            workers[w] = std::make_unique<GroupSimulator>(
-                netlist, faults, plan, make_env, options, trace_source,
-                compiled);
-            workers[w]->set_run_deadline(run_deadline);
-          }
-          process_group(*workers[w], schedule[slot]);
-        },
-        options.cancel);
+    pool.run(pool.size(), [&](std::size_t, unsigned w) {
+      if (!workers[w]) {
+        workers[w] = std::make_unique<GroupSimulator>(
+            netlist, faults, plan, make_env, options, trace_source, compiled);
+        workers[w]->set_run_deadline(run_deadline);
+      }
+      stream(*workers[w]);
+    });
   }
   res.gates_evaluated = agg_gates.load(std::memory_order_relaxed);
   res.sim_cycles = agg_cycles.load(std::memory_order_relaxed);

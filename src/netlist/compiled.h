@@ -132,13 +132,15 @@ struct CompiledNetlist {
 };
 
 /// Branch-free evaluation of one run over a value array of size
-/// num_gates + 1 (slot zero_slot must hold 0).
-inline void eval_run(const CompiledNetlist& cn, const CompiledRun& r,
-                     std::uint64_t* v) {
+/// num_gates + 1 (slot zero_slot must hold 0). `W` is the value word:
+/// std::uint64_t, or a GCC vector of them (one 64-bit word per lane)
+/// for kernels that simulate several fault groups side by side.
+template <typename W>
+inline void eval_run(const CompiledNetlist& cn, const CompiledRun& r, W* v) {
   const std::uint32_t* const go = cn.node_gate.data();
   const std::uint32_t* const i0 = cn.node_in0.data();
   const std::uint32_t* const i1 = cn.node_in1.data();
-  const std::uint64_t inv = r.invert ? ~std::uint64_t{0} : 0;
+  const W inv = r.invert ? ~W{} : W{};
   switch (r.op) {
     case CompiledOp::kAnd:
       for (std::uint32_t i = r.begin; i < r.end; ++i) {
@@ -158,7 +160,7 @@ inline void eval_run(const CompiledNetlist& cn, const CompiledRun& r,
     case CompiledOp::kMux: {
       const std::uint32_t* const i2 = cn.node_in2.data();
       for (std::uint32_t i = r.begin; i < r.end; ++i) {
-        const std::uint64_t c = v[i2[i]];
+        const W c = v[i2[i]];
         v[go[i]] = (v[i0[i]] & ~c) | (v[i1[i]] & c);
       }
       break;

@@ -227,6 +227,50 @@ TEST(Dispatch, StaleLeaseRevokedAndRedispatched) {
   EXPECT_GE(res.shards[0].redispatches, 1u);
 }
 
+/// True while `pid` exists and is not a zombie (a reaped-or-zombie
+/// process no longer runs anything).
+bool process_running(const std::string& pid) {
+  const std::string stat = slurp("/proc/" + pid + "/stat");
+  if (stat.empty()) return false;
+  const std::size_t paren = stat.rfind(')');
+  return paren != std::string::npos && paren + 2 < stat.size() &&
+         stat[paren + 2] != 'Z';
+}
+
+TEST(Dispatch, RevokedRunnerLeavesNoDescendants) {
+  const std::string dir = make_dir("dispatch_orphans");
+  // The first attempt stands in for a runner with two worker processes
+  // (`--workers-per-shard 2`): it forks two long sleepers, records their
+  // pids and hangs without heartbeating. Revoking its lease must take
+  // the whole process group down, not just the runner's own pid.
+  DispatchOptions opt = sh_runner_options(
+      dir, "runner.sh",
+      "if [ -f \"$2.marker\" ]; then exit 0; fi\n"
+      "touch \"$2.marker\"\n"
+      "sleep 30 & echo $! >> \"$2.pids\"\n"
+      "sleep 30 & echo $! >> \"$2.pids\"\n"
+      "wait\n",
+      1);
+  opt.stale_after_s = 0.5;
+  const auto started = std::chrono::steady_clock::now();
+  const DispatchResult res = run_dispatch(opt);
+  EXPECT_TRUE(res.all_completed());
+  EXPECT_GE(res.shards[0].stale_leases, 1u);
+
+  std::istringstream pids(slurp(res.shards[0].journal + ".pids"));
+  std::vector<std::string> workers;
+  for (std::string pid; pids >> pid;) workers.push_back(pid);
+  ASSERT_EQ(workers.size(), 2u);
+  for (const std::string& pid : workers) {
+    for (int i = 0; i < 200 && process_running(pid); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_FALSE(process_running(pid)) << "worker " << pid << " survived";
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(10));
+}
+
 TEST(Dispatch, ForeignLiveLeaseBlocksTheShard) {
   const std::string dir = make_dir("dispatch_foreign");
   DispatchOptions opt =

@@ -226,6 +226,82 @@ TEST(Supervisor, DrainStopsDispatchAndResumesBitIdentical) {
   expect_identical(clean.result, full.result, "isolated resume");
 }
 
+// Under the sweep engine a worker simulates two groups at once, so a
+// crash is charged to both. The seeded crash hook fires on group 1, which
+// the single worker accepts while group 0 is still in its other lane.
+CampaignOptions paired_options() {
+  CampaignOptions o = ParwanIsolated::base_options();
+  o.sim.engine = fault::Engine::kSweep;
+  o.isolate = true;
+  o.iso.workers = 1;
+  o.iso.crash_group = 1;
+  return o;
+}
+
+TEST(Supervisor, TwoLaneWorkersAreBitIdenticalToInProcess) {
+  const auto& fx = fixture();
+  CampaignOptions inproc_opt = ParwanIsolated::base_options();
+  inproc_opt.sim.engine = fault::Engine::kSweep;
+  const CampaignResult inproc =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, inproc_opt);
+  for (unsigned workers : {1u, 2u}) {
+    CampaignOptions opt = paired_options();
+    opt.iso.crash_group = -1;
+    opt.iso.workers = workers;
+    const CampaignResult iso =
+        run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+    expect_identical(inproc.result, iso.result, "two-lane workers");
+    EXPECT_EQ(iso.result.gates_evaluated, inproc.result.gates_evaluated);
+    EXPECT_EQ(iso.worker_restarts, 0u);
+  }
+}
+
+TEST(Supervisor, InnocentPartnerOfPoisonGroupIsNeverQuarantined) {
+  const auto& fx = fixture();
+  CampaignOptions clean_opt = ParwanIsolated::base_options();
+  clean_opt.sim.engine = fault::Engine::kSweep;
+  const CampaignResult clean =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, clean_opt);
+
+  // No retries at all: the partner's only failure was shared, so it
+  // still gets a solo attempt; the poison group fails that solo attempt
+  // too and only then is quarantined.
+  CampaignOptions opt = paired_options();
+  opt.iso.max_group_retries = 0;
+  const CampaignResult res =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+  EXPECT_EQ(res.groups_done, res.groups_total);
+  ASSERT_EQ(res.quarantined_groups.size(), 1u);
+  EXPECT_EQ(res.quarantined_groups[0].group, 1u);
+  EXPECT_EQ(res.quarantined_groups[0].error.term_signal, SIGABRT);
+  EXPECT_EQ(res.quarantined_groups[0].error.attempts, 2u);
+  EXPECT_EQ(res.worker_restarts, 2u);
+  EXPECT_EQ(res.faults_quarantined, 63u);
+  for (std::size_t i = 0; i < fx.faults.size(); ++i) {
+    if (res.result.quarantined[i]) continue;
+    EXPECT_EQ(res.result.detected[i], clean.result.detected[i]) << i;
+    EXPECT_EQ(res.result.detect_cycle[i], clean.result.detect_cycle[i]) << i;
+  }
+}
+
+TEST(Supervisor, SharedCrashWithNoRetriesStillGetsASoloAttempt) {
+  const auto& fx = fixture();
+  CampaignOptions clean_opt = ParwanIsolated::base_options();
+  clean_opt.sim.engine = fault::Engine::kSweep;
+  const CampaignResult clean =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, clean_opt);
+
+  CampaignOptions opt = paired_options();
+  opt.iso.max_group_retries = 0;
+  opt.iso.crash_attempts = 1;  // only the shared first attempt dies
+  const CampaignResult res =
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+  EXPECT_EQ(res.worker_restarts, 1u);
+  EXPECT_TRUE(res.quarantined_groups.empty());
+  EXPECT_EQ(res.groups_done, res.groups_total);
+  expect_identical(clean.result, res.result, "solo retry vs clean");
+}
+
 /// Environment that hoards memory the way a leaking testbench would:
 /// every construction grabs a fresh 64 MiB mapping. Under a worker
 /// RLIMIT_AS that allocation can never be granted.

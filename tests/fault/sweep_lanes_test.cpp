@@ -1,0 +1,494 @@
+// Two-lane sweep contract: the compiled sweep simulates two groups side
+// by side and refills a lane the moment its group ends, yet every record
+// it emits is bit-identical to the interpreted sweep's (verdicts, cycle
+// counts and work counters) and matches the event engine's verdicts —
+// whatever the partner group, lane, refill point or thread count.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "campaign/campaign.h"
+#include "core/classify.h"
+#include "core/program.h"
+#include "fault/faultsim.h"
+#include "netlist/fault.h"
+#include "parwan/sbst.h"
+#include "parwan/testbench.h"
+#include "plasma/cpu.h"
+#include "plasma/testbench.h"
+
+namespace sbst::fault {
+namespace {
+
+using Records = std::map<std::uint64_t, GroupRecord>;
+
+/// Verdict fields: what every engine must agree on.
+void expect_same_verdicts(const Records& want, const Records& got,
+                          const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (const auto& [group, a] : want) {
+    const auto it = got.find(group);
+    ASSERT_NE(it, got.end()) << what << ": group " << group << " missing";
+    const GroupRecord& b = it->second;
+    EXPECT_EQ(a.count, b.count) << what << " group " << group;
+    EXPECT_EQ(a.detected_mask, b.detected_mask) << what << " group " << group;
+    EXPECT_EQ(a.detect_cycle, b.detect_cycle) << what << " group " << group;
+    EXPECT_EQ(a.cycles, b.cycles) << what << " group " << group;
+    EXPECT_EQ(a.timed_out, b.timed_out) << what << " group " << group;
+  }
+}
+
+/// Whole records, work counters included: sweep kernels must agree.
+void expect_same_records(const Records& want, const Records& got,
+                         const char* what) {
+  expect_same_verdicts(want, got, what);
+  for (const auto& [group, a] : want) {
+    const auto it = got.find(group);
+    if (it == got.end()) continue;
+    const GroupRecord& b = it->second;
+    EXPECT_EQ(a.gates_evaluated, b.gates_evaluated) << what << " " << group;
+    EXPECT_EQ(a.sim_cycles, b.sim_cycles) << what << " " << group;
+    EXPECT_EQ(a.evals_by_kind, b.evals_by_kind) << what << " " << group;
+    EXPECT_EQ(a.engine_used, b.engine_used) << what << " " << group;
+  }
+}
+
+/// Grades through run_fault_sim and returns every record it resolved.
+Records grade(const nl::Netlist& n, const nl::FaultList& fl,
+              const EnvFactory& env, FaultSimOptions opt) {
+  Records out;
+  opt.on_group = [&out](const GroupRecord& rec) { out[rec.group] = rec; };
+  run_fault_sim(n, fl, env, opt);
+  return out;
+}
+
+/// Streams `groups` through GroupSimulator::run and logs how the lanes
+/// were used.
+struct LaneRun {
+  Records records;
+  std::vector<std::uint64_t> emit_order;
+  std::size_t max_in_flight = 0;
+  bool refilled_mid_run = false;  // loaded next to a running group
+};
+
+LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups) {
+  LaneRun out;
+  std::size_t next = 0;
+  std::set<std::uint64_t> in_flight;
+  sim.run(
+      [&](bool) -> std::optional<std::size_t> {
+        if (next == groups.size()) return std::nullopt;
+        if (!in_flight.empty() && !out.emit_order.empty()) {
+          out.refilled_mid_run = true;
+        }
+        in_flight.insert(groups[next]);
+        out.max_in_flight = std::max(out.max_in_flight, in_flight.size());
+        return groups[next++];
+      },
+      [&](GroupRecord&& rec) {
+        EXPECT_EQ(in_flight.erase(rec.group), 1u) << "unexpected record";
+        out.emit_order.push_back(rec.group);
+        out.records[rec.group] = std::move(rec);
+      });
+  EXPECT_TRUE(in_flight.empty());
+  return out;
+}
+
+std::vector<std::size_t> all_groups(const GroupPlan& plan) {
+  std::vector<std::size_t> g(plan.num_groups());
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = i;
+  return g;
+}
+
+// Inputs follow a cycle-dependent pattern for a fixed number of cycles.
+class PatternEnv : public Environment {
+ public:
+  explicit PatternEnv(std::uint64_t cycles) : cycles_(cycles) {}
+  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
+    sim.set_input(sim.netlist().input("in"),
+                  (cycle * 0x9E37u + 0x79B9u) ^ (cycle >> 3));
+  }
+  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
+    return cycle + 1 < cycles_;
+  }
+
+ private:
+  std::uint64_t cycles_;
+};
+
+EnvFactory pattern_env(std::uint64_t cycles) {
+  return [cycles]() { return std::make_unique<PatternEnv>(cycles); };
+}
+
+// Sequential mesh with constants, an inverter, a mux, a folded BUF, a
+// three-stage DFF->DFF shift chain and register feedback: every
+// injection kind the kernels distinguish has live sites.
+nl::Netlist make_lane_netlist() {
+  using nl::GateKind;
+  nl::Netlist n;
+  const auto& in = n.add_input("in", 8);
+  std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
+  nets.push_back(n.add_gate(GateKind::kConst0));
+  nets.push_back(n.add_gate(GateKind::kConst1));
+  constexpr GateKind kKinds[] = {GateKind::kXor2, GateKind::kAnd2,
+                                 GateKind::kOr2,  GateKind::kNand2,
+                                 GateKind::kNor2, GateKind::kXnor2};
+  std::vector<nl::GateId> dffs;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const nl::GateId a = nets[(i * 7 + 3) % nets.size()];
+    const nl::GateId b = nets[(i * 5 + 1) % nets.size()];
+    const nl::GateId g = n.add_gate(kKinds[i % 6], a, b);
+    nets.push_back(g);
+    if (i % 4 == 1) {
+      const nl::GateId q = n.add_dff(g, i % 3 == 0);
+      dffs.push_back(q);
+      nets.push_back(q);
+    }
+  }
+  const nl::GateId buf = n.add_gate(GateKind::kBuf, nets[nets.size() - 2]);
+  const nl::GateId inv = n.add_gate(GateKind::kNot, buf);
+  const nl::GateId mux =
+      n.add_gate(GateKind::kMux2, inv, nets[9], nets[nets.size() - 3]);
+  nets.push_back(inv);
+  nets.push_back(mux);
+  // DFF->DFF shift chain fed by the mux.
+  const nl::GateId s0 = n.add_dff(mux, false);
+  const nl::GateId s1 = n.add_dff(s0, true);
+  const nl::GateId s2 = n.add_dff(s1, false);
+  nets.push_back(n.add_gate(GateKind::kXor2, s2, nets[12]));
+  // Feedback into the first registers.
+  n.set_gate_input(dffs[0], 0, nets.back());
+  // s0 and s1 fan out to the port too, so the chain's D pins are
+  // branches of their own, not collapsed into the driving Q stems.
+  std::vector<nl::GateId> outs = {s0, s1, s2, nets.back(), inv};
+  for (std::size_t i = 10; i < nets.size(); i += 5) outs.push_back(nets[i]);
+  n.add_output("o", outs);
+  return n;
+}
+
+enum class Site { kSource, kCombOut, kCombIn, kDffD, kDffQ, kBuf };
+
+Site site_of(const nl::Netlist& n, const nl::Fault& f) {
+  switch (n.gate(f.gate).kind) {
+    case nl::GateKind::kInput:
+    case nl::GateKind::kConst0:
+    case nl::GateKind::kConst1:
+      return Site::kSource;
+    case nl::GateKind::kDff:
+      return f.pin == 0 ? Site::kDffQ : Site::kDffD;
+    case nl::GateKind::kBuf:
+      return Site::kBuf;
+    default:
+      return f.pin == 0 ? Site::kCombOut : Site::kCombIn;
+  }
+}
+
+bool is_chain_d(const nl::Netlist& n, const nl::Fault& f) {
+  return site_of(n, f) == Site::kDffD &&
+         n.gate(n.gate(f.gate).in[0]).kind == nl::GateKind::kDff;
+}
+
+/// Builds a list whose first two groups each open with a DFF->DFF D-pin
+/// fault and then take every other fault of each injection kind, dealt
+/// round-robin across kinds; the remaining faults follow.
+nl::FaultList interleave_kinds(const nl::Netlist& n, const nl::FaultList& fl) {
+  std::vector<nl::Fault> chain;
+  std::map<Site, std::vector<nl::Fault>> by_site;
+  for (const nl::Fault& f : fl.faults) {
+    (is_chain_d(n, f) ? chain : by_site[site_of(n, f)]).push_back(f);
+  }
+  std::vector<nl::Fault> groups[2];
+  std::vector<nl::Fault> rest;
+  for (std::size_t g = 0; g < 2 && g < chain.size(); ++g) {
+    groups[g].push_back(chain[g]);
+  }
+  for (std::size_t c = 2; c < chain.size(); ++c) rest.push_back(chain[c]);
+  for (std::size_t i = 0;; ++i) {
+    bool any = false;
+    for (auto& [site, bucket] : by_site) {
+      if (i >= bucket.size()) continue;
+      any = true;
+      std::vector<nl::Fault>& dst = groups[i % 2];
+      std::vector<nl::Fault>& alt = groups[1 - i % 2];
+      (dst.size() < 63 ? dst : alt.size() < 63 ? alt : rest)
+          .push_back(bucket[i]);
+    }
+    if (!any) break;
+  }
+  nl::FaultList out;
+  for (const auto* part : {&groups[0], &groups[1], &rest}) {
+    for (const nl::Fault& f : *part) {
+      out.faults.push_back(f);
+      out.class_size.push_back(1);
+    }
+  }
+  out.total_uncollapsed = out.faults.size();
+  return out;
+}
+
+Records one(std::uint64_t group, const GroupRecord& rec) {
+  Records r;
+  r[group] = rec;
+  return r;
+}
+
+TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
+  const nl::Netlist n = make_lane_netlist();
+  const nl::FaultList fl = interleave_kinds(n, nl::enumerate_faults(n));
+  ASSERT_GE(fl.size(), 2u * 63u) << "need two full groups";
+  // Both lanes' groups carry every kind the generated list has, the
+  // DFF->DFF D pins included.
+  for (std::size_t g = 0; g < 2; ++g) {
+    std::set<Site> sites;
+    bool chain_d = false;
+    for (std::size_t i = g * 63; i < (g + 1) * 63; ++i) {
+      sites.insert(site_of(n, fl.faults[i]));
+      chain_d |= is_chain_d(n, fl.faults[i]);
+    }
+    EXPECT_EQ(sites.size(), 5u) << "group " << g;
+    EXPECT_TRUE(chain_d) << "group " << g;
+  }
+
+  FaultSimOptions opt;
+  opt.max_cycles = 4096;
+  opt.engine = Engine::kSweep;
+  const GroupPlan plan(fl, opt);
+  opt.kernel = KernelFlavor::kInterp;
+  GroupSimulator interp(n, fl, plan, pattern_env(400), opt);
+  Records want;
+  for (std::size_t g : all_groups(plan)) want[g] = interp.simulate(g);
+
+  opt.kernel = KernelFlavor::kCompiled;
+  GroupSimulator lanes(n, fl, plan, pattern_env(400), opt);
+  EXPECT_EQ(lanes.lanes(), 2u);
+  EXPECT_EQ(interp.lanes(), 1u);
+  const LaneRun run = run_lanes(lanes, all_groups(plan));
+  EXPECT_EQ(run.max_in_flight, 2u) << "both lanes must run at once";
+  expect_same_records(want, run.records, "lanes vs interp");
+  // One lane at a time (simulate) is the same kernel.
+  for (std::size_t g : all_groups(plan)) {
+    expect_same_records(one(g, want[g]), one(g, lanes.simulate(g)), "single");
+  }
+
+  opt.engine = Engine::kEvent;
+  opt.threads = 1;
+  expect_same_verdicts(want, grade(n, fl, pattern_env(400), opt),
+                       "lanes vs event");
+}
+
+TEST(SweepLanes, BufSitedGroupRunsAloneOnTheInterpretedSweep) {
+  // A hand-built list may put faults on BUF gates, which the compiler
+  // folds away: such a group runs alone on the interpreted sweep while
+  // the other lane carries on, and every record still matches.
+  const nl::Netlist n = make_lane_netlist();
+  nl::FaultList fl = interleave_kinds(n, nl::enumerate_faults(n));
+  nl::GateId buf = nl::kNoGate;
+  for (nl::GateId g = 0; g < n.size(); ++g) {
+    if (n.gate(g).kind == nl::GateKind::kBuf) buf = g;
+  }
+  ASSERT_NE(buf, nl::kNoGate);
+  fl.faults[63 + 5] = {buf, 0, 1};  // group 1
+  fl.faults[63 + 9] = {buf, 1, 0};
+
+  FaultSimOptions opt;
+  opt.max_cycles = 4096;
+  opt.engine = Engine::kSweep;
+  const GroupPlan plan(fl, opt);
+  opt.kernel = KernelFlavor::kInterp;
+  GroupSimulator interp(n, fl, plan, pattern_env(400), opt);
+  Records want;
+  for (std::size_t g : all_groups(plan)) want[g] = interp.simulate(g);
+
+  opt.kernel = KernelFlavor::kCompiled;
+  GroupSimulator lanes(n, fl, plan, pattern_env(400), opt);
+  expect_same_records(want, run_lanes(lanes, all_groups(plan)).records,
+                      "buf-sited group");
+}
+
+TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
+  const plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
+  const core::SelfTestProgram p =
+      core::build_phase_ab(core::classify_plasma(cpu));
+  ASSERT_TRUE(p.halted);
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = plasma::make_cpu_env_factory(cpu, p.image);
+  FaultSimOptions opt;
+  opt.max_cycles = 1'000'000;
+  // Seven groups of the full list, spread over the netlist by a shard
+  // restriction: full-list groups share components, so their lengths
+  // are skewed (random samples almost all run to the halt). Seven is odd,
+  // so the last group runs with its partner lane idle.
+  opt.shard_count = 100;
+  opt.shard_index = 7;
+  opt.engine = Engine::kSweep;
+  opt.kernel = KernelFlavor::kInterp;
+  opt.threads = 1;
+  const Records want = grade(cpu.netlist, faults, env, opt);
+  ASSERT_EQ(want.size(), 7u);
+  std::set<std::uint64_t> lengths;
+  for (const auto& [g, rec] : want) lengths.insert(rec.cycles);
+  EXPECT_GT(lengths.size(), 1u) << "group lengths must be skewed";
+  std::vector<std::size_t> groups;
+  for (const auto& [g, rec] : want) groups.push_back(g);
+
+  opt.kernel = KernelFlavor::kCompiled;
+  const GroupPlan plan(faults, opt);
+  GroupSimulator sim(cpu.netlist, faults, plan, env, opt);
+  const LaneRun run = run_lanes(sim, groups);
+  EXPECT_TRUE(run.refilled_mid_run);
+  EXPECT_EQ(run.max_in_flight, 2u);
+  expect_same_records(want, run.records, "plasma lanes");
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    opt.threads = threads;
+    expect_same_records(want, grade(cpu.netlist, faults, env, opt),
+                        "plasma threads");
+  }
+  opt.engine = Engine::kEvent;
+  opt.threads = 2;
+  expect_same_verdicts(want, grade(cpu.netlist, faults, env, opt),
+                       "plasma event");
+}
+
+TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  ASSERT_TRUE(st.halted);
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+  FaultSimOptions opt;
+  opt.max_cycles = 10000;
+  opt.engine = Engine::kSweep;
+  opt.kernel = KernelFlavor::kInterp;
+  opt.threads = 1;
+  const Records want = grade(cpu.netlist, faults, env, opt);
+  ASSERT_GT(want.size(), 20u);
+
+  opt.kernel = KernelFlavor::kCompiled;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    opt.threads = threads;
+    expect_same_records(want, grade(cpu.netlist, faults, env, opt),
+                        "parwan lanes");
+  }
+  // An odd-length stream: the last group runs with its partner lane idle.
+  const GroupPlan plan(faults, opt);
+  std::vector<std::size_t> odd = all_groups(plan);
+  if (odd.size() % 2 == 0) odd.pop_back();
+  GroupSimulator sim(cpu.netlist, faults, plan, env, opt);
+  const LaneRun run = run_lanes(sim, odd);
+  EXPECT_TRUE(run.refilled_mid_run);
+  for (const auto& [g, rec] : run.records) {
+    expect_same_records(one(g, want.at(g)), one(g, rec), "parwan odd");
+  }
+
+  opt.engine = Engine::kEvent;
+  for (unsigned threads : {1u, 4u}) {
+    opt.threads = threads;
+    expect_same_verdicts(want, grade(cpu.netlist, faults, env, opt),
+                         "parwan event");
+  }
+}
+
+// The first environment built is slow, holds its inputs at 0 (so some
+// faults stay undetected) and never halts; every later one is an
+// ordinary pattern run.
+EnvFactory first_env_hangs(std::shared_ptr<std::atomic<int>> built) {
+  struct Hang : Environment {
+    void drive(sim::LogicSim&, std::uint64_t) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    bool observe(const sim::LogicSim&, std::uint64_t) override {
+      return true;
+    }
+  };
+  return [built]() -> std::unique_ptr<Environment> {
+    if (built->fetch_add(1) == 0) return std::make_unique<Hang>();
+    return std::make_unique<PatternEnv>(300);
+  };
+}
+
+TEST(SweepLanes, GroupTimeoutInOneLaneWhileTheOtherCompletes) {
+  const nl::Netlist n = make_lane_netlist();
+  const nl::FaultList fl = nl::enumerate_faults(n);
+  FaultSimOptions opt;
+  opt.max_cycles = 1'000'000;
+  opt.engine = Engine::kSweep;
+  const GroupPlan plan(fl, opt);
+  ASSERT_GE(plan.num_groups(), 2u);
+  GroupSimulator plain(n, fl, plan, pattern_env(300), opt);
+  const GroupRecord want = plain.simulate(1);
+  ASSERT_FALSE(want.timed_out);
+
+  opt.group_timeout_ms = 20;
+  GroupSimulator sim(n, fl, plan,
+                     first_env_hangs(std::make_shared<std::atomic<int>>(0)),
+                     opt);
+  const LaneRun run = run_lanes(sim, {0, 1});
+  EXPECT_EQ(run.max_in_flight, 2u);
+  ASSERT_EQ(run.emit_order.size(), 2u);
+  EXPECT_EQ(run.emit_order[0], 1u) << "the healthy lane finishes first";
+  const GroupRecord& hung = run.records.at(0);
+  EXPECT_TRUE(hung.timed_out);
+  EXPECT_EQ(hung.cycles, 1023u) << "watchdog fires at its 1024-cycle check";
+  expect_same_records(one(1, want), one(1, run.records.at(1)),
+                      "healthy lane");
+}
+
+TEST(SweepLanes, CancelMidStreamThenResumeIsIdentical) {
+  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
+  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+  constexpr std::uint64_t kFp = 0x5eed1a4e5ull;
+
+  campaign::CampaignOptions base;
+  base.sim.max_cycles = 10000;
+  base.sim.sample = 945;  // 15 groups
+  base.sim.engine = Engine::kSweep;
+  for (unsigned threads : {1u, 2u}) {
+    base.sim.threads = threads;
+    const campaign::CampaignResult clean =
+        campaign::run_campaign(cpu.netlist, faults, env, kFp, base);
+
+    const std::string journal = std::string(::testing::TempDir()) +
+                                "sweep_lanes_cancel.sbstj";
+    std::remove(journal.c_str());
+    std::atomic<bool> stop{false};
+    campaign::CampaignOptions first = base;
+    first.journal = journal;
+    first.sim.cancel = &stop;
+    first.sim.progress = [&stop](const Progress& p) {
+      if (p.done >= 3) stop.store(true);
+    };
+    const campaign::CampaignResult part =
+        campaign::run_campaign(cpu.netlist, faults, env, kFp, first);
+    ASSERT_TRUE(part.interrupted);
+    ASSERT_GE(part.groups_done, 3u);
+    ASSERT_LT(part.groups_done, part.groups_total);
+    // Cancel stops refills only: every group that started finished.
+    EXPECT_EQ(part.faults_timed_out, 0u);
+
+    campaign::CampaignOptions second = base;
+    second.journal = journal;
+    const campaign::CampaignResult resumed =
+        campaign::run_campaign(cpu.netlist, faults, env, kFp, second);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.seeded_groups, part.groups_done);
+    EXPECT_EQ(resumed.result.detected, clean.result.detected);
+    EXPECT_EQ(resumed.result.detect_cycle, clean.result.detect_cycle);
+    EXPECT_EQ(resumed.result.gates_evaluated, clean.result.gates_evaluated);
+    EXPECT_EQ(resumed.result.good_cycles, clean.result.good_cycles);
+    std::remove(journal.c_str());
+  }
+}
+
+}  // namespace
+}  // namespace sbst::fault
