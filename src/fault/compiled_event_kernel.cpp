@@ -1,7 +1,7 @@
 #include "fault/compiled_event_kernel.h"
 
+#include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "sim/logicsim.h"
 
@@ -40,6 +40,55 @@ CompiledEventKernel::CompiledEventKernel(
   inj_slot_of_node_.assign(cn.num_nodes(), 0);
   cand_mark_.assign(cn.dff_gate.size(), 0);
   buckets_.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
+}
+
+void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
+                                     std::uint64_t lo, std::uint64_t hi) {
+  const GoodTrace& tr = *trace_;
+  const std::size_t num_sites = inj_nodes_.size();
+  const std::uint64_t len = hi - lo;
+  std::fill_n(chunk_dv_, len, Word{0});
+  std::fill_n(chunk_flags_, len, std::uint8_t{0});
+  // One trace-sequential scan per site: the samples of 8 adjacent
+  // cycles of one gate share a cache line of the tiled trace.
+  for (std::size_t k = 0; k < num_sites; ++k) {
+    const InjectedNode& r = inj_nodes_[k];
+    const std::uint32_t o0 = (r.p0 >> 6) << 3, s0 = r.p0 & 63;
+    const std::uint32_t o1 = (r.p1 >> 6) << 3, s1 = r.p1 & 63;
+    const std::uint32_t o2 = (r.p2 >> 6) << 3, s2 = r.p2 & 63;
+    std::uint8_t* const ix_col = chunk_ix_.data() + k;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const Word* const b = tr.cycle_base(lo + i);
+      const unsigned ix = static_cast<unsigned>(
+          ((b[o0] >> s0) & 1) | (((b[o1] >> s1) & 1) << 1) |
+          (((b[o2] >> s2) & 1) << 2));
+      ix_col[i * num_sites] = static_cast<std::uint8_t>(ix);
+      chunk_dv_[i] |= r.dv[ix];
+    }
+  }
+  const auto force_excite = [&](std::uint32_t gate, Word set, Word clr,
+                                std::uint8_t flag) {
+    const std::uint32_t off = (gate >> 6) << 3, sh = gate & 63;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const Word g = Word{0} - ((tr.cycle_base(lo + i)[off] >> sh) & 1);
+      const Word exc = (set & ~g) | (clr & g);
+      chunk_dv_[i] |= exc;
+      chunk_flags_[i] |= static_cast<std::uint8_t>(flag * (exc != 0));
+    }
+  };
+  for (const auto* forces : {&q_forces_, &src_forces_}) {
+    for (const SeedForce& f : *forces) {
+      force_excite(f.gate, f.set, f.clr, kSeedExcited);
+    }
+  }
+  for (std::uint32_t d : dffd_dffs_) {
+    const detail::GateForce& f =
+        inj.force_record(inj.slot(cn_->dff_gate[d]));
+    // A D-pin force diverges the *next* state: the cycle where it is
+    // excited must run its clock edge, and the divergence itself makes
+    // the following cycle active by carrying a diverged flip-flop.
+    force_excite(cn_->dff_d[d], f.set[1], f.clr[1], kDffdExcited);
+  }
 }
 
 void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
@@ -111,69 +160,8 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   aggregate_seed_forces(inj.sources(), &src_forces_);
   aggregate_seed_forces(inj.dff_q(), &q_forces_);
 
-  // Excitation pre-pass: every injection site's divergence against the
-  // good machine is a pure function of a few good trace bits, so one
-  // trace-sequential scan per site (the per-gate samples of 8 adjacent
-  // cycles share a cache line) yields the group's complete excitation
-  // schedule before any cycle is simulated. The wavefront itself cannot
-  // be precomputed — but it only ever starts at an excited site, so a
-  // cycle whose excitation word has no live lane and which carries no
-  // diverged flip-flop state is skipped without touching any state.
-  cyc_dv_.assign(T, 0);
-  cyc_flags_.assign(T, 0);
-  probe_pairs_.clear();
-  for (std::size_t k = 0; k < comb_injected_.size(); ++k) {
-    const InjectedNode& r = inj_nodes_[k];
-    const std::uint32_t o0 = (r.p0 >> 6) << 3, s0 = r.p0 & 63;
-    const std::uint32_t o1 = (r.p1 >> 6) << 3, s1 = r.p1 & 63;
-    const std::uint32_t o2 = (r.p2 >> 6) << 3, s2 = r.p2 & 63;
-    for (std::uint64_t t = 0; t < T; ++t) {
-      const Word* const b = tr.cycle_base(t);
-      const unsigned ix = static_cast<unsigned>(
-          ((b[o0] >> s0) & 1) | (((b[o1] >> s1) & 1) << 1) |
-          (((b[o2] >> s2) & 1) << 2));
-      const Word dv = r.dv[ix];
-      if (dv != 0) {
-        cyc_dv_[t] |= dv;
-        probe_pairs_.push_back((t << 9) | (k << 3) | ix);
-      }
-    }
-  }
-  const auto force_excite = [&](std::uint32_t gate, Word set, Word clr,
-                                std::uint8_t flag) {
-    const std::uint32_t off = (gate >> 6) << 3, sh = gate & 63;
-    for (std::uint64_t t = 0; t < T; ++t) {
-      const Word g = Word{0} - ((tr.cycle_base(t)[off] >> sh) & 1);
-      const Word exc = (set & ~g) | (clr & g);
-      if (exc != 0) {
-        cyc_dv_[t] |= exc;
-        cyc_flags_[t] |= flag;
-      }
-    }
-  };
-  for (const SeedForce& f : q_forces_) {
-    force_excite(f.gate, f.set, f.clr, kSeedExcited);
-  }
-  for (const SeedForce& f : src_forces_) {
-    force_excite(f.gate, f.set, f.clr, kSeedExcited);
-  }
-  for (std::uint32_t d : dffd_dffs_) {
-    const detail::GateForce& f = inj.force_record(inj.slot(cn.dff_gate[d]));
-    // A D-pin force diverges the *next* state: the cycle where it is
-    // excited must run its clock edge, and the divergence itself makes
-    // the following cycle active by carrying a diverged flip-flop.
-    force_excite(cn.dff_d[d], f.set[1], f.clr[1], kDffdExcited);
-  }
-  // Counting-sort the excited combinational probes into per-cycle runs.
-  ent_off_.assign(T + 1, 0);
-  for (std::uint64_t p : probe_pairs_) ++ent_off_[(p >> 9) + 1];
-  std::partial_sum(ent_off_.begin(), ent_off_.end(), ent_off_.begin());
-  ent_cur_.assign(ent_off_.begin(), ent_off_.end() - 1);
-  entries_.resize(probe_pairs_.size());
-  for (std::uint64_t p : probe_pairs_) {
-    entries_[ent_cur_[p >> 9]++] = static_cast<std::uint16_t>(p & 0x1ff);
-  }
-
+  const std::size_t num_sites = inj_nodes_.size();
+  chunk_ix_.resize(kChunk * num_sites);
   diverged_dffs_.clear();
   next_diverged_.clear();
   dff_cands_.clear();
@@ -198,11 +186,14 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
         break;
       }
     }
+    const std::uint64_t ci = cycle % kChunk;
+    if (ci == 0) fill_chunk(inj, cycle, std::min(cycle + kChunk, T));
 
     // Quiet cycle: no site can diverge a live lane and no flip-flop
     // carries divergence — every net provably matches the good machine,
-    // so nothing needs to be simulated or even touched.
-    if ((cyc_dv_[cycle] & live) == 0 && diverged_dffs_.empty()) {
+    // so nothing needs to be simulated or even touched. The wavefront
+    // only ever starts at an excited site or a diverged flip-flop.
+    if ((chunk_dv_[ci] & live) == 0 && diverged_dffs_.empty()) {
       ++stats_.cycles;
       continue;
     }
@@ -280,7 +271,7 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     //    are their own fold roots). An unexcited force on an undiverged
     //    gate reproduces the good value, so these loops only run on
     //    cycles where a force is excited or some flip-flop diverged.
-    if ((cyc_flags_[cycle] & kSeedExcited) != 0 || !diverged_dffs_.empty()) {
+    if ((chunk_flags_[ci] & kSeedExcited) != 0 || !diverged_dffs_.empty()) {
       for (const SeedForce& f : q_forces_) {
         const Word b = vm[f.gate].mark == st
                            ? vm[f.gate].v
@@ -299,13 +290,12 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
       for (const auto& [g, w] : diverged_dffs_) seed(g);
     }
     // 4. Queue this cycle's excited combinational sites straight from
-    //    the precomputed schedule (their forced output diverges from the
-    //    good output given good fanins; fanin divergence is re-checked
-    //    when the node is processed).
-    for (std::uint32_t e = ent_off_[cycle]; e < ent_off_[cycle + 1]; ++e) {
-      const unsigned payload = entries_[e];
-      const std::size_t k = payload >> 3;
-      if ((inj_nodes_[k].dv[payload & 7] & live) == 0) continue;
+    //    the schedule row (their forced output diverges from the good
+    //    output given good fanins; fanin divergence is re-checked when
+    //    the node is processed).
+    const std::uint8_t* const row = chunk_ix_.data() + ci * num_sites;
+    for (std::size_t k = 0; k < num_sites; ++k) {
+      if ((inj_nodes_[k].dv[row[k]] & live) == 0) continue;
       const std::uint32_t nidx = comb_injected_[k];
       if (queued_[nidx] != st) {
         queued_[nidx] = st;
@@ -430,7 +420,7 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     //    injection; all other flip-flops converge to the recorded good
     //    state.
     if (cycle + 1 < T) {
-      if ((cyc_flags_[cycle] & kDffdExcited) != 0) {
+      if ((chunk_flags_[ci] & kDffdExcited) != 0) {
         for (std::uint32_t d : dffd_dffs_) {
           if (cand_mark_[d] != st) {
             cand_mark_[d] = st;

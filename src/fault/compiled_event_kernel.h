@@ -135,20 +135,20 @@ class CompiledEventKernel {
   std::vector<SeedForce> src_forces_;
   std::vector<SeedForce> q_forces_;
 
-  // Per-group excitation schedule, precomputed by one trace-sequential
-  // probe pass before the cycle loop (see simulate()). cyc_dv_[t] ORs
-  // the divergence words every injection site could contribute at cycle
-  // t; a cycle with no carried flip-flop divergence and no live bit in
-  // cyc_dv_ is skipped outright. entries_ lists the excited
-  // combinational sites of each cycle as (site << 3) | lut_index.
+  // Excitation schedule of one kChunk-cycle window, filled as the cycle
+  // loop enters it, so a dropped group never scans the rest of the
+  // trace: per window cycle, each combinational site's LUT index (one
+  // row of sites per cycle), the OR of every divergence word any site
+  // could contribute, and the excited-force flags. A cycle with no live
+  // bit in chunk_dv_ and no carried flip-flop divergence is skipped.
+  static constexpr std::uint64_t kChunk = 64;
   static constexpr std::uint8_t kSeedExcited = 1;  // source/Q force
   static constexpr std::uint8_t kDffdExcited = 2;  // D-pin injection
-  std::vector<Word> cyc_dv_;
-  std::vector<std::uint8_t> cyc_flags_;
-  std::vector<std::uint64_t> probe_pairs_;  // (cycle << 9) | payload
-  std::vector<std::uint32_t> ent_off_;      // per cycle, into entries_
-  std::vector<std::uint32_t> ent_cur_;
-  std::vector<std::uint16_t> entries_;
+  void fill_chunk(const detail::InjectionTable& inj, std::uint64_t lo,
+                  std::uint64_t hi);
+  std::vector<std::uint8_t> chunk_ix_;
+  Word chunk_dv_[kChunk];
+  std::uint8_t chunk_flags_[kChunk];
 
   KernelStats stats_;
 };

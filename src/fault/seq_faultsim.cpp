@@ -854,22 +854,21 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
   // Thread-safe progress: groups complete out of order across workers,
   // but the reported count is monotonic and ends at num_groups (fewer on
-  // a cancelled run). The same mutex serializes the on_group checkpoint
-  // hook so journal appends never interleave.
+  // a cancelled run) — counted and reported under one lock, so no worker
+  // delivers an older count after a newer one. The same mutex serializes
+  // the on_group checkpoint hook so journal appends never interleave.
   std::atomic<std::size_t> groups_done{0};
   std::atomic<std::size_t> groups_seeded{0};
   std::atomic<std::uint64_t> good_cycles{0};
   std::mutex hook_mutex;
   auto report_progress = [&](bool seeded) {
+    std::lock_guard<std::mutex> lock(hook_mutex);
     Progress p;
     p.seeded = seeded ? groups_seeded.fetch_add(1) + 1
                       : groups_seeded.load(std::memory_order_relaxed);
     p.done = groups_done.fetch_add(1) + 1;
     p.total = schedule.size();  // shard-local: ETA rates this shard only
-    if (options.progress) {
-      std::lock_guard<std::mutex> lock(hook_mutex);
-      options.progress(p);
-    }
+    if (options.progress) options.progress(p);
   };
 
   // Splices a group outcome into the result arrays and folds its work

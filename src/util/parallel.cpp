@@ -30,11 +30,14 @@ struct ThreadPool::Impl {
   std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::uint64_t epoch = 0;
+  // Background workers inside work(). run() closes its job (job =
+  // nullptr) only at 0, so the next run() never races a stale reader.
+  unsigned active = 0;
   bool stop = false;
 
   /// Claims and executes tasks until the range is exhausted. Workers that
   /// wake late (or not at all) are harmless: completion is counted per
-  /// task, not per worker.
+  /// task, and run() also waits for every worker that entered.
   void work(unsigned worker) {
     for (;;) {
       const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
@@ -67,8 +70,12 @@ struct ThreadPool::Impl {
         cv_start.wait(lock, [&] { return stop || epoch != seen; });
         if (stop) return;
         seen = epoch;
+        if (job == nullptr) continue;  // woke after its run() returned
+        ++active;
       }
       work(worker);
+      std::lock_guard<std::mutex> lock(m);
+      if (--active == 0) cv_done.notify_all();
     }
   }
 };
@@ -122,9 +129,10 @@ void ThreadPool::run(std::size_t num_tasks,
   }
   im.work(0);  // the calling thread is worker 0
   std::unique_lock<std::mutex> lock(im.m);
-  im.cv_done.wait(lock,
-                  [&] { return im.done.load(std::memory_order_acquire) ==
-                               im.total; });
+  im.cv_done.wait(lock, [&] {
+    return im.done.load(std::memory_order_acquire) == im.total &&
+           im.active == 0;
+  });
   im.job = nullptr;
   im.cancel = nullptr;
   if (im.error) std::rethrow_exception(im.error);

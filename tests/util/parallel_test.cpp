@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -81,6 +82,31 @@ TEST(ThreadPool, ReusableAcrossManyRuns) {
     pool.run(10, [&](std::size_t, unsigned) { ++total; });
   }
   EXPECT_EQ(total.load(), 500u);
+}
+
+TEST(ThreadPool, ReuseManyRunsNoRace) {
+  // Back-to-back runs with tiny task counts: a worker woken for one run
+  // must be out of it before the next run resets the job, so every task
+  // of every run executes exactly once, inside its own run, through its
+  // own closure (destroyed when the run returns).
+  ThreadPool pool(4);
+  std::atomic<int> current{-1};
+  std::atomic<int> strays{0};
+  for (int run = 0; run < 1000; ++run) {
+    const std::size_t tasks = static_cast<std::size_t>(run % 8);
+    std::vector<std::atomic<int>> hits(tasks);
+    current.store(run);
+    const std::function<void(std::size_t, unsigned)> fn =
+        [&hits, &current, &strays, run](std::size_t task, unsigned) {
+          if (current.load() != run) ++strays;
+          ++hits[task];
+        };
+    pool.run(tasks, fn);
+    for (std::size_t i = 0; i < tasks; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "run " << run << " task " << i;
+    }
+  }
+  EXPECT_EQ(strays.load(), 0);
 }
 
 TEST(ThreadPool, CancelSetBeforeRunExecutesNothing) {
