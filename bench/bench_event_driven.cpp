@@ -1,13 +1,9 @@
-// Event-driven differential kernel vs. the full-sweep kernel, each in
-// both kernel flavors (compiled SoA program vs. interpreted per-gate
-// reference): grades the Plasma Phase A+B self-test (sampled campaign)
-// and the Parwan self-test with all four engine x kernel legs, verifies
-// every leg is bit-identical, and records wall-clock, evaluated-gate
-// counts (total, per group, per cycle) and good-trace memory in
-// BENCH_event_driven.json so both the activity-factor reduction and the
-// compiled-kernel speedup are tracked across PRs. The "sweep"/"event"
-// keys are the compiled (default) legs; "sweep_interp"/"event_interp"
-// are the interpreted reference legs.
+// Event-driven differential kernel vs. the full-sweep kernel: grades the
+// Plasma Phase A+B self-test (sampled campaign) and the Parwan self-test
+// on both engines, verifies the two are bit-identical, and records
+// wall-clock, evaluated-gate counts (total, per group, per cycle) and
+// good-trace memory in BENCH_event_driven.json so the activity-factor
+// reduction is tracked across PRs.
 //
 // Usage: bench_event_driven [--full] [--out FILE.json]
 //        default grades a 630-fault Plasma sample (10 groups);
@@ -47,9 +43,8 @@ struct Target {
   std::size_t groups = 0;
   std::uint64_t good_cycles = 0;
   double coverage_percent = 0.0;
-  bool identical = false;  // all four legs bit-identical
-  EngineRun sweep, event;  // compiled (default) kernels
-  EngineRun sweep_interp, event_interp;
+  bool identical = false;  // both engines bit-identical
+  EngineRun sweep, event;
 
   double reduction() const {
     return event.gates_evaluated == 0
@@ -59,12 +54,6 @@ struct Target {
   }
   double speedup() const {
     return event.seconds == 0.0 ? 0.0 : sweep.seconds / event.seconds;
-  }
-  double sweep_kernel_speedup() const {
-    return sweep.seconds == 0.0 ? 0.0 : sweep_interp.seconds / sweep.seconds;
-  }
-  double event_kernel_speedup() const {
-    return event.seconds == 0.0 ? 0.0 : event_interp.seconds / event.seconds;
   }
 };
 
@@ -87,21 +76,15 @@ Target run_target(const std::string& name, const nl::Netlist& netlist,
 
   struct Leg {
     fault::Engine engine;
-    fault::KernelFlavor kernel;
     EngineRun Target::*run;
   };
-  const Leg legs[4] = {
-      {fault::Engine::kSweep, fault::KernelFlavor::kInterp,
-       &Target::sweep_interp},
-      {fault::Engine::kSweep, fault::KernelFlavor::kCompiled, &Target::sweep},
-      {fault::Engine::kEvent, fault::KernelFlavor::kInterp,
-       &Target::event_interp},
-      {fault::Engine::kEvent, fault::KernelFlavor::kCompiled, &Target::event},
+  const Leg legs[2] = {
+      {fault::Engine::kSweep, &Target::sweep},
+      {fault::Engine::kEvent, &Target::event},
   };
-  fault::FaultSimResult results[4];
-  for (int pass = 0; pass < 4; ++pass) {
+  fault::FaultSimResult results[2];
+  for (int pass = 0; pass < 2; ++pass) {
     opt.engine = legs[pass].engine;
-    opt.kernel = legs[pass].kernel;
     EngineRun& run = t.*(legs[pass].run);
     const auto t0 = std::chrono::steady_clock::now();
     results[pass] = fault::run_fault_sim(netlist, faults, env, opt);
@@ -114,9 +97,7 @@ Target run_target(const std::string& name, const nl::Netlist& netlist,
     run.trace_fallback = results[pass].trace_fallback;
   }
   t.good_cycles = results[0].good_cycles;
-  t.identical = identical_results(results[0], results[1]) &&
-                identical_results(results[0], results[2]) &&
-                identical_results(results[0], results[3]);
+  t.identical = identical_results(results[0], results[1]);
   t.coverage_percent = fault::overall_coverage(faults, results[0]).percent();
 
   std::printf("\n%s: %zu faults, %zu groups, %llu good cycles\n",
@@ -138,17 +119,13 @@ Target run_target(const std::string& name, const nl::Netlist& netlist,
                 per_group, per_cycle,
                 r.trace_fallback ? "  [FELL BACK TO SWEEP]" : "");
   };
-  row("sweep-interp", t.sweep_interp);
   row("sweep", t.sweep);
-  row("event-interp", t.event_interp);
   row("event", t.event);
   std::printf("  evaluated-gate reduction %.1fx, wall-clock speedup %.2fx,"
               " trace %.2f MiB, results %s\n",
               t.reduction(), t.speedup(),
               static_cast<double>(t.event.trace_bytes) / (1024.0 * 1024.0),
               t.identical ? "bit-identical" : "MISMATCH");
-  std::printf("  compiled-kernel speedup: sweep %.2fx, event %.2fx\n",
-              t.sweep_kernel_speedup(), t.event_kernel_speedup());
   return t;
 }
 
@@ -184,8 +161,7 @@ int main(int argc, char** argv) {
   }
 
   bench::header("Event-driven kernel",
-                "Differential fault simulation vs. full sweep, "
-                "compiled vs. interpreted kernels");
+                "Differential fault simulation vs. full sweep");
 
   std::vector<Target> targets;
 
@@ -246,18 +222,13 @@ int main(int argc, char** argv) {
                  t.name.c_str(), t.netlist_gates, t.faults_graded, t.groups,
                  static_cast<unsigned long long>(t.good_cycles),
                  t.coverage_percent, t.identical ? "true" : "false");
-    emit_engine(f, "sweep_interp", t, t.sweep_interp, ",");
     emit_engine(f, "sweep", t, t.sweep, ",");
-    emit_engine(f, "event_interp", t, t.event_interp, ",");
     emit_engine(f, "event", t, t.event, ",");
     std::fprintf(f,
                  "      \"gate_eval_reduction\": %.2f,\n"
-                 "      \"wall_clock_speedup\": %.3f,\n"
-                 "      \"sweep_kernel_speedup\": %.3f,\n"
-                 "      \"event_kernel_speedup\": %.3f\n"
+                 "      \"wall_clock_speedup\": %.3f\n"
                  "    }%s\n",
-                 t.reduction(), t.speedup(), t.sweep_kernel_speedup(),
-                 t.event_kernel_speedup(),
+                 t.reduction(), t.speedup(),
                  i + 1 < targets.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

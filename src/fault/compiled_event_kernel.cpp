@@ -18,6 +18,29 @@ inline unsigned trace_bit(const Word* base, std::uint32_t s) {
 
 }  // namespace
 
+void aggregate_seed_forces(const std::vector<detail::Injection>& list,
+                           std::vector<SeedForce>* out) {
+  out->clear();
+  for (const detail::Injection& i : list) {
+    SeedForce* f = nullptr;
+    for (SeedForce& s : *out) {
+      if (s.gate == i.gate) {
+        f = &s;
+        break;
+      }
+    }
+    if (f == nullptr) {
+      out->push_back(SeedForce{i.gate, 0, 0});
+      f = &out->back();
+    }
+    if (i.stuck) {
+      f->set |= i.mask;
+    } else {
+      f->clr |= i.mask;
+    }
+  }
+}
+
 CompiledEventKernel::CompiledEventKernel(
     const nl::Netlist& netlist, const nl::CompiledNetlist& cn,
     const std::vector<nl::GateId>& po_bits,
@@ -102,8 +125,9 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   const Word all_mask = (Word{1} << count) - 1;  // count <= 63
   const std::uint32_t n32 = static_cast<std::uint32_t>(cn.num_gates);
 
-  // Partition this group's injection sites. The GroupSimulator guard
-  // guarantees every non-DFF slotted gate has a compiled node.
+  // Partition this group's injection sites. The GroupSimulator
+  // constructor guarantees every non-DFF slotted gate has a compiled
+  // node.
   comb_injected_.clear();
   inj_nodes_.clear();
   dffd_dffs_.clear();
@@ -171,8 +195,12 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   const std::uint32_t* const fo_off = cn.fanout_offset.data();
 
   Word detected = 0;
-  // Machines still awaiting a verdict — see EventKernel::simulate; the
-  // fault-dropping logic is identical.
+  // Machines still awaiting a verdict. Divergence is masked with this
+  // before it propagates: once a machine is detected, its detection
+  // mask bit is frozen (the sweep kernel masks it out of every later
+  // PO comparison), so its divergence can never be observed again and
+  // its wavefront collapses immediately — the event-driven form of
+  // fault dropping.
   Word live = all_mask;
   std::uint64_t total_evals = 0;
   std::uint64_t kind_evals[nl::kNumCompiledOps] = {0, 0, 0, 0};

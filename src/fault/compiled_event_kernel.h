@@ -1,9 +1,21 @@
-// Compiled-flavor event-driven differential kernel.
+// Event-driven differential fault-simulation kernel (PROOFS-style).
 //
-// Same algorithm and bit-identical verdicts as EventKernel
-// (event_kernel.h) — divergence wavefront over a recorded good trace,
-// PROOFS fault dropping, identical watchdog cadence — but running over
-// the compiled program (nl::CompiledNetlist):
+// The sweep kernel re-evaluates every combinational gate of all 64
+// machines each cycle. This kernel instead simulates only *divergence*
+// from a pre-recorded good-machine trace (good_trace.h):
+//
+//   invariant  v[g] == broadcast(good[t][g]) ^ divergence word,
+//              where any gate not evaluated at cycle t has divergence 0
+//              and is reconstructed from the trace on demand.
+//
+// Per cycle, events are seeded at the group's injection sites and at
+// flip-flops whose state diverged on an earlier clock edge; they
+// propagate forward in levelized order, and a node whose recomputed word
+// equals the good broadcast stops the wavefront. Because fault dropping
+// removes detected machines quickly, the surviving divergence cones are
+// tiny on most cycles and per-group cost collapses from
+// O(gates x cycles) to O(activity). The kernel runs over the compiled
+// program (nl::CompiledNetlist):
 //
 //   * worklist buckets hold compiled node indices; evaluation reads one
 //     packed 24-byte node record (fold-rooted fanin slots, base op,
@@ -19,18 +31,17 @@
 //   * each injected node gets a per-group record holding its forcing
 //     masks and an 8-entry LUT of the forced output word as a function
 //     of the good fanin bits. While its fanins match the good machine
-//     (the common case), one LUT probe replaces the interpreted
-//     re-evaluation — and when the forced output also matches the good
-//     output (fault not excited), the node is skipped outright, so an
-//     unexcited fault costs three trace-bit reads per cycle. Fanin
-//     divergence falls back to lane-wise forced evaluation of the
-//     original GateKind, matching the sweep kernel's pin semantics
-//     exactly.
+//     (the common case), one LUT probe replaces a forced re-evaluation —
+//     and when the forced output also matches the good output (fault not
+//     excited), the node is skipped outright, so an unexcited fault
+//     costs three trace-bit reads per cycle. Fanin divergence falls back
+//     to lane-wise forced evaluation of the original GateKind, matching
+//     the sweep kernel's pin semantics exactly.
 //
-// The evaluation-count telemetry of this kernel reflects the work it
-// actually performs, so it reports fewer evaluations than the
-// interpreted event kernel (skipped unexcited nodes are not counted);
-// verdicts, detection cycles and sweep-engine counters are unaffected.
+// Verdicts are bit-identical to the sweep kernel's: same detection
+// masks, detect cycles, fault dropping, cycle accounting and watchdog
+// cadence. The evaluation-count telemetry reflects the work actually
+// performed (skipped unexcited nodes are not counted).
 #pragma once
 
 #include <chrono>
@@ -38,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "fault/event_kernel.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
 #include "fault/injection.h"
@@ -46,6 +56,29 @@
 #include "netlist/netlist.h"
 
 namespace sbst::fault {
+
+/// Wall-clock bounds shared with the sweep kernel (time_point::max() =
+/// unbounded; `active` mirrors the sweep's has_clock_bounds fast path).
+struct KernelDeadlines {
+  bool active = false;
+  std::chrono::steady_clock::time_point group_deadline =
+      std::chrono::steady_clock::time_point::max();
+  std::chrono::steady_clock::time_point run_deadline =
+      std::chrono::steady_clock::time_point::max();
+};
+
+/// One injection site's aggregated set/clear masks, re-forced against
+/// the good trace every cycle (sources and DFF Q outputs).
+struct SeedForce {
+  nl::GateId gate;
+  sim::Word set;
+  sim::Word clr;
+};
+
+/// Folds an injection list (inj.sources() / inj.dff_q()) into one
+/// SeedForce per distinct gate.
+void aggregate_seed_forces(const std::vector<detail::Injection>& list,
+                           std::vector<SeedForce>* out);
 
 /// Per-worker compiled differential simulator state. Not thread-safe;
 /// the trace and compiled program are immutable and shared. `netlist`
@@ -60,8 +93,8 @@ class CompiledEventKernel {
   /// Simulates one injected group differentially against the trace,
   /// filling rec->detected_mask, detect_cycle, cycles and timed_out
   /// (rec->group/count/detect_cycle must be pre-sized by the caller).
-  /// Precondition (checked by GroupSimulator): every non-DFF slotted
-  /// gate of `inj` has a compiled node.
+  /// Precondition (checked when the GroupSimulator is built): every
+  /// non-DFF slotted gate of `inj` has a compiled node.
   void simulate(const detail::InjectionTable& inj, int count,
                 const KernelDeadlines& deadlines, GroupRecord* rec);
 

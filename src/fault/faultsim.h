@@ -105,10 +105,11 @@ struct GroupRecord {
   /// Gate evaluations split by compiled base op (AND/OR/XOR/MUX, in
   /// nl::CompiledOp order; inverting kinds fold into their base op, BUFs
   /// into the gate they forward). Sums to gates_evaluated. Sweep-kernel
-  /// tallies are a pure function of (netlist, cycles) and therefore
-  /// bit-stable across kernel flavors; event-kernel tallies count the
-  /// evaluations actually performed. Zero for records journaled before
-  /// this accounting existed.
+  /// tallies count every combinational gate once per evaluated cycle,
+  /// folded BUFs included, so they are a pure function of (netlist,
+  /// cycles); event-kernel tallies count the evaluations actually
+  /// performed. Zero for records journaled before this accounting
+  /// existed.
   std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};
 };
 
@@ -116,26 +117,13 @@ struct GroupRecord {
 /// GroupRecords (same detection masks, detect cycles and cycle counts),
 /// so records journaled by one engine seed resumes under the other.
 enum class Engine : std::uint8_t {
-  /// Event-driven differential kernel (event_kernel.h): records the good
-  /// machine once per campaign, then per group simulates only the
-  /// divergence wavefront. Falls back to kSweep automatically when the
-  /// good trace would exceed `trace_mem_mb`.
+  /// Event-driven differential kernel (compiled_event_kernel.h): records
+  /// the good machine once per campaign, then per group simulates only
+  /// the divergence wavefront. Falls back to kSweep automatically when
+  /// the good trace would exceed `trace_mem_mb`.
   kEvent,
-  /// Full levelized sweep of every gate each cycle (historical engine).
+  /// Two-lane compiled sweep of every combinational gate each cycle.
   kSweep,
-};
-
-/// Inner-loop implementation selection, orthogonal to Engine. Both
-/// flavors are bit-identical in every verdict and every deterministic
-/// counter; the campaign fingerprint deliberately excludes the flavor,
-/// so journals written under one resume under the other. kInterp is the
-/// escape hatch (and the differential-testing reference).
-enum class KernelFlavor : std::uint8_t {
-  /// Compiled SoA program (nl::CompiledNetlist): branch-free per-run
-  /// sweeps, folded inversions/BUF chains, compiled fanout CSR.
-  kCompiled,
-  /// Original per-gate interpreted kernels.
-  kInterp,
 };
 
 /// Snapshot passed to the progress callback after each resolved group.
@@ -153,9 +141,6 @@ struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
   Engine engine = Engine::kEvent;
-  /// Inner-loop flavor for either engine; see KernelFlavor. Results are
-  /// bit-identical across flavors (not part of the fingerprint).
-  KernelFlavor kernel = KernelFlavor::kCompiled;
   /// Memory cap for the event engine's recorded good trace, in MiB
   /// (0 = unlimited). One packed bit per gate per cycle; exceeding the
   /// cap silently falls back to the sweep kernel for the whole run
@@ -334,11 +319,14 @@ class GroupPlan {
 
 class SharedTraceSource;
 
-/// Worker-owned simulation state (LogicSim + injection table) able to
-/// simulate any group of a plan. Construction levelizes the netlist —
-/// build one per worker thread, or once before forking isolated worker
-/// processes (children inherit it copy-on-write). Not thread-safe;
-/// `plan`, `netlist` and `faults` must outlive the simulator.
+/// Worker-owned simulation state (kernel scratch + injection tables)
+/// able to simulate any group of a plan. Build one per worker thread, or
+/// once before forking isolated worker processes (children inherit it
+/// copy-on-write). Not thread-safe; `plan`, `netlist` and `faults` must
+/// outlive the simulator. Throws std::invalid_argument when an active
+/// fault sits on a combinational gate the netlist compiler folds away (a
+/// BUF that is not a primary output; nl::enumerate_faults never places
+/// one there).
 ///
 /// When `trace_source` is non-null the simulator runs the event-driven
 /// differential kernel against the (lazily recorded, campaign-shared)
@@ -374,8 +362,8 @@ class GroupSimulator {
   /// and bit-identical across both kernels.
   GroupRecord simulate(std::size_t group);
 
-  /// Groups the kernel keeps in flight at once: 2 for the compiled sweep,
-  /// 1 for the event engine and the interpreted flavor.
+  /// Groups the kernel keeps in flight at once: 2 for the sweep, 1 for
+  /// the event engine.
   std::size_t lanes() const;
 
   /// Next-group source for run(). Called whenever a lane is free. With

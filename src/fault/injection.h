@@ -1,6 +1,6 @@
 // Per-group stuck-at injection state shared by the fault-simulation
-// kernels (the full-sweep kernel in seq_faultsim.cpp and the
-// event-driven differential kernel in event_kernel.cpp).
+// kernels (the two-lane sweep in seq_faultsim.cpp and the event-driven
+// differential kernel in compiled_event_kernel.cpp).
 //
 // Each of the group's <= 63 faults owns one machine bit of the 64-bit
 // simulation word; forcing a fault means OR-ing (stuck-at-1) or

@@ -2,7 +2,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,7 +10,6 @@
 #include <unordered_map>
 
 #include "fault/compiled_event_kernel.h"
-#include "fault/event_kernel.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
 #include "fault/injection.h"
@@ -26,81 +24,6 @@ using sim::Word;
 using detail::force;
 using detail::Injection;
 using detail::InjectionTable;
-
-/// Fault-aware evaluation sweep. Identical to LogicSim::eval() except that
-/// flagged gates apply input-branch and output-stem forcing.
-void eval_with_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  const nl::Netlist& netlist = s.netlist();
-  const auto& order = s.levelization().comb_order;
-  Word* const v = s.values().data();
-  for (nl::GateId g : order) {
-    const nl::Gate& gate = netlist.gate(g);
-    Word a = v[gate.in[0]];
-    Word b = gate.in[1] == nl::kNoGate ? 0 : v[gate.in[1]];
-    Word c = gate.in[2] == nl::kNoGate ? 0 : v[gate.in[2]];
-    if (const std::uint32_t slot = inj.slot(g); slot != 0) [[unlikely]] {
-      const detail::GateForce& f = inj.force_record(slot);
-      a = (a | f.set[1]) & ~f.clr[1];
-      b = (b | f.set[2]) & ~f.clr[2];
-      c = (c | f.set[3]) & ~f.clr[3];
-      const Word w = sim::eval_gate(gate.kind, a, b, c);
-      v[g] = (w | f.set[0]) & ~f.clr[0];
-    } else {
-      v[g] = sim::eval_gate(gate.kind, a, b, c);
-    }
-  }
-}
-
-/// Applies stuck-at forcing on source gates (PIs, constants) and DFF
-/// outputs; must run after inputs are driven / DFFs updated.
-void apply_state_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  Word* const v = s.values().data();
-  for (const Injection& i : inj.sources()) {
-    v[i.gate] = force(v[i.gate], i.mask, i.stuck);
-  }
-  for (const Injection& i : inj.dff_q()) {
-    v[i.gate] = force(v[i.gate], i.mask, i.stuck);
-  }
-}
-
-/// Clocks DFFs with D-pin fault forcing, then re-applies Q-output faults.
-/// D-pin injections are folded into the per-gate slot table, so forcing
-/// is an O(1) lookup per DFF instead of a scan of the group's fault list.
-void step_clock_with_injections(sim::LogicSim& s, const InjectionTable& inj) {
-  const nl::Netlist& netlist = s.netlist();
-  const auto& dffs = s.levelization().dffs;
-  Word* const v = s.values().data();
-  thread_local std::vector<Word> next;
-  next.resize(dffs.size());
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const nl::GateId g = dffs[i];
-    Word nx = v[netlist.gate(g).in[0]];
-    if (const std::uint32_t slot = inj.slot(g); slot != 0) [[unlikely]] {
-      const detail::GateForce& f = inj.force_record(slot);
-      nx = (nx | f.set[1]) & ~f.clr[1];
-    }
-    next[i] = nx;
-  }
-  for (std::size_t i = 0; i < dffs.size(); ++i) v[dffs[i]] = next[i];
-  for (const Injection& f : inj.dff_q()) {
-    v[f.gate] = force(v[f.gate], f.mask, f.stuck);
-  }
-}
-
-/// Detection word: bits where a machine's PO differs from the good
-/// machine (bit 63). Walks the flat precomputed PO-bit list instead of
-/// the nested Port structure — this runs once per simulated cycle.
-inline Word po_diff(const sim::LogicSim& s) {
-  Word diff = 0;
-  const Word* const v = s.values().data();
-  for (nl::GateId b : s.po_bits()) {
-    const Word w = v[b];
-    // Arithmetic right shift replicates bit 63 across the word.
-    const Word good = static_cast<Word>(static_cast<std::int64_t>(w) >> 63);
-    diff |= w ^ good;
-  }
-  return diff & ~(Word{1} << 63);
-}
 
 std::vector<std::size_t> choose_sample(std::size_t universe, std::size_t n,
                                        std::uint64_t seed) {
@@ -307,29 +230,23 @@ struct GroupSimulator::Impl {
   EnvFactory make_env;
   std::uint64_t max_cycles;
   std::uint64_t group_timeout_ms;
-  KernelFlavor kernel;
   Clock::time_point run_deadline = Clock::time_point::max();
   // Campaign-shared compiled program (compiled privately when the caller
-  // did not pass one). Initialized before `sim` so the simulator can
-  // reuse it.
+  // did not pass one).
   std::shared_ptr<const nl::CompiledNetlist> compiled;
-  // Single-group state of the event engine and the interpreted sweep.
-  sim::LogicSim sim;
+  // Primary-output bits and the event engine's injection table.
+  std::vector<nl::GateId> po_bits;
   InjectionTable inj;
   // Per-cycle static sweep tallies: how many comb gates of each base-op
   // class one full sweep evaluates (folded BUFs class as the AND lane
-  // they forward through). A pure function of the netlist, so sweep
-  // evals_by_kind stays bit-stable across kernel flavors.
+  // they forward through). A pure function of the netlist.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
   // Event-engine state: the campaign-shared trace source (null = sweep),
-  // the flavor-selected differential kernel built on first successful
-  // trace fetch, and a latch that pins the sweep fallback once recording
-  // has failed. Both flavors can coexist: groups whose injections land
-  // on compile-time-folded gates fall back to the interpreted kernel.
+  // the differential kernel built on first successful trace fetch, and a
+  // latch that pins the sweep fallback once recording has failed.
   std::shared_ptr<SharedTraceSource> trace_source;
-  std::optional<EventKernel> event;
-  std::optional<CompiledEventKernel> cevent;
+  std::optional<CompiledEventKernel> event;
   std::shared_ptr<const GoodTrace> trace;
   bool event_unavailable = false;
   // Compiled sweep, built on first use.
@@ -345,11 +262,28 @@ struct GroupSimulator::Impl {
         make_env(std::move(env)),
         max_cycles(options.max_cycles),
         group_timeout_ms(options.group_timeout_ms),
-        kernel(options.kernel),
         compiled(comp ? std::move(comp) : nl::compile(n)),
-        sim(n, compiled),
         inj(n.size()),
         trace_source(std::move(trace_src)) {
+    // The kernels force faults on compiled nodes: a fault on a gate the
+    // compiler folded away (a BUF that is not a primary output) has no
+    // node to force. Generated fault lists never hold one
+    // (nl::enumerate_faults skips BUFs); reject hand-built ones here.
+    for (std::size_t i : plan.active()) {
+      const nl::Fault& f = faults.faults[i];
+      const nl::GateKind k = n.gate(f.gate).kind;
+      if (nl::fanin_count(k) != 0 && k != nl::GateKind::kDff &&
+          compiled->node_of_gate[f.gate] == nl::kNoNode) {
+        throw std::invalid_argument(
+            "fault " + std::to_string(i) + " sits on gate " +
+            std::to_string(f.gate) + " (" +
+            std::string(nl::gate_kind_name(k)) +
+            "), which the netlist compiler folds away");
+      }
+    }
+    for (const nl::Port& port : n.outputs()) {
+      po_bits.insert(po_bits.end(), port.bits.begin(), port.bits.end());
+    }
     for (nl::GateId g : compiled->lv.comb_order) {
       ++sweep_kinds_per_cycle[static_cast<std::size_t>(
           nl::op_class(n.gate(g).kind))];
@@ -371,20 +305,6 @@ struct GroupSimulator::Impl {
     return rec;
   }
 
-  /// True when every non-DFF injection site of `table` has a compiled
-  /// node (faults never sit on BUF gates — fault.h strips them from the
-  /// universe — but hand-built fault lists can, and those groups run the
-  /// interpreted kernels instead).
-  bool compilable(const InjectionTable& table) const {
-    for (nl::GateId g : table.slotted_gates()) {
-      if (netlist.gate(g).kind != nl::GateKind::kDff &&
-          compiled->node_of_gate[g] == nl::kNoNode) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   bool has_clock_bounds() const {
     return group_timeout_ms != 0 || run_deadline != Clock::time_point::max();
   }
@@ -394,10 +314,9 @@ struct GroupSimulator::Impl {
                : Clock::time_point::max();
   }
 
-  /// Sweep work counters are normalized to the interpreted sweep (every
-  /// comb gate once per cycle, folded BUFs included), so they are a pure
-  /// function of (netlist, evaluated cycles) and bit-stable across kernel
-  /// flavors and lanes — journals written under either flavor agree.
+  /// Sweep work counters count every combinational gate once per
+  /// evaluated cycle, folded BUFs included, so they are a pure function
+  /// of (netlist, evaluated cycles) and the same in either lane.
   void set_sweep_counters(GroupRecord& rec, std::uint64_t cycles) const {
     rec.gates_evaluated = cycles * compiled->lv.comb_order.size();
     rec.sim_cycles = cycles;
@@ -418,12 +337,11 @@ struct GroupSimulator::Impl {
   }
 
   GroupRecord simulate_event(std::size_t group);
-  GroupRecord simulate_interp(std::size_t group);
   void run_lanes(std::size_t first, const PullGroup& pull,
                  const EmitRecord& emit);
 
   // Two-lane sweep steps (run_lanes).
-  void load_lane(int l, std::size_t group, const EmitRecord& emit);
+  void load_lane(int l, std::size_t group);
   void finish_lane(int l, bool timed_out, const EmitRecord& emit);
   void rebuild_fixups();
   void eval_lanes();
@@ -436,81 +354,16 @@ GroupRecord GroupSimulator::Impl::simulate_event(std::size_t group) {
   deadlines.active = has_clock_bounds();
   deadlines.group_deadline = group_deadline();
   deadlines.run_deadline = run_deadline;
-  const auto run_event = [&](auto& k) {
-    const KernelStats before = k.stats();
-    k.simulate(inj, static_cast<int>(rec.count), deadlines, &rec);
-    const KernelStats& after = k.stats();
-    rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
-    rec.sim_cycles = after.cycles - before.cycles;
-    for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-      rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
-    }
-    rec.engine_used = GroupEngine::kEvent;
-  };
-  // The compiled kernel requires every injected comb gate to exist as a
-  // compiled node.
-  if (kernel == KernelFlavor::kCompiled && compilable(inj)) {
-    if (!cevent) cevent.emplace(netlist, *compiled, sim.po_bits(), trace);
-    run_event(*cevent);
-  } else {
-    if (!event) {
-      event.emplace(netlist, sim.levelization(), sim.po_bits(), trace);
-    }
-    run_event(*event);
+  if (!event) event.emplace(netlist, *compiled, po_bits, trace);
+  const KernelStats before = event->stats();
+  event->simulate(inj, static_cast<int>(rec.count), deadlines, &rec);
+  const KernelStats& after = event->stats();
+  rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
+  rec.sim_cycles = after.cycles - before.cycles;
+  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
+    rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
   }
-  return rec;
-}
-
-GroupRecord GroupSimulator::Impl::simulate_interp(std::size_t group) {
-  GroupRecord rec = begin(group, inj);
-  const Word all_mask = (Word{1} << rec.count) - 1;  // count <= 63
-  const bool bounded = has_clock_bounds();
-  const Clock::time_point deadline = group_deadline();
-  sim.reset();
-  apply_state_injections(sim, inj);
-  std::unique_ptr<Environment> env = make_env();
-
-  Word detected = 0;
-  std::uint64_t cycle = 0;
-  std::uint64_t evaluated = 0;
-  for (; cycle < max_cycles; ++cycle) {
-    // Amortized watchdog: one clock read every 1024 cycles keeps the
-    // bound within ~ms granularity without slowing the hot loop.
-    if (bounded && (cycle & 1023u) == 1023u) [[unlikely]] {
-      const Clock::time_point now = Clock::now();
-      if (now >= deadline || now >= run_deadline) {
-        rec.timed_out = true;
-        break;
-      }
-    }
-    env->drive(sim, cycle);
-    apply_state_injections(sim, inj);
-    eval_with_injections(sim, inj);
-    ++evaluated;
-
-    const Word diff = po_diff(sim) & all_mask & ~detected;
-    if (diff != 0) {
-      Word d = diff;
-      while (d != 0) {
-        const int bit = std::countr_zero(d);
-        d &= d - 1;
-        rec.detect_cycle[static_cast<std::size_t>(bit)] =
-            static_cast<std::int64_t>(cycle);
-      }
-      detected |= diff;
-      if (detected == all_mask) break;  // fault dropping: group done
-    }
-
-    const bool keep_going = env->observe(sim, cycle);
-    step_clock_with_injections(sim, inj);
-    if (!keep_going) {
-      ++cycle;
-      break;
-    }
-  }
-  rec.detected_mask = detected;
-  rec.cycles = cycle;
-  set_sweep_counters(rec, evaluated);
+  rec.engine_used = GroupEngine::kEvent;
   return rec;
 }
 
@@ -519,45 +372,41 @@ GroupRecord GroupSimulator::Impl::simulate_interp(std::size_t group) {
 // the compiled runs over both lanes (with per-(gate, lane) fixups at
 // their level), per-lane detection and observe, one DFF step. A lane
 // whose group ends emits its record and is refilled from lane-local
-// reset on the next pass, while the other lane carries on. Every step is
-// lane-wise identical to simulate_interp, so records are bit-identical
-// whichever lane (and whichever partner) a group runs with.
+// reset on the next pass, while the other lane carries on. No step
+// reads the other lane, so records are bit-identical whichever lane
+// (and whichever partner) a group runs with.
 void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
                                      const EmitRecord& emit) {
   if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
   LaneSweep& s = *sweep;
   LaneWord* const v = s.v.data();
-  const std::vector<nl::GateId>& po_bits = sim.po_bits();
   const bool bounded = has_clock_bounds();
 
   std::size_t group = first;
   bool have_group = true;
   unsigned since_poll = kPollCycles;  // the first idle lane polls at once
   for (;;) {
-    // Refill idle lanes. A group the compiled kernel cannot take runs
-    // alone on the interpreted sweep inside load_lane, and the lane
-    // pulls again.
+    // Refill idle lanes.
     for (int l = 0; l < kLanes; ++l) {
-      while (!s.lanes[static_cast<std::size_t>(l)].busy) {
-        if (!have_group) {
-          std::optional<std::size_t> next;
-          if (s.busy == 0) {
-            next = pull(true);
-            if (!next) return;  // stream ended, every lane drained
-          } else if (since_poll >= kPollCycles) {
-            next = pull(false);
-            if (!next) {
-              since_poll = 0;
-              break;
-            }
-          } else {
-            break;
+      if (s.lanes[static_cast<std::size_t>(l)].busy) continue;
+      if (!have_group) {
+        std::optional<std::size_t> next;
+        if (s.busy == 0) {
+          next = pull(true);
+          if (!next) return;  // stream ended, every lane drained
+        } else if (since_poll >= kPollCycles) {
+          next = pull(false);
+          if (!next) {
+            since_poll = 0;
+            continue;
           }
-          group = *next;
+        } else {
+          continue;
         }
-        have_group = false;
-        load_lane(l, group, emit);
+        group = *next;
       }
+      have_group = false;
+      load_lane(l, group);
     }
     ++since_poll;
 
@@ -570,7 +419,8 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
         finish_lane(l, false, emit);
         continue;
       }
-      // Amortized watchdog, as in simulate_interp.
+      // Amortized watchdog: one clock read every 1024 cycles keeps the
+      // bound within ~ms granularity without slowing the hot loop.
       if (bounded && (ln.cycle & 1023u) == 1023u) [[unlikely]] {
         const Clock::time_point now = Clock::now();
         if (now >= ln.deadline || now >= run_deadline) {
@@ -626,14 +476,9 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
   }
 }
 
-void GroupSimulator::Impl::load_lane(int l, std::size_t group,
-                                     const EmitRecord& emit) {
+void GroupSimulator::Impl::load_lane(int l, std::size_t group) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
   ln.rec = begin(group, ln.inj);
-  if (!compilable(ln.inj)) {
-    emit(simulate_interp(group));  // the lane stays idle
-    return;
-  }
   LaneWord* const v = sweep->v.data();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
   ln.ports.reset();
@@ -751,8 +596,7 @@ void GroupSimulator::set_run_deadline(
 
 std::size_t GroupSimulator::lanes() const {
   const Impl& im = *impl_;
-  const bool sweep = !im.trace_source || im.trace_source->fell_back();
-  return im.kernel == KernelFlavor::kCompiled && sweep ? kLanes : 1;
+  return !im.trace_source || im.trace_source->fell_back() ? kLanes : 1;
 }
 
 void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
@@ -761,11 +605,11 @@ void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
     // The trace is fetched on the first simulated group, so a campaign
     // fully seeded from its journal never records it.
     im.fetch_trace();
-    if (!im.trace && im.kernel == KernelFlavor::kCompiled) {
+    if (!im.trace) {
       im.run_lanes(*group, pull, emit);
       return;
     }
-    emit(im.trace ? im.simulate_event(*group) : im.simulate_interp(*group));
+    emit(im.simulate_event(*group));
   }
 }
 

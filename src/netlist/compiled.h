@@ -1,9 +1,9 @@
 // One-time netlist compiler: lowers a levelized netlist into a flat
 // structure-of-arrays program for the simulation kernels.
 //
-// The interpreted kernels chase a 16-byte Gate AoS record per evaluation
-// and branch through a 13-way GateKind switch. The compiled form removes
-// both costs:
+// A per-gate interpreter chases a 16-byte Gate AoS record per evaluation
+// and branches through a 13-way GateKind switch. The compiled form
+// removes both costs:
 //
 //   * gates are sorted level-major into per-(level, base-op) runs, so the
 //     inner loop over a run is branch-free (no per-gate switch, no Gate
@@ -24,8 +24,9 @@
 // Values stay indexed by original GateId (one extra always-zero slot at
 // index num_gates stands in for kNoGate), so the injection tables, the
 // good-trace planes and every external observer keep their addressing.
-// Compiling is deterministic; both kernels remain bit-identical to the
-// interpreted reference (differential-tested in compiled_test.cpp).
+// Compiling is deterministic; evaluation is bit-identical to the
+// interpreted LogicSim::eval_reference() on every net (differential-
+// tested in compiled_test.cpp).
 #pragma once
 
 #include <array>
@@ -48,7 +49,7 @@ inline constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 /// Base-op class a combinational GateKind lowers to (kAnd for sources,
 /// which never lower). BUF classes with the AND lane it is materialized
 /// into; inverting kinds class with their base op. Work-counter tallies
-/// bucket per-kind evaluations with this, in both kernel flavors.
+/// bucket per-kind evaluations with this, in both engines.
 inline CompiledOp op_class(GateKind k) {
   switch (k) {
     case GateKind::kOr2:
@@ -123,9 +124,9 @@ struct CompiledNetlist {
   std::vector<std::uint32_t> fanout_offset;
   std::vector<std::uint32_t> fanout;
 
-  /// Static node count per base op — the sweep kernels' per-kind
-  /// evaluation tallies are `cycles * nodes_by_op[op]`, a pure function
-  /// of the netlist (bit-stable across kernel flavors).
+  /// Static node count per base op (materialized nodes only: folded
+  /// BUFs have none, unlike the sweep's per-kind tallies, which count
+  /// every combinational gate).
   std::array<std::uint64_t, kNumCompiledOps> nodes_by_op = {0, 0, 0, 0};
 
   std::size_t num_nodes() const { return node_gate.size(); }

@@ -107,7 +107,7 @@ void print_metrics_summary(std::ostream& os, const MetricsSummary& s) {
   os << buf;
   // Deliberately NOT part of the bit-stable diff set (CI greps
   // engines/verdicts/counters): eval_ns_per_gate is run-local, and the
-  // event engine's per-kind tallies depend on the kernel flavor.
+  // per-kind tallies depend on the engine.
   if (s.eval_ns_per_gate != 0.0) {
     std::snprintf(buf, sizeof(buf),
                   "kernel: eval_ns_per_gate=%.3f evals_and=%llu "

@@ -16,7 +16,6 @@
 #include "core/classify.h"
 #include "core/program.h"
 #include "fault/comb_faultsim.h"
-#include "fault/event_kernel.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
 #include "netlist/fault.h"
@@ -24,6 +23,8 @@
 #include "parwan/testbench.h"
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
+
+#include "testutil.h"
 
 namespace sbst::fault {
 namespace {
@@ -38,77 +39,9 @@ void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
   EXPECT_EQ(a.good_cycles, b.good_cycles) << what;
 }
 
-// A combinational mesh with constant gates mixed in, so the fault list
-// holds combinational-pin, PI-output and constant-output injections.
-nl::Netlist make_comb_netlist() {
-  nl::Netlist n;
-  const auto& in = n.add_input("in", 16);
-  std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
-  nets.push_back(n.add_gate(nl::GateKind::kConst0));
-  nets.push_back(n.add_gate(nl::GateKind::kConst1));
-  constexpr nl::GateKind kKinds[] = {nl::GateKind::kXor2, nl::GateKind::kAnd2,
-                                     nl::GateKind::kOr2, nl::GateKind::kNand2};
-  std::vector<nl::GateId> outs;
-  for (std::size_t i = 0; i < 96; ++i) {
-    const nl::GateId a = nets[(i * 7 + 3) % nets.size()];
-    const nl::GateId b = nets[(i * 13 + 5) % nets.size()];
-    const nl::GateId g = n.add_gate(kKinds[i % 4], a, b);
-    nets.push_back(g);
-    if (i % 3 == 0) outs.push_back(g);
-  }
-  n.add_output("o", outs);
-  return n;
-}
-
-// A sequential netlist with enough flip-flops to exercise DFF D-pin and
-// Q-output injections, cross-register feedback and divergence that must
-// persist across clock edges to reach an output.
-nl::Netlist make_seq_netlist() {
-  nl::Netlist n;
-  const auto& in = n.add_input("in", 8);
-  std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
-  std::vector<nl::GateId> dffs;
-  for (std::size_t i = 0; i < 24; ++i) {
-    const nl::GateId d = nets[(i * 5 + 1) % nets.size()];
-    const nl::GateId q = n.add_dff(d, (i % 3) == 0);
-    dffs.push_back(q);
-    nets.push_back(q);
-    const nl::GateId mix = n.add_gate(
-        (i % 2) ? nl::GateKind::kXor2 : nl::GateKind::kNand2, q,
-        nets[(i * 11 + 2) % nets.size()]);
-    nets.push_back(mix);
-  }
-  // Feedback: route some mixes back into earlier flip-flop D-pins.
-  for (std::size_t i = 0; i < dffs.size(); i += 4) {
-    n.set_gate_input(dffs[i], 0, nets[nets.size() - 1 - i]);
-  }
-  std::vector<nl::GateId> outs;
-  for (std::size_t i = 0; i < nets.size(); i += 7) outs.push_back(nets[i]);
-  n.add_output("o", outs);
-  return n;
-}
-
-// Drives the inputs with a cycle-dependent pattern for a fixed number
-// of cycles. Deterministic and good-machine-only, like all engine
-// environments.
-class PatternEnv : public Environment {
- public:
-  explicit PatternEnv(std::uint64_t cycles) : cycles_(cycles) {}
-  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
-    sim.set_input(sim.netlist().input("in"),
-                  (cycle * 0x9E37u + 0x79B9u) ^ (cycle >> 3));
-  }
-  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
-    return cycle + 1 < cycles_;
-  }
-
- private:
-  std::uint64_t cycles_;
-};
-
-EnvFactory pattern_env(std::uint64_t cycles) {
-  return [cycles]() { return std::make_unique<PatternEnv>(cycles); };
-}
+using testutil::make_comb_netlist;
+using testutil::make_seq_netlist;
+using testutil::pattern_env;
 
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
@@ -362,154 +295,6 @@ TEST(EventKernel, JournalResumeMixesEngines) {
   EXPECT_EQ(reread.seeded_groups, reread.groups_total);
   expect_identical(uninterrupted.result, reread.result,
                    "event-journal reread under sweep engine");
-  std::remove(journal.c_str());
-}
-
-TEST(EventKernel, CompiledKernelIdenticalToInterpBothEngines) {
-  // Kernel-flavor identity: the compiled SoA kernels (default) and the
-  // interpreted reference must be bit-identical under both engines and
-  // every thread count — including the sweep engine's work counters,
-  // which are normalized to be a pure function of the netlist.
-  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
-  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
-  ASSERT_TRUE(st.halted);
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
-  const auto env = parwan::make_parwan_env_factory(cpu, st.image);
-  FaultSimOptions opt;
-  opt.max_cycles = 10000;
-  opt.sample = 630;
-  opt.threads = 1;
-  for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
-    opt.engine = engine;
-    opt.kernel = KernelFlavor::kInterp;
-    const FaultSimResult interp =
-        run_fault_sim(cpu.netlist, faults, env, opt);
-    opt.kernel = KernelFlavor::kCompiled;
-    for (unsigned threads : {1u, 2u, 4u}) {
-      opt.threads = threads;
-      const FaultSimResult compiled =
-          run_fault_sim(cpu.netlist, faults, env, opt);
-      expect_identical(interp, compiled,
-                       engine == Engine::kSweep ? "sweep kernels"
-                                                : "event kernels");
-      if (engine == Engine::kSweep) {
-        // Sweep counters are flavor-stable by design (journal records
-        // must not depend on the kernel that produced them).
-        EXPECT_EQ(interp.gates_evaluated, compiled.gates_evaluated);
-      }
-    }
-    opt.threads = 1;
-  }
-}
-
-TEST(EventKernel, CompiledKernelIdenticalOnSyntheticNetlists) {
-  // The synthetic meshes cover injection kinds (NOT/BUF duplicated
-  // pins, constants, DFF D/Q) that the CPU fault samples may miss.
-  for (const bool seq : {false, true}) {
-    const nl::Netlist n = seq ? make_seq_netlist() : make_comb_netlist();
-    const nl::FaultList fl = nl::enumerate_faults(n);
-    FaultSimOptions opt;
-    opt.max_cycles = 4096;
-    opt.threads = 1;
-    for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
-      opt.engine = engine;
-      opt.kernel = KernelFlavor::kInterp;
-      const FaultSimResult interp =
-          run_fault_sim(n, fl, pattern_env(400), opt);
-      opt.kernel = KernelFlavor::kCompiled;
-      const FaultSimResult compiled =
-          run_fault_sim(n, fl, pattern_env(400), opt);
-      expect_identical(interp, compiled, seq ? "seq mesh" : "comb mesh");
-    }
-  }
-}
-
-TEST(EventKernel, CompiledKernelIdenticalUnderIsolation) {
-  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
-  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
-  const auto env = parwan::make_parwan_env_factory(cpu, st.image);
-  constexpr std::uint64_t kFp = 0xe4e47dead0003ull;
-
-  campaign::CampaignOptions base;
-  base.sim.max_cycles = 10000;
-  base.sim.sample = 630;
-  base.sim.threads = 1;
-  base.sim.engine = Engine::kEvent;
-
-  campaign::CampaignOptions interp_opt = base;
-  interp_opt.sim.kernel = KernelFlavor::kInterp;
-  const campaign::CampaignResult interp =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, interp_opt);
-
-  // Compiled kernel inside forked workers: the shared compiled program
-  // is built pre-fork and inherited COW, like the recorded good trace.
-  campaign::CampaignOptions iso_opt = base;
-  iso_opt.sim.kernel = KernelFlavor::kCompiled;
-  iso_opt.isolate = true;
-  iso_opt.iso.workers = 2;
-  const campaign::CampaignResult iso =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, iso_opt);
-  expect_identical(interp.result, iso.result, "isolated compiled kernel");
-  EXPECT_EQ(iso.result.groups_done, iso.result.groups_total);
-}
-
-TEST(EventKernel, JournalResumeMixesKernelFlavors) {
-  // A journal written by the interpreted kernel must seed a resume on
-  // the compiled kernel (and vice versa): records carry no flavor, and
-  // the fingerprint deliberately excludes it.
-  const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
-  const parwan::ParwanSelfTest st = parwan::build_parwan_selftest();
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
-  const auto env = parwan::make_parwan_env_factory(cpu, st.image);
-  constexpr std::uint64_t kFp = 0xe4e47dead0004ull;
-
-  campaign::CampaignOptions base;
-  base.sim.max_cycles = 10000;
-  base.sim.sample = 630;
-  base.sim.threads = 1;
-  base.sim.engine = Engine::kEvent;
-
-  campaign::CampaignOptions full = base;
-  full.sim.kernel = KernelFlavor::kCompiled;
-  const campaign::CampaignResult uninterrupted =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, full);
-
-  const std::string journal = temp_path("kernel_mixed_resume.sbstj");
-  std::remove(journal.c_str());
-
-  std::atomic<bool> stop{false};
-  campaign::CampaignOptions first = base;
-  first.journal = journal;
-  first.sim.kernel = KernelFlavor::kInterp;
-  first.sim.cancel = &stop;
-  first.sim.progress = [&stop](const fault::Progress& p) {
-    if (p.done >= 3) stop.store(true);
-  };
-  const campaign::CampaignResult partial =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, first);
-  ASSERT_TRUE(partial.interrupted);
-  ASSERT_LT(partial.groups_done, partial.groups_total);
-
-  campaign::CampaignOptions second = base;
-  second.journal = journal;
-  second.sim.kernel = KernelFlavor::kCompiled;
-  const campaign::CampaignResult resumed =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, second);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.groups_done, resumed.groups_total);
-  expect_identical(uninterrupted.result, resumed.result,
-                   "interp-journal resumed under compiled kernel");
-
-  campaign::CampaignOptions third = base;
-  third.journal = journal;
-  third.sim.kernel = KernelFlavor::kInterp;
-  const campaign::CampaignResult reread =
-      campaign::run_campaign(cpu.netlist, faults, env, kFp, third);
-  EXPECT_TRUE(reread.resumed);
-  EXPECT_EQ(reread.seeded_groups, reread.groups_total);
-  expect_identical(uninterrupted.result, reread.result,
-                   "compiled-journal reread under interp kernel");
   std::remove(journal.c_str());
 }
 

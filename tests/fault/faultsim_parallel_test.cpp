@@ -13,6 +13,7 @@
 #include "fault/comb_faultsim.h"
 #include "fault/faultsim.h"
 #include "netlist/fault.h"
+#include "netlist/levelize.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
 
@@ -102,10 +103,9 @@ TEST(FaultSimParallel, ParwanSelfTestBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(FaultSimParallel, CompiledKernelBitIdenticalAcrossThreadCounts) {
-  // The compiled kernel is the default; pin the interpreted reference
-  // at one thread and require the compiled flavor to match it bit for
-  // bit at every thread count (shared compiled program, one COW copy
-  // of the SoA arrays across workers).
+  // Pin the sweep engine at one thread and require both engines to
+  // match it bit for bit at every thread count (shared compiled program,
+  // one COW copy of the SoA arrays across workers).
   const nl::Netlist n = make_comb_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
   VectorSet vs;
@@ -114,30 +114,26 @@ TEST(FaultSimParallel, CompiledKernelBitIdenticalAcrossThreadCounts) {
   }
   FaultSimOptions opt;
   opt.threads = 1;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult interp = grade_vectors(n, fl, vs, opt);
-  opt.kernel = KernelFlavor::kCompiled;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    opt.threads = threads;
-    const FaultSimResult compiled = grade_vectors(n, fl, vs, opt);
-    expect_identical(interp, compiled, "compiled kernel");
-  }
-  // Work-counter contract: sweep counters are normalized to the
-  // interpreted sweep (pure function of netlist and cycles), so under
-  // the sweep engine they must be bit-stable across kernel flavors.
-  // Event-engine counters report each flavor's actual work and are
-  // exempt — only verdicts must agree there (checked above).
-  opt.threads = 1;
   opt.engine = Engine::kSweep;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult sweep_interp = grade_vectors(n, fl, vs, opt);
-  opt.kernel = KernelFlavor::kCompiled;
-  const FaultSimResult sweep_compiled = grade_vectors(n, fl, vs, opt);
-  expect_identical(sweep_interp, sweep_compiled, "compiled sweep");
-  EXPECT_EQ(sweep_interp.gates_evaluated, sweep_compiled.gates_evaluated)
-      << "sweep work counters must be kernel-flavor-stable";
-  EXPECT_EQ(sweep_interp.sim_cycles, sweep_compiled.sim_cycles)
-      << "sweep work counters must be kernel-flavor-stable";
+  const FaultSimResult sweep = grade_vectors(n, fl, vs, opt);
+  // Work-counter contract: the sweep counts every combinational gate
+  // once per evaluated cycle, so its counters are a pure function of
+  // netlist and cycles, whatever the thread count. Event-engine counters
+  // report the work actually done; only its verdicts must agree.
+  EXPECT_EQ(sweep.gates_evaluated,
+            sweep.sim_cycles * nl::levelize(n).comb_order.size());
+  for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
+    opt.engine = engine;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      opt.threads = threads;
+      const FaultSimResult got = grade_vectors(n, fl, vs, opt);
+      expect_identical(sweep, got, "compiled kernels");
+      if (engine == Engine::kSweep) {
+        EXPECT_EQ(sweep.gates_evaluated, got.gates_evaluated);
+        EXPECT_EQ(sweep.sim_cycles, got.sim_cycles);
+      }
+    }
+  }
 }
 
 TEST(FaultSimParallel, CompiledKernelParwanIdenticalAcrossThreadCounts) {
@@ -149,17 +145,17 @@ TEST(FaultSimParallel, CompiledKernelParwanIdenticalAcrossThreadCounts) {
   opt.max_cycles = 10000;
   opt.sample = 630;
   opt.threads = 1;
-  opt.kernel = KernelFlavor::kInterp;
-  const FaultSimResult interp = run_fault_sim(
+  opt.engine = Engine::kSweep;
+  const FaultSimResult sweep = run_fault_sim(
       cpu.netlist, faults, parwan::make_parwan_env_factory(cpu, st.image),
       opt);
-  opt.kernel = KernelFlavor::kCompiled;
+  opt.engine = Engine::kEvent;
   for (unsigned threads : {1u, 2u, 4u}) {
     opt.threads = threads;
-    const FaultSimResult compiled = run_fault_sim(
+    const FaultSimResult event = run_fault_sim(
         cpu.netlist, faults, parwan::make_parwan_env_factory(cpu, st.image),
         opt);
-    expect_identical(interp, compiled, "parwan compiled kernel");
+    expect_identical(sweep, event, "parwan event vs sweep");
   }
 }
 

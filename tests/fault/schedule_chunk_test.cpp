@@ -6,7 +6,8 @@
 // force excited on a chunk's last cycle, flip-flop divergence carried
 // across a boundary, lanes retiring mid-chunk, a short final chunk, a
 // timeout that cuts a filled chunk short — must leave GroupRecords
-// identical to the sweep engine and to the interpreted event kernel.
+// identical to the sweep engine, and verdicts identical to the
+// interpreted single-fault reference (verify/fault_oracle.h).
 // The last test pins the compiled event kernel's work counters on two
 // reference campaigns: the schedule decides only *when* the wavefront
 // runs, so any change to it must reproduce these numbers exactly.
@@ -30,11 +31,15 @@
 #include "parwan/testbench.h"
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
+#include "verify/fault_oracle.h"
+
+#include "testutil.h"
 
 namespace sbst::fault {
 namespace {
 
-using Records = std::map<std::uint64_t, GroupRecord>;
+using testutil::expect_oracle_verdicts;
+using testutil::Records;
 
 constexpr std::uint64_t kChunk = 64;
 
@@ -173,26 +178,23 @@ nl::FaultList pulse_faults(const PulseNet& pn) {
 
 struct EngineCase {
   Engine engine;
-  KernelFlavor kernel;
   const char* name;
 };
 constexpr EngineCase kEngines[] = {
-    {Engine::kSweep, KernelFlavor::kCompiled, "sweep"},
-    {Engine::kEvent, KernelFlavor::kInterp, "interp event"},
-    {Engine::kEvent, KernelFlavor::kCompiled, "compiled event"},
+    {Engine::kSweep, "sweep"},
+    {Engine::kEvent, "event"},
 };
 
-/// Runs every engine over the same campaign and checks them against the
-/// sweep (and the longest group's cycle count against `want_cycles`,
-/// unless 0). Returns the compiled event kernel's records.
+/// Runs both engines over the same campaign and checks the event
+/// engine against the sweep (and the longest group's cycle count against
+/// `want_cycles`, unless 0). Returns the event engine's records.
 Records grade_all(const nl::Netlist& n, const nl::FaultList& fl,
                   const EnvFactory& env, FaultSimOptions opt,
                   std::uint64_t want_cycles) {
-  Records sweep, compiled;
+  Records sweep, event;
   for (const EngineCase& e : kEngines) {
     Records recs;
     opt.engine = e.engine;
-    opt.kernel = e.kernel;
     opt.on_group = [&recs](const GroupRecord& r) { recs[r.group] = r; };
     const FaultSimResult res = run_fault_sim(n, fl, env, opt);
     if (want_cycles != 0) {
@@ -203,12 +205,10 @@ Records grade_all(const nl::Netlist& n, const nl::FaultList& fl,
       sweep = recs;
     } else {
       expect_same_verdicts(sweep, recs, e.name);
-    }
-    if (e.kernel == KernelFlavor::kCompiled && e.engine == Engine::kEvent) {
-      compiled = recs;
+      event = recs;
     }
   }
-  return compiled;
+  return event;
 }
 
 TEST(EventKernel, ScheduleChunkBoundariesMatchSweepAndInterp) {
@@ -223,6 +223,7 @@ TEST(EventKernel, ScheduleChunkBoundariesMatchSweepAndInterp) {
     SCOPED_TRACE(testing::Message() << "trace length " << T);
     const Records recs = grade_all(pn.n, fl, pulse_env(T), opt, T);
     ASSERT_EQ(recs.size(), 2u);
+    expect_oracle_verdicts(pn.n, fl, pulse_env(T), opt.max_cycles, recs);
 
     // Group 0: the bank retires mid-chunk, leaving one live lane.
     const GroupRecord& g0 = recs.at(0);
@@ -291,10 +292,18 @@ TEST(EventKernel, ScheduleChunkPlasmaSampledMatchesSweepAndInterp) {
   opt.sample = 315;
   opt.sample_seed = 13;
   opt.threads = 2;
-  const Records recs = grade_all(
-      cpu.netlist, faults, plasma::make_cpu_env_factory(cpu, p.image), opt,
-      4145);
+  const EnvFactory env = plasma::make_cpu_env_factory(cpu, p.image);
+  const Records recs = grade_all(cpu.netlist, faults, env, opt, 4145);
   EXPECT_EQ(recs.size(), 5u);
+  // Every 16th sampled fault against the single-fault reference.
+  const GroupPlan plan(faults, opt);
+  for (std::size_t k = 0; k < plan.active().size(); k += 16) {
+    EXPECT_EQ(recs.at(k / 63).detect_cycle.at(k % 63),
+              verify::reference_detect_cycle(
+                  cpu.netlist, faults.faults[plan.active()[k]], env,
+                  opt.max_cycles))
+        << "sampled fault " << k;
+  }
 }
 
 TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
@@ -317,7 +326,6 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   std::map<std::string, std::vector<GroupRecord>> by_engine;
   for (const EngineCase& e : kEngines) {
     opt.engine = e.engine;
-    opt.kernel = e.kernel;
     std::shared_ptr<SharedTraceSource> trace;
     if (e.engine == Engine::kEvent) {
       trace = std::make_shared<SharedTraceSource>(pn.n, env, opt.max_cycles,
@@ -340,20 +348,18 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   EXPECT_EQ(want[0].detect_cycle[0], static_cast<std::int64_t>(kMidPulse));
   EXPECT_EQ(want[0].detect_cycle[62], -1);
   EXPECT_EQ(want[1].detect_cycle[5 * 0 + 3], -1);
-  for (const char* name : {"interp event", "compiled event"}) {
-    const std::vector<GroupRecord>& got = by_engine[name];
-    ASSERT_EQ(got.size(), want.size()) << name;
-    for (std::size_t g = 0; g < want.size(); ++g) {
-      EXPECT_EQ(got[g].detected_mask, want[g].detected_mask) << name << g;
-      EXPECT_EQ(got[g].detect_cycle, want[g].detect_cycle) << name << g;
-      EXPECT_EQ(got[g].cycles, want[g].cycles) << name << g;
-      EXPECT_EQ(got[g].timed_out, want[g].timed_out) << name << g;
-      EXPECT_EQ(got[g].engine_used, GroupEngine::kEvent) << name << g;
-    }
+  const std::vector<GroupRecord>& got = by_engine["event"];
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t g = 0; g < want.size(); ++g) {
+    EXPECT_EQ(got[g].detected_mask, want[g].detected_mask) << g;
+    EXPECT_EQ(got[g].detect_cycle, want[g].detect_cycle) << g;
+    EXPECT_EQ(got[g].cycles, want[g].cycles) << g;
+    EXPECT_EQ(got[g].timed_out, want[g].timed_out) << g;
+    EXPECT_EQ(got[g].engine_used, GroupEngine::kEvent) << g;
   }
 }
 
-/// Work counters of one compiled event-kernel campaign, summed over its
+/// Work counters of one event-engine campaign, summed over its
 /// group records.
 struct Work {
   std::uint64_t gates_evaluated = 0;
@@ -365,7 +371,6 @@ Work event_work(const nl::Netlist& n, const nl::FaultList& fl,
                 const EnvFactory& env, FaultSimOptions opt) {
   Work w;
   opt.engine = Engine::kEvent;
-  opt.kernel = KernelFlavor::kCompiled;
   opt.threads = 2;
   opt.on_group = [&w](const GroupRecord& r) {
     EXPECT_EQ(r.engine_used, GroupEngine::kEvent);

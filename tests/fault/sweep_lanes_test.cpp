@@ -1,8 +1,9 @@
-// Two-lane sweep contract: the compiled sweep simulates two groups side
-// by side and refills a lane the moment its group ends, yet every record
-// it emits is bit-identical to the interpreted sweep's (verdicts, cycle
-// counts and work counters) and matches the event engine's verdicts —
-// whatever the partner group, lane, refill point or thread count.
+// Two-lane sweep contract: the sweep simulates two groups side by side
+// and refills a lane the moment its group ends, yet every record it
+// emits is bit-identical to the record of the same group simulated
+// alone (verdicts, cycle counts and work counters) and matches the event
+// engine's and the single-fault reference's verdicts — whatever the
+// partner group, lane, refill point or thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,16 +21,22 @@
 #include "core/classify.h"
 #include "core/program.h"
 #include "fault/faultsim.h"
+#include "netlist/compiled.h"
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
 
+#include "testutil.h"
+
 namespace sbst::fault {
 namespace {
 
-using Records = std::map<std::uint64_t, GroupRecord>;
+using testutil::expect_oracle_verdicts;
+using testutil::pattern_env;
+using testutil::PatternEnv;
+using testutil::Records;
 
 /// Verdict fields: what every engine must agree on.
 void expect_same_verdicts(const Records& want, const Records& got,
@@ -46,7 +54,7 @@ void expect_same_verdicts(const Records& want, const Records& got,
   }
 }
 
-/// Whole records, work counters included: sweep kernels must agree.
+/// Whole records, work counters included: sweep runs must agree.
 void expect_same_records(const Records& want, const Records& got,
                          const char* what) {
   expect_same_verdicts(want, got, what);
@@ -106,26 +114,6 @@ std::vector<std::size_t> all_groups(const GroupPlan& plan) {
   std::vector<std::size_t> g(plan.num_groups());
   for (std::size_t i = 0; i < g.size(); ++i) g[i] = i;
   return g;
-}
-
-// Inputs follow a cycle-dependent pattern for a fixed number of cycles.
-class PatternEnv : public Environment {
- public:
-  explicit PatternEnv(std::uint64_t cycles) : cycles_(cycles) {}
-  void drive(sim::LogicSim& sim, std::uint64_t cycle) override {
-    sim.set_input(sim.netlist().input("in"),
-                  (cycle * 0x9E37u + 0x79B9u) ^ (cycle >> 3));
-  }
-  bool observe(const sim::LogicSim&, std::uint64_t cycle) override {
-    return cycle + 1 < cycles_;
-  }
-
- private:
-  std::uint64_t cycles_;
-};
-
-EnvFactory pattern_env(std::uint64_t cycles) {
-  return [cycles]() { return std::make_unique<PatternEnv>(cycles); };
 }
 
 // Sequential mesh with constants, an inverter, a mux, a folded BUF, a
@@ -240,6 +228,13 @@ Records one(std::uint64_t group, const GroupRecord& rec) {
   return r;
 }
 
+/// Each group simulated on its own, one lane busy at a time.
+Records simulate_alone(GroupSimulator& sim, const GroupPlan& plan) {
+  Records r;
+  for (std::size_t g = 0; g < plan.num_groups(); ++g) r[g] = sim.simulate(g);
+  return r;
+}
+
 TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
   const nl::Netlist n = make_lane_netlist();
   const nl::FaultList fl = interleave_kinds(n, nl::enumerate_faults(n));
@@ -261,22 +256,16 @@ TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
   opt.max_cycles = 4096;
   opt.engine = Engine::kSweep;
   const GroupPlan plan(fl, opt);
-  opt.kernel = KernelFlavor::kInterp;
-  GroupSimulator interp(n, fl, plan, pattern_env(400), opt);
-  Records want;
-  for (std::size_t g : all_groups(plan)) want[g] = interp.simulate(g);
+  GroupSimulator alone(n, fl, plan, pattern_env(400), opt);
+  const Records want = simulate_alone(alone, plan);
+  expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles,
+                         {{0, want.at(0)}, {1, want.at(1)}});
 
-  opt.kernel = KernelFlavor::kCompiled;
   GroupSimulator lanes(n, fl, plan, pattern_env(400), opt);
   EXPECT_EQ(lanes.lanes(), 2u);
-  EXPECT_EQ(interp.lanes(), 1u);
   const LaneRun run = run_lanes(lanes, all_groups(plan));
   EXPECT_EQ(run.max_in_flight, 2u) << "both lanes must run at once";
-  expect_same_records(want, run.records, "lanes vs interp");
-  // One lane at a time (simulate) is the same kernel.
-  for (std::size_t g : all_groups(plan)) {
-    expect_same_records(one(g, want[g]), one(g, lanes.simulate(g)), "single");
-  }
+  expect_same_records(want, run.records, "both lanes vs one at a time");
 
   opt.engine = Engine::kEvent;
   opt.threads = 1;
@@ -284,33 +273,62 @@ TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
                        "lanes vs event");
 }
 
-TEST(SweepLanes, BufSitedGroupRunsAloneOnTheInterpretedSweep) {
-  // A hand-built list may put faults on BUF gates, which the compiler
-  // folds away: such a group runs alone on the interpreted sweep while
-  // the other lane carries on, and every record still matches.
-  const nl::Netlist n = make_lane_netlist();
-  nl::FaultList fl = interleave_kinds(n, nl::enumerate_faults(n));
-  nl::GateId buf = nl::kNoGate;
+TEST(SweepLanes, FoldedBufFaultRejectedPoBufFaultSimulated) {
+  // The compiler folds a BUF away unless it is a primary-output bit. A
+  // hand-built list with a fault on a folded BUF has nothing to force
+  // and is rejected before anything runs, in-process and isolated.
+  nl::Netlist n = make_lane_netlist();
+  const nl::FaultList generated = nl::enumerate_faults(n);
+  nl::GateId folded = nl::kNoGate;
   for (nl::GateId g = 0; g < n.size(); ++g) {
-    if (n.gate(g).kind == nl::GateKind::kBuf) buf = g;
+    if (n.gate(g).kind == nl::GateKind::kBuf) folded = g;
   }
-  ASSERT_NE(buf, nl::kNoGate);
-  fl.faults[63 + 5] = {buf, 0, 1};  // group 1
-  fl.faults[63 + 9] = {buf, 1, 0};
+  ASSERT_NE(folded, nl::kNoGate);
+  const nl::GateId po_buf =
+      n.add_gate(nl::GateKind::kBuf, n.output("o").bits[3]);
+  n.add_output("b", {po_buf});
+  const std::shared_ptr<const nl::CompiledNetlist> cn = nl::compile(n);
+  ASSERT_EQ(cn->node_of_gate[folded], nl::kNoNode);
+  ASSERT_NE(cn->node_of_gate[po_buf], nl::kNoNode);
+
+  // Stem and branch faults on the PO BUF, in both groups, among
+  // generated faults.
+  nl::FaultList fl;
+  for (std::size_t i = 0; i < 100; ++i) {
+    fl.faults.push_back(generated.faults[i]);
+    fl.class_size.push_back(1);
+  }
+  fl.faults[3] = {po_buf, 1, 0};
+  fl.faults[40] = {po_buf, 0, 1};
+  fl.faults[70] = {po_buf, 1, 1};
+  fl.faults[95] = {po_buf, 0, 0};
+  fl.total_uncollapsed = fl.size();
 
   FaultSimOptions opt;
   opt.max_cycles = 4096;
-  opt.engine = Engine::kSweep;
-  const GroupPlan plan(fl, opt);
-  opt.kernel = KernelFlavor::kInterp;
-  GroupSimulator interp(n, fl, plan, pattern_env(400), opt);
-  Records want;
-  for (std::size_t g : all_groups(plan)) want[g] = interp.simulate(g);
+  opt.threads = 1;
+  for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
+    opt.engine = engine;
+    const Records got = grade(n, fl, pattern_env(400), opt);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_NE(got.at(0).detect_cycle[40], -1) << "PO-BUF stem fault";
+    expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles, got);
+  }
 
-  opt.kernel = KernelFlavor::kCompiled;
-  GroupSimulator lanes(n, fl, plan, pattern_env(400), opt);
-  expect_same_records(want, run_lanes(lanes, all_groups(plan)).records,
-                      "buf-sited group");
+  nl::FaultList bad = fl;
+  bad.faults[80] = {folded, 0, 1};
+  for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
+    opt.engine = engine;
+    EXPECT_THROW(run_fault_sim(n, bad, pattern_env(400), opt),
+                 std::invalid_argument);
+    campaign::CampaignOptions copt;
+    copt.sim = opt;
+    copt.isolate = true;
+    copt.iso.workers = 2;
+    EXPECT_THROW(campaign::run_campaign(n, bad, pattern_env(400), 0xbf0ull,
+                                        copt),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
@@ -329,9 +347,13 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   opt.shard_count = 100;
   opt.shard_index = 7;
   opt.engine = Engine::kSweep;
-  opt.kernel = KernelFlavor::kInterp;
-  opt.threads = 1;
-  const Records want = grade(cpu.netlist, faults, env, opt);
+  const GroupPlan plan(faults, opt);
+  GroupSimulator alone(cpu.netlist, faults, plan, env, opt);
+  Records want;
+  for (std::size_t g = opt.shard_index; g < plan.num_groups();
+       g += opt.shard_count) {
+    want[g] = alone.simulate(g);
+  }
   ASSERT_EQ(want.size(), 7u);
   std::set<std::uint64_t> lengths;
   for (const auto& [g, rec] : want) lengths.insert(rec.cycles);
@@ -339,8 +361,6 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   std::vector<std::size_t> groups;
   for (const auto& [g, rec] : want) groups.push_back(g);
 
-  opt.kernel = KernelFlavor::kCompiled;
-  const GroupPlan plan(faults, opt);
   GroupSimulator sim(cpu.netlist, faults, plan, env, opt);
   const LaneRun run = run_lanes(sim, groups);
   EXPECT_TRUE(run.refilled_mid_run);
@@ -367,19 +387,17 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   FaultSimOptions opt;
   opt.max_cycles = 10000;
   opt.engine = Engine::kSweep;
-  opt.kernel = KernelFlavor::kInterp;
-  opt.threads = 1;
-  const Records want = grade(cpu.netlist, faults, env, opt);
+  const GroupPlan plan(faults, opt);
+  GroupSimulator alone(cpu.netlist, faults, plan, env, opt);
+  const Records want = simulate_alone(alone, plan);
   ASSERT_GT(want.size(), 20u);
 
-  opt.kernel = KernelFlavor::kCompiled;
   for (unsigned threads : {1u, 2u, 4u}) {
     opt.threads = threads;
     expect_same_records(want, grade(cpu.netlist, faults, env, opt),
                         "parwan lanes");
   }
   // An odd-length stream: the last group runs with its partner lane idle.
-  const GroupPlan plan(faults, opt);
   std::vector<std::size_t> odd = all_groups(plan);
   if (odd.size() % 2 == 0) odd.pop_back();
   GroupSimulator sim(cpu.netlist, faults, plan, env, opt);

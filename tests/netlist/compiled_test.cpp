@@ -1,8 +1,8 @@
 // Differential verification of the netlist compiler (nl::compile):
 // the compiled SoA program must be bit-identical to the interpreted
 // per-gate reference on every net of every netlist — that is the
-// contract that lets the fault-simulation kernels default to the
-// compiled flavor. The heavy hammer here is a 10k-netlist random fuzz
+// contract that lets the fault-simulation kernels run on the compiled
+// program. The heavy hammer here is a 10k-netlist random fuzz
 // (same splitmix64 idiom as the co-sim fuzzer) over all gate kinds,
 // BUF chains, constants, MUXes and flip-flops, run for several clock
 // cycles per netlist. Alongside it: unit tests for the folding rules

@@ -12,8 +12,7 @@
 //              [--group-timeout SEC] [--time-budget SEC]
 //              [--isolate] [--workers N] [--max-group-retries K]
 //              [--worker-mem-mb M]
-//              [--engine event|sweep] [--kernel compiled|interp]
-//              [--trace-mem-mb M]
+//              [--engine event|sweep] [--trace-mem-mb M]
 //              [--metrics F.ndjson] [--status F.json]
 //                                      fault-grade a program (Table 5 style);
 //                                      --sample 0 simulates the full fault
@@ -41,17 +40,7 @@
 //                                      the full per-cycle re-evaluation) —
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
-//                                      engines. --kernel picks the gate
-//                                      evaluator inside either engine:
-//                                      compiled (default — SoA netlist
-//                                      program, branch-free per-level
-//                                      runs) or interp (the reference
-//                                      per-gate interpreter, escape
-//                                      hatch). Grades, journals and
-//                                      counter telemetry are
-//                                      bit-identical across kernels;
-//                                      the fingerprint ignores the
-//                                      flavor. --trace-mem-mb caps the
+//                                      engines. --trace-mem-mb caps the
 //                                      event engine's recorded good trace
 //                                      (default 1024 MiB, 0 = unlimited);
 //                                      exceeding it falls back to sweep.
@@ -76,7 +65,7 @@
 //              [--workers-per-shard K] [--max-shard-retries R]
 //              [--stale-after SEC] [--backoff-ms MS] [--speculative]
 //              [--status F.json] [--sample N] [--engine E]
-//              [--kernel K] [--durability D] [-o MERGED.sbstj]
+//              [--durability D] [-o MERGED.sbstj]
 //                                      fan one campaign out over N shard
 //                                      runner processes, supervised via
 //                                      on-disk leases (mtime heartbeat).
@@ -206,6 +195,53 @@ std::string read_file(const std::string& path) {
 
 isa::Program load_program(const std::string& path) {
   return isa::assemble(read_file(path));
+}
+
+/// Cycle budget of a graded program: the halt check and every fault
+/// group run for at most this many cycles.
+constexpr std::uint64_t kGradeMaxCycles = 10'000'000;
+
+/// The campaign a `grade` or `dispatch` run fault-grades.
+struct GradeCampaign {
+  isa::Program program;
+  plasma::PlasmaCpu cpu;
+  std::uint64_t good_cycles = 0;  // cycles the program runs to its halt
+  nl::FaultList faults;
+  /// Ties a journal (and a runner's lease) to this exact campaign:
+  /// program image, netlist, fault universe, sampling and cycle budget.
+  /// The shard restriction is deliberately NOT part of it — every shard
+  /// of a campaign shares one identity, which is exactly what makes
+  /// their journals mutually mergeable.
+  std::uint64_t fingerprint = 0;
+};
+
+/// Loads FILE.s, checks that it halts on the gate-level CPU, enumerates
+/// the collapsed fault list and fingerprints the campaign for `sample`
+/// faults of it. Returns nullopt, after saying why, when the program
+/// does not halt.
+std::optional<GradeCampaign> prepare_campaign(const std::string& path,
+                                              std::size_t sample) {
+  GradeCampaign c;
+  c.program = load_program(path);
+  c.cpu = plasma::build_plasma_cpu();
+  const plasma::GateRunResult gr =
+      plasma::run_gate_cpu(c.cpu, c.program, kGradeMaxCycles);
+  if (!gr.halted) {
+    std::fprintf(stderr, "program does not halt on the gate-level CPU\n");
+    return std::nullopt;
+  }
+  c.good_cycles = gr.cycles;
+  c.faults = nl::enumerate_faults(c.cpu.netlist);
+  const std::vector<std::uint32_t>& words = c.program.words;
+  std::uint64_t fp = campaign::fingerprint_init();
+  fp = campaign::fingerprint_bytes(fp, words.data(), words.size() * 4);
+  fp = campaign::fingerprint_u64(fp, c.cpu.netlist.size());
+  fp = campaign::fingerprint_u64(fp, c.faults.size());
+  fp = campaign::fingerprint_u64(fp, sample);
+  fp = campaign::fingerprint_u64(fp, fault::FaultSimOptions{}.sample_seed);
+  fp = campaign::fingerprint_u64(fp, kGradeMaxCycles);
+  c.fingerprint = fp;
+  return c;
 }
 
 int cmd_info(int argc, char** argv) {
@@ -389,7 +425,6 @@ int cmd_grade(int argc, char** argv) {
   std::string journal;
   std::string out;
   std::string engine = "event";
-  std::string kernel = "compiled";
   std::string metrics;
   std::string status;
   std::string durability = "flush";
@@ -399,7 +434,6 @@ int cmd_grade(int argc, char** argv) {
   const auto pos = util::ArgParser(argc, argv)
                        .value_size("--sample", &sample)
                        .value("--engine", &engine)
-                       .value("--kernel", &kernel)
                        .value("--durability", &durability)
                        .value_size("--trace-mem-mb", &trace_mem_mb)
                        .value_count("--threads", &threads)
@@ -438,14 +472,9 @@ int cmd_grade(int argc, char** argv) {
   if (!lease.empty() && shard.empty()) {
     throw util::ArgError("--lease only applies to --shard runs");
   }
-  const isa::Program p = load_program(pos[0]);
-  plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
-  const plasma::GateRunResult gr = plasma::run_gate_cpu(cpu, p, 10'000'000);
-  if (!gr.halted) {
-    std::fprintf(stderr, "program does not halt on the gate-level CPU\n");
-    return 1;
-  }
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const std::optional<GradeCampaign> camp = prepare_campaign(pos[0], sample);
+  if (!camp) return 1;
+  const nl::FaultList& faults = camp->faults;
 
   campaign::CampaignOptions copt;
   copt.journal = journal;
@@ -473,17 +502,9 @@ int cmd_grade(int argc, char** argv) {
     throw util::ArgError("unknown --engine '" + engine +
                          "' (want event or sweep)");
   }
-  if (kernel == "compiled") {
-    copt.sim.kernel = fault::KernelFlavor::kCompiled;
-  } else if (kernel == "interp") {
-    copt.sim.kernel = fault::KernelFlavor::kInterp;
-  } else {
-    throw util::ArgError("unknown --kernel '" + kernel +
-                         "' (want compiled or interp)");
-  }
   copt.sim.trace_mem_mb = trace_mem_mb;
   copt.sim.sample = sample;  // 0 => full fault list
-  copt.sim.max_cycles = 10'000'000;
+  copt.sim.max_cycles = kGradeMaxCycles;
   copt.sim.threads = threads;
   copt.sim.group_timeout_ms = group_timeout_s * 1000;
   copt.sim.time_budget_ms = time_budget_s * 1000;
@@ -518,26 +539,13 @@ int cmd_grade(int argc, char** argv) {
     };
   }
 
-  // The fingerprint ties a journal to this exact campaign: program
-  // image, netlist, fault universe, sampling and cycle budget.
-  std::uint64_t fp = campaign::fingerprint_init();
-  fp = campaign::fingerprint_bytes(fp, p.words.data(), p.words.size() * 4);
-  fp = campaign::fingerprint_u64(fp, cpu.netlist.size());
-  fp = campaign::fingerprint_u64(fp, faults.size());
-  fp = campaign::fingerprint_u64(fp, copt.sim.sample);
-  fp = campaign::fingerprint_u64(fp, copt.sim.sample_seed);
-  fp = campaign::fingerprint_u64(fp, copt.sim.max_cycles);
-  // Note: the shard restriction is deliberately NOT part of the
-  // fingerprint — every shard of a campaign shares one identity, which
-  // is exactly what makes their journals mutually mergeable.
-
   std::optional<campaign::LeaseHolder> lease_holder;
   if (!lease.empty()) {
     campaign::LeaseInfo li;
     li.shard = shard_index;
     li.shard_count = shard_count;
     li.pid = static_cast<std::int64_t>(::getpid());
-    li.fingerprint = fp;
+    li.fingerprint = camp->fingerprint;
     lease_holder.emplace(lease, li);
   }
 
@@ -546,13 +554,13 @@ int cmd_grade(int argc, char** argv) {
     std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
                 " (%u isolated worker processes)\n",
                 sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)gr.cycles,
+                (unsigned long long)camp->good_cycles,
                 workers == 0 ? util::hardware_threads() : workers);
   } else {
     std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
                 " (%u threads)\n",
                 sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)gr.cycles,
+                (unsigned long long)camp->good_cycles,
                 threads == 0 ? util::hardware_threads() : threads);
   }
   if (sampled) {
@@ -564,7 +572,9 @@ int cmd_grade(int argc, char** argv) {
   }
 
   const campaign::CampaignResult cres = campaign::run_campaign(
-      cpu.netlist, faults, plasma::make_cpu_env_factory(cpu, p), fp, copt);
+      camp->cpu.netlist, faults,
+      plasma::make_cpu_env_factory(camp->cpu, camp->program),
+      camp->fingerprint, copt);
   if (cres.journal_truncated) {
     std::fprintf(stderr,
                  "warning: %s had a torn trailing record (interrupted "
@@ -654,7 +664,7 @@ int cmd_grade(int argc, char** argv) {
   }
 
   const core::CoverageReport rep =
-      core::make_coverage_report(cpu, faults, cres.result);
+      core::make_coverage_report(camp->cpu, faults, cres.result);
   std::ostringstream table;
   core::print_coverage_table(table, rep, nullptr);
   std::fputs(table.str().c_str(), stdout);
@@ -704,7 +714,6 @@ int cmd_dispatch(int argc, char** argv) {
   bool speculative = false;
   std::string status;
   std::string engine = "event";
-  std::string kernel = "compiled";
   std::size_t sample = 6300;
   std::uint64_t group_timeout_s = 0;
   std::string durability = "flush";
@@ -721,7 +730,6 @@ int cmd_dispatch(int argc, char** argv) {
                        .flag("--speculative", &speculative)
                        .value("--status", &status)
                        .value("--engine", &engine)
-                       .value("--kernel", &kernel)
                        .value_size("--sample", &sample)
                        .value_u64("--group-timeout", &group_timeout_s)
                        .value("--durability", &durability)
@@ -738,31 +746,14 @@ int cmd_dispatch(int argc, char** argv) {
     throw util::ArgError("unknown --engine '" + engine +
                          "' (want event or sweep)");
   }
-  if (kernel != "compiled" && kernel != "interp") {
-    throw util::ArgError("unknown --kernel '" + kernel +
-                         "' (want compiled or interp)");
-  }
   util::parse_durability(durability);  // fail fast, runners re-parse
 
   // Same preamble as cmd_grade: the dispatcher computes the campaign
   // fingerprint itself (for lease collision checks) and verifies the
   // program halts once, before forking N runners that would all fail.
-  const isa::Program p = load_program(pos[0]);
-  plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
-  const plasma::GateRunResult gr = plasma::run_gate_cpu(cpu, p, 10'000'000);
-  if (!gr.halted) {
-    std::fprintf(stderr, "program does not halt on the gate-level CPU\n");
-    return 1;
-  }
-  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
-  const fault::FaultSimOptions sim_defaults;
-  std::uint64_t fp = campaign::fingerprint_init();
-  fp = campaign::fingerprint_bytes(fp, p.words.data(), p.words.size() * 4);
-  fp = campaign::fingerprint_u64(fp, cpu.netlist.size());
-  fp = campaign::fingerprint_u64(fp, faults.size());
-  fp = campaign::fingerprint_u64(fp, sample);
-  fp = campaign::fingerprint_u64(fp, sim_defaults.sample_seed);
-  fp = campaign::fingerprint_u64(fp, 10'000'000);
+  const std::optional<GradeCampaign> camp = prepare_campaign(pos[0], sample);
+  if (!camp) return 1;
+  const std::uint64_t fp = camp->fingerprint;
 
   char exebuf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", exebuf, sizeof(exebuf) - 1);
@@ -796,7 +787,6 @@ int cmd_dispatch(int argc, char** argv) {
         "--status",  shard_status,
         "--sample",  std::to_string(sample),
         "--engine",  engine,
-        "--kernel",  kernel,
         "--durability", durability};
     if (workers_per_shard != 0) {
       argv.push_back("--threads");
