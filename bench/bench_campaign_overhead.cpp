@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   sim.max_cycles = 100000;
   sim.threads = util::hardware_threads();
   if (!full) sim.sample = 6300;
-  const std::size_t groups = campaign::campaign_groups(faults, sim);
+  const std::size_t groups = fault::GroupPlan(faults, sim).num_groups();
   std::printf("grading %s (%zu groups, %u threads)\n", pab.name.c_str(),
               groups, sim.threads);
 

@@ -1,7 +1,6 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <optional>
@@ -29,14 +28,6 @@ std::uint64_t fingerprint_u64(std::uint64_t h, std::uint64_t v) {
   unsigned char buf[8];
   std::memcpy(buf, &v, sizeof(buf));
   return fingerprint_bytes(h, buf, sizeof(buf));
-}
-
-std::size_t campaign_groups(const nl::FaultList& faults,
-                            const fault::FaultSimOptions& sim) {
-  const std::size_t active =
-      (sim.sample != 0 && sim.sample < faults.size()) ? sim.sample
-                                                      : faults.size();
-  return (active + 62) / 63;
 }
 
 std::size_t shard_groups(std::size_t total_groups,
@@ -76,14 +67,16 @@ telemetry::GroupMetric to_group_metric(const fault::GroupRecord& rec,
     m.eval_ns_per_gate = duration_ms * 1e6 /
                          static_cast<double>(rec.gates_evaluated);
   }
-  if (rec.quarantined) {
-    m.attempts = rec.error.attempts;
-    m.max_rss_kb = rec.error.max_rss_kb;
-    m.cpu_ms = rec.error.cpu_ms;
-  }
+  if (rec.error.attempts != 0) m.attempts = rec.error.attempts;
+  m.max_rss_kb = rec.error.max_rss_kb;
+  m.cpu_ms = rec.error.cpu_ms;
   return m;
 }
 
+namespace {
+
+/// Records the drain signal, counts timed-out/quarantined faults and
+/// sorts quarantined_groups.
 void finish_campaign_result(const nl::FaultList& faults,
                             const CampaignOptions& options,
                             CampaignResult* out) {
@@ -100,28 +93,16 @@ void finish_campaign_result(const nl::FaultList& faults,
             });
 }
 
+}  // namespace
+
 CampaignResult run_campaign(const nl::Netlist& netlist,
                             const nl::FaultList& faults,
                             const fault::EnvFactory& make_env,
                             std::uint64_t fingerprint,
                             const CampaignOptions& options) {
-  if (options.sim.shard_count > 1 &&
-      options.sim.shard_index >= options.sim.shard_count) {
-    throw std::runtime_error("shard index " +
-                             std::to_string(options.sim.shard_index) +
-                             " out of range for " +
-                             std::to_string(options.sim.shard_count) +
-                             " shards");
-  }
-  if (options.isolate) {
-    return run_campaign_isolated(netlist, faults, make_env, fingerprint,
-                                 options);
-  }
-
   CampaignResult out;
-  out.groups_total = campaign_groups(faults, options.sim);
+  out.groups_total = fault::GroupPlan(faults, options.sim).num_groups();
   out.shard_groups_total = shard_groups(out.groups_total, options.sim);
-  const bool sharded = options.sim.shard_count > 1;
 
   fault::FaultSimOptions sim = options.sim;
   if (options.handle_signals) {
@@ -130,9 +111,7 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
   }
 
   // Journal setup: load what previous runs resolved, then append what
-  // this run resolves. Both the seed map and the writer outlive the
-  // engine call; seed lookups run concurrently from worker threads on
-  // the by-then-immutable map, appends are serialized by the engine.
+  // this run resolves. The executor's driver replays the seeds up front.
   const JournalMeta meta{fingerprint, out.groups_total, faults.size()};
   JournalSession journal = open_journal_session(
       options.journal, meta, options.retry_timed_out, options.durability);
@@ -140,32 +119,15 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
   out.journal_empty = journal.was_empty;
   out.journal_salvage = journal.stats;
   out.journal_compacted = journal.compacted;
-  for (const auto& [group, rec] : journal.seeds) {
-    // A merged (or foreign-shard) journal may seed groups outside this
-    // shard's residue class; they are neither scheduled nor reported.
-    if (sharded && group % options.sim.shard_count != options.sim.shard_index) {
-      continue;
-    }
-    if (rec.quarantined) out.quarantined_groups.push_back({group, rec.error});
-  }
-  std::atomic<std::size_t> seeded{0};
   if (journal.writer) {
-    sim.seed_group = [&journal, &seeded](std::uint64_t group,
-                                         fault::GroupRecord* rec) {
+    sim.seed_group = [&journal](std::uint64_t group, fault::GroupRecord* rec) {
       const auto it = journal.seeds.find(group);
       if (it == journal.seeds.end()) return false;
       *rec = it->second;
-      seeded.fetch_add(1, std::memory_order_relaxed);
       return true;
-    };
-    sim.on_group = [&journal](const fault::GroupRecord& rec) {
-      journal.writer->add(rec);
     };
   }
 
-  // Telemetry rides the engine's per-group hook — one metric per
-  // resolved group, seeded groups included (at ~zero duration), so the
-  // stream always covers every group the run touched.
   std::optional<telemetry::CampaignTelemetry> tele;
   if (!options.telemetry.metrics_path.empty() ||
       !options.telemetry.status_path.empty()) {
@@ -174,16 +136,31 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
     topt.shard_count = options.sim.shard_count;
     // Shard-local total: the heartbeat's groups_total/ETA describe what
     // this runner is responsible for, not the whole campaign.
-    tele.emplace(topt, "threads", out.shard_groups_total);
-    sim.on_group_metric = [&tele](const fault::GroupRecord& rec, bool seeded,
-                                  double duration_ms) {
-      tele->record(to_group_metric(rec, seeded, duration_ms));
-    };
+    tele.emplace(topt, options.isolate ? "isolate" : "threads",
+                 out.shard_groups_total);
   }
 
-  out.result = fault::run_fault_sim(netlist, faults, make_env, sim);
+  // Every group the run resolves passes through this one hook (under the
+  // driver's lock), seeded ones included: fresh records are journaled,
+  // all of them feed telemetry and the quarantine list.
+  sim.on_group = [&](const fault::GroupRecord& rec, bool seeded,
+                     double duration_ms) {
+    if (seeded) {
+      ++out.seeded_groups;
+    } else if (journal.writer) {
+      journal.writer->add(rec);
+    }
+    if (rec.quarantined) {
+      out.quarantined_groups.push_back({rec.group, rec.error});
+    }
+    if (tele) tele->record(to_group_metric(rec, seeded, duration_ms));
+  };
+
+  out.result = options.isolate
+                   ? run_fault_sim_isolated(netlist, faults, make_env, sim,
+                                            options.iso, &out.worker_restarts)
+                   : fault::run_fault_sim(netlist, faults, make_env, sim);
   out.groups_done = out.result.groups_done;
-  out.seeded_groups = seeded.load(std::memory_order_relaxed);
   out.resumed = out.seeded_groups != 0;
   out.interrupted = out.result.cancelled;
   if (tele) tele->finish(out.interrupted);

@@ -1,7 +1,8 @@
 // Durable, resumable fault-grading campaigns.
 //
-// A campaign is run_fault_sim plus operability guarantees for the
-// long-running, full-fault-list workloads behind the paper's Table 5:
+// A campaign is one fault-simulation run plus operability guarantees
+// for the long-running, full-fault-list workloads behind the paper's
+// Table 5:
 //
 //   * durability — every finished 63-fault group is appended to a
 //     CRC-framed journal (journal.h) the moment it completes, from any
@@ -18,8 +19,14 @@
 //     verdict state), so coverage is reported as an explicit lower
 //     bound instead of silently counting them undetected.
 //
-// The engine stays oblivious to storage: this layer only fills the
-// seed_group/on_group/cancel hooks of FaultSimOptions.
+// The engine stays oblivious to storage. run_campaign opens the journal,
+// installs the drain handlers, builds telemetry and fills the
+// seed_group/on_group/cancel hooks of FaultSimOptions once, then hands
+// the run to one of two executors of the same fault::GroupDriver:
+// fault::run_fault_sim (worker threads) or run_fault_sim_isolated
+// (supervisor.h, worker processes). Seeding, deadlines, record folding
+// and progress live in the driver, so both executors resolve a campaign
+// identically.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +96,10 @@ struct CampaignOptions {
   /// salvaging reader drops whatever never landed).
   util::Durability durability = util::Durability::kFlush;
   /// Engine options (threads, sample, max_cycles, group_timeout_ms,
-  /// time_budget_ms, progress). The seed_group/on_group hooks and —
-  /// when handle_signals is set — the cancel flag are overwritten by
-  /// run_campaign.
+  /// time_budget_ms, shards, progress), passed to the group driver of
+  /// either executor. run_campaign overwrites the on_group hook, the
+  /// seed_group hook when a journal is open, and — when handle_signals
+  /// is set — the cancel flag.
   fault::FaultSimOptions sim;
 };
 
@@ -140,20 +148,15 @@ std::uint64_t fingerprint_bytes(std::uint64_t h, const void* data,
                                 std::size_t len);
 std::uint64_t fingerprint_u64(std::uint64_t h, std::uint64_t v);
 
-/// Number of 63-fault groups run_fault_sim will schedule for this fault
-/// list under `sim` (sampling included) — the journal's group universe.
-std::size_t campaign_groups(const nl::FaultList& faults,
-                            const fault::FaultSimOptions& sim);
-
 /// Groups in this run's shard residue class: |{g < total_groups :
 /// g % shard_count == shard_index}|. total_groups when unsharded.
 std::size_t shard_groups(std::size_t total_groups,
                          const fault::FaultSimOptions& sim);
 
 /// Translates one engine GroupRecord into the telemetry schema: verdict
-/// counts from the detection mask, engine attribution, and the work
-/// counters the record carried. The isolated supervisor overrides the
-/// attempt/rusage fields afterwards; threaded mode uses the defaults.
+/// counts from the detection mask, engine attribution, the work counters
+/// the record carried, and the attempt/rusage accounting in rec.error
+/// (filled by the isolated executor; defaults elsewhere).
 telemetry::GroupMetric to_group_metric(const fault::GroupRecord& rec,
                                        bool seeded, double duration_ms);
 

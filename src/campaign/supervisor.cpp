@@ -7,25 +7,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
-
-#include <memory>
-#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "campaign/ipc.h"
 #include "campaign/journal.h"
-#include "fault/good_trace.h"
-#include "telemetry/metrics.h"
-#include "util/signals.h"
 
 namespace sbst::campaign {
 
@@ -204,120 +199,17 @@ void shutdown_workers(std::vector<Worker>* workers) {
 
 }  // namespace
 
-CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
-                                     const nl::FaultList& faults,
-                                     const fault::EnvFactory& make_env,
-                                     std::uint64_t fingerprint,
-                                     const CampaignOptions& options) {
-  CampaignResult out;
-  const fault::GroupPlan plan(faults, options.sim);
-  out.groups_total = plan.num_groups();
-  out.shard_groups_total = shard_groups(out.groups_total, options.sim);
-  // run_campaign validated shard_index < shard_count before dispatching.
-  const bool sharded = options.sim.shard_count > 1;
+fault::FaultSimResult run_fault_sim_isolated(
+    const nl::Netlist& netlist, const nl::FaultList& faults,
+    const fault::EnvFactory& make_env, const fault::FaultSimOptions& options,
+    const IsolateOptions& iso, std::size_t* worker_restarts) {
+  fault::GroupDriver driver(netlist, faults, make_env, options);
+  if (driver.pending() == 0) return driver.finish();
 
-  const std::atomic<bool>* cancel = options.sim.cancel;
-  if (options.handle_signals) {
-    util::install_drain_handlers();
-    cancel = &util::drain_requested();
-  }
-
-  const JournalMeta meta{fingerprint, out.groups_total, faults.size()};
-  JournalSession journal = open_journal_session(
-      options.journal, meta, options.retry_timed_out, options.durability);
-  out.journal_truncated = journal.truncated;
-  out.journal_empty = journal.was_empty;
-  out.journal_salvage = journal.stats;
-  out.journal_compacted = journal.compacted;
-
-  out.result = plan.make_result();
-  out.result.groups_total = out.groups_total;
-  out.result.groups_scheduled = out.shard_groups_total;
-  std::size_t done = 0;
-
-  std::optional<telemetry::CampaignTelemetry> tele;
-  if (!options.telemetry.metrics_path.empty() ||
-      !options.telemetry.status_path.empty()) {
-    telemetry::TelemetryOptions topt = options.telemetry;
-    topt.shard_index = options.sim.shard_index;
-    topt.shard_count = options.sim.shard_count;
-    tele.emplace(topt, "isolate", out.shard_groups_total);
-  }
-
-  // A journaled record resolves its group without touching a worker;
-  // everything else forms the dispatch queue, in group order. Under a
-  // shard restriction, out-of-class groups are neither queued nor
-  // seeded — the shard's result covers only its residue class.
-  std::deque<Job> pending;
-  for (std::size_t g = 0; g < out.groups_total; ++g) {
-    if (sharded && g % options.sim.shard_count != options.sim.shard_index) {
-      continue;
-    }
-    const auto it = journal.seeds.find(g);
-    if (it == journal.seeds.end()) {
-      pending.push_back({{g, 0}});
-      continue;
-    }
-    plan.apply(it->second, &out.result);
-    // Fold the seeded record's work counters into the run aggregate so a
-    // resumed campaign reports the same totals as an uninterrupted one.
-    out.result.gates_evaluated += it->second.gates_evaluated;
-    out.result.sim_cycles += it->second.sim_cycles;
-    if (it->second.cycles > out.result.good_cycles) {
-      out.result.good_cycles = it->second.cycles;
-    }
-    if (it->second.quarantined) {
-      out.quarantined_groups.push_back({g, it->second.error});
-    }
-    if (tele) tele->record(to_group_metric(it->second, /*seeded=*/true, 0.0));
-    ++out.seeded_groups;
-    ++done;
-  }
-  out.resumed = out.seeded_groups != 0;
-
-  Clock::time_point run_deadline = Clock::time_point::max();
-  if (options.sim.time_budget_ms != 0) {
-    run_deadline =
-        Clock::now() + std::chrono::milliseconds(options.sim.time_budget_ms);
-  }
-
-  // The compiled program is built once, before any fork, so worker
-  // processes inherit it copy-on-write like the good trace.
-  std::shared_ptr<const nl::CompiledNetlist> compiled = nl::compile(netlist);
-
-  // Event engine: record the good trace eagerly, before any fork, so
-  // every worker process inherits the finished trace copy-on-write
-  // instead of each re-recording it after fork. Skipped when the
-  // journal already resolved every group (nothing left to simulate).
-  std::shared_ptr<fault::SharedTraceSource> trace_source;
-  if (options.sim.engine == fault::Engine::kEvent) {
-    const std::size_t cap_bytes =
-        options.sim.trace_mem_mb == 0
-            ? 0
-            : options.sim.trace_mem_mb * std::size_t{1024} * 1024;
-    trace_source = std::make_shared<fault::SharedTraceSource>(
-        netlist, make_env, options.sim.max_cycles, cap_bytes, compiled);
-    // Like a single group, the good run must fit within group_timeout_ms
-    // (otherwise every group would time out under the event engine too);
-    // exceeding it falls back to the sweep kernel.
-    Clock::time_point trace_deadline = run_deadline;
-    if (options.sim.group_timeout_ms != 0) {
-      const Clock::time_point d =
-          Clock::now() +
-          std::chrono::milliseconds(options.sim.group_timeout_ms);
-      if (d < trace_deadline) trace_deadline = d;
-    }
-    trace_source->set_deadline(trace_deadline);
-    trace_source->set_cancel(cancel);
-    if (!pending.empty()) trace_source->get();
-  }
-
-  // Built once, before any fork: children inherit the levelized
-  // simulator copy-on-write. The supervisor itself never simulates.
-  fault::GroupSimulator sim(netlist, faults, plan, make_env, options.sim,
-                            trace_source, compiled);
-  sim.set_run_deadline(run_deadline);
-  WorkerContext ctx{sim, options.iso, options.sim.time_budget_ms};
+  // Built once, before any fork: children inherit the compiled simulator
+  // copy-on-write. The supervisor itself never simulates.
+  const std::unique_ptr<fault::GroupSimulator> sim = driver.make_simulator();
+  const WorkerContext ctx{*sim, iso, options.time_budget_ms};
 
   // A worker that crashes mid-write leaves a half-closed pipe; writing
   // the next request to it must yield EPIPE, not kill the supervisor.
@@ -326,31 +218,26 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   struct sigaction saved_pipe {};
   ::sigaction(SIGPIPE, &ignore_pipe, &saved_pipe);
 
-  unsigned num_workers = options.iso.workers != 0
-                             ? options.iso.workers
-                             : std::thread::hardware_concurrency();
-  if (num_workers == 0) num_workers = 1;
-  if (num_workers > pending.size() && !pending.empty()) {
-    num_workers = static_cast<unsigned>(pending.size());
-  }
-
-  std::vector<Worker> workers;
-  // Groups one worker keeps in flight: one per simulator lane.
-  const std::size_t lanes = sim.lanes();
+  // Worker slots. A slot forks its worker when it is first handed a
+  // group, i.e. after the driver's first claim recorded the good trace,
+  // so every worker inherits the finished trace; a dead worker is
+  // re-forked the same way.
+  std::vector<Worker> workers(
+      iso.workers != 0 ? iso.workers
+                       : std::max(1u, std::thread::hardware_concurrency()));
 
   // Grace period before a busy worker is declared hung and hard-killed.
   // The worker enforces group_timeout_ms cooperatively inside its kernel;
   // the hard deadline only fires when the group wedges the worker so
   // badly the cooperative check never runs.
   const auto hang_grace =
-      options.sim.group_timeout_ms != 0
-          ? std::chrono::milliseconds(options.sim.group_timeout_ms * 2 + 1000)
+      options.group_timeout_ms != 0
+          ? std::chrono::milliseconds(options.group_timeout_ms * 2 + 1000)
           : std::chrono::milliseconds(0);
 
   // Rusage of worker attempts that died on a still-unresolved group,
   // keyed by group: peak RSS across attempts, summed CPU. Folded into
-  // the group's telemetry metric (and, on quarantine, its GroupError)
-  // when the group finally resolves — without the carry, a
+  // the group's record when it finally resolves — without the carry, a
   // crash-then-succeed group would report only its surviving attempt
   // and the dead attempts' cost would vanish from every report.
   struct AttemptCost {
@@ -359,40 +246,23 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   };
   std::unordered_map<std::uint64_t, AttemptCost> attempt_cost;
 
-  const auto resolve = [&](const fault::GroupRecord& rec, double duration_ms,
+  // Hands a record to the driver with its attempt accounting in
+  // rec.error (see fault::GroupRecord::error).
+  const auto resolve = [&](fault::GroupRecord rec, double duration_ms,
                            std::uint32_t attempts) {
-    plan.apply(rec, &out.result);
-    // The record carried its work counters across the worker pipe
-    // (journal payload encoding); fold them in — before this, isolated
-    // campaigns reported zero gates_evaluated/sim_cycles.
-    out.result.gates_evaluated += rec.gates_evaluated;
-    out.result.sim_cycles += rec.sim_cycles;
-    if (rec.cycles > out.result.good_cycles) {
-      out.result.good_cycles = rec.cycles;
+    rec.error.attempts = attempts;
+    const auto it = attempt_cost.find(rec.group);
+    if (it != attempt_cost.end()) {
+      rec.error.max_rss_kb =
+          std::max(rec.error.max_rss_kb, it->second.max_rss_kb);
+      rec.error.cpu_ms += it->second.cpu_ms;
+      attempt_cost.erase(it);
     }
-    if (rec.quarantined) {
-      out.quarantined_groups.push_back({rec.group, rec.error});
-    }
-    if (journal.writer) journal.writer->add(rec);
-    if (tele) {
-      telemetry::GroupMetric m =
-          to_group_metric(rec, /*seeded=*/false, duration_ms);
-      m.attempts = attempts;
-      const auto it = attempt_cost.find(rec.group);
-      if (it != attempt_cost.end()) {
-        m.max_rss_kb = std::max(m.max_rss_kb, it->second.max_rss_kb);
-        m.cpu_ms += it->second.cpu_ms;
-      }
-      tele->record(m);
-    }
-    attempt_cost.erase(rec.group);
-    ++done;
-    if (options.sim.progress) {
-      // Shard-local total: ETA rates only this shard's fresh groups.
-      options.sim.progress(
-          fault::Progress{done, out.seeded_groups, out.shard_groups_total});
-    }
+    driver.resolve(rec, duration_ms);
   };
+
+  // Retries run alone on a fresh worker, ahead of unclaimed groups.
+  std::deque<Job> retries;
 
   // Retry-or-quarantine decision for a group whose worker died. A death
   // charges an attempt to every group the worker held, but only a group
@@ -402,88 +272,80 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
   const auto fail_group = [&](const Job& job, fault::GroupError err,
                               double duration_ms, bool shared) {
     const std::uint64_t group = job.req.group;
-    err.attempts = job.req.attempt + 1;
-    if (!shared && job.req.attempt >= options.iso.max_group_retries) {
-      // The quarantine post-mortem covers *all* attempts — fold the
-      // earlier dead attempts' rusage into the final one's, matching
-      // the "on all N attempts" wording of the CLI report.
-      const auto it = attempt_cost.find(group);
-      if (it != attempt_cost.end()) {
-        err.max_rss_kb = std::max(err.max_rss_kb, it->second.max_rss_kb);
-        err.cpu_ms += it->second.cpu_ms;
-        // Erase before resolve(): the record's GroupError now owns the
-        // carried rusage, and resolve() would otherwise fold it twice.
-        attempt_cost.erase(it);
-      }
+    if (!shared && job.req.attempt >= iso.max_group_retries) {
       fault::GroupRecord rec =
-          plan.unstarted_record(static_cast<std::size_t>(group));
+          driver.plan().unstarted_record(static_cast<std::size_t>(group));
       rec.quarantined = true;
       rec.error = err;
-      resolve(rec, duration_ms, err.attempts);
+      resolve(std::move(rec), duration_ms, job.req.attempt + 1);
     } else {
       AttemptCost& acc = attempt_cost[group];
       acc.max_rss_kb = std::max(acc.max_rss_kb, err.max_rss_kb);
       acc.cpu_ms += err.cpu_ms;
-      // Retry at the front so a transient failure is re-attempted while
-      // the campaign is still warm, with the attempt count advanced.
-      pending.push_front({{group, job.req.attempt + 1}, /*solo=*/true});
+      // Retry first so a transient failure is re-attempted while the
+      // campaign is still warm, with the attempt count advanced.
+      retries.push_front({{group, job.req.attempt + 1}, /*solo=*/true});
     }
   };
 
-  // Makes sure a failed worker is dead, reaps it, charges every group it
-  // held and (unless draining) respawns it.
-  const auto worker_died = [&](Worker& w, Clock::time_point now,
-                               bool respawn) {
+  // Makes sure a failed worker is dead, reaps it and charges every group
+  // it held.
+  const auto worker_died = [&](Worker& w, Clock::time_point now) {
     ::kill(w.pid, SIGKILL);
     const std::vector<Job> held = std::move(w.held);
     w.held.clear();
     const fault::GroupError err = reap_worker(&w);
-    ++out.worker_restarts;
+    ++*worker_restarts;
     for (const Job& job : held) {
       fail_group(job, err,
                  std::chrono::duration<double, std::milli>(now - job.started)
                      .count(),
                  held.size() > 1);
     }
-    if (respawn) w = spawn_worker(ctx);
+  };
+
+  // Next request for `w`: a retry waits for an empty worker and keeps it
+  // to itself; otherwise a fresh claim fills a free lane.
+  const auto next_job = [&](const Worker& w) -> std::optional<Job> {
+    if (!retries.empty()) {
+      if (!w.held.empty()) return std::nullopt;
+      const Job job = retries.front();
+      retries.pop_front();
+      return job;
+    }
+    if (w.held.size() >= sim->lanes() ||
+        (!w.held.empty() && w.held.front().solo)) {
+      return std::nullopt;
+    }
+    const std::optional<std::size_t> group = driver.claim();
+    if (!group) return std::nullopt;
+    return Job{{*group, 0}};
   };
 
   try {
-    if (!pending.empty()) {
-      workers.reserve(num_workers);
-      for (unsigned i = 0; i < num_workers; ++i) {
-        workers.push_back(spawn_worker(ctx));
-      }
-    }
-
     bool draining = false;
     while (true) {
-      if (!draining && cancel != nullptr &&
-          cancel->load(std::memory_order_relaxed)) {
+      if (!draining && options.cancel != nullptr &&
+          options.cancel->load(std::memory_order_relaxed)) {
         draining = true;  // in-flight groups finish; nothing new starts
       }
 
-      // Fill free lanes. A solo request waits for an empty worker and
-      // keeps it to itself.
       if (!draining) {
         for (Worker& w : workers) {
-          while (w.alive() && !pending.empty() && w.held.size() < lanes &&
-                 (w.held.empty() ||
-                  (!w.held.front().solo && !pending.front().solo))) {
-            Job job = pending.front();
-            pending.pop_front();
-            job.started = Clock::now();
-            job.deadline = hang_grace.count() != 0
-                               ? job.started + hang_grace
-                               : Clock::time_point::max();
-            w.held.push_back(job);
+          while (std::optional<Job> job = next_job(w)) {
+            if (!w.alive()) w = spawn_worker(ctx);
+            job->started = Clock::now();
+            job->deadline = hang_grace.count() != 0
+                                ? job->started + hang_grace
+                                : Clock::time_point::max();
+            w.held.push_back(*job);
             if (!ipc::write_frame(w.to_fd, ipc::kTagGroup,
-                                  ipc::encode_group_request(job.req))) {
+                                  ipc::encode_group_request(job->req))) {
               // The worker died before reading the request (startup OOM,
               // external kill). Indistinguishable from dying right after
               // reading it, so it costs the request an attempt — keeping
               // every failure path bounded by max_group_retries.
-              worker_died(w, job.started, /*respawn=*/true);
+              worker_died(w, job->started);
               break;
             }
           }
@@ -497,7 +359,10 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
         fds.push_back({workers[i].from_fd, POLLIN, 0});
         fd_worker.push_back(i);
       }
-      if (fds.empty() && (draining || pending.empty())) break;
+      if (fds.empty() &&
+          (draining || (driver.pending() == 0 && retries.empty()))) {
+        break;
+      }
 
       // Wake at least every 200 ms to notice drain requests and hang
       // deadlines even when no worker produces events. A worker's hang
@@ -551,15 +416,13 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
                   .count();
           const std::uint32_t attempts = job->req.attempt + 1;
           w.held.erase(job);
-          resolve(rec, attempt_ms, attempts);
+          resolve(std::move(rec), attempt_ms, attempts);
           continue;
         }
         // EOF (crash/OOM/hard kill) or a desynchronized stream.
-        worker_died(w, after, /*respawn=*/!draining);
+        worker_died(w, after);
       }
     }
-
-    out.interrupted = draining;
     shutdown_workers(&workers);
   } catch (...) {
     shutdown_workers(&workers);
@@ -567,17 +430,7 @@ CampaignResult run_campaign_isolated(const nl::Netlist& netlist,
     throw;
   }
   ::sigaction(SIGPIPE, &saved_pipe, nullptr);
-
-  if (trace_source) {
-    out.result.trace_bytes = trace_source->trace_bytes();
-    out.result.trace_fallback = trace_source->fell_back();
-  }
-  out.result.cancelled = out.interrupted;
-  out.result.groups_done = done;
-  out.groups_done = done;
-  if (tele) tele->finish(out.interrupted);
-  finish_campaign_result(faults, options, &out);
-  return out;
+  return driver.finish();
 }
 
 }  // namespace sbst::campaign

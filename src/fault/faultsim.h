@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -92,7 +93,12 @@ struct GroupRecord {
   std::uint64_t detected_mask = 0;         // bit i: slot i detected
   std::uint64_t cycles = 0;                // good-machine cycles the group ran
   std::vector<std::int64_t> detect_cycle;  // size count, -1 when undetected
-  GroupError error;                        // meaningful iff quarantined
+  /// Worker attempt accounting. On a quarantined record: the last
+  /// failure, with every attempt's rusage folded in. The isolation
+  /// supervisor also fills `attempts` and the dead attempts' rusage on
+  /// the records it simulates, for telemetry only: the journal and wire
+  /// encodings carry `error` iff the record is quarantined.
+  GroupError error;
   /// Work spent simulating this group (0 for unstarted records, and for
   /// records journaled before work accounting existed). Carried in the
   /// journal payload and across the supervisor's worker pipes so
@@ -134,7 +140,7 @@ enum class Engine : std::uint8_t {
 struct Progress {
   std::size_t done = 0;    // groups resolved so far (simulated + seeded)
   std::size_t seeded = 0;  // of `done`, replayed from stored records
-  std::size_t total = 0;   // groups in the whole campaign
+  std::size_t total = 0;   // groups scheduled (shard-local)
 };
 
 struct FaultSimOptions {
@@ -165,8 +171,9 @@ struct FaultSimOptions {
   /// Cooperative cancellation (graceful drain). Checked between groups
   /// only: when the flag becomes true, in-flight groups finish normally,
   /// unstarted groups are left unsimulated, and the run returns early
-  /// with FaultSimResult::cancelled set. Safe to flip from a signal
-  /// handler or another thread.
+  /// with FaultSimResult::cancelled set. Stored records (seed_group) are
+  /// replayed even when the flag is already set. Safe to flip from a
+  /// signal handler or another thread.
   const std::atomic<bool>* cancel = nullptr;
   /// Shard restriction for distributed campaigns: when shard_count > 1,
   /// only groups with group % shard_count == shard_index are scheduled;
@@ -186,22 +193,21 @@ struct FaultSimOptions {
   /// in full; a group running when it expires stops like a group timeout.
   std::uint64_t time_budget_ms = 0;
   /// Resume hook: return true and fill `out` to splice a previously
-  /// stored record in place of simulating group `group`. The engine
-  /// stays oblivious to storage; callers (src/campaign) own the journal.
-  /// Invoked concurrently from worker threads when threads != 1.
+  /// stored record in place of simulating group `group`. Asked once per
+  /// scheduled group, from the calling thread, before any group is
+  /// simulated; a record that does not match its group's slot of the
+  /// plan is rejected with std::runtime_error. The engine stays
+  /// oblivious to storage; callers (src/campaign) own the journal.
   std::function<bool(std::uint64_t group, GroupRecord* out)> seed_group;
-  /// Checkpoint hook: invoked once per group resolved by this run
-  /// (simulated or deadline-expired, not seeded), serialized under an
-  /// internal mutex but from worker threads when threads != 1.
-  std::function<void(const GroupRecord&)> on_group;
-  /// Telemetry hook: invoked once per group resolved by this run —
-  /// simulated, deadline-expired, AND seeded (unlike on_group) — under
-  /// the same internal mutex as progress/on_group. `duration_ms` is the
-  /// wall clock this run spent resolving the group (~0 when seeded).
-  /// The engine stays oblivious to sinks; callers (src/campaign) own
-  /// the metrics stream.
+  /// Per-group hook: invoked once per group resolved by this run —
+  /// simulated, deadline-expired, quarantined AND seeded (`seeded` true)
+  /// — under the same internal lock as progress, so calls never overlap
+  /// (but come from worker threads when threads != 1). `duration_ms` is
+  /// the wall clock this run spent on the group (0 when seeded or
+  /// expired unstarted). Callers (src/campaign) checkpoint the unseeded
+  /// records and feed every record to telemetry.
   std::function<void(const GroupRecord&, bool seeded, double duration_ms)>
-      on_group_metric;
+      on_group;
 };
 
 struct FaultSimResult {
@@ -234,8 +240,8 @@ struct FaultSimResult {
   /// shard restriction (FaultSimOptions::shard_count) narrowed the
   /// schedule to one residue class.
   std::size_t groups_scheduled = 0;
-  /// True when options.cancel was observed set: some groups were never
-  /// started and their faults are left with simulated == 0 (resumable).
+  /// True when options.cancel was set and scheduled groups were left
+  /// unresolved: their faults have simulated == 0 (resumable).
   bool cancelled = false;
   /// Work accounting for the activity-factor benchmarks and campaign
   /// telemetry: combinational gate evaluations actually performed and
@@ -266,9 +272,9 @@ struct KernelStats {
 
 /// Runs sequential fault simulation of `faults` on `netlist` inside the
 /// environment produced by `make_env`. The engine performs fault dropping
-/// (a group stops as soon as all of its faults are detected) and
-/// schedules 63-fault groups across `options.threads` workers, each with
-/// its own LogicSim and injection state.
+/// (a group stops as soon as all of its faults are detected) and runs a
+/// GroupDriver's 63-fault groups on `options.threads` worker threads,
+/// each with its own GroupSimulator.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
@@ -276,11 +282,13 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
 // --- group-level simulation ------------------------------------------------
 //
-// run_fault_sim is built from two smaller pieces that campaign layers
-// (notably the process-isolation supervisor, which schedules groups
-// across forked worker processes instead of threads) reuse directly:
-// GroupPlan owns the deterministic fault-to-group assignment and result
-// splicing, GroupSimulator owns the per-worker simulation state.
+// A run is one GroupDriver plus an executor. GroupPlan owns the
+// deterministic fault-to-group assignment and result splicing,
+// GroupSimulator the per-worker simulation state, and GroupDriver
+// everything else about a run. run_fault_sim executes the driver's
+// groups on worker threads; the process-isolation supervisor
+// (campaign/supervisor.h) executes the same driver's groups in forked
+// worker processes.
 
 /// The deterministic group universe of one campaign: which faults are
 /// active (sampling applied), how they partition into 63-fault groups,
@@ -301,11 +309,8 @@ class GroupPlan {
   /// A FaultSimResult with all verdict arrays allocated and zeroed.
   FaultSimResult make_result() const;
 
-  /// Splices one record into the verdict arrays. Groups own disjoint
-  /// fault indices, so concurrent calls for different groups are safe —
-  /// but this does NOT fold rec.cycles into res->good_cycles (callers
-  /// reduce cycle counts themselves: max for single-threaded merging,
-  /// CAS-max when merging from worker threads).
+  /// Splices one record into the verdict arrays (not its counters or
+  /// cycle count; GroupDriver folds those).
   void apply(const GroupRecord& rec, FaultSimResult* res) const;
 
   /// Record for a group never started before the campaign deadline (or
@@ -383,6 +388,76 @@ class GroupSimulator {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+};
+
+/// The run driver behind both executors: run_fault_sim's worker threads
+/// and the isolation supervisor's worker processes. It owns every step
+/// of a run except simulating a group — the plan and shard schedule,
+/// the run deadline, the campaign-shared compiled netlist and good
+/// trace, seeding, expiring groups unstarted at the deadline, folding
+/// records into the result, and the on_group/progress hooks — so a
+/// run's verdicts, counters and hook calls do not depend on the
+/// executor. An executor claims groups, simulates them on simulators
+/// from make_simulator(), and hands each record back to resolve().
+class GroupDriver {
+ public:
+  /// Plans the run and builds its shard schedule (std::runtime_error
+  /// when shard_index >= shard_count > 1), then replays every scheduled
+  /// group that options.seed_group supplies, checking each record
+  /// against the plan (std::runtime_error on a mismatch), before any
+  /// group is simulated. Then starts the run deadline and, if groups
+  /// are left, compiles the netlist and sets up the event engine's trace
+  /// source. `netlist`, `faults` and `options` must outlive the driver.
+  GroupDriver(const nl::Netlist& netlist, const nl::FaultList& faults,
+              EnvFactory make_env, const FaultSimOptions& options);
+  GroupDriver(const GroupDriver&) = delete;
+  GroupDriver& operator=(const GroupDriver&) = delete;
+
+  const GroupPlan& plan() const { return plan_; }
+
+  /// Groups left to claim (scheduled, not seeded, not yet claimed).
+  std::size_t pending() const;
+
+  /// A simulator over this run's plan, compiled netlist, trace source
+  /// and run deadline: one per worker thread, or one to fork from.
+  std::unique_ptr<GroupSimulator> make_simulator() const;
+
+  /// Next group to simulate in schedule order, or nullopt once the
+  /// schedule is exhausted, options.cancel is set or stop() was called.
+  /// Groups still unstarted at the run deadline resolve here, as timed
+  /// out. The first group claimed records the event engine's good trace,
+  /// so executors that fork workers fork after it. Thread-safe.
+  std::optional<std::size_t> claim();
+
+  /// Folds a claimed group's record into the result and calls
+  /// on_group(rec, false, duration_ms) and progress under one lock.
+  /// Thread-safe.
+  void resolve(const GroupRecord& rec, double duration_ms);
+
+  /// Ends claiming (an executor failed and will rethrow).
+  void stop() { stopped_.store(true); }
+
+  /// The run's result; call once, after every executor returned.
+  FaultSimResult finish();
+
+ private:
+  void fold(const GroupRecord& rec, bool seeded, double duration_ms);
+
+  const nl::Netlist& netlist_;
+  const nl::FaultList& faults_;
+  EnvFactory make_env_;
+  const FaultSimOptions& options_;
+  GroupPlan plan_;
+  std::vector<std::size_t> unseeded_;  // scheduled groups to simulate
+  std::atomic<std::size_t> next_{0};   // next unseeded_ slot to claim
+  std::atomic<bool> stopped_{false};
+  std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::time_point::max();
+  std::shared_ptr<const nl::CompiledNetlist> compiled_;
+  std::shared_ptr<SharedTraceSource> trace_;
+  std::mutex mu_;  // guards result_, seeded_ and the hook calls
+  FaultSimResult result_;
+  std::size_t seeded_ = 0;
 };
 
 // --- coverage aggregation --------------------------------------------------

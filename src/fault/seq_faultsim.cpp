@@ -626,15 +626,18 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
   return out;
 }
 
-FaultSimResult run_fault_sim(const nl::Netlist& netlist,
-                             const nl::FaultList& faults,
-                             const EnvFactory& make_env,
-                             const FaultSimOptions& options) {
-  using Clock = std::chrono::steady_clock;
+// --- GroupDriver ------------------------------------------------------------
 
-  const GroupPlan plan(faults, options);
-  FaultSimResult res = plan.make_result();
-  const std::size_t num_groups = plan.num_groups();
+GroupDriver::GroupDriver(const nl::Netlist& netlist,
+                         const nl::FaultList& faults, EnvFactory make_env,
+                         const FaultSimOptions& options)
+    : netlist_(netlist),
+      faults_(faults),
+      make_env_(std::move(make_env)),
+      options_(options),
+      plan_(faults, options),
+      result_(plan_.make_result()) {
+  using Clock = std::chrono::steady_clock;
 
   // Shard restriction: schedule only this shard's residue class. The
   // group universe (and therefore record encodings, sampling and the
@@ -648,212 +651,185 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              std::to_string(options.shard_count) + " shards");
   }
   std::vector<std::size_t> schedule;
-  schedule.reserve(sharded ? num_groups / options.shard_count + 1
-                           : num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    if (!sharded || g % options.shard_count == options.shard_index) {
-      schedule.push_back(g);
-    }
+  for (std::size_t g = sharded ? options.shard_index : 0;
+       g < plan_.num_groups(); g += sharded ? options.shard_count : 1) {
+    schedule.push_back(g);
   }
-  res.groups_scheduled = schedule.size();
+  result_.groups_scheduled = schedule.size();
 
-  // Wall-clock bounds. When neither is configured the hot loop performs
-  // no clock reads at all, keeping the no-timeout path byte-identical to
-  // the historical engine.
-  const bool has_clock_bounds =
-      options.group_timeout_ms != 0 || options.time_budget_ms != 0;
-  const Clock::time_point run_deadline =
-      options.time_budget_ms != 0
-          ? Clock::now() + std::chrono::milliseconds(options.time_budget_ms)
-          : Clock::time_point::max();
+  // Stored records resolve up front, so every later step (claims, the
+  // trace, the deadline) sees only the groups left to simulate.
+  for (std::size_t group : schedule) {
+    GroupRecord rec;
+    if (!options.seed_group || !options.seed_group(group, &rec)) {
+      unseeded_.push_back(group);
+      continue;
+    }
+    if (rec.group != group || rec.count != plan_.group_count(group) ||
+        rec.detect_cycle.size() != rec.count) {
+      throw std::runtime_error("fault-sim seed record does not match group " +
+                               std::to_string(group) + " of this campaign");
+    }
+    fold(rec, /*seeded=*/true, 0.0);
+  }
+
+  if (options.time_budget_ms != 0) {
+    deadline_ =
+        Clock::now() + std::chrono::milliseconds(options.time_budget_ms);
+  }
+  if (unseeded_.empty()) return;  // nothing to simulate: no compile, no trace
 
   // The compiled program is built once and shared read-only by every
-  // worker, exactly like the good trace.
-  std::shared_ptr<const nl::CompiledNetlist> compiled = nl::compile(netlist);
-
-  // Event engine: one lazily recorded good trace shared read-only by
-  // every worker (a campaign fully seeded from its journal never pays
-  // for recording at all).
-  std::shared_ptr<SharedTraceSource> trace_source;
+  // worker, like the good trace; forked workers inherit both.
+  compiled_ = nl::compile(netlist);
   if (options.engine == Engine::kEvent) {
     const std::size_t cap_bytes =
         options.trace_mem_mb == 0
             ? 0
             : options.trace_mem_mb * std::size_t{1024} * 1024;
-    trace_source = std::make_shared<SharedTraceSource>(
-        netlist, make_env, options.max_cycles, cap_bytes, compiled);
+    trace_ = std::make_shared<SharedTraceSource>(
+        netlist, make_env_, options.max_cycles, cap_bytes, compiled_);
     // The good run is bounded like a single group: if it cannot finish
     // within group_timeout_ms, every group would time out under the
     // event engine too, so falling back to the sweep kernel preserves
     // the timeout semantics exactly.
-    Clock::time_point trace_deadline = run_deadline;
+    Clock::time_point trace_deadline = deadline_;
     if (options.group_timeout_ms != 0) {
-      const Clock::time_point d =
-          Clock::now() + std::chrono::milliseconds(options.group_timeout_ms);
-      if (d < trace_deadline) trace_deadline = d;
+      trace_deadline = std::min(
+          trace_deadline,
+          Clock::now() + std::chrono::milliseconds(options.group_timeout_ms));
     }
-    trace_source->set_deadline(trace_deadline);
-    trace_source->set_cancel(options.cancel);
+    trace_->set_deadline(trace_deadline);
+    trace_->set_cancel(options.cancel);
   }
+}
 
-  // Thread-safe progress: groups complete out of order across workers,
-  // but the reported count is monotonic and ends at num_groups (fewer on
-  // a cancelled run) — counted and reported under one lock, so no worker
-  // delivers an older count after a newer one. The same mutex serializes
-  // the on_group checkpoint hook so journal appends never interleave.
-  std::atomic<std::size_t> groups_done{0};
-  std::atomic<std::size_t> groups_seeded{0};
-  std::atomic<std::uint64_t> good_cycles{0};
-  std::mutex hook_mutex;
-  auto report_progress = [&](bool seeded) {
-    std::lock_guard<std::mutex> lock(hook_mutex);
-    Progress p;
-    p.seeded = seeded ? groups_seeded.fetch_add(1) + 1
-                      : groups_seeded.load(std::memory_order_relaxed);
-    p.done = groups_done.fetch_add(1) + 1;
-    p.total = schedule.size();  // shard-local: ETA rates this shard only
-    if (options.progress) options.progress(p);
-  };
+std::size_t GroupDriver::pending() const {
+  return unseeded_.size() -
+         std::min(next_.load(std::memory_order_relaxed), unseeded_.size());
+}
 
-  // Splices a group outcome into the result arrays and folds its work
-  // counters into the run totals. Groups own disjoint fault indices, so
-  // concurrent calls from workers never collide; the scalar reductions
-  // are atomic. Summing per-record counters (instead of per-worker
-  // KernelStats) makes the aggregate a pure function of the resolved
-  // records: seeded groups contribute the work their original
-  // simulation recorded, so resumed and uninterrupted campaigns agree.
-  std::atomic<std::uint64_t> agg_gates{0};
-  std::atomic<std::uint64_t> agg_cycles{0};
-  auto apply_record = [&](const GroupRecord& rec) {
-    plan.apply(rec, &res);
-    agg_gates.fetch_add(rec.gates_evaluated, std::memory_order_relaxed);
-    agg_cycles.fetch_add(rec.sim_cycles, std::memory_order_relaxed);
-    std::uint64_t cur = good_cycles.load(std::memory_order_relaxed);
-    while (rec.cycles > cur &&
-           !good_cycles.compare_exchange_weak(cur, rec.cycles,
-                                              std::memory_order_relaxed)) {
+std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
+  auto sim = std::make_unique<GroupSimulator>(
+      netlist_, faults_, plan_, make_env_, options_, trace_, compiled_);
+  sim->set_run_deadline(deadline_);
+  return sim;
+}
+
+std::optional<std::size_t> GroupDriver::claim() {
+  for (;;) {
+    if (stopped_.load(std::memory_order_relaxed) ||
+        (options_.cancel && options_.cancel->load(std::memory_order_relaxed))) {
+      return std::nullopt;
     }
-  };
-
-  // Resolves one group outcome. Seeded groups are not re-journaled;
-  // simulated and deadline-expired ones go through on_group.
-  const bool timed =
-      static_cast<bool>(options.on_group_metric);  // one clock pair/group
-  auto resolve = [&](const GroupRecord& rec, bool seeded, double ms) {
-    apply_record(rec);
-    if (!seeded && options.on_group) {
-      std::lock_guard<std::mutex> lock(hook_mutex);
-      options.on_group(rec);
+    const std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
+    if (slot >= unseeded_.size()) return std::nullopt;
+    const std::size_t group = unseeded_[slot];
+    if (deadline_ != std::chrono::steady_clock::time_point::max() &&
+        std::chrono::steady_clock::now() >= deadline_) {
+      // Unstarted at the campaign deadline: every fault is inconclusive.
+      GroupRecord rec = plan_.unstarted_record(group);
+      rec.timed_out = true;
+      fold(rec, /*seeded=*/false, 0.0);
+      continue;
     }
-    if (timed) {
-      std::lock_guard<std::mutex> lock(hook_mutex);
-      options.on_group_metric(rec, seeded, ms);
-    }
-    report_progress(seeded);
-  };
-  const auto ms_since = [](Clock::time_point t) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
-  };
+    // A run fully seeded or expired never records the trace.
+    if (trace_) trace_->get();
+    return group;
+  }
+}
 
-  // One worker's group stream. Schedule slots are claimed in order;
-  // seeded and deadline-expired groups resolve on the spot, the rest go
-  // to the simulator, which keeps up to lanes() of them in flight. A
-  // cancel (or another worker's failure) stops the claims; groups in
+void GroupDriver::resolve(const GroupRecord& rec, double duration_ms) {
+  fold(rec, /*seeded=*/false, duration_ms);
+}
+
+// Summing per-record counters (instead of per-worker KernelStats) makes
+// the aggregate a pure function of the resolved records: seeded groups
+// contribute the work their original simulation recorded, so resumed and
+// uninterrupted campaigns agree. Progress is counted and reported under
+// the same lock, so it is monotonic even though groups complete out of
+// order.
+void GroupDriver::fold(const GroupRecord& rec, bool seeded,
+                       double duration_ms) {
+  std::lock_guard<std::mutex> lock(mu_);
+  plan_.apply(rec, &result_);
+  result_.gates_evaluated += rec.gates_evaluated;
+  result_.sim_cycles += rec.sim_cycles;
+  result_.good_cycles = std::max(result_.good_cycles, rec.cycles);
+  ++result_.groups_done;
+  if (seeded) ++seeded_;
+  if (options_.on_group) options_.on_group(rec, seeded, duration_ms);
+  if (options_.progress) {
+    options_.progress({result_.groups_done, seeded_, result_.groups_scheduled});
+  }
+}
+
+FaultSimResult GroupDriver::finish() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (trace_) {
+    result_.trace_bytes = trace_->trace_bytes();
+    result_.trace_fallback = trace_->fell_back();
+  }
+  result_.cancelled = options_.cancel &&
+                      options_.cancel->load(std::memory_order_relaxed) &&
+                      result_.groups_done < result_.groups_scheduled;
+  return std::move(result_);
+}
+
+// --- threaded executor ------------------------------------------------------
+
+FaultSimResult run_fault_sim(const nl::Netlist& netlist,
+                             const nl::FaultList& faults,
+                             const EnvFactory& make_env,
+                             const FaultSimOptions& options) {
+  using Clock = std::chrono::steady_clock;
+  GroupDriver driver(netlist, faults, make_env, options);
+
+  // One worker's group stream: the simulator claims groups whenever a
+  // lane is free and hands each record back with the wall clock since
+  // its claim. A worker's failure ends every worker's claims; groups in
   // flight finish.
-  std::atomic<std::size_t> next_slot{0};
-  std::atomic<bool> failed{false};
-  auto stream = [&](GroupSimulator& sim) {
-    // In-flight groups and when they were claimed (metric durations).
+  auto stream = [&driver](GroupSimulator& sim) {
     std::vector<std::pair<std::size_t, Clock::time_point>> claimed;
-    const auto pull = [&](bool) -> std::optional<std::size_t> {
-      for (;;) {
-        if (failed.load(std::memory_order_relaxed) ||
-            (options.cancel &&
-             options.cancel->load(std::memory_order_relaxed)) ||
-            next_slot.load(std::memory_order_relaxed) >= schedule.size()) {
-          return std::nullopt;
-        }
-        const std::size_t slot = next_slot.fetch_add(1);
-        if (slot >= schedule.size()) return std::nullopt;
-        const std::size_t group = schedule[slot];
-        const Clock::time_point started =
-            timed ? Clock::now() : Clock::time_point();
-        GroupRecord rec;
-        if (options.seed_group && options.seed_group(group, &rec)) {
-          if (rec.group != group || rec.count != plan.group_count(group) ||
-              rec.detect_cycle.size() != rec.count) {
-            throw std::runtime_error(
-                "fault-sim seed record does not match group " +
-                std::to_string(group) + " of this campaign");
-          }
-          resolve(rec, true, timed ? ms_since(started) : 0.0);
-        } else if (has_clock_bounds && Clock::now() >= run_deadline) {
-          // Unstarted at the campaign deadline: every fault is
-          // inconclusive.
-          rec = plan.unstarted_record(group);
-          rec.timed_out = true;
-          resolve(rec, false, timed ? ms_since(started) : 0.0);
-        } else {
-          claimed.emplace_back(group, started);
-          return group;
-        }
-      }
+    const auto pull = [&](bool) {
+      const std::optional<std::size_t> group = driver.claim();
+      if (group) claimed.emplace_back(*group, Clock::now());
+      return group;
     };
     const auto emit = [&](GroupRecord&& rec) {
-      double ms = 0.0;
-      for (auto it = claimed.begin(); it != claimed.end(); ++it) {
-        if (it->first != rec.group) continue;
-        if (timed) ms = ms_since(it->second);
-        claimed.erase(it);
-        break;
-      }
-      resolve(rec, false, ms);
+      const auto it = std::find_if(
+          claimed.begin(), claimed.end(),
+          [&rec](const auto& c) { return c.first == rec.group; });
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - it->second)
+              .count();
+      claimed.erase(it);
+      driver.resolve(rec, ms);
     };
     try {
       sim.run(pull, emit);
     } catch (...) {
-      failed.store(true);
+      driver.stop();
       throw;
     }
   };
 
-  unsigned threads =
-      options.threads == 0 ? util::hardware_threads() : options.threads;
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(schedule.size(), 1)));
-
-  if (threads <= 1) {
-    GroupSimulator sim(netlist, faults, plan, make_env, options,
-                       trace_source, compiled);
-    sim.set_run_deadline(run_deadline);
-    stream(sim);
-  } else {
+  const std::size_t threads = std::min<std::size_t>(
+      options.threads == 0 ? util::hardware_threads() : options.threads,
+      driver.pending());
+  if (threads == 1) {
+    stream(*driver.make_simulator());
+  } else if (threads > 1) {
     // One task per worker, each streaming groups until the schedule is
     // exhausted; every worker owns its simulator and injection tables.
-    util::ThreadPool pool(threads);
+    util::ThreadPool pool(static_cast<unsigned>(threads));
     std::vector<std::unique_ptr<GroupSimulator>> workers(pool.size());
     pool.run(pool.size(), [&](std::size_t, unsigned w) {
-      if (!workers[w]) {
-        workers[w] = std::make_unique<GroupSimulator>(
-            netlist, faults, plan, make_env, options, trace_source, compiled);
-        workers[w]->set_run_deadline(run_deadline);
-      }
+      if (!workers[w]) workers[w] = driver.make_simulator();
       stream(*workers[w]);
     });
   }
-  res.gates_evaluated = agg_gates.load(std::memory_order_relaxed);
-  res.sim_cycles = agg_cycles.load(std::memory_order_relaxed);
-
-  if (trace_source) {
-    res.trace_bytes = trace_source->trace_bytes();
-    res.trace_fallback = trace_source->fell_back();
-  }
-  res.good_cycles = good_cycles.load(std::memory_order_relaxed);
-  res.groups_done = groups_done.load(std::memory_order_relaxed);
-  res.cancelled = options.cancel &&
-                  options.cancel->load(std::memory_order_relaxed) &&
-                  res.groups_done < res.groups_scheduled;
-  return res;
+  return driver.finish();
 }
 
 Coverage overall_coverage(const nl::FaultList& faults,

@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "campaign/journal.h"
 #include "netlist/fault.h"
@@ -78,7 +80,8 @@ TEST(Campaign, UninterruptedRunMatchesEngineAndJournalsEveryGroup) {
   EXPECT_FALSE(cres.resumed);
   EXPECT_FALSE(cres.interrupted);
   EXPECT_EQ(cres.groups_done, cres.groups_total);
-  EXPECT_EQ(cres.groups_total, campaign_groups(fx.faults, opt.sim));
+  EXPECT_EQ(cres.groups_total,
+            fault::GroupPlan(fx.faults, opt.sim).num_groups());
 
   const auto loaded = load_journal(
       opt.journal, {kFp, cres.groups_total, fx.faults.size()});
@@ -160,6 +163,101 @@ TEST(Campaign, MismatchedFingerprintRefusesToResume) {
   other.sim.sample = 315;
   EXPECT_THROW(run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, other),
                std::runtime_error);
+}
+
+/// Runs `opt` threaded and isolated (two workers) and returns each mode's
+/// std::runtime_error message, empty when the mode did not throw one.
+std::vector<std::string> run_error_in_both_modes(const ParwanCampaign& fx,
+                                                 CampaignOptions opt) {
+  std::vector<std::string> what;
+  for (bool isolate : {false, true}) {
+    opt.isolate = isolate;
+    opt.iso.workers = 2;
+    try {
+      run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+      what.emplace_back();
+    } catch (const std::runtime_error& e) {
+      what.emplace_back(e.what());
+    }
+  }
+  return what;
+}
+
+// A CRC-valid journal record whose shape does not fit its group's slot
+// of the plan must be refused before anything is simulated, in both
+// modes alike — splicing it would write past the group's faults.
+TEST(Campaign, MismatchedSeedRecordRejectedInBothModes) {
+  const auto& fx = fixture();
+  CampaignOptions opt = ParwanCampaign::base_options(2);
+  opt.sim.sample = 600;  // 10 groups; the last holds 600 - 9 * 63 = 33
+  const fault::GroupPlan plan(fx.faults, opt.sim);
+  ASSERT_EQ(plan.num_groups(), 10u);
+  ASSERT_EQ(plan.group_count(9), 33u);
+
+  opt.journal = temp_path("campaign_bad_seed.sbstj");
+  {
+    JournalWriter w = JournalWriter::create(
+        opt.journal, {kFp, plan.num_groups(), fx.faults.size()});
+    fault::GroupRecord rec;
+    rec.group = 9;
+    rec.count = 63;
+    rec.detect_cycle.assign(63, -1);
+    w.add(rec);
+  }
+  const std::vector<std::string> what = run_error_in_both_modes(fx, opt);
+  EXPECT_NE(what[0].find("does not match group 9"), std::string::npos)
+      << what[0];
+  EXPECT_EQ(what[1], what[0]) << "isolated mode must reject it the same way";
+}
+
+// A drained (cancel already set) resume still replays every journaled
+// group, in both modes, and counts as interrupted only while groups are
+// left — a fully journaled campaign is complete.
+TEST(Campaign, DrainedResumeReplaysEveryJournaledGroup) {
+  const auto& fx = fixture();
+  const std::string full_path = temp_path("campaign_drain_full.sbstj");
+  const std::string part_path = temp_path("campaign_drain_part.sbstj");
+  {
+    CampaignOptions opt = ParwanCampaign::base_options(1);
+    opt.journal = full_path;
+    std::remove(full_path.c_str());
+    run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+
+    opt.journal = part_path;
+    std::remove(part_path.c_str());
+    std::atomic<bool> cancel{false};
+    opt.sim.cancel = &cancel;
+    opt.sim.progress = [&cancel](const fault::Progress& p) {
+      if (p.done >= 3) cancel.store(true);
+    };
+    ASSERT_TRUE(
+        run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt)
+            .interrupted);
+  }
+
+  for (const std::string& path : {full_path, part_path}) {
+    CampaignOptions opt = ParwanCampaign::base_options(2);
+    const std::size_t groups =
+        fault::GroupPlan(fx.faults, opt.sim).num_groups();
+    const auto loaded = load_journal(path, {kFp, groups, fx.faults.size()});
+    ASSERT_TRUE(loaded);
+    const std::size_t journaled = loaded->records.size();
+    ASSERT_GT(journaled, 0u);
+    for (bool isolate : {false, true}) {
+      SCOPED_TRACE(path + (isolate ? " isolated" : " threaded"));
+      opt.journal = path;
+      opt.isolate = isolate;
+      opt.iso.workers = 2;
+      const std::atomic<bool> cancel{true};
+      opt.sim.cancel = &cancel;
+      const CampaignResult res =
+          run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
+      EXPECT_EQ(res.seeded_groups, journaled);
+      EXPECT_EQ(res.groups_done, res.seeded_groups);
+      EXPECT_EQ(res.resumed, res.seeded_groups != 0);
+      EXPECT_EQ(res.interrupted, res.groups_done < res.groups_total);
+    }
+  }
 }
 
 /// Minimal never-halting environment whose clock can be made arbitrarily
@@ -256,6 +354,21 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
     EXPECT_EQ(cres.result.timed_out[i], 1) << "fault " << i;
     EXPECT_EQ(cres.result.detected[i], 0) << "fault " << i;
   }
+
+  // One isolated worker expires the same groups unstarted instead of
+  // simulating each of them up to the watchdog.
+  CampaignOptions iso_opt = opt;
+  iso_opt.journal = temp_path("campaign_budget_iso.sbstj");
+  std::remove(iso_opt.journal.c_str());
+  iso_opt.isolate = true;
+  iso_opt.iso.workers = 1;
+  const CampaignResult iso = run_campaign(n, faults, env, kFp, iso_opt);
+  EXPECT_EQ(iso.groups_done, iso.groups_total);
+  for (std::size_t i = 63; i < faults.size(); ++i) {
+    EXPECT_EQ(iso.result.timed_out[i], 1) << "isolated fault " << i;
+    EXPECT_EQ(iso.result.detected[i], 0) << "isolated fault " << i;
+  }
+  EXPECT_EQ(iso.result.sim_cycles, cres.result.sim_cycles);
 
   // A retry run with no budget and an instant environment resolves the
   // inconclusive groups to the clean result.

@@ -98,7 +98,8 @@ TEST(ShardCampaign, ShardedRunsMergeToBitIdenticalResume) {
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
 
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
   std::vector<std::string> shard_journals;
   for (std::uint32_t i = 0; i < 2; ++i) {
     CampaignOptions opt = ParwanCampaign::base_options(2);
@@ -155,7 +156,8 @@ TEST(ShardCampaign, InterruptedShardResumesWithinResidueClass) {
   CampaignOptions ref_opt = ParwanCampaign::base_options(1);
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
 
   const std::string j0 = temp_path("shard_drain0.sbstj");
   const std::string j1 = temp_path("shard_drain1.sbstj");
@@ -212,7 +214,8 @@ TEST(ShardIsolate, MergedResumeBitIdenticalUnderIsolation) {
   CampaignOptions ref_opt = ParwanCampaign::base_options(1);
   const fault::FaultSimResult reference =
       fault::run_fault_sim(fx.cpu.netlist, fx.faults, fx.env(), ref_opt.sim);
-  const std::size_t universe = campaign_groups(fx.faults, ref_opt.sim);
+  const std::size_t universe =
+      fault::GroupPlan(fx.faults, ref_opt.sim).num_groups();
 
   std::vector<std::string> shard_journals;
   for (std::uint32_t i = 0; i < 2; ++i) {

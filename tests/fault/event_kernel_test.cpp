@@ -308,7 +308,7 @@ TEST(EventKernel, FullySeededResumeRecordsNoTrace) {
   opt.max_cycles = 4096;
   opt.threads = 1;
   opt.engine = Engine::kEvent;
-  opt.on_group = [&records](const GroupRecord& rec) {
+  opt.on_group = [&records](const GroupRecord& rec, bool, double) {
     records.push_back(rec);
   };
   const FaultSimResult first = run_fault_sim(n, fl, pattern_env(300), opt);

@@ -195,7 +195,9 @@ Records grade_all(const nl::Netlist& n, const nl::FaultList& fl,
   for (const EngineCase& e : kEngines) {
     Records recs;
     opt.engine = e.engine;
-    opt.on_group = [&recs](const GroupRecord& r) { recs[r.group] = r; };
+    opt.on_group = [&recs](const GroupRecord& r, bool, double) {
+      recs[r.group] = r;
+    };
     const FaultSimResult res = run_fault_sim(n, fl, env, opt);
     if (want_cycles != 0) {
       EXPECT_EQ(res.good_cycles, want_cycles) << e.name;
@@ -372,7 +374,7 @@ Work event_work(const nl::Netlist& n, const nl::FaultList& fl,
   Work w;
   opt.engine = Engine::kEvent;
   opt.threads = 2;
-  opt.on_group = [&w](const GroupRecord& r) {
+  opt.on_group = [&w](const GroupRecord& r, bool, double) {
     EXPECT_EQ(r.engine_used, GroupEngine::kEvent);
     for (std::size_t i = 0; i < w.by_kind.size(); ++i) {
       w.by_kind[i] += r.evals_by_kind[i];

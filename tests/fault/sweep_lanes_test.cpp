@@ -73,7 +73,9 @@ void expect_same_records(const Records& want, const Records& got,
 Records grade(const nl::Netlist& n, const nl::FaultList& fl,
               const EnvFactory& env, FaultSimOptions opt) {
   Records out;
-  opt.on_group = [&out](const GroupRecord& rec) { out[rec.group] = rec; };
+  opt.on_group = [&out](const GroupRecord& rec, bool, double) {
+    out[rec.group] = rec;
+  };
   run_fault_sim(n, fl, env, opt);
   return out;
 }
