@@ -206,8 +206,9 @@ fault::FaultSimResult run_fault_sim_isolated(
   fault::GroupDriver driver(netlist, faults, make_env, options);
   if (driver.pending() == 0) return driver.finish();
 
-  // Built once, before any fork: children inherit the compiled simulator
-  // copy-on-write. The supervisor itself never simulates.
+  // Built once, before any fork, over the driver's compiled netlist and
+  // good trace: children inherit all three copy-on-write. The supervisor
+  // itself never simulates.
   const std::unique_ptr<fault::GroupSimulator> sim = driver.make_simulator();
   const WorkerContext ctx{*sim, iso, options.time_budget_ms};
 
@@ -219,9 +220,8 @@ fault::FaultSimResult run_fault_sim_isolated(
   ::sigaction(SIGPIPE, &ignore_pipe, &saved_pipe);
 
   // Worker slots. A slot forks its worker when it is first handed a
-  // group, i.e. after the driver's first claim recorded the good trace,
-  // so every worker inherits the finished trace; a dead worker is
-  // re-forked the same way.
+  // group, so a run whose groups all expire or drain forks none; a dead
+  // worker is re-forked the same way.
   std::vector<Worker> workers(
       iso.workers != 0 ? iso.workers
                        : std::max(1u, std::thread::hardware_concurrency()));

@@ -12,8 +12,8 @@
 //     compiled netlist and good trace, record folding and hooks — is the
 //     same fault::GroupDriver that run_fault_sim's threads use; the
 //     supervisor only claims groups from it and hands records back;
-//   * workers are forked from a pristine GroupSimulator after the
-//     driver's first claim recorded the good trace, so children inherit
+//   * workers are forked from a pristine GroupSimulator built after the
+//     driver's constructor recorded the good trace, so children inherit
 //     the compiled netlist and the trace copy-on-write;
 //   * workers run under RLIMIT_AS (IsolateOptions::worker_mem_mb) and,
 //     when the campaign has a time budget, a coarse RLIMIT_CPU backstop;

@@ -123,10 +123,11 @@ struct GroupRecord {
 /// GroupRecords (same detection masks, detect cycles and cycle counts),
 /// so records journaled by one engine seed resumes under the other.
 enum class Engine : std::uint8_t {
-  /// Event-driven differential kernel (compiled_event_kernel.h): records
-  /// the good machine once per campaign, then per group simulates only
-  /// the divergence wavefront. Falls back to kSweep automatically when
-  /// the good trace would exceed `trace_mem_mb`.
+  /// Event-driven differential kernel (compiled_event_kernel.h): the
+  /// run's GroupDriver records the good machine once, before any group
+  /// starts, then per group the kernel simulates only the divergence
+  /// wavefront. Falls back to kSweep for the whole run when the good
+  /// trace would exceed `trace_mem_mb`.
   kEvent,
   /// Two-lane compiled sweep of every combinational gate each cycle.
   kSweep,
@@ -252,10 +253,12 @@ struct FaultSimResult {
   /// accounting existed contribute 0).
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
-  /// Size of the recorded good trace (0 when the sweep engine ran or no
-  /// group needed simulating), and whether the event engine had to fall
-  /// back to the sweep kernel (trace exceeded trace_mem_mb, or recording
-  /// was cut short by the run deadline / cancellation).
+  /// Size of the recorded good trace: 0 under the sweep engine, when no
+  /// group was left to simulate, and when recording was cut (memory
+  /// cap, run deadline, drain). trace_fallback is set only when the
+  /// trace exceeded trace_mem_mb, so the event engine's groups ran on
+  /// the sweep kernel; a recording cut by the deadline or a drain leaves
+  /// no group to simulate and sets no fallback.
   std::size_t trace_bytes = 0;
   bool trace_fallback = false;
 };
@@ -322,7 +325,7 @@ class GroupPlan {
   std::vector<std::size_t> active_;
 };
 
-class SharedTraceSource;
+class GoodTrace;
 
 /// Worker-owned simulation state (kernel scratch + injection tables)
 /// able to simulate any group of a plan. Build one per worker thread, or
@@ -333,10 +336,10 @@ class SharedTraceSource;
 /// BUF that is not a primary output; nl::enumerate_faults never places
 /// one there).
 ///
-/// When `trace_source` is non-null the simulator runs the event-driven
-/// differential kernel against the (lazily recorded, campaign-shared)
-/// good trace, falling back to the full sweep if recording aborted;
-/// null selects the sweep kernel unconditionally.
+/// When `trace` is non-null the simulator runs the event-driven
+/// differential kernel against that campaign-shared good trace; null
+/// selects the sweep kernel. The kernel, and so lanes(), is fixed when
+/// the simulator is built.
 ///
 /// The compiled sweep kernel simulates two groups side by side, one per
 /// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
@@ -349,7 +352,7 @@ class GroupSimulator {
   GroupSimulator(const nl::Netlist& netlist, const nl::FaultList& faults,
                  const GroupPlan& plan, EnvFactory make_env,
                  const FaultSimOptions& options,
-                 std::shared_ptr<SharedTraceSource> trace_source = nullptr,
+                 std::shared_ptr<const GoodTrace> trace = nullptr,
                  std::shared_ptr<const nl::CompiledNetlist> compiled =
                      nullptr);
   ~GroupSimulator();
@@ -406,8 +409,10 @@ class GroupDriver {
   /// group that options.seed_group supplies, checking each record
   /// against the plan (std::runtime_error on a mismatch), before any
   /// group is simulated. Then starts the run deadline and, if groups
-  /// are left, compiles the netlist and sets up the event engine's trace
-  /// source. `netlist`, `faults` and `options` must outlive the driver.
+  /// are left, compiles the netlist and, under the event engine, records
+  /// the good trace (bounded by trace_mem_mb, the run deadline and
+  /// options.cancel) before any worker exists. `netlist`, `faults` and
+  /// `options` must outlive the driver.
   GroupDriver(const nl::Netlist& netlist, const nl::FaultList& faults,
               EnvFactory make_env, const FaultSimOptions& options);
   GroupDriver(const GroupDriver&) = delete;
@@ -418,15 +423,14 @@ class GroupDriver {
   /// Groups left to claim (scheduled, not seeded, not yet claimed).
   std::size_t pending() const;
 
-  /// A simulator over this run's plan, compiled netlist, trace source
+  /// A simulator over this run's plan, compiled netlist, good trace
   /// and run deadline: one per worker thread, or one to fork from.
   std::unique_ptr<GroupSimulator> make_simulator() const;
 
   /// Next group to simulate in schedule order, or nullopt once the
   /// schedule is exhausted, options.cancel is set or stop() was called.
   /// Groups still unstarted at the run deadline resolve here, as timed
-  /// out. The first group claimed records the event engine's good trace,
-  /// so executors that fork workers fork after it. Thread-safe.
+  /// out. Thread-safe.
   std::optional<std::size_t> claim();
 
   /// Folds a claimed group's record into the result and calls
@@ -454,7 +458,8 @@ class GroupDriver {
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   std::shared_ptr<const nl::CompiledNetlist> compiled_;
-  std::shared_ptr<SharedTraceSource> trace_;
+  std::shared_ptr<const GoodTrace> trace_;  // null = sweep kernel
+  bool trace_fallback_ = false;  // set: trace_ is null over trace_mem_mb
   std::mutex mu_;  // guards result_, seeded_ and the hook calls
   FaultSimResult result_;
   std::size_t seeded_ = 0;

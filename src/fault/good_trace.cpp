@@ -35,8 +35,10 @@ std::shared_ptr<const GoodTrace> record_good_trace(
       }
       planes.resize(planes.size() + words_per_block, 0);
     }
-    // Same amortized cadence as the simulation kernels' watchdog.
-    if ((cycle & 1023u) == 1023u) [[unlikely]] {
+    // Same amortized cadence as the simulation kernels' watchdog, but
+    // checked as each window starts, so no cycle is recorded for a run
+    // that is already past its deadline or draining.
+    if ((cycle & 1023u) == 0) [[unlikely]] {
       if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
         return nullptr;
       }

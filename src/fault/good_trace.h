@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -84,10 +83,12 @@ class GoodTrace {
 };
 
 /// Runs the environment once on a plain LogicSim and records the packed
-/// trace. Returns nullptr — the caller then falls back to the sweep
-/// kernel — when the trace would exceed `mem_cap_bytes` (0 = unlimited)
-/// or when `deadline`/`cancel` fire mid-recording. A campaign-shared
-/// compiled program may be passed to skip re-compiling the netlist.
+/// trace. Returns nullptr when the trace would exceed `mem_cap_bytes`
+/// (0 = unlimited; the caller then falls back to the sweep kernel), or
+/// when `deadline` has passed or `cancel` is set at the start of a
+/// 1024-cycle window — cycle 0 included, so a run already past its
+/// deadline or draining records nothing. A campaign-shared compiled
+/// program may be passed to skip re-compiling the netlist.
 std::shared_ptr<const GoodTrace> record_good_trace(
     const nl::Netlist& netlist, const EnvFactory& make_env,
     std::uint64_t max_cycles, std::size_t mem_cap_bytes,
@@ -95,66 +96,5 @@ std::shared_ptr<const GoodTrace> record_good_trace(
         std::chrono::steady_clock::time_point::max(),
     const std::atomic<bool>* cancel = nullptr,
     std::shared_ptr<const nl::CompiledNetlist> compiled = nullptr);
-
-/// One-per-campaign lazy trace holder shared by every worker's
-/// GroupSimulator. The first simulated group records it (serialized by
-/// call_once; concurrent workers wait, which costs no more than the
-/// serial good run they all depend on); later calls reuse the immutable
-/// trace. A campaign that is fully seeded from its journal never
-/// records. A failed recording (memory cap, deadline, cancel) latches
-/// the sweep fallback for the whole campaign.
-class SharedTraceSource {
- public:
-  SharedTraceSource(const nl::Netlist& netlist, EnvFactory make_env,
-                    std::uint64_t max_cycles, std::size_t mem_cap_bytes,
-                    std::shared_ptr<const nl::CompiledNetlist> compiled =
-                        nullptr)
-      : netlist_(&netlist),
-        make_env_(std::move(make_env)),
-        max_cycles_(max_cycles),
-        mem_cap_bytes_(mem_cap_bytes),
-        compiled_(std::move(compiled)) {}
-
-  /// Campaign wall-clock deadline and cancel flag honoured while
-  /// recording. Set before the first get() (i.e. before workers start).
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    deadline_ = deadline;
-  }
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
-  /// Records on first call; thread-safe. nullptr = fall back to sweep.
-  std::shared_ptr<const GoodTrace> get() {
-    std::call_once(once_, [this] {
-      trace_ = record_good_trace(*netlist_, make_env_, max_cycles_,
-                                 mem_cap_bytes_, deadline_, cancel_,
-                                 compiled_);
-      attempted_.store(true, std::memory_order_release);
-    });
-    return trace_;
-  }
-
-  /// True when a recording was attempted (read after workers joined).
-  bool attempted() const {
-    return attempted_.load(std::memory_order_acquire);
-  }
-  /// True when recording was attempted and aborted (cap/deadline/cancel).
-  bool fell_back() const { return attempted() && trace_ == nullptr; }
-  std::size_t trace_bytes() const {
-    return attempted() && trace_ ? trace_->memory_bytes() : 0;
-  }
-
- private:
-  const nl::Netlist* netlist_;
-  EnvFactory make_env_;
-  std::uint64_t max_cycles_;
-  std::size_t mem_cap_bytes_;
-  std::shared_ptr<const nl::CompiledNetlist> compiled_;
-  std::chrono::steady_clock::time_point deadline_ =
-      std::chrono::steady_clock::time_point::max();
-  const std::atomic<bool>* cancel_ = nullptr;
-  std::once_flag once_;
-  std::shared_ptr<const GoodTrace> trace_;
-  std::atomic<bool> attempted_{false};
-};
 
 }  // namespace sbst::fault

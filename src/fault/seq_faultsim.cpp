@@ -242,19 +242,16 @@ struct GroupSimulator::Impl {
   // they forward through). A pure function of the netlist.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
-  // Event-engine state: the campaign-shared trace source (null = sweep),
-  // the differential kernel built on first successful trace fetch, and a
-  // latch that pins the sweep fallback once recording has failed.
-  std::shared_ptr<SharedTraceSource> trace_source;
-  std::optional<CompiledEventKernel> event;
+  // Event-engine state: the campaign-shared good trace (null = sweep)
+  // and the differential kernel, built on first use.
   std::shared_ptr<const GoodTrace> trace;
-  bool event_unavailable = false;
+  std::optional<CompiledEventKernel> event;
   // Compiled sweep, built on first use.
   std::unique_ptr<LaneSweep> sweep;
 
   Impl(const nl::Netlist& n, const nl::FaultList& f, const GroupPlan& p,
        EnvFactory env, const FaultSimOptions& options,
-       std::shared_ptr<SharedTraceSource> trace_src,
+       std::shared_ptr<const GoodTrace> good_trace,
        std::shared_ptr<const nl::CompiledNetlist> comp)
       : netlist(n),
         faults(f),
@@ -264,7 +261,7 @@ struct GroupSimulator::Impl {
         group_timeout_ms(options.group_timeout_ms),
         compiled(comp ? std::move(comp) : nl::compile(n)),
         inj(n.size()),
-        trace_source(std::move(trace_src)) {
+        trace(std::move(good_trace)) {
     // The kernels force faults on compiled nodes: a fault on a gate the
     // compiler folded away (a BUF that is not a primary output) has no
     // node to force. Generated fault lists never hold one
@@ -324,16 +321,6 @@ struct GroupSimulator::Impl {
       rec.evals_by_kind[i] = cycles * sweep_kinds_per_cycle[i];
     }
     rec.engine_used = GroupEngine::kSweep;
-  }
-
-  /// Event engine: fetch the campaign-shared good trace (the first fetch
-  /// records it; recording honours the run deadline and cancel flag). A
-  /// failed recording latches the sweep fallback for this worker.
-  void fetch_trace() {
-    if (trace_source && !trace && !event_unavailable) {
-      trace = trace_source->get();
-      if (!trace) event_unavailable = true;
-    }
   }
 
   GroupRecord simulate_event(std::size_t group);
@@ -581,10 +568,10 @@ GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
     const GroupPlan& plan, EnvFactory make_env,
     const FaultSimOptions& options,
-    std::shared_ptr<SharedTraceSource> trace_source,
+    std::shared_ptr<const GoodTrace> trace,
     std::shared_ptr<const nl::CompiledNetlist> compiled)
     : impl_(std::make_unique<Impl>(netlist, faults, plan, std::move(make_env),
-                                   options, std::move(trace_source),
+                                   options, std::move(trace),
                                    std::move(compiled))) {}
 
 GroupSimulator::~GroupSimulator() = default;
@@ -595,16 +582,12 @@ void GroupSimulator::set_run_deadline(
 }
 
 std::size_t GroupSimulator::lanes() const {
-  const Impl& im = *impl_;
-  return !im.trace_source || im.trace_source->fell_back() ? kLanes : 1;
+  return impl_->trace ? 1 : kLanes;
 }
 
 void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
   Impl& im = *impl_;
   while (const std::optional<std::size_t> group = pull(true)) {
-    // The trace is fetched on the first simulated group, so a campaign
-    // fully seeded from its journal never records it.
-    im.fetch_trace();
     if (!im.trace) {
       im.run_lanes(*group, pull, emit);
       return;
@@ -679,29 +662,23 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   }
   if (unseeded_.empty()) return;  // nothing to simulate: no compile, no trace
 
-  // The compiled program is built once and shared read-only by every
-  // worker, like the good trace; forked workers inherit both.
+  // The compiled program and the good trace are built once, before any
+  // worker exists, and shared read-only by every worker; forked workers
+  // inherit both.
   compiled_ = nl::compile(netlist);
-  if (options.engine == Engine::kEvent) {
-    const std::size_t cap_bytes =
-        options.trace_mem_mb == 0
-            ? 0
-            : options.trace_mem_mb * std::size_t{1024} * 1024;
-    trace_ = std::make_shared<SharedTraceSource>(
-        netlist, make_env_, options.max_cycles, cap_bytes, compiled_);
-    // The good run is bounded like a single group: if it cannot finish
-    // within group_timeout_ms, every group would time out under the
-    // event engine too, so falling back to the sweep kernel preserves
-    // the timeout semantics exactly.
-    Clock::time_point trace_deadline = deadline_;
-    if (options.group_timeout_ms != 0) {
-      trace_deadline = std::min(
-          trace_deadline,
-          Clock::now() + std::chrono::milliseconds(options.group_timeout_ms));
-    }
-    trace_->set_deadline(trace_deadline);
-    trace_->set_cancel(options.cancel);
-  }
+  if (options.engine != Engine::kEvent) return;
+  const std::size_t cap_bytes =
+      options.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
+  trace_ = record_good_trace(netlist, make_env_, options.max_cycles,
+                             cap_bytes, deadline_, options.cancel, compiled_);
+  // Only the memory cap falls back to the sweep kernel. A recording cut
+  // by the deadline or a drain leaves nothing to simulate: claim()
+  // expires every group past the deadline and claims none while
+  // draining. Both conditions are sticky, so a cut recording is never
+  // mistaken for a capped one.
+  trace_fallback_ =
+      trace_ == nullptr && Clock::now() < deadline_ &&
+      !(options.cancel && options.cancel->load(std::memory_order_relaxed));
 }
 
 std::size_t GroupDriver::pending() const {
@@ -733,8 +710,6 @@ std::optional<std::size_t> GroupDriver::claim() {
       fold(rec, /*seeded=*/false, 0.0);
       continue;
     }
-    // A run fully seeded or expired never records the trace.
-    if (trace_) trace_->get();
     return group;
   }
 }
@@ -766,10 +741,8 @@ void GroupDriver::fold(const GroupRecord& rec, bool seeded,
 
 FaultSimResult GroupDriver::finish() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (trace_) {
-    result_.trace_bytes = trace_->trace_bytes();
-    result_.trace_fallback = trace_->fell_back();
-  }
+  result_.trace_bytes = trace_ ? trace_->memory_bytes() : 0;
+  result_.trace_fallback = trace_fallback_;
   result_.cancelled = options_.cancel &&
                       options_.cancel->load(std::memory_order_relaxed) &&
                       result_.groups_done < result_.groups_scheduled;

@@ -276,12 +276,13 @@ class SlowEnv final : public fault::Environment {
   std::chrono::microseconds per_cycle_;
 };
 
-nl::Netlist make_two_group_netlist() {
+/// XOR/AND mesh over 8 inputs; 40 gates give two fault groups.
+nl::Netlist make_mesh_netlist(std::size_t gates = 40) {
   nl::Netlist n;
   const auto& in = n.add_input("in", 8);
   std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
   std::vector<nl::GateId> outs;
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < gates; ++i) {
     const nl::GateId g =
         n.add_gate(i % 2 ? nl::GateKind::kAnd2 : nl::GateKind::kXor2,
                    nets[(i * 5 + 1) % nets.size()],
@@ -294,7 +295,7 @@ nl::Netlist make_two_group_netlist() {
 }
 
 TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
-  const nl::Netlist n = make_two_group_netlist();
+  const nl::Netlist n = make_mesh_netlist();
   const nl::FaultList faults = nl::enumerate_faults(n);
   ASSERT_GT(faults.size(), 63u) << "need at least two groups";
 
@@ -303,9 +304,13 @@ TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
   // Inputs never change, so no fault on this netlist is detectable and
   // without a bound every group would burn the full 1M cycles. At
   // ~200us per simulated cycle the engine's amortized watchdog (every
-  // 1024 cycles) trips the 20ms group timeout on its first check.
+  // 1024 cycles) trips the 20ms group timeout on its first check. The
+  // sweep engine keeps it a pure group-timeout test: the event engine
+  // would first record the 1M-cycle good trace, which no group timeout
+  // bounds.
   opt.sim.max_cycles = 1'000'000;
   opt.sim.group_timeout_ms = 20;
+  opt.sim.engine = fault::Engine::kSweep;
   const auto env = []() {
     return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
   };
@@ -329,8 +334,12 @@ TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
 }
 
 TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
-  const nl::Netlist n = make_two_group_netlist();
+  // Four groups: two that fill the serial worker's sweep lanes, two
+  // left unstarted.
+  const nl::Netlist n = make_mesh_netlist(80);
   const nl::FaultList faults = nl::enumerate_faults(n);
+  constexpr std::size_t kLaneFaults = 2 * 63;  // one group per sweep lane
+  ASSERT_GT(faults.size(), kLaneFaults + 63);
 
   CampaignOptions opt;
   opt.journal = temp_path("campaign_budget.sbstj");
@@ -338,22 +347,40 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   opt.sim.threads = 1;
   opt.sim.max_cycles = 1'000'000;
   opt.sim.time_budget_ms = 30;
+  // The sweep engine starts groups at once; the event engine leg below
+  // spends the budget recording the good trace instead.
+  opt.sim.engine = fault::Engine::kSweep;
   const auto env = []() {
     return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
   };
-  const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
 
-  // The first group eats the whole budget; later groups must still be
-  // resolved (as timed out) and journaled, not dropped. With threads=1
-  // groups run in order, so every fault past the first 63 belongs to a
-  // group that was unstarted at the deadline: all inconclusive, even
-  // the ones a run without a budget would have detected.
-  EXPECT_EQ(cres.groups_done, cres.groups_total);
-  EXPECT_GT(cres.faults_timed_out, 0u);
-  for (std::size_t i = 63; i < faults.size(); ++i) {
-    EXPECT_EQ(cres.result.timed_out[i], 1) << "fault " << i;
-    EXPECT_EQ(cres.result.detected[i], 0) << "fault " << i;
-  }
+  // Group 0 starts at once and eats the whole budget: the watchdog cuts
+  // it at its first check (cycle 1023, 205 ms or more in), so each of its
+  // faults is detected or inconclusive. Group 1 is claimed for the other
+  // lane right after group 0, but a slow start (a fork under
+  // --isolate) can push that claim past the deadline, so it is either
+  // cut like group 0 or expires unstarted. Later groups must still be
+  // resolved (as timed out) and journaled, not dropped: they wait for a
+  // free lane, are unstarted at the deadline, and so are inconclusive
+  // in full, even the faults a run without a budget would have detected.
+  const auto expect_budget_cut = [&faults](const CampaignResult& r,
+                                           const char* mode) {
+    EXPECT_EQ(r.groups_done, r.groups_total) << mode;
+    EXPECT_GT(r.faults_timed_out, 0u) << mode;
+    EXPECT_TRUE(r.result.sim_cycles == 1023u ||
+                r.result.sim_cycles == 2 * 1023u)
+        << mode << " sim_cycles " << r.result.sim_cycles;
+    for (std::size_t i = 0; i < kLaneFaults; ++i) {
+      EXPECT_EQ(r.result.detected[i] + r.result.timed_out[i], 1)
+          << mode << " fault " << i;
+    }
+    for (std::size_t i = kLaneFaults; i < faults.size(); ++i) {
+      EXPECT_EQ(r.result.timed_out[i], 1) << mode << " fault " << i;
+      EXPECT_EQ(r.result.detected[i], 0) << mode << " fault " << i;
+    }
+  };
+  const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
+  expect_budget_cut(cres, "threaded");
 
   // One isolated worker expires the same groups unstarted instead of
   // simulating each of them up to the watchdog.
@@ -362,17 +389,38 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   std::remove(iso_opt.journal.c_str());
   iso_opt.isolate = true;
   iso_opt.iso.workers = 1;
-  const CampaignResult iso = run_campaign(n, faults, env, kFp, iso_opt);
-  EXPECT_EQ(iso.groups_done, iso.groups_total);
-  for (std::size_t i = 63; i < faults.size(); ++i) {
-    EXPECT_EQ(iso.result.timed_out[i], 1) << "isolated fault " << i;
-    EXPECT_EQ(iso.result.detected[i], 0) << "isolated fault " << i;
+  expect_budget_cut(run_campaign(n, faults, env, kFp, iso_opt), "isolated");
+
+  // Under the event engine the budget expires while the good trace is
+  // recorded (the recorder next checks the deadline at cycle 1024, about
+  // 205 ms in). A cut recording is no sweep fallback: every group, group
+  // 0 included, expires unstarted, in either executor.
+  for (const bool isolate : {false, true}) {
+    CampaignOptions ev = opt;
+    ev.journal = temp_path(isolate ? "campaign_budget_event_iso.sbstj"
+                                   : "campaign_budget_event.sbstj");
+    std::remove(ev.journal.c_str());
+    ev.sim.engine = fault::Engine::kEvent;
+    ev.isolate = isolate;
+    ev.iso.workers = 1;
+    const CampaignResult r = run_campaign(n, faults, env, kFp, ev);
+    const char* mode = isolate ? "isolated" : "threaded";
+    EXPECT_EQ(r.groups_done, r.groups_total) << mode;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(r.result.timed_out[i], 1) << mode << " fault " << i;
+      EXPECT_EQ(r.result.detected[i], 0) << mode << " fault " << i;
+    }
+    EXPECT_EQ(r.result.sim_cycles, 0u) << mode;
+    EXPECT_EQ(r.result.good_cycles, 0u) << mode;
+    EXPECT_FALSE(r.result.trace_fallback) << mode;
+    EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
+    std::remove(ev.journal.c_str());
   }
-  EXPECT_EQ(iso.result.sim_cycles, cres.result.sim_cycles);
 
   // A retry run with no budget and an instant environment resolves the
   // inconclusive groups to the clean result.
   CampaignOptions retry = opt;
+  retry.sim.engine = fault::Engine::kEvent;
   retry.sim.time_budget_ms = 0;
   retry.retry_timed_out = true;
   const auto fast_env = []() {
@@ -398,6 +446,41 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   const CampaignResult reload = run_campaign(n, faults, fast_env, kFp, retry);
   EXPECT_EQ(reload.seeded_groups, reload.groups_total);
   expect_identical(reference, reload.result, "superseding records win");
+}
+
+TEST(Campaign, DrainDuringTraceRecordingSimulatesNothing) {
+  // A drain that lands while the event engine records the good trace
+  // (the recorder next checks the cancel flag at cycle 1024, about
+  // 205 ms in) cuts the recording. That is no sweep fallback: no group
+  // is claimed, so nothing is simulated, in either executor.
+  const nl::Netlist n = make_mesh_netlist();
+  const nl::FaultList faults = nl::enumerate_faults(n);
+  const auto env = []() {
+    return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
+  };
+  for (const bool isolate : {false, true}) {
+    std::atomic<bool> cancel{false};
+    CampaignOptions opt;
+    opt.sim.threads = 1;
+    opt.sim.max_cycles = 4096;
+    opt.sim.engine = fault::Engine::kEvent;
+    opt.sim.cancel = &cancel;
+    opt.isolate = isolate;
+    opt.iso.workers = 1;
+    std::thread drain([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      cancel.store(true);
+    });
+    const CampaignResult r = run_campaign(n, faults, env, kFp, opt);
+    drain.join();
+    const char* mode = isolate ? "isolated" : "threaded";
+    EXPECT_TRUE(r.result.cancelled) << mode;
+    EXPECT_TRUE(r.interrupted) << mode;
+    EXPECT_EQ(r.groups_done, 0u) << mode;
+    EXPECT_EQ(r.result.sim_cycles, 0u) << mode;
+    EXPECT_FALSE(r.result.trace_fallback) << mode;
+    EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
+  }
 }
 
 }  // namespace

@@ -166,9 +166,9 @@ TEST(EventKernel, PlasmaPhaseABSampledIdenticalToSweep) {
 }
 
 TEST(EventKernel, GroupTimeoutBoundsIdenticalWhenNothingTimesOut) {
-  // Clock bounds enabled (watchdog active, trace recording bounded by
-  // the group timeout) but generous enough that nothing actually trips:
-  // results must stay bit-identical, with no sweep fallback.
+  // Clock bounds enabled (watchdog active) but generous enough that
+  // nothing actually trips: results must stay bit-identical, with no
+  // sweep fallback.
   const nl::Netlist n = make_seq_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
   FaultSimOptions opt;
@@ -189,9 +189,6 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
 
   // Unit level: a cap smaller than one plane aborts recording.
   EXPECT_EQ(record_good_trace(n, pattern_env(100), 4096, 8), nullptr);
-  SharedTraceSource source(n, pattern_env(100), 4096, 8);
-  EXPECT_EQ(source.get(), nullptr);
-  EXPECT_TRUE(source.fell_back());
 
   // Engine level: a run whose trace exceeds trace_mem_mb completes on
   // the sweep kernel with identical results and reports the fallback.
@@ -300,7 +297,7 @@ TEST(EventKernel, JournalResumeMixesEngines) {
 
 TEST(EventKernel, FullySeededResumeRecordsNoTrace) {
   // A campaign whose journal already resolves every group must not pay
-  // for good-trace recording (SharedTraceSource is lazy).
+  // for good-trace recording.
   const nl::Netlist n = make_seq_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
   std::vector<GroupRecord> records;

@@ -328,10 +328,9 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   std::map<std::string, std::vector<GroupRecord>> by_engine;
   for (const EngineCase& e : kEngines) {
     opt.engine = e.engine;
-    std::shared_ptr<SharedTraceSource> trace;
+    std::shared_ptr<const GoodTrace> trace;
     if (e.engine == Engine::kEvent) {
-      trace = std::make_shared<SharedTraceSource>(pn.n, env, opt.max_cycles,
-                                                  0);
+      trace = record_good_trace(pn.n, env, opt.max_cycles, 0);
     }
     GroupSimulator sim(pn.n, fl, plan, env, opt, trace);
     sim.set_run_deadline(std::chrono::steady_clock::now());

@@ -612,8 +612,8 @@ int cmd_grade(int argc, char** argv) {
   }
   if (cres.result.trace_fallback) {
     std::fprintf(stderr,
-                 "note: good trace exceeded --trace-mem-mb %zu (or recording "
-                 "was cut short); fell back to the sweep engine\n",
+                 "note: good trace exceeded --trace-mem-mb %zu; fell back "
+                 "to the sweep engine\n",
                  trace_mem_mb);
   }
 
