@@ -1,8 +1,8 @@
 #include "campaign/dispatch.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,10 +13,12 @@
 #include <ctime>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "telemetry/json.h"
+#include "util/child.h"
 
 namespace sbst::campaign {
 
@@ -113,10 +115,6 @@ struct Shard {
   Clock::time_point eligible = Clock::time_point::min();  // backoff gate
   std::time_t spawned_wall = 0;
   std::string journal, lease, status;
-  // Speculative duplicate (straggler re-execution).
-  pid_t spec_pid = -1;
-  bool spec_ran = false;
-  std::string spec_journal, spec_lease, spec_status;
   std::string error;
 };
 
@@ -130,35 +128,6 @@ const char* state_name(ShardState s) {
     case ShardState::kFailed: return "failed";
   }
   return "?";
-}
-
-/// Non-blocking reap. Returns true when the child exited, with a
-/// human-readable description and a completed/resumable classification.
-bool try_reap(pid_t pid, bool* completed, bool* resumable,
-              std::string* describe) {
-  int status = 0;
-  pid_t r;
-  while ((r = ::waitpid(pid, &status, WNOHANG)) < 0 && errno == EINTR) {
-  }
-  if (r != pid) return false;
-  *completed = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  *resumable = WIFEXITED(status) && WEXITSTATUS(status) == 3;
-  char buf[64];
-  if (WIFEXITED(status)) {
-    std::snprintf(buf, sizeof(buf), "exit %d", WEXITSTATUS(status));
-  } else if (WIFSIGNALED(status)) {
-    std::snprintf(buf, sizeof(buf), "signal %d", WTERMSIG(status));
-  } else {
-    std::snprintf(buf, sizeof(buf), "status 0x%x", status);
-  }
-  *describe = buf;
-  return true;
-}
-
-void reap_blocking(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
 }
 
 }  // namespace
@@ -262,9 +231,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     s.journal = shard_journal_path(options.journal_dir, i, options.shards);
     s.lease = shard_lease_path(options.journal_dir, i, options.shards);
     s.status = shard_status_path(options.journal_dir, i, options.shards);
-    s.spec_journal = s.journal + ".spec";
-    s.spec_lease = s.lease + ".spec";
-    s.spec_status = s.status + ".spec";
   }
 
   const auto fail_shard = [&](Shard& s, const std::string& why) {
@@ -343,7 +309,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
   };
 
   DispatchResult out;
-  std::size_t spec_launches = 0;
   bool draining = false;
   Clock::time_point last_status = Clock::time_point::min();
 
@@ -395,7 +360,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
   const auto signal_running = [&](int sig) {
     for (Shard& s : shards) {
       if (s.state == ShardState::kRunning && s.pid > 0) ::kill(-s.pid, sig);
-      if (s.spec_pid > 0) ::kill(-s.spec_pid, sig);
     }
   };
 
@@ -418,7 +382,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
 
     const Clock::time_point now = Clock::now();
     bool active = false;
-    unsigned running = 0, done = 0;
     for (Shard& s : shards) {
       switch (s.state) {
         case ShardState::kPending:
@@ -426,26 +389,27 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
           if (!draining && now >= s.eligible) spawn_shard(s);
           break;
         case ShardState::kRunning: {
-          bool completed = false, resumable = false;
-          std::string describe;
-          if (try_reap(s.pid, &completed, &resumable, &describe)) {
+          if (const std::optional<util::ChildExit> exit =
+                  util::reap_child(s.pid, /*block=*/false)) {
             s.pid = -1;
-            if (completed) {
+            if (exit->exited(0)) {
               s.state = ShardState::kDone;
               std::fprintf(log, "[dispatch] shard %u/%u complete\n", s.id,
                            options.shards);
-              if (s.spec_pid > 0) {
-                ::kill(-s.spec_pid, SIGTERM);
-                reap_blocking(s.spec_pid);
-                s.spec_pid = -1;
-              }
-            } else if (resumable && draining) {
+            } else if (draining) {
+              // Drained (exit 3), or killed by the forwarded signal
+              // before it could drain (a runner still in set-up): either
+              // way its journal resumes on the next run, and a drain
+              // spawns no replacement.
               s.state = ShardState::kResumable;
+              std::fprintf(log, "[dispatch] shard %u/%u stopped (%s); "
+                           "resumable\n", s.id, options.shards,
+                           exit->describe().c_str());
             } else {
               // Abnormal death — or a runner that drained on a signal
               // the dispatcher never sent (external kill): both mean
               // the shard is incomplete and needs a fresh runner.
-              redispatch(s, describe);
+              redispatch(s, exit->describe());
             }
             break;
           }
@@ -464,7 +428,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                 "revoking\n",
                 s.id, options.shards, age, options.stale_after_s);
             ::kill(-s.pid, SIGKILL);
-            reap_blocking(s.pid);
+            util::reap_child(s.pid, /*block=*/true);
             s.pid = -1;
             redispatch(s, "stale lease");
           }
@@ -480,50 +444,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
           s.state == ShardState::kRunning) {
         active = true;
       }
-      if (s.state == ShardState::kRunning) ++running;
-      if (s.state == ShardState::kDone) ++done;
-    }
-
-    // Straggler speculation: exactly one shard still running, everything
-    // else done — duplicate it into .spec files. Whoever finishes first
-    // wins; the merge dedups the overlap.
-    if (options.speculative && !draining && running == 1 &&
-        done == options.shards - 1) {
-      for (Shard& s : shards) {
-        if (s.state != ShardState::kRunning || s.spec_ran) continue;
-        const std::vector<std::string> argv = options.make_runner_argv(
-            s.id, s.spec_journal, s.spec_lease, s.spec_status);
-        s.spec_pid = spawn_runner(argv);
-        if (s.spec_pid > 0) {
-          s.spec_ran = true;
-          ++spec_launches;
-          std::fprintf(log,
-                       "[dispatch] shard %u/%u straggling; speculative "
-                       "duplicate -> pid %d\n",
-                       s.id, options.shards, static_cast<int>(s.spec_pid));
-        }
-      }
-    }
-    // A finished speculative duplicate settles its shard.
-    for (Shard& s : shards) {
-      if (s.spec_pid <= 0) continue;
-      bool completed = false, resumable = false;
-      std::string describe;
-      if (!try_reap(s.spec_pid, &completed, &resumable, &describe)) continue;
-      s.spec_pid = -1;
-      if (completed && s.state == ShardState::kRunning) {
-        std::fprintf(log,
-                     "[dispatch] shard %u/%u speculative duplicate won\n",
-                     s.id, options.shards);
-        if (s.pid > 0) {
-          ::kill(-s.pid, SIGTERM);
-          reap_blocking(s.pid);
-          s.pid = -1;
-        }
-        s.state = ShardState::kDone;
-      }
-      // A failed duplicate is not re-dispatched: the primary still runs
-      // under the normal supervision rules.
     }
 
     // min() marks "never written"; subtracting it would overflow.
@@ -535,8 +455,10 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     }
 
     if (!active) break;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options.poll_period_s));
+    // Not sleep_for, which resumes after a signal: a drain signal ends
+    // this wait (poll is never restarted after a handler runs), so the
+    // runners hear of it at once, not a poll period later.
+    ::poll(nullptr, 0, static_cast<int>(options.poll_period_s * 1000));
   }
 
   out.interrupted = draining;
@@ -553,10 +475,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     o.journal = s.journal;
     o.error = s.error;
     out.shards.push_back(std::move(o));
-    out.journals.push_back(s.journal);
-    if (s.spec_ran) out.journals.push_back(s.spec_journal);
   }
-  out.speculative_launches = spec_launches;
   write_status(out.interrupted ? "interrupted"
                                : (out.all_completed() ? "done" : "failed"));
   return out;

@@ -27,9 +27,12 @@
 // Every failure mode degrades to "the shard's journal is missing some
 // groups and a re-dispatch (or later resume) re-simulates them" — the
 // journal's append-only later-record-wins semantics make duplicated
-// work (re-dispatch races, speculative re-execution) harmless, never
-// wrong. merge_journals (journal.h) reconciles the shard journals into
-// one that resumes bit-identically to an unsharded run.
+// work (re-dispatch races, quarantined groups healed on a later resume)
+// harmless, never wrong. A drain spawns nothing new, and every shard
+// whose runner then stops short of completion — drained, or killed by
+// the forwarded signal before it could drain — is resumable.
+// merge_journals (journal.h) reconciles the shard journals into one
+// that resumes bit-identically to an unsharded run.
 #pragma once
 
 #include <atomic>
@@ -110,16 +113,10 @@ struct DispatchOptions {
   /// lockstep yet tests stay reproducible.
   double backoff_initial_s = 0.5;
   double backoff_cap_s = 30.0;
-  /// When every other shard is done and exactly one straggler is still
-  /// running, launch a duplicate runner for it against ".spec" journal/
-  /// lease files; first completion wins, the loser is terminated.
-  /// Duplicate group results are safe — merge is later-record-wins.
-  bool speculative = false;
   /// Campaign fingerprint, for lease collision checks.
   std::uint64_t fingerprint = 0;
-  /// Builds the runner argv for one shard (argv[0] = executable path).
-  /// The dispatcher owns which journal/lease/status files a runner uses
-  /// so speculative duplicates can be redirected to .spec files.
+  /// Builds the runner argv for one shard (argv[0] = executable path)
+  /// from the canonical journal/lease/status paths the dispatcher owns.
   std::function<std::vector<std::string>(
       unsigned shard, const std::string& journal, const std::string& lease,
       const std::string& status)>
@@ -140,15 +137,15 @@ struct DispatchOptions {
 
 struct ShardOutcome {
   unsigned shard = 0;
-  /// Runner processes spawned for this shard (1 = clean first try;
-  /// speculative duplicates not included).
+  /// Runner processes spawned for this shard (1 = clean first try).
   unsigned attempts = 0;
   /// Re-dispatches after abnormal death or stale lease.
   unsigned redispatches = 0;
   /// Of those, re-dispatches triggered by a stale heartbeat.
   unsigned stale_leases = 0;
   bool completed = false;  // a runner finished the whole shard (exit 0)
-  /// Drained mid-run (exit 3): the shard journal resumes where it left.
+  /// Stopped by a drain before completing: the shard journal resumes
+  /// where it left.
   bool resumable = false;
   /// Retries exhausted, foreign lease, or spawn failure.
   bool failed = false;
@@ -158,10 +155,6 @@ struct ShardOutcome {
 
 struct DispatchResult {
   std::vector<ShardOutcome> shards;
-  /// Every journal file a runner may have written results into —
-  /// shard journals plus any speculative duplicates. The merge set.
-  std::vector<std::string> journals;
-  std::size_t speculative_launches = 0;
   bool interrupted = false;  // drain requested mid-dispatch
 
   bool all_completed() const {

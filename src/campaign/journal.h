@@ -227,8 +227,8 @@ struct MergeStats {
 /// Merges shard journals into one: concatenates every input's intact
 /// records in input-file order and keeps the winning (latest) record
 /// per group — exactly the conflict resolution of in-journal
-/// compaction, so a group present in several shards (speculative
-/// re-execution, quarantined copy later healed) resolves to the same
+/// compaction, so a group present in several shards (re-dispatch
+/// races, quarantined copy later healed) resolves to the same
 /// record compaction would pick, with later *inputs* winning ties the
 /// way later *appends* do within one file. The first input defines the
 /// campaign identity; any input whose fingerprint/num_groups/num_faults

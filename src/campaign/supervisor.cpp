@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +20,7 @@
 
 #include "campaign/ipc.h"
 #include "campaign/journal.h"
+#include "util/child.h"
 
 namespace sbst::campaign {
 
@@ -160,23 +160,17 @@ Worker spawn_worker(const WorkerContext& ctx) {
 /// Reaps a dead (or about-to-die) worker and closes its pipes. Returns
 /// the structured post-mortem for quarantine records (attempts unset).
 fault::GroupError reap_worker(Worker* w) {
-  int status = 0;
-  rusage ru{};
-  while (::wait4(w->pid, &status, 0, &ru) < 0 && errno == EINTR) {
-  }
+  const util::ChildExit exit =
+      util::reap_child(w->pid, /*block=*/true).value_or(util::ChildExit{});
   ::close(w->to_fd);
   ::close(w->from_fd);
-  fault::GroupError err;
-  if (WIFSIGNALED(status)) err.term_signal = WTERMSIG(status);
-  if (WIFEXITED(status)) err.exit_code = WEXITSTATUS(status);
-  err.max_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
-  err.cpu_ms =
-      static_cast<std::uint64_t>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) *
-          1000 +
-      static_cast<std::uint64_t>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) /
-          1000;
   w->pid = -1;
   w->to_fd = w->from_fd = -1;
+  fault::GroupError err;
+  err.term_signal = exit.term_signal;
+  err.exit_code = exit.exit_code;
+  err.max_rss_kb = exit.max_rss_kb;
+  err.cpu_ms = exit.cpu_ms;
   return err;
 }
 
@@ -188,9 +182,7 @@ void shutdown_workers(std::vector<Worker>* workers) {
   }
   for (Worker& w : *workers) {
     if (!w.alive()) continue;
-    int status = 0;
-    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-    }
+    util::reap_child(w.pid, /*block=*/true);
     if (w.from_fd >= 0) ::close(w.from_fd);
     w.pid = -1;
     w.from_fd = -1;

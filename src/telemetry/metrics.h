@@ -75,7 +75,7 @@ struct GroupMetric {
   /// scaled; 0 when seeded or when no gate was evaluated).
   double eval_ns_per_gate = 0.0;
   /// Isolated mode: peak RSS and summed user+sys CPU of worker attempts
-  /// that *died* on this group (wait4 rusage) — a surviving worker's
+  /// that *died* on this group (rusage at reap) — a surviving worker's
   /// rusage is unknowable while it lives. 0 in threaded mode.
   std::uint64_t max_rss_kb = 0;
   std::uint64_t cpu_ms = 0;

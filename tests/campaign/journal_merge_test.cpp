@@ -90,9 +90,9 @@ std::string write_journal(const char* name,
 }
 
 // The same group in three journals — a quarantined first attempt, a
-// healed re-run, and a speculative duplicate — must resolve to exactly
-// the record that appending all inputs into ONE journal and compacting
-// it would keep.
+// healed re-run, and a re-dispatched runner's copy — must resolve to
+// exactly the record that appending all inputs into ONE journal and
+// compacting it would keep.
 TEST(JournalMerge, ConflictResolutionMatchesCompaction) {
   const std::vector<fault::GroupRecord> a = {
       make_record(0, 1), make_quarantined(2), make_record(4, 1)};

@@ -63,7 +63,7 @@
 //                                      dispatcher (see sbst dispatch).
 //   sbst dispatch FILE.s --shards N --journal-dir D
 //              [--workers-per-shard K] [--max-shard-retries R]
-//              [--stale-after SEC] [--backoff-ms MS] [--speculative]
+//              [--stale-after SEC] [--backoff-ms MS]
 //              [--status F.json] [--sample N] [--engine E]
 //              [--durability D] [-o MERGED.sbstj]
 //                                      fan one campaign out over N shard
@@ -72,9 +72,9 @@
 //                                      A shard whose runner dies or
 //                                      whose lease goes stale is
 //                                      re-dispatched under capped,
-//                                      jittered exponential backoff;
-//                                      --speculative duplicates the
-//                                      last straggler (merge dedups).
+//                                      jittered exponential backoff.
+//                                      On a drain, shards stopped short
+//                                      of completion stay resumable.
 //                                      With -o the shard journals are
 //                                      merged when all shards complete.
 //                                      Exit 0 all complete, 3 drained
@@ -711,7 +711,6 @@ int cmd_dispatch(int argc, char** argv) {
   std::uint64_t stale_after_s = 10;
   std::uint64_t backoff_ms = 500;
   std::uint64_t backoff_cap_ms = 30'000;
-  bool speculative = false;
   std::string status;
   std::string engine = "event";
   std::size_t sample = 6300;
@@ -727,7 +726,6 @@ int cmd_dispatch(int argc, char** argv) {
                        .value_u64("--stale-after", &stale_after_s)
                        .value_u64("--backoff-ms", &backoff_ms)
                        .value_u64("--backoff-cap-ms", &backoff_cap_ms)
-                       .flag("--speculative", &speculative)
                        .value("--status", &status)
                        .value("--engine", &engine)
                        .value_size("--sample", &sample)
@@ -770,7 +768,6 @@ int cmd_dispatch(int argc, char** argv) {
   dopt.stale_after_s = static_cast<double>(stale_after_s);
   dopt.backoff_initial_s = static_cast<double>(backoff_ms) / 1000.0;
   dopt.backoff_cap_s = static_cast<double>(backoff_cap_ms) / 1000.0;
-  dopt.speculative = speculative;
   dopt.fingerprint = fp;
   dopt.status_path = status;
   dopt.durability = util::parse_durability(durability);
@@ -814,10 +811,6 @@ int cmd_dispatch(int argc, char** argv) {
                 s.stale_leases != 0 ? ", stale lease" : "",
                 s.error.empty() ? "" : " — ", s.error.c_str());
   }
-  if (res.speculative_launches != 0) {
-    std::printf("%zu speculative duplicate(s) launched\n",
-                res.speculative_launches);
-  }
 
   if (res.interrupted) {
     const int sig = util::drain_signal();
@@ -839,11 +832,13 @@ int cmd_dispatch(int argc, char** argv) {
   }
 
   if (!merged.empty()) {
-    // Merge everything a runner may have written — shard journals plus
-    // speculative duplicates; later-record-wins dedups the overlap.
+    // Merge every shard journal a runner wrote; later-record-wins
+    // dedups any overlap.
     std::vector<std::string> inputs;
-    for (const std::string& j : res.journals) {
-      if (std::ifstream(j, std::ios::binary).good()) inputs.push_back(j);
+    for (const campaign::ShardOutcome& s : res.shards) {
+      if (std::ifstream(s.journal, std::ios::binary).good()) {
+        inputs.push_back(s.journal);
+      }
     }
     const campaign::MergeStats m =
         campaign::merge_journals(inputs, merged, dopt.durability);
@@ -893,9 +888,9 @@ int cmd_stats(int argc, char** argv) {
   // to a rewrite window of records — the journal has every one of them.
   // Winning records across ALL journals (the concatenation, exactly as
   // `journal merge` resolves conflicts), so shard journals holding
-  // duplicate groups — speculative re-execution — count each group
-  // once. Counter lines are bit-equal to a clean run's `sbst stats`
-  // output; latency fields (never journaled) read zero.
+  // duplicate groups — re-dispatch races, healed quarantines — count
+  // each group once. Counter lines are bit-equal to a clean run's
+  // `sbst stats` output; latency fields (never journaled) read zero.
   std::vector<fault::GroupRecord> records;
   std::uint64_t num_groups = 0;
   bool have_meta = false;
