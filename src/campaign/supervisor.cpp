@@ -199,7 +199,7 @@ fault::FaultSimResult run_fault_sim_isolated(
   if (driver.pending() == 0) return driver.finish();
 
   // Built once, before any fork, over the driver's compiled netlist and
-  // good trace: children inherit all three copy-on-write. The supervisor
+  // recording: children inherit all three copy-on-write. The supervisor
   // itself never simulates.
   const std::unique_ptr<fault::GroupSimulator> sim = driver.make_simulator();
   const WorkerContext ctx{*sim, iso, options.time_budget_ms};

@@ -3,18 +3,19 @@
 // processes.
 //
 // The in-process threaded executor shares one address space, so a
-// single pathological fault group — a simulation bug that segfaults, an
-// environment that leaks until the OOM killer fires, an infinite loop —
+// single pathological fault group — a simulation bug that segfaults, a
+// kernel allocation the OOM killer answers, an infinite loop —
 // takes the whole campaign (and its journal writer) down with it. This
 // executor contains that blast radius to one worker process:
 //
 //   * the run itself — plan, shard schedule, seeding, deadlines, the
-//     compiled netlist and good trace, record folding and hooks — is the
-//     same fault::GroupDriver that run_fault_sim's threads use; the
+//     compiled netlist and good-run recording, record folding and hooks —
+//     is the same fault::GroupDriver that run_fault_sim's threads use; the
 //     supervisor only claims groups from it and hands records back;
 //   * workers are forked from a pristine GroupSimulator built after the
-//     driver's constructor recorded the good trace, so children inherit
-//     the compiled netlist and the trace copy-on-write;
+//     driver's constructor recorded the good run, so children inherit the
+//     compiled netlist and the recording copy-on-write and never run the
+//     environment;
 //   * workers run under RLIMIT_AS (IsolateOptions::worker_mem_mb) and,
 //     when the campaign has a time budget, a coarse RLIMIT_CPU backstop;
 //   * groups travel over the pipe protocol in ipc.h; results come back

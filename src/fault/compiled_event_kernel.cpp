@@ -114,10 +114,9 @@ void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
   }
 }
 
-void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
-                                   int count,
-                                   const KernelDeadlines& deadlines,
-                                   GroupRecord* rec) {
+void CompiledEventKernel::simulate(
+    const detail::InjectionTable& inj, int count,
+    std::chrono::steady_clock::time_point deadline, GroupRecord* rec) {
   using Clock = std::chrono::steady_clock;
   const GoodTrace& tr = *trace_;
   const nl::CompiledNetlist& cn = *cn_;
@@ -207,9 +206,11 @@ void CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   std::uint64_t cycle = 0;
   for (; cycle < T; ++cycle) {
     // Same amortized watchdog cadence and verdict as the sweep kernel.
-    if (deadlines.active && (cycle & 1023u) == 1023u) [[unlikely]] {
-      const Clock::time_point now = Clock::now();
-      if (now >= deadlines.group_deadline || now >= deadlines.run_deadline) {
+    // Keep the clock read nested: folded into this condition it cost the
+    // whole loop about 7% (EXPERIMENTS.md, "One good run per campaign").
+    if (deadline != Clock::time_point::max() && (cycle & 1023u) == 1023u)
+        [[unlikely]] {
+      if (Clock::now() >= deadline) {
         rec->timed_out = true;
         break;
       }

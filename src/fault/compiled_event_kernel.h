@@ -57,16 +57,6 @@
 
 namespace sbst::fault {
 
-/// Wall-clock bounds shared with the sweep kernel (time_point::max() =
-/// unbounded; `active` mirrors the sweep's has_clock_bounds fast path).
-struct KernelDeadlines {
-  bool active = false;
-  std::chrono::steady_clock::time_point group_deadline =
-      std::chrono::steady_clock::time_point::max();
-  std::chrono::steady_clock::time_point run_deadline =
-      std::chrono::steady_clock::time_point::max();
-};
-
 /// One injection site's aggregated set/clear masks, re-forced against
 /// the good trace every cycle (sources and DFF Q outputs).
 struct SeedForce {
@@ -93,10 +83,13 @@ class CompiledEventKernel {
   /// Simulates one injected group differentially against the trace,
   /// filling rec->detected_mask, detect_cycle, cycles and timed_out
   /// (rec->group/count/detect_cycle must be pre-sized by the caller).
+  /// `deadline` is the group's wall-clock bound (time_point::max() =
+  /// unbounded), checked with the sweep kernel's watchdog cadence.
   /// Precondition (checked when the GroupSimulator is built): every
   /// non-DFF slotted gate of `inj` has a compiled node.
   void simulate(const detail::InjectionTable& inj, int count,
-                const KernelDeadlines& deadlines, GroupRecord* rec);
+                std::chrono::steady_clock::time_point deadline,
+                GroupRecord* rec);
 
   const KernelStats& stats() const { return stats_; }
 

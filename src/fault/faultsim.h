@@ -6,8 +6,8 @@
 // the primary outputs include the complete memory interface, a
 // not-yet-detected machine has by definition issued the identical memory
 // traffic as the good machine, so the environment (memory model) only
-// needs to be simulated once, from the good machine's outputs — see
-// DESIGN.md §5.
+// needs to be simulated once per campaign, from the good machine's
+// outputs — see good_trace.h and DESIGN.md §5.
 #pragma once
 
 #include <atomic>
@@ -26,16 +26,11 @@
 namespace sbst::fault {
 
 /// Closed-loop environment around the netlist (memory model, testbench).
-/// One fresh instance is created per fault group; it must be
-/// deterministic. With `FaultSimOptions::threads` != 1 the factory is
-/// invoked concurrently from worker threads, so it (and the construction
-/// of an Environment) must not mutate shared state — capture inputs by
-/// value or by pointer-to-const.
-///
-/// An environment may only drive primary inputs and read primary
-/// outputs: the sweep kernel hands it a per-group port surface whose
-/// input words are copied into the simulation after drive() and whose
-/// output words are copied in before observe(); no other net is live.
+/// The fault engine builds one per campaign with groups to simulate, on
+/// the run's own thread before any worker exists, and only to record the
+/// good run (record_good_trace), which every group replays. It must be
+/// deterministic, and may only drive primary inputs (broadcast values)
+/// and read primary outputs: the recording keeps nothing else of it.
 class Environment {
  public:
   virtual ~Environment() = default;
@@ -123,11 +118,10 @@ struct GroupRecord {
 /// GroupRecords (same detection masks, detect cycles and cycle counts),
 /// so records journaled by one engine seed resumes under the other.
 enum class Engine : std::uint8_t {
-  /// Event-driven differential kernel (compiled_event_kernel.h): the
-  /// run's GroupDriver records the good machine once, before any group
-  /// starts, then per group the kernel simulates only the divergence
-  /// wavefront. Falls back to kSweep for the whole run when the good
-  /// trace would exceed `trace_mem_mb`.
+  /// Event-driven differential kernel (compiled_event_kernel.h): per
+  /// group it simulates only the divergence wavefront from the recorded
+  /// good-value planes. Falls back to kSweep for the whole run when the
+  /// planes would exceed `trace_mem_mb`.
   kEvent,
   /// Two-lane compiled sweep of every combinational gate each cycle.
   kSweep,
@@ -148,7 +142,7 @@ struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
   Engine engine = Engine::kEvent;
-  /// Memory cap for the event engine's recorded good trace, in MiB
+  /// Memory cap for the event engine's good-value planes, in MiB
   /// (0 = unlimited). One packed bit per gate per cycle; exceeding the
   /// cap silently falls back to the sweep kernel for the whole run
   /// (reported via FaultSimResult::trace_fallback).
@@ -160,9 +154,9 @@ struct FaultSimOptions {
   std::uint64_t sample_seed = 0x5eed5bd7u;
   /// Worker threads for group-level parallel simulation. 0 = one per
   /// hardware thread; 1 = serial. Fault groups are independent by
-  /// construction (fresh LogicSim + Environment per group, disjoint
-  /// result indices), so the result is bit-identical for every thread
-  /// count.
+  /// construction (lane-local reset per group, one shared read-only
+  /// recording of the good run, disjoint result indices), so the result
+  /// is bit-identical for every thread count.
   unsigned threads = 0;
   /// Optional progress callback. Invoked under an internal mutex (never
   /// concurrently), but from worker threads when threads != 1; groups
@@ -253,12 +247,12 @@ struct FaultSimResult {
   /// accounting existed contribute 0).
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
-  /// Size of the recorded good trace: 0 under the sweep engine, when no
-  /// group was left to simulate, and when recording was cut (memory
-  /// cap, run deadline, drain). trace_fallback is set only when the
-  /// trace exceeded trace_mem_mb, so the event engine's groups ran on
-  /// the sweep kernel; a recording cut by the deadline or a drain leaves
-  /// no group to simulate and sets no fallback.
+  /// Size of the recording's good-value planes: 0 under the sweep
+  /// engine, when no group was left to simulate, when recording was cut
+  /// (run deadline, drain) and when the planes exceeded trace_mem_mb.
+  /// trace_fallback is set only in that last case, so the event engine's
+  /// groups ran on the sweep kernel; a recording cut by the deadline or
+  /// a drain leaves no group to simulate and sets no fallback.
   std::size_t trace_bytes = 0;
   bool trace_fallback = false;
 };
@@ -336,35 +330,34 @@ class GoodTrace;
 /// BUF that is not a primary output; nl::enumerate_faults never places
 /// one there).
 ///
-/// When `trace` is non-null the simulator runs the event-driven
-/// differential kernel against that campaign-shared good trace; null
-/// selects the sweep kernel. The kernel, and so lanes(), is fixed when
-/// the simulator is built.
+/// Every group replays `good_run`, the campaign-shared recording of the
+/// good machine, up to its stop cycle. Planes in it select the
+/// event-driven differential kernel, otherwise the sweep; the kernel,
+/// and so lanes(), is fixed when the simulator is built. Null only for a
+/// recording cut short, which leaves no group to simulate (run() throws
+/// std::logic_error on one).
 ///
 /// The compiled sweep kernel simulates two groups side by side, one per
 /// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
 /// the next group the moment a lane's group ends.
 class GroupSimulator {
  public:
-  /// `compiled` is the campaign-shared program (nl::compile(netlist));
-  /// pass null to compile privately. Like the good trace it is built
+  /// `run_deadline` (time_budget_ms) is the same instant for every
+  /// worker. `compiled` is the campaign-shared program (nl::compile(netlist));
+  /// pass null to compile privately. Like the recording it is built
   /// once per campaign and inherited copy-on-write by forked workers.
   GroupSimulator(const nl::Netlist& netlist, const nl::FaultList& faults,
-                 const GroupPlan& plan, EnvFactory make_env,
-                 const FaultSimOptions& options,
-                 std::shared_ptr<const GoodTrace> trace = nullptr,
+                 const GroupPlan& plan, const FaultSimOptions& options,
+                 std::shared_ptr<const GoodTrace> good_run,
+                 std::chrono::steady_clock::time_point run_deadline =
+                     std::chrono::steady_clock::time_point::max(),
                  std::shared_ptr<const nl::CompiledNetlist> compiled =
                      nullptr);
   ~GroupSimulator();
   GroupSimulator(const GroupSimulator&) = delete;
   GroupSimulator& operator=(const GroupSimulator&) = delete;
 
-  /// Campaign-wide wall-clock deadline (time_budget_ms). Set once,
-  /// before simulating, so every worker enforces the same instant;
-  /// defaults to "none".
-  void set_run_deadline(std::chrono::steady_clock::time_point deadline);
-
-  /// Simulates one group to a record (honours max_cycles,
+  /// Simulates one group to a record (honours the recorded stop cycle,
   /// group_timeout_ms and the run deadline; sets timed_out when a bound
   /// cut the group short). Bit-deterministic absent wall-clock cutoffs,
   /// and bit-identical across both kernels.
@@ -396,10 +389,10 @@ class GroupSimulator {
 /// The run driver behind both executors: run_fault_sim's worker threads
 /// and the isolation supervisor's worker processes. It owns every step
 /// of a run except simulating a group — the plan and shard schedule,
-/// the run deadline, the campaign-shared compiled netlist and good
-/// trace, seeding, expiring groups unstarted at the deadline, folding
-/// records into the result, and the on_group/progress hooks — so a
-/// run's verdicts, counters and hook calls do not depend on the
+/// the run deadline, the campaign-shared compiled netlist and recording
+/// of the good run, seeding, expiring groups unstarted at the deadline,
+/// folding records into the result, and the on_group/progress hooks — so
+/// a run's verdicts, counters and hook calls do not depend on the
 /// executor. An executor claims groups, simulates them on simulators
 /// from make_simulator(), and hands each record back to resolve().
 class GroupDriver {
@@ -409,12 +402,13 @@ class GroupDriver {
   /// group that options.seed_group supplies, checking each record
   /// against the plan (std::runtime_error on a mismatch), before any
   /// group is simulated. Then starts the run deadline and, if groups
-  /// are left, compiles the netlist and, under the event engine, records
-  /// the good trace (bounded by trace_mem_mb, the run deadline and
-  /// options.cancel) before any worker exists. `netlist`, `faults` and
-  /// `options` must outlive the driver.
+  /// are left, compiles the netlist and records the good run (the only
+  /// call of `make_env`; planes under the event engine within
+  /// trace_mem_mb; cut by the run deadline and options.cancel) before
+  /// any worker exists. `netlist`, `faults` and `options` must outlive
+  /// the driver.
   GroupDriver(const nl::Netlist& netlist, const nl::FaultList& faults,
-              EnvFactory make_env, const FaultSimOptions& options);
+              const EnvFactory& make_env, const FaultSimOptions& options);
   GroupDriver(const GroupDriver&) = delete;
   GroupDriver& operator=(const GroupDriver&) = delete;
 
@@ -423,8 +417,8 @@ class GroupDriver {
   /// Groups left to claim (scheduled, not seeded, not yet claimed).
   std::size_t pending() const;
 
-  /// A simulator over this run's plan, compiled netlist, good trace
-  /// and run deadline: one per worker thread, or one to fork from.
+  /// A simulator over this run's plan, compiled netlist, recording and
+  /// run deadline: one per worker thread, or one to fork from.
   std::unique_ptr<GroupSimulator> make_simulator() const;
 
   /// Next group to simulate in schedule order, or nullopt once the
@@ -449,7 +443,6 @@ class GroupDriver {
 
   const nl::Netlist& netlist_;
   const nl::FaultList& faults_;
-  EnvFactory make_env_;
   const FaultSimOptions& options_;
   GroupPlan plan_;
   std::vector<std::size_t> unseeded_;  // scheduled groups to simulate
@@ -458,8 +451,7 @@ class GroupDriver {
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   std::shared_ptr<const nl::CompiledNetlist> compiled_;
-  std::shared_ptr<const GoodTrace> trace_;  // null = sweep kernel
-  bool trace_fallback_ = false;  // set: trace_ is null over trace_mem_mb
+  std::shared_ptr<const GoodTrace> trace_;  // null = recording was cut
   std::mutex mu_;  // guards result_, seeded_ and the hook calls
   FaultSimResult result_;
   std::size_t seeded_ = 0;

@@ -90,18 +90,11 @@ constexpr unsigned kPollCycles = 16;
 
 /// One lane: the group it simulates and everything lane-local about it.
 struct SweepLane {
-  SweepLane(const nl::Netlist& netlist,
-            std::shared_ptr<const nl::CompiledNetlist> compiled)
-      : inj(netlist.size()), ports(netlist, std::move(compiled)) {}
+  explicit SweepLane(const nl::Netlist& netlist) : inj(netlist.size()) {}
 
   bool busy = false;
   GroupRecord rec;
   InjectionTable inj;
-  // The environment's view of the lane: only its port nets are live.
-  // Input words are copied into the lane after drive(), output words
-  // out of it before observe().
-  sim::LogicSim ports;
-  std::unique_ptr<Environment> env;
   Word all_mask = 0;
   Word detected = 0;
   std::uint64_t cycle = 0;
@@ -133,20 +126,18 @@ struct LaneSweep {
     const sim::LogicSim reset(netlist, compiled);
     for (nl::GateId g = 0; g < netlist.size(); ++g) {
       const nl::GateKind k = netlist.gate(g).kind;
-      if (k == nl::GateKind::kInput) pi_gates.push_back(g);
       if (k == nl::GateKind::kInput || k == nl::GateKind::kDff ||
           k == nl::GateKind::kConst0 || k == nl::GateKind::kConst1) {
         reset_image.emplace_back(g, reset.word(g));
       }
     }
     lanes.reserve(kLanes);
-    for (int l = 0; l < kLanes; ++l) lanes.emplace_back(netlist, compiled);
+    for (int l = 0; l < kLanes; ++l) lanes.emplace_back(netlist);
   }
 
   std::vector<LaneWord> v;     // value slots, num_gates + 1
   std::vector<LaneWord> next;  // per DFF, sampled D words
   std::vector<SweepLane> lanes;
-  std::vector<nl::GateId> pi_gates;
   std::vector<std::pair<nl::GateId, Word>> reset_image;
   std::vector<std::uint32_t> dff_index;  // gate -> Levelization::dffs index
   // Comb fixups of the busy lanes, by level; fix_levels lists the
@@ -227,10 +218,8 @@ struct GroupSimulator::Impl {
   const nl::Netlist& netlist;
   const nl::FaultList& faults;
   const GroupPlan& plan;
-  EnvFactory make_env;
-  std::uint64_t max_cycles;
   std::uint64_t group_timeout_ms;
-  Clock::time_point run_deadline = Clock::time_point::max();
+  Clock::time_point run_deadline;
   // Campaign-shared compiled program (compiled privately when the caller
   // did not pass one).
   std::shared_ptr<const nl::CompiledNetlist> compiled;
@@ -242,23 +231,23 @@ struct GroupSimulator::Impl {
   // they forward through). A pure function of the netlist.
   std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
       0, 0, 0, 0};
-  // Event-engine state: the campaign-shared good trace (null = sweep)
-  // and the differential kernel, built on first use.
+  // The campaign-shared recording of the good run, and the differential
+  // kernel, built on first use when the recording has planes.
   std::shared_ptr<const GoodTrace> trace;
   std::optional<CompiledEventKernel> event;
   // Compiled sweep, built on first use.
   std::unique_ptr<LaneSweep> sweep;
 
   Impl(const nl::Netlist& n, const nl::FaultList& f, const GroupPlan& p,
-       EnvFactory env, const FaultSimOptions& options,
+       const FaultSimOptions& options,
        std::shared_ptr<const GoodTrace> good_trace,
+       Clock::time_point deadline,
        std::shared_ptr<const nl::CompiledNetlist> comp)
       : netlist(n),
         faults(f),
         plan(p),
-        make_env(std::move(env)),
-        max_cycles(options.max_cycles),
         group_timeout_ms(options.group_timeout_ms),
+        run_deadline(deadline),
         compiled(comp ? std::move(comp) : nl::compile(n)),
         inj(n.size()),
         trace(std::move(good_trace)) {
@@ -302,13 +291,12 @@ struct GroupSimulator::Impl {
     return rec;
   }
 
-  bool has_clock_bounds() const {
-    return group_timeout_ms != 0 || run_deadline != Clock::time_point::max();
-  }
+  /// The wall-clock bound of a group starting now: its group timeout or
+  /// the run deadline, whichever comes first (time_point::max() = none).
   Clock::time_point group_deadline() const {
-    return group_timeout_ms != 0
-               ? Clock::now() + std::chrono::milliseconds(group_timeout_ms)
-               : Clock::time_point::max();
+    if (group_timeout_ms == 0) return run_deadline;
+    return std::min(run_deadline,
+                    Clock::now() + std::chrono::milliseconds(group_timeout_ms));
   }
 
   /// Sweep work counters count every combinational gate once per
@@ -337,13 +325,9 @@ struct GroupSimulator::Impl {
 
 GroupRecord GroupSimulator::Impl::simulate_event(std::size_t group) {
   GroupRecord rec = begin(group, inj);
-  KernelDeadlines deadlines;
-  deadlines.active = has_clock_bounds();
-  deadlines.group_deadline = group_deadline();
-  deadlines.run_deadline = run_deadline;
   if (!event) event.emplace(netlist, *compiled, po_bits, trace);
   const KernelStats before = event->stats();
-  event->simulate(inj, static_cast<int>(rec.count), deadlines, &rec);
+  event->simulate(inj, static_cast<int>(rec.count), group_deadline(), &rec);
   const KernelStats& after = event->stats();
   rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
   rec.sim_cycles = after.cycles - before.cycles;
@@ -355,19 +339,21 @@ GroupRecord GroupSimulator::Impl::simulate_event(std::size_t group) {
 }
 
 // The two-lane compiled sweep. Each pass runs one cycle of every busy
-// lane: per-lane drive and source/Q forcing, one branch-free sweep of
-// the compiled runs over both lanes (with per-(gate, lane) fixups at
-// their level), per-lane detection and observe, one DFF step. A lane
-// whose group ends emits its record and is refilled from lane-local
-// reset on the next pass, while the other lane carries on. No step
-// reads the other lane, so records are bit-identical whichever lane
-// (and whichever partner) a group runs with.
+// lane: per-lane input replay from the recorded stimulus and source/Q
+// forcing, one branch-free sweep of the compiled runs over both lanes
+// (with per-(gate, lane) fixups at their level), per-lane detection, one
+// DFF step. A group ends at the recorded stop cycle unless it drops or
+// times out first. A lane whose group ends emits its record and is
+// refilled from lane-local reset on the next pass, while the other lane
+// carries on. No step reads the other lane, so records are bit-identical
+// whichever lane (and whichever partner) a group runs with.
 void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
                                      const EmitRecord& emit) {
   if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
   LaneSweep& s = *sweep;
   LaneWord* const v = s.v.data();
-  const bool bounded = has_clock_bounds();
+  const std::vector<nl::GateId>& inputs = trace->inputs();
+  const std::uint64_t stop = trace->cycles();
 
   std::size_t group = first;
   bool have_group = true;
@@ -397,27 +383,27 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
     }
     ++since_poll;
 
-    // Cycle bounds, then drive: the environment sets the lane's port
-    // surface, whose input words enter the lane before source forcing.
+    // Cycle bounds (the recorded stop cycle, the watchdog), then the
+    // recorded inputs of the lane's cycle, before source forcing.
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
-      if (ln.cycle >= max_cycles) {
+      if (ln.cycle >= stop) {
         finish_lane(l, false, emit);
         continue;
       }
       // Amortized watchdog: one clock read every 1024 cycles keeps the
       // bound within ~ms granularity without slowing the hot loop.
-      if (bounded && (ln.cycle & 1023u) == 1023u) [[unlikely]] {
-        const Clock::time_point now = Clock::now();
-        if (now >= ln.deadline || now >= run_deadline) {
-          finish_lane(l, true, emit);
-          continue;
-        }
+      if (ln.deadline != Clock::time_point::max() &&
+          (ln.cycle & 1023u) == 1023u && Clock::now() >= ln.deadline)
+          [[unlikely]] {
+        finish_lane(l, true, emit);
+        continue;
       }
-      ln.env->drive(ln.ports, ln.cycle);
-      const Word* const pv = ln.ports.values().data();
-      for (nl::GateId g : s.pi_gates) v[g][l] = pv[g];
+      const Word* const in = trace->stimulus(ln.cycle);
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        v[inputs[i]][l] = Word{0} - ((in[i >> 6] >> (i & 63)) & 1);
+      }
       for (const Injection& i : ln.inj.sources()) {
         v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
       }
@@ -453,11 +439,7 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
           continue;
         }
       }
-      Word* const pv = ln.ports.values().data();
-      for (nl::GateId b : po_bits) pv[b] = v[b][l];
-      const bool keep_going = ln.env->observe(ln.ports, ln.cycle);
       ++ln.cycle;
-      if (!keep_going) finish_lane(l, false, emit);
     }
     if (s.busy != 0) step_lanes();
   }
@@ -468,8 +450,6 @@ void GroupSimulator::Impl::load_lane(int l, std::size_t group) {
   ln.rec = begin(group, ln.inj);
   LaneWord* const v = sweep->v.data();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
-  ln.ports.reset();
-  ln.env = make_env();
   ln.all_mask = (Word{1} << ln.rec.count) - 1;  // count <= 63
   ln.detected = 0;
   ln.cycle = 0;
@@ -485,7 +465,6 @@ void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
   ln.busy = false;
   --sweep->busy;
-  ln.env.reset();
   rebuild_fixups();
   ln.rec.timed_out = timed_out;
   ln.rec.detected_mask = ln.detected;
@@ -566,29 +545,28 @@ void GroupSimulator::Impl::step_lanes() {
 
 GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
-    const GroupPlan& plan, EnvFactory make_env,
-    const FaultSimOptions& options,
-    std::shared_ptr<const GoodTrace> trace,
+    const GroupPlan& plan, const FaultSimOptions& options,
+    std::shared_ptr<const GoodTrace> good_run,
+    std::chrono::steady_clock::time_point run_deadline,
     std::shared_ptr<const nl::CompiledNetlist> compiled)
-    : impl_(std::make_unique<Impl>(netlist, faults, plan, std::move(make_env),
-                                   options, std::move(trace),
+    : impl_(std::make_unique<Impl>(netlist, faults, plan, options,
+                                   std::move(good_run), run_deadline,
                                    std::move(compiled))) {}
 
 GroupSimulator::~GroupSimulator() = default;
 
-void GroupSimulator::set_run_deadline(
-    std::chrono::steady_clock::time_point deadline) {
-  impl_->run_deadline = deadline;
-}
-
 std::size_t GroupSimulator::lanes() const {
-  return impl_->trace ? 1 : kLanes;
+  return impl_->trace && impl_->trace->has_planes() ? 1 : kLanes;
 }
 
 void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
   Impl& im = *impl_;
   while (const std::optional<std::size_t> group = pull(true)) {
     if (!im.trace) {
+      throw std::logic_error("no recorded good run to simulate group " +
+                             std::to_string(*group) + " against");
+    }
+    if (!im.trace->has_planes()) {
       im.run_lanes(*group, pull, emit);
       return;
     }
@@ -612,11 +590,11 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
 // --- GroupDriver ------------------------------------------------------------
 
 GroupDriver::GroupDriver(const nl::Netlist& netlist,
-                         const nl::FaultList& faults, EnvFactory make_env,
+                         const nl::FaultList& faults,
+                         const EnvFactory& make_env,
                          const FaultSimOptions& options)
     : netlist_(netlist),
       faults_(faults),
-      make_env_(std::move(make_env)),
       options_(options),
       plan_(faults, options),
       result_(plan_.make_result()) {
@@ -641,7 +619,7 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   result_.groups_scheduled = schedule.size();
 
   // Stored records resolve up front, so every later step (claims, the
-  // trace, the deadline) sees only the groups left to simulate.
+  // recording, the deadline) sees only the groups left to simulate.
   for (std::size_t group : schedule) {
     GroupRecord rec;
     if (!options.seed_group || !options.seed_group(group, &rec)) {
@@ -660,25 +638,20 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
     deadline_ =
         Clock::now() + std::chrono::milliseconds(options.time_budget_ms);
   }
-  if (unseeded_.empty()) return;  // nothing to simulate: no compile, no trace
+  if (unseeded_.empty()) return;  // nothing to simulate: no compile, no run
 
-  // The compiled program and the good trace are built once, before any
-  // worker exists, and shared read-only by every worker; forked workers
-  // inherit both.
+  // The compiled program and the recording of the good run are built
+  // once, on this thread, before any worker exists, and shared read-only
+  // by every worker; forked workers inherit both. This is the only place
+  // the environment runs. A recording cut by the deadline or a drain is
+  // null and leaves nothing to simulate: claim() expires every group
+  // past the deadline and claims none while draining.
   compiled_ = nl::compile(netlist);
-  if (options.engine != Engine::kEvent) return;
   const std::size_t cap_bytes =
       options.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
-  trace_ = record_good_trace(netlist, make_env_, options.max_cycles,
-                             cap_bytes, deadline_, options.cancel, compiled_);
-  // Only the memory cap falls back to the sweep kernel. A recording cut
-  // by the deadline or a drain leaves nothing to simulate: claim()
-  // expires every group past the deadline and claims none while
-  // draining. Both conditions are sticky, so a cut recording is never
-  // mistaken for a capped one.
-  trace_fallback_ =
-      trace_ == nullptr && Clock::now() < deadline_ &&
-      !(options.cancel && options.cancel->load(std::memory_order_relaxed));
+  trace_ = record_good_trace(netlist, make_env, options.max_cycles, cap_bytes,
+                             options.engine == Engine::kEvent, deadline_,
+                             options.cancel, compiled_);
 }
 
 std::size_t GroupDriver::pending() const {
@@ -687,10 +660,8 @@ std::size_t GroupDriver::pending() const {
 }
 
 std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
-  auto sim = std::make_unique<GroupSimulator>(
-      netlist_, faults_, plan_, make_env_, options_, trace_, compiled_);
-  sim->set_run_deadline(deadline_);
-  return sim;
+  return std::make_unique<GroupSimulator>(netlist_, faults_, plan_, options_,
+                                          trace_, deadline_, compiled_);
 }
 
 std::optional<std::size_t> GroupDriver::claim() {
@@ -742,7 +713,8 @@ void GroupDriver::fold(const GroupRecord& rec, bool seeded,
 FaultSimResult GroupDriver::finish() {
   std::lock_guard<std::mutex> lock(mu_);
   result_.trace_bytes = trace_ ? trace_->memory_bytes() : 0;
-  result_.trace_fallback = trace_fallback_;
+  result_.trace_fallback = options_.engine == Engine::kEvent && trace_ &&
+                           !trace_->has_planes();
   result_.cancelled = options_.cancel &&
                       options_.cancel->load(std::memory_order_relaxed) &&
                       result_.groups_done < result_.groups_scheduled;

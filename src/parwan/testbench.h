@@ -54,8 +54,9 @@ ParwanRunResult run_gate_parwan(const ParwanCpu& cpu,
                                 const std::vector<std::uint8_t>& image,
                                 std::uint64_t max_cycles = 1'000'000);
 
-/// Safe to invoke concurrently from fault-sim worker threads (the image
-/// is captured by value; the netlist is only read).
+/// Environment factory for run_fault_sim on the Parwan netlist (the image
+/// is captured by value; the netlist is only read). The fault engine
+/// calls it once per campaign, to record the good run.
 fault::EnvFactory make_parwan_env_factory(const ParwanCpu& cpu,
                                           const std::vector<std::uint8_t>& image);
 

@@ -71,10 +71,10 @@ GateRunResult run_gate_cpu(const PlasmaCpu& cpu, const isa::Program& program,
 /// Reads a debug bus (e.g. a register) from the simulator's good machine.
 std::uint32_t read_bus(const sim::LogicSim& s, const dsl::Bus& bus);
 
-/// Environment factory for run_fault_sim on the CPU netlist. Safe to
-/// invoke concurrently from fault-sim worker threads: the program image
-/// is captured by value and each call builds an independent CpuMemEnv
-/// that only reads the shared netlist.
+/// Environment factory for run_fault_sim on the CPU netlist. The program
+/// image is captured by value and each call builds an independent
+/// CpuMemEnv that only reads the shared netlist; the fault engine calls
+/// it once per campaign, to record the good run.
 fault::EnvFactory make_cpu_env_factory(const PlasmaCpu& cpu,
                                        const isa::Program& program,
                                        std::size_t mem_bytes = 1 << 16);

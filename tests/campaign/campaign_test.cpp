@@ -260,9 +260,52 @@ TEST(Campaign, DrainedResumeReplaysEveryJournaledGroup) {
   }
 }
 
+// The environment runs once per campaign, on the run's own thread, to
+// record the good run that every group replays: whatever the engine,
+// thread count or executor, a campaign with groups to simulate builds
+// exactly one, and a campaign fully seeded from its journal builds none.
+TEST(Campaign, EnvironmentBuiltOncePerCampaign) {
+  const auto& fx = fixture();
+  std::atomic<int> built{0};
+  const fault::EnvFactory counting = [&built, env = fx.env()] {
+    built.fetch_add(1);
+    return env();
+  };
+  const std::string path = temp_path("campaign_env_once.sbstj");
+  for (const fault::Engine engine :
+       {fault::Engine::kSweep, fault::Engine::kEvent}) {
+    for (const int executor : {1, 4, -2}) {  // threads, or -workers
+      CampaignOptions opt = ParwanCampaign::base_options(
+          executor > 0 ? static_cast<unsigned>(executor) : 1u);
+      opt.sim.engine = engine;
+      opt.isolate = executor < 0;
+      opt.iso.workers = executor < 0 ? 2u : 0u;
+      opt.journal = path;
+      const std::string mode =
+          std::string(engine == fault::Engine::kSweep ? "sweep" : "event") +
+          (opt.isolate ? " isolated" : " threads " + std::to_string(executor));
+      std::remove(path.c_str());
+
+      built.store(0);
+      const CampaignResult fresh =
+          run_campaign(fx.cpu.netlist, fx.faults, counting, kFp, opt);
+      EXPECT_EQ(fresh.groups_done, fresh.groups_total) << mode;
+      EXPECT_EQ(built.load(), 1) << mode;
+
+      built.store(0);
+      const CampaignResult seeded =
+          run_campaign(fx.cpu.netlist, fx.faults, counting, kFp, opt);
+      EXPECT_EQ(seeded.seeded_groups, seeded.groups_total) << mode;
+      EXPECT_EQ(built.load(), 0) << mode;
+      expect_identical(fresh.result, seeded.result, mode.c_str());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 /// Minimal never-halting environment whose clock can be made arbitrarily
-/// slow — the deterministic stand-in for a pathologically slow or hung
-/// fault group.
+/// slow. The environment only runs while the good run is recorded, so a
+/// slow one stretches the recording, not the groups.
 class SlowEnv final : public fault::Environment {
  public:
   explicit SlowEnv(std::chrono::microseconds per_cycle)
@@ -302,17 +345,18 @@ TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
   CampaignOptions opt;
   opt.sim.threads = 1;
   // Inputs never change, so no fault on this netlist is detectable and
-  // without a bound every group would burn the full 1M cycles. At
-  // ~200us per simulated cycle the engine's amortized watchdog (every
-  // 1024 cycles) trips the 20ms group timeout on its first check. The
+  // without a bound every group would burn the full 1M cycles. The
+  // instant environment records that run up front; the groups then
+  // replay it, and the engine's amortized watchdog (every 1024 cycles)
+  // trips the 20ms group timeout long before their last cycle. The
   // sweep engine keeps it a pure group-timeout test: the event engine
-  // would first record the 1M-cycle good trace, which no group timeout
-  // bounds.
+  // skips the quiet cycles of an unexcited group and could reach the
+  // last cycle first.
   opt.sim.max_cycles = 1'000'000;
   opt.sim.group_timeout_ms = 20;
   opt.sim.engine = fault::Engine::kSweep;
   const auto env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
+    return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
   };
   const CampaignResult cres =
       run_campaign(n, faults, env, kFp, opt);
@@ -343,68 +387,22 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
 
   CampaignOptions opt;
   opt.journal = temp_path("campaign_budget.sbstj");
-  std::remove(opt.journal.c_str());
   opt.sim.threads = 1;
   opt.sim.max_cycles = 1'000'000;
-  opt.sim.time_budget_ms = 30;
-  // The sweep engine starts groups at once; the event engine leg below
-  // spends the budget recording the good trace instead.
-  opt.sim.engine = fault::Engine::kSweep;
-  const auto env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
+  opt.iso.workers = 1;
+  const auto slow_env = []() {
+    return std::make_unique<SlowEnv>(std::chrono::microseconds(100));
   };
-
-  // Group 0 starts at once and eats the whole budget: the watchdog cuts
-  // it at its first check (cycle 1023, 205 ms or more in), so each of its
-  // faults is detected or inconclusive. Group 1 is claimed for the other
-  // lane right after group 0, but a slow start (a fork under
-  // --isolate) can push that claim past the deadline, so it is either
-  // cut like group 0 or expires unstarted. Later groups must still be
-  // resolved (as timed out) and journaled, not dropped: they wait for a
-  // free lane, are unstarted at the deadline, and so are inconclusive
-  // in full, even the faults a run without a budget would have detected.
-  const auto expect_budget_cut = [&faults](const CampaignResult& r,
-                                           const char* mode) {
-    EXPECT_EQ(r.groups_done, r.groups_total) << mode;
-    EXPECT_GT(r.faults_timed_out, 0u) << mode;
-    EXPECT_TRUE(r.result.sim_cycles == 1023u ||
-                r.result.sim_cycles == 2 * 1023u)
-        << mode << " sim_cycles " << r.result.sim_cycles;
-    for (std::size_t i = 0; i < kLaneFaults; ++i) {
-      EXPECT_EQ(r.result.detected[i] + r.result.timed_out[i], 1)
-          << mode << " fault " << i;
-    }
-    for (std::size_t i = kLaneFaults; i < faults.size(); ++i) {
-      EXPECT_EQ(r.result.timed_out[i], 1) << mode << " fault " << i;
-      EXPECT_EQ(r.result.detected[i], 0) << mode << " fault " << i;
-    }
+  const auto fast_env = []() {
+    return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
   };
-  const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
-  expect_budget_cut(cres, "threaded");
-
-  // One isolated worker expires the same groups unstarted instead of
-  // simulating each of them up to the watchdog.
-  CampaignOptions iso_opt = opt;
-  iso_opt.journal = temp_path("campaign_budget_iso.sbstj");
-  std::remove(iso_opt.journal.c_str());
-  iso_opt.isolate = true;
-  iso_opt.iso.workers = 1;
-  expect_budget_cut(run_campaign(n, faults, env, kFp, iso_opt), "isolated");
-
-  // Under the event engine the budget expires while the good trace is
-  // recorded (the recorder next checks the deadline at cycle 1024, about
-  // 205 ms in). A cut recording is no sweep fallback: every group, group
-  // 0 included, expires unstarted, in either executor.
-  for (const bool isolate : {false, true}) {
-    CampaignOptions ev = opt;
-    ev.journal = temp_path(isolate ? "campaign_budget_event_iso.sbstj"
-                                   : "campaign_budget_event.sbstj");
-    std::remove(ev.journal.c_str());
-    ev.sim.engine = fault::Engine::kEvent;
-    ev.isolate = isolate;
-    ev.iso.workers = 1;
-    const CampaignResult r = run_campaign(n, faults, env, kFp, ev);
-    const char* mode = isolate ? "isolated" : "threaded";
+  const auto mode_of = [](const CampaignOptions& o) {
+    return std::string(o.sim.engine == fault::Engine::kSweep ? "sweep"
+                                                             : "event") +
+           (o.isolate ? " isolated" : " threaded");
+  };
+  const auto expect_all_unstarted = [&faults](const CampaignResult& r,
+                                              const std::string& mode) {
     EXPECT_EQ(r.groups_done, r.groups_total) << mode;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       EXPECT_EQ(r.result.timed_out[i], 1) << mode << " fault " << i;
@@ -412,9 +410,91 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
     }
     EXPECT_EQ(r.result.sim_cycles, 0u) << mode;
     EXPECT_EQ(r.result.good_cycles, 0u) << mode;
-    EXPECT_FALSE(r.result.trace_fallback) << mode;
-    EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
-    std::remove(ev.journal.c_str());
+  };
+
+  // Under a slow environment the budget expires while the good run is
+  // recorded (the recorder next checks the deadline at cycle 1024, at
+  // least 102 ms in). A cut recording is no sweep fallback: every group, group
+  // 0 included, expires unstarted and is journaled as timed out, under
+  // either engine and in either executor. The sweep threaded run's
+  // journal seeds the retry below.
+  for (const fault::Engine engine :
+       {fault::Engine::kEvent, fault::Engine::kSweep}) {
+    for (const bool isolate : {true, false}) {
+      CampaignOptions o = opt;
+      o.sim.engine = engine;
+      o.sim.time_budget_ms = 30;
+      o.isolate = isolate;
+      std::remove(o.journal.c_str());
+      const CampaignResult r = run_campaign(n, faults, slow_env, kFp, o);
+      const std::string mode = mode_of(o);
+      expect_all_unstarted(r, mode);
+      EXPECT_FALSE(r.result.trace_fallback) << mode;
+      EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
+      const auto loaded =
+          load_journal(o.journal, {kFp, r.groups_total, faults.size()});
+      ASSERT_TRUE(loaded) << mode;
+      EXPECT_EQ(loaded->records.size(), r.groups_total) << mode;
+    }
+  }
+
+  // A group running when the budget expires stops like a group timeout.
+  // With an instant environment the good run records quickly, and a
+  // sweep group replaying its 100k cycles runs several times longer (the
+  // event engine would skip an unexcited group's quiet cycles and could
+  // finish first), so a budget just past the recording expires while
+  // groups 0 and 1 run in the worker's lanes: the watchdog cuts them at
+  // a 1024-cycle check, so each of their faults is detected or
+  // inconclusive. Group 1 is claimed right after group 0, but a slow
+  // start (a fork under --isolate) can push that claim past the
+  // deadline, so it is either cut like group 0 or expires unstarted.
+  // Later groups wait for a free lane, are unstarted at the deadline,
+  // and so are inconclusive in full, even the faults a run without a
+  // budget would have detected. How long the recording takes depends on
+  // the machine, so the budget doubles from 1 ms until the recording and
+  // the first claims fit in it; a tighter budget leaves every group
+  // unstarted, as above.
+  for (const bool isolate : {false, true}) {
+    CampaignOptions o = opt;
+    o.journal = temp_path("campaign_budget_mid.sbstj");
+    o.sim.max_cycles = 100'000;
+    o.sim.engine = fault::Engine::kSweep;
+    o.isolate = isolate;
+    for (o.sim.time_budget_ms = 1;; o.sim.time_budget_ms *= 2) {
+      ASSERT_LE(o.sim.time_budget_ms, 8192u) << "no budget fits the recording";
+      std::remove(o.journal.c_str());
+      const CampaignResult r = run_campaign(n, faults, fast_env, kFp, o);
+      const std::string mode =
+          mode_of(o) + " budget " + std::to_string(o.sim.time_budget_ms);
+      if (r.result.sim_cycles == 0) {
+        expect_all_unstarted(r, mode);
+        continue;
+      }
+      EXPECT_EQ(r.groups_done, r.groups_total) << mode;
+      const auto loaded =
+          load_journal(o.journal, {kFp, r.groups_total, faults.size()});
+      ASSERT_TRUE(loaded) << mode;
+      ASSERT_EQ(loaded->records.size(), r.groups_total) << mode;
+      for (const fault::GroupRecord& rec : loaded->records) {
+        EXPECT_TRUE(rec.timed_out) << mode << " group " << rec.group;
+        if (rec.group == 0 || (rec.group == 1 && rec.cycles != 0)) {
+          EXPECT_EQ(rec.cycles % 1024, 1023u) << mode << " group " << rec.group;
+          EXPECT_LT(rec.cycles, o.sim.max_cycles) << mode;
+        } else {
+          EXPECT_EQ(rec.cycles, 0u) << mode << " group " << rec.group;
+        }
+      }
+      for (std::size_t i = 0; i < kLaneFaults; ++i) {
+        EXPECT_EQ(r.result.detected[i] + r.result.timed_out[i], 1)
+            << mode << " fault " << i;
+      }
+      for (std::size_t i = kLaneFaults; i < faults.size(); ++i) {
+        EXPECT_EQ(r.result.timed_out[i], 1) << mode << " fault " << i;
+        EXPECT_EQ(r.result.detected[i], 0) << mode << " fault " << i;
+      }
+      std::remove(o.journal.c_str());
+      break;
+    }
   }
 
   // A retry run with no budget and an instant environment resolves the
@@ -423,9 +503,6 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   retry.sim.engine = fault::Engine::kEvent;
   retry.sim.time_budget_ms = 0;
   retry.retry_timed_out = true;
-  const auto fast_env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
-  };
   // Bound the rerun: with constant inputs nothing is ever detected, so
   // cap cycles to keep the test quick while staying deterministic.
   retry.sim.max_cycles = 2048;
@@ -449,37 +526,42 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
 }
 
 TEST(Campaign, DrainDuringTraceRecordingSimulatesNothing) {
-  // A drain that lands while the event engine records the good trace
-  // (the recorder next checks the cancel flag at cycle 1024, about
-  // 205 ms in) cuts the recording. That is no sweep fallback: no group
-  // is claimed, so nothing is simulated, in either executor.
+  // A drain that lands while the good run is recorded (the recorder next
+  // checks the cancel flag at cycle 1024, at least 102 ms in) cuts the
+  // recording. That is no sweep fallback: no group is claimed, so
+  // nothing is simulated, under either engine and in either executor.
   const nl::Netlist n = make_mesh_netlist();
   const nl::FaultList faults = nl::enumerate_faults(n);
   const auto env = []() {
-    return std::make_unique<SlowEnv>(std::chrono::microseconds(200));
+    return std::make_unique<SlowEnv>(std::chrono::microseconds(100));
   };
-  for (const bool isolate : {false, true}) {
-    std::atomic<bool> cancel{false};
-    CampaignOptions opt;
-    opt.sim.threads = 1;
-    opt.sim.max_cycles = 4096;
-    opt.sim.engine = fault::Engine::kEvent;
-    opt.sim.cancel = &cancel;
-    opt.isolate = isolate;
-    opt.iso.workers = 1;
-    std::thread drain([&cancel] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      cancel.store(true);
-    });
-    const CampaignResult r = run_campaign(n, faults, env, kFp, opt);
-    drain.join();
-    const char* mode = isolate ? "isolated" : "threaded";
-    EXPECT_TRUE(r.result.cancelled) << mode;
-    EXPECT_TRUE(r.interrupted) << mode;
-    EXPECT_EQ(r.groups_done, 0u) << mode;
-    EXPECT_EQ(r.result.sim_cycles, 0u) << mode;
-    EXPECT_FALSE(r.result.trace_fallback) << mode;
-    EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
+  for (const fault::Engine engine :
+       {fault::Engine::kEvent, fault::Engine::kSweep}) {
+    for (const bool isolate : {false, true}) {
+      std::atomic<bool> cancel{false};
+      CampaignOptions opt;
+      opt.sim.threads = 1;
+      opt.sim.max_cycles = 4096;
+      opt.sim.engine = engine;
+      opt.sim.cancel = &cancel;
+      opt.isolate = isolate;
+      opt.iso.workers = 1;
+      std::thread drain([&cancel] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        cancel.store(true);
+      });
+      const CampaignResult r = run_campaign(n, faults, env, kFp, opt);
+      drain.join();
+      const std::string mode =
+          std::string(engine == fault::Engine::kSweep ? "sweep" : "event") +
+          (isolate ? " isolated" : " threaded");
+      EXPECT_TRUE(r.result.cancelled) << mode;
+      EXPECT_TRUE(r.interrupted) << mode;
+      EXPECT_EQ(r.groups_done, 0u) << mode;
+      EXPECT_EQ(r.result.sim_cycles, 0u) << mode;
+      EXPECT_FALSE(r.result.trace_fallback) << mode;
+      EXPECT_EQ(r.result.trace_bytes, 0u) << mode;
+    }
   }
 }
 

@@ -302,68 +302,70 @@ TEST(Supervisor, SharedCrashWithNoRetriesStillGetsASoloAttempt) {
   expect_identical(clean.result, res.result, "solo retry vs clean");
 }
 
-/// Environment that hoards memory the way a leaking testbench would:
-/// every construction grabs a fresh 64 MiB mapping. Under a worker
-/// RLIMIT_AS that allocation can never be granted.
-class HungryEnv final : public fault::Environment {
+/// Deterministic no-op environment: inputs never change.
+class ConstEnv final : public fault::Environment {
  public:
-  HungryEnv() : hoard_(64 * 1024 * 1024, 0xAB) {}
   void drive(sim::LogicSim&, std::uint64_t) override {}
   bool observe(const sim::LogicSim&, std::uint64_t) override { return true; }
-
- private:
-  std::vector<std::uint8_t> hoard_;
 };
 
-nl::Netlist make_small_netlist() {
+/// A netlist too wide for a small worker: `gates` two-input gates in one
+/// level over 8 inputs, the last 8 of them observed. A worker's kernel
+/// state holds a 16-byte value slot per gate (the sweep's two lane words,
+/// the event kernel's diverged word and stamp), allocated when its first
+/// group starts.
+nl::Netlist make_wide_netlist(std::size_t gates) {
   nl::Netlist n;
   const auto& in = n.add_input("in", 8);
-  std::vector<nl::GateId> nets(in.bits.begin(), in.bits.end());
   std::vector<nl::GateId> outs;
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < gates; ++i) {
     const nl::GateId g =
         n.add_gate(i % 2 ? nl::GateKind::kAnd2 : nl::GateKind::kXor2,
-                   nets[(i * 5 + 1) % nets.size()],
-                   nets[(i * 11 + 3) % nets.size()]);
-    nets.push_back(g);
-    if (i % 2 == 0) outs.push_back(g);
+                   in.bits[i % 8], in.bits[(i / 8 + 1 + i) % 8]);
+    if (i + 8 >= gates) outs.push_back(g);
   }
   n.add_output("o", outs);
   return n;
 }
 
 TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
-  // The 64 MiB-per-group HungryEnv can never be satisfied under a small
-  // RLIMIT_AS: every attempt on every group OOMs its own worker. The
+  // Half a million gates need 8 MiB of kernel state in every worker,
+  // which can never be granted under a 4 MiB RLIMIT_AS: under either
+  // engine, every attempt on every group OOMs its own worker. The
   // campaign must still terminate with every group quarantined rather
-  // than crash, hang, or take the test runner down — that containment
-  // is the entire point of process isolation.
-  const nl::Netlist n = make_small_netlist();
-  const nl::FaultList faults = nl::enumerate_faults(n);
-  const auto env = []() { return std::make_unique<HungryEnv>(); };
+  // than crash, hang, or take the test runner down — that containment is
+  // the entire point of process isolation.
+  const nl::Netlist n = make_wide_netlist(std::size_t{1} << 19);
+  // Two groups of stem faults.
+  nl::FaultList faults;
+  for (std::size_t i = 0; i < 2 * 63; ++i) {
+    faults.faults.push_back({static_cast<nl::GateId>(n.size() - 1 - i), 0,
+                             static_cast<std::uint8_t>(i % 2)});
+    faults.class_size.push_back(1);
+  }
+  faults.total_uncollapsed = faults.size();
+  const auto env = []() { return std::make_unique<ConstEnv>(); };
 
-  CampaignOptions opt;
-  opt.sim.threads = 1;
-  opt.sim.max_cycles = 256;
-  // Pin the sweep kernel: the OOM must happen inside the *workers*, and
-  // the event engine deliberately never constructs the Environment in
-  // per-group simulation (the supervisor records the good trace once,
-  // outside any rlimit), so under it HungryEnv cannot OOM a worker.
-  opt.sim.engine = fault::Engine::kSweep;
-  opt.isolate = true;
-  opt.iso.workers = 1;
-  opt.iso.max_group_retries = 0;
-  opt.iso.worker_mem_mb = 32;
-  const CampaignResult res = run_campaign(n, faults, env, kFp ^ 0x99, opt);
+  for (const fault::Engine engine :
+       {fault::Engine::kSweep, fault::Engine::kEvent}) {
+    CampaignOptions opt;
+    opt.sim.max_cycles = 8;
+    opt.sim.engine = engine;
+    opt.isolate = true;
+    opt.iso.workers = 1;
+    opt.iso.max_group_retries = 0;
+    opt.iso.worker_mem_mb = 4;
+    const CampaignResult res = run_campaign(n, faults, env, kFp ^ 0x99, opt);
 
-  EXPECT_EQ(res.groups_done, res.groups_total);
-  EXPECT_EQ(res.quarantined_groups.size(), res.groups_total);
-  EXPECT_GE(res.worker_restarts, res.groups_total);
-  for (const QuarantinedGroup& q : res.quarantined_groups) {
-    // Death by rlimit shows up as SIGABRT (uncaught bad_alloc) or
-    // SIGSEGV/SIGKILL — never as a clean exit 0.
-    EXPECT_TRUE(q.error.term_signal != 0 || q.error.exit_code != 0)
-        << "group " << q.group;
+    EXPECT_EQ(res.groups_done, res.groups_total);
+    EXPECT_EQ(res.quarantined_groups.size(), res.groups_total);
+    EXPECT_GE(res.worker_restarts, res.groups_total);
+    for (const QuarantinedGroup& q : res.quarantined_groups) {
+      // Death by rlimit shows up as SIGABRT (uncaught bad_alloc) or
+      // SIGSEGV/SIGKILL — never as a clean exit 0.
+      EXPECT_TRUE(q.error.term_signal != 0 || q.error.exit_code != 0)
+          << "group " << q.group;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -187,11 +188,48 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
   const nl::Netlist n = make_seq_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
 
-  // Unit level: a cap smaller than one plane aborts recording.
-  EXPECT_EQ(record_good_trace(n, pattern_env(100), 4096, 8), nullptr);
+  // Unit level: over the cap the recording drops its planes but keeps
+  // the stimulus, which replays on the sweep kernel to the uncapped
+  // run's verdicts.
+  const auto uncapped = record_good_trace(n, pattern_env(100), 4096, 0);
+  const auto capped = record_good_trace(n, pattern_env(100), 4096, 8);
+  ASSERT_NE(uncapped, nullptr);
+  ASSERT_NE(capped, nullptr);
+  EXPECT_TRUE(uncapped->has_planes());
+  EXPECT_FALSE(capped->has_planes());
+  EXPECT_EQ(capped->memory_bytes(), 0u);
+  EXPECT_EQ(capped->cycles(), uncapped->cycles());
+  {
+    FaultSimOptions opt;
+    opt.max_cycles = 4096;
+    const GroupPlan plan(fl, opt);
+    GroupSimulator event(n, fl, plan, opt, uncapped);
+    GroupSimulator replay(n, fl, plan, opt, capped);
+    EXPECT_EQ(event.lanes(), 1u);
+    EXPECT_EQ(replay.lanes(), 2u);
+    for (std::size_t g = 0; g < plan.num_groups(); ++g) {
+      const GroupRecord want = event.simulate(g);
+      const GroupRecord got = replay.simulate(g);
+      EXPECT_EQ(got.detected_mask, want.detected_mask) << g;
+      EXPECT_EQ(got.detect_cycle, want.detect_cycle) << g;
+      EXPECT_EQ(got.cycles, want.cycles) << g;
+      EXPECT_EQ(got.engine_used, GroupEngine::kSweep) << g;
+    }
+  }
 
-  // Engine level: a run whose trace exceeds trace_mem_mb completes on
+  // Only a cut — a passed deadline or a drain — returns null.
+  const std::atomic<bool> drained{true};
+  EXPECT_EQ(record_good_trace(n, pattern_env(100), 4096, 8, true,
+                              std::chrono::steady_clock::now()),
+            nullptr);
+  EXPECT_EQ(record_good_trace(n, pattern_env(100), 4096, 0, false,
+                              std::chrono::steady_clock::time_point::max(),
+                              &drained),
+            nullptr);
+
+  // Engine level: a run whose planes exceed trace_mem_mb completes on
   // the sweep kernel with identical results and reports the fallback.
+  // trace_bytes counts planes only: 0 for the sweep and the fallback.
   const std::size_t wpc = (n.size() + 63) / 64;
   const std::uint64_t cycles =
       (std::size_t{1} << 20) / (wpc * sizeof(sim::Word)) + 64;
@@ -200,6 +238,8 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
   opt.threads = 1;
   opt.engine = Engine::kSweep;
   const FaultSimResult sweep = run_fault_sim(n, fl, pattern_env(cycles), opt);
+  EXPECT_FALSE(sweep.trace_fallback);
+  EXPECT_EQ(sweep.trace_bytes, 0u);
   opt.engine = Engine::kEvent;
   opt.trace_mem_mb = 1;
   const FaultSimResult event = run_fault_sim(n, fl, pattern_env(cycles), opt);

@@ -328,12 +328,10 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   std::map<std::string, std::vector<GroupRecord>> by_engine;
   for (const EngineCase& e : kEngines) {
     opt.engine = e.engine;
-    std::shared_ptr<const GoodTrace> trace;
-    if (e.engine == Engine::kEvent) {
-      trace = record_good_trace(pn.n, env, opt.max_cycles, 0);
-    }
-    GroupSimulator sim(pn.n, fl, plan, env, opt, trace);
-    sim.set_run_deadline(std::chrono::steady_clock::now());
+    GroupSimulator sim(pn.n, fl, plan, opt,
+                       record_good_trace(pn.n, env, opt.max_cycles, 0,
+                                         e.engine == Engine::kEvent),
+                       std::chrono::steady_clock::now());
     for (std::size_t g = 0; g < plan.num_groups(); ++g) {
       by_engine[e.name].push_back(sim.simulate(g));
     }

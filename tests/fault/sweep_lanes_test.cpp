@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -34,8 +32,8 @@ namespace sbst::fault {
 namespace {
 
 using testutil::expect_oracle_verdicts;
+using testutil::good_run;
 using testutil::pattern_env;
-using testutil::PatternEnv;
 using testutil::Records;
 
 /// Verdict fields: what every engine must agree on.
@@ -258,12 +256,13 @@ TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
   opt.max_cycles = 4096;
   opt.engine = Engine::kSweep;
   const GroupPlan plan(fl, opt);
-  GroupSimulator alone(n, fl, plan, pattern_env(400), opt);
+  const auto run400 = good_run(n, pattern_env(400), opt);
+  GroupSimulator alone(n, fl, plan, opt, run400);
   const Records want = simulate_alone(alone, plan);
   expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles,
                          {{0, want.at(0)}, {1, want.at(1)}});
 
-  GroupSimulator lanes(n, fl, plan, pattern_env(400), opt);
+  GroupSimulator lanes(n, fl, plan, opt, run400);
   EXPECT_EQ(lanes.lanes(), 2u);
   const LaneRun run = run_lanes(lanes, all_groups(plan));
   EXPECT_EQ(run.max_in_flight, 2u) << "both lanes must run at once";
@@ -350,7 +349,8 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   opt.shard_index = 7;
   opt.engine = Engine::kSweep;
   const GroupPlan plan(faults, opt);
-  GroupSimulator alone(cpu.netlist, faults, plan, env, opt);
+  const auto recorded = good_run(cpu.netlist, env, opt);
+  GroupSimulator alone(cpu.netlist, faults, plan, opt, recorded);
   Records want;
   for (std::size_t g = opt.shard_index; g < plan.num_groups();
        g += opt.shard_count) {
@@ -363,7 +363,7 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   std::vector<std::size_t> groups;
   for (const auto& [g, rec] : want) groups.push_back(g);
 
-  GroupSimulator sim(cpu.netlist, faults, plan, env, opt);
+  GroupSimulator sim(cpu.netlist, faults, plan, opt, recorded);
   const LaneRun run = run_lanes(sim, groups);
   EXPECT_TRUE(run.refilled_mid_run);
   EXPECT_EQ(run.max_in_flight, 2u);
@@ -390,7 +390,8 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   opt.max_cycles = 10000;
   opt.engine = Engine::kSweep;
   const GroupPlan plan(faults, opt);
-  GroupSimulator alone(cpu.netlist, faults, plan, env, opt);
+  const auto recorded = good_run(cpu.netlist, env, opt);
+  GroupSimulator alone(cpu.netlist, faults, plan, opt, recorded);
   const Records want = simulate_alone(alone, plan);
   ASSERT_GT(want.size(), 20u);
 
@@ -402,7 +403,7 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   // An odd-length stream: the last group runs with its partner lane idle.
   std::vector<std::size_t> odd = all_groups(plan);
   if (odd.size() % 2 == 0) odd.pop_back();
-  GroupSimulator sim(cpu.netlist, faults, plan, env, opt);
+  GroupSimulator sim(cpu.netlist, faults, plan, opt, recorded);
   const LaneRun run = run_lanes(sim, odd);
   EXPECT_TRUE(run.refilled_mid_run);
   for (const auto& [g, rec] : run.records) {
@@ -417,47 +418,54 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   }
 }
 
-// The first environment built is slow, holds its inputs at 0 (so some
-// faults stay undetected) and never halts; every later one is an
-// ordinary pattern run.
-EnvFactory first_env_hangs(std::shared_ptr<std::atomic<int>> built) {
-  struct Hang : Environment {
-    void drive(sim::LogicSim&, std::uint64_t) override {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    bool observe(const sim::LogicSim&, std::uint64_t) override {
-      return true;
-    }
-  };
-  return [built]() -> std::unique_ptr<Environment> {
-    if (built->fetch_add(1) == 0) return std::make_unique<Hang>();
-    return std::make_unique<PatternEnv>(300);
-  };
-}
-
 TEST(SweepLanes, GroupTimeoutInOneLaneWhileTheOtherCompletes) {
-  const nl::Netlist n = make_lane_netlist();
-  const nl::FaultList fl = nl::enumerate_faults(n);
+  // Group 0 holds a fault on a gate no output observes, so it never
+  // drops and runs until its group timeout; group 1 holds only faults
+  // detected within 64 cycles, so it drops early and completes while
+  // group 0 is still running in the other lane.
+  nl::Netlist n = make_lane_netlist();
+  const nl::FaultList generated = nl::enumerate_faults(n);
+  const nl::Port& in = n.input("in");
+  const nl::GateId dead =
+      n.add_gate(nl::GateKind::kAnd2, in.bits[0], in.bits[1]);
   FaultSimOptions opt;
-  opt.max_cycles = 1'000'000;
+  opt.max_cycles = 4096;
+  opt.threads = 1;
   opt.engine = Engine::kSweep;
+  const FaultSimResult probe =
+      run_fault_sim(n, generated, pattern_env(4096), opt);
+  nl::FaultList fl;
+  fl.faults.push_back({dead, 0, 0});
+  for (std::size_t i = 0; i < generated.size() && fl.size() < 2 * 63; ++i) {
+    if (probe.detected[i] && probe.detect_cycle[i] < 64) {
+      fl.faults.push_back(generated.faults[i]);
+    }
+  }
+  ASSERT_EQ(fl.size(), 2u * 63u) << "need 125 early-detected faults";
+  fl.class_size.assign(fl.size(), 1);
+  fl.total_uncollapsed = fl.size();
+
+  // A never-halting pattern run: only the timeout ends group 0.
+  opt.max_cycles = 1'000'000;
   const GroupPlan plan(fl, opt);
-  ASSERT_GE(plan.num_groups(), 2u);
-  GroupSimulator plain(n, fl, plan, pattern_env(300), opt);
+  const auto recorded = good_run(n, pattern_env(opt.max_cycles), opt);
+  GroupSimulator plain(n, fl, plan, opt, recorded);
   const GroupRecord want = plain.simulate(1);
   ASSERT_FALSE(want.timed_out);
+  ASSERT_LE(want.cycles, 64u);
 
   opt.group_timeout_ms = 20;
-  GroupSimulator sim(n, fl, plan,
-                     first_env_hangs(std::make_shared<std::atomic<int>>(0)),
-                     opt);
+  GroupSimulator sim(n, fl, plan, opt, recorded);
   const LaneRun run = run_lanes(sim, {0, 1});
   EXPECT_EQ(run.max_in_flight, 2u);
   ASSERT_EQ(run.emit_order.size(), 2u);
   EXPECT_EQ(run.emit_order[0], 1u) << "the healthy lane finishes first";
   const GroupRecord& hung = run.records.at(0);
   EXPECT_TRUE(hung.timed_out);
-  EXPECT_EQ(hung.cycles, 1023u) << "watchdog fires at its 1024-cycle check";
+  EXPECT_EQ(hung.detect_cycle[0], -1);
+  // The watchdog fires at one of its 1024-cycle checks.
+  EXPECT_EQ(hung.cycles % 1024, 1023u);
+  EXPECT_LT(hung.cycles, opt.max_cycles);
   expect_same_records(one(1, want), one(1, run.records.at(1)),
                       "healthy lane");
 }

@@ -1,9 +1,9 @@
 // Helpers shared by the fault-simulation tests: small synthetic
-// netlists, a pattern environment, and a check of group records against
-// the single-fault reference. Between them the meshes carry every
-// injection kind the engines distinguish: PI and constant stems,
-// combinational stems and branches (duplicated MUX pins included), DFF D
-// pins and Q outputs.
+// netlists, a pattern environment and the recording of its good run, and
+// a check of group records against the single-fault reference. Between
+// them the meshes carry every injection kind the engines distinguish: PI
+// and constant stems, combinational stems and branches (duplicated MUX
+// pins included), DFF D pins and Q outputs.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/faultsim.h"
+#include "fault/good_trace.h"
 #include "netlist/fault.h"
 #include "netlist/netlist.h"
 #include "verify/fault_oracle.h"
@@ -94,6 +95,16 @@ class PatternEnv : public Environment {
 
 inline EnvFactory pattern_env(std::uint64_t cycles) {
   return [cycles]() { return std::make_unique<PatternEnv>(cycles); };
+}
+
+/// The recording of `env`'s good run that a GroupDriver makes for `opt`
+/// (planes only under the event engine, uncapped), for simulators built
+/// by hand.
+inline std::shared_ptr<const GoodTrace> good_run(const nl::Netlist& n,
+                                                 const EnvFactory& env,
+                                                 const FaultSimOptions& opt) {
+  return record_good_trace(n, env, opt.max_cycles, 0,
+                           opt.engine == Engine::kEvent);
 }
 
 /// Group records keyed by group index.
