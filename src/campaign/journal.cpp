@@ -258,19 +258,34 @@ std::string encode_journal(const JournalMeta& meta,
   return out;
 }
 
-std::vector<fault::GroupRecord> winning_records(
+namespace {
+
+/// Positions in `records` of the winning record per group, in group
+/// order: a later file position supersedes an earlier one.
+std::vector<std::size_t> winner_positions(
     const std::vector<fault::GroupRecord>& records) {
   std::unordered_map<std::uint64_t, std::size_t> latest;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    latest[records[i].group] = i;  // later file position wins
+    latest[records[i].group] = i;
   }
-  std::vector<fault::GroupRecord> winners;
+  std::vector<std::size_t> winners;
   winners.reserve(latest.size());
-  for (const auto& [group, idx] : latest) winners.push_back(records[idx]);
+  for (const auto& [group, idx] : latest) winners.push_back(idx);
   std::sort(winners.begin(), winners.end(),
-            [](const fault::GroupRecord& a, const fault::GroupRecord& b) {
-              return a.group < b.group;
+            [&records](std::size_t a, std::size_t b) {
+              return records[a].group < records[b].group;
             });
+  return winners;
+}
+
+}  // namespace
+
+std::vector<fault::GroupRecord> winning_records(
+    const std::vector<fault::GroupRecord>& records) {
+  std::vector<fault::GroupRecord> winners;
+  for (std::size_t idx : winner_positions(records)) {
+    winners.push_back(records[idx]);
+  }
   return winners;
 }
 
@@ -431,18 +446,11 @@ MergeStats merge_journals(const std::vector<std::string>& inputs,
     }
   }
   stats.records_in = all.size();
-  std::unordered_map<std::uint64_t, std::size_t> latest;
-  for (std::size_t i = 0; i < all.size(); ++i) latest[all[i].group] = i;
   std::vector<fault::GroupRecord> winners;
-  winners.reserve(latest.size());
-  for (const auto& [group, idx] : latest) {
-    winners.push_back(all[idx]);
+  for (std::size_t idx : winner_positions(all)) {
+    winners.push_back(std::move(all[idx]));
     ++stats.inputs[source[idx]].winners;
   }
-  std::sort(winners.begin(), winners.end(),
-            [](const fault::GroupRecord& a, const fault::GroupRecord& b) {
-              return a.group < b.group;
-            });
   stats.records_out = winners.size();
   util::write_file_atomic(out, encode_journal(stats.meta, winners),
                           durability);

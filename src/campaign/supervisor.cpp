@@ -14,13 +14,13 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "campaign/ipc.h"
 #include "campaign/journal.h"
 #include "util/child.h"
+#include "util/parallel.h"
 
 namespace sbst::campaign {
 
@@ -214,9 +214,8 @@ fault::FaultSimResult run_fault_sim_isolated(
   // Worker slots. A slot forks its worker when it is first handed a
   // group, so a run whose groups all expire or drain forks none; a dead
   // worker is re-forked the same way.
-  std::vector<Worker> workers(
-      iso.workers != 0 ? iso.workers
-                       : std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<Worker> workers(iso.workers != 0 ? iso.workers
+                                               : util::hardware_threads());
 
   // Grace period before a busy worker is declared hung and hard-killed.
   // The worker enforces group_timeout_ms cooperatively inside its kernel;

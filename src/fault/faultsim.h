@@ -153,10 +153,10 @@ struct FaultSimOptions {
   std::size_t sample = 0;
   std::uint64_t sample_seed = 0x5eed5bd7u;
   /// Worker threads for group-level parallel simulation. 0 = one per
-  /// hardware thread; 1 = serial. Fault groups are independent by
-  /// construction (lane-local reset per group, one shared read-only
-  /// recording of the good run, disjoint result indices), so the result
-  /// is bit-identical for every thread count.
+  /// hardware thread; 1 = serial, on the calling thread. Fault groups
+  /// are independent by construction (lane-local reset per group, one
+  /// shared read-only recording of the good run, disjoint result
+  /// indices), so the result is bit-identical for every thread count.
   unsigned threads = 0;
   /// Optional progress callback. Invoked under an internal mutex (never
   /// concurrently), but from worker threads when threads != 1; groups
@@ -271,7 +271,9 @@ struct KernelStats {
 /// environment produced by `make_env`. The engine performs fault dropping
 /// (a group stops as soon as all of its faults are detected) and runs a
 /// GroupDriver's 63-fault groups on `options.threads` worker threads,
-/// each with its own GroupSimulator.
+/// the calling thread among them, each with its own GroupSimulator. A
+/// worker's first exception stops every worker's claims and is rethrown
+/// once all workers have joined.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,

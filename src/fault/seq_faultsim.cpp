@@ -2,11 +2,13 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "fault/compiled_event_kernel.h"
@@ -732,8 +734,7 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
 
   // One worker's group stream: the simulator claims groups whenever a
   // lane is free and hands each record back with the wall clock since
-  // its claim. A worker's failure ends every worker's claims; groups in
-  // flight finish.
+  // its claim.
   auto stream = [&driver](GroupSimulator& sim) {
     std::vector<std::pair<std::size_t, Clock::time_point>> claimed;
     const auto pull = [&](bool) {
@@ -751,29 +752,42 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
       claimed.erase(it);
       driver.resolve(rec, ms);
     };
+    sim.run(pull, emit);
+  };
+
+  // A worker's first failure ends every worker's claims (groups in
+  // flight finish) and is rethrown once all workers have joined.
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto fail = [&] {
+    driver.stop();
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (!error) error = std::current_exception();
+  };
+  const auto work = [&] {
     try {
-      sim.run(pull, emit);
+      stream(*driver.make_simulator());
     } catch (...) {
-      driver.stop();
-      throw;
+      fail();
     }
   };
 
-  const std::size_t threads = std::min<std::size_t>(
+  // N workers on N OS threads: the calling thread is worker 0.
+  const std::size_t workers = std::min<std::size_t>(
       options.threads == 0 ? util::hardware_threads() : options.threads,
       driver.pending());
-  if (threads == 1) {
-    stream(*driver.make_simulator());
-  } else if (threads > 1) {
-    // One task per worker, each streaming groups until the schedule is
-    // exhausted; every worker owns its simulator and injection tables.
-    util::ThreadPool pool(static_cast<unsigned>(threads));
-    std::vector<std::unique_ptr<GroupSimulator>> workers(pool.size());
-    pool.run(pool.size(), [&](std::size_t, unsigned w) {
-      if (!workers[w]) workers[w] = driver.make_simulator();
-      stream(*workers[w]);
-    });
+  std::vector<std::thread> threads;
+  for (std::size_t w = 1; w < workers; ++w) {
+    try {
+      threads.emplace_back(work);
+    } catch (...) {
+      fail();
+      break;
+    }
   }
+  if (workers > 0) work();
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
   return driver.finish();
 }
 

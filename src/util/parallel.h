@@ -1,59 +1,10 @@
-// Small self-scheduling thread pool for embarrassingly parallel loops.
-//
-// Work is claimed dynamically from a shared atomic counter (chunk size 1):
-// workers that finish early keep stealing remaining task indices, so
-// uneven task costs — fault groups that drop early vs. groups that run to
-// max_cycles — balance automatically. The calling thread participates as
-// worker 0, so a pool of size N uses exactly N OS threads.
+// Worker-count default shared by the fault-sim executors, the CLI and
+// the benches: one worker per hardware thread.
 #pragma once
-
-#include <atomic>
-#include <cstddef>
-#include <functional>
 
 namespace sbst::util {
 
 /// Number of hardware threads, never less than 1.
 unsigned hardware_threads();
-
-/// Reusable fixed-size pool. `run` dispatches `fn(task, worker)` over a
-/// task index range and blocks until every task completed; exceptions
-/// thrown by tasks are captured and the first one is rethrown from `run`.
-/// A pool of size 1 has no background threads and runs tasks inline.
-///
-/// The pool itself is not re-entrant: `run` must not be called
-/// concurrently from several threads, and tasks must not call back into
-/// their own pool.
-class ThreadPool {
- public:
-  /// `threads` = 0 selects hardware_threads().
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total workers, including the calling thread. Always >= 1.
-  unsigned size() const;
-
-  /// Runs fn(task, worker) for every task in [0, num_tasks); `worker` is
-  /// a stable index in [0, size()) identifying the executing thread, so
-  /// callers can keep per-worker scratch state without locks. Returns
-  /// once all tasks have finished. After a task throws, remaining tasks
-  /// are abandoned (claimed but not executed) and the first exception is
-  /// rethrown here. num_tasks == 0 returns immediately.
-  ///
-  /// `cancel`, when non-null, requests a graceful drain: once the flag
-  /// reads true, no further tasks are invoked (in-flight tasks run to
-  /// completion) and `run` returns normally. The flag is sampled before
-  /// each task with relaxed ordering, so it may be set from a signal
-  /// handler or any thread; a task already past its check still runs.
-  void run(std::size_t num_tasks,
-           const std::function<void(std::size_t, unsigned)>& fn,
-           const std::atomic<bool>* cancel = nullptr);
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
 
 }  // namespace sbst::util

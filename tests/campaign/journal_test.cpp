@@ -101,7 +101,7 @@ TEST(Journal, RoundTripsRecordsInCompletionOrder) {
   const std::string path = temp_path("journal_roundtrip.sbstj");
   {
     JournalWriter w = JournalWriter::create(path, kMeta);
-    // Out-of-order group completion, as under a thread pool.
+    // Out-of-order group completion, as under several worker threads.
     for (std::uint64_t g : {3u, 0u, 7u, 1u}) w.add(make_record(g, 63));
     w.add(make_record(9, 5));  // final ragged group
   }

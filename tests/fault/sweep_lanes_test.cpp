@@ -320,8 +320,15 @@ TEST(SweepLanes, FoldedBufFaultRejectedPoBufFaultSimulated) {
   bad.faults[80] = {folded, 0, 1};
   for (Engine engine : {Engine::kSweep, Engine::kEvent}) {
     opt.engine = engine;
-    EXPECT_THROW(run_fault_sim(n, bad, pattern_env(400), opt),
-                 std::invalid_argument);
+    // At 4 threads the rejection is thrown on worker threads: the first
+    // one must reach the caller once every worker has joined.
+    for (unsigned threads : {1u, 4u}) {
+      opt.threads = threads;
+      EXPECT_THROW(run_fault_sim(n, bad, pattern_env(400), opt),
+                   std::invalid_argument)
+          << threads << " threads";
+    }
+    opt.threads = 1;
     campaign::CampaignOptions copt;
     copt.sim = opt;
     copt.isolate = true;
