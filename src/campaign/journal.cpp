@@ -368,26 +368,6 @@ void JournalWriter::add(const fault::GroupRecord& rec) {
   }
 }
 
-CompactionStats compact_journal(const std::string& path,
-                                const std::string& out,
-                                util::Durability durability) {
-  std::optional<JournalLoad> loaded = load_journal_raw(path);
-  if (!loaded) throw std::runtime_error("cannot open " + path);
-  if (loaded->empty_file) {
-    throw std::runtime_error(path + " is an empty journal (no header yet)");
-  }
-  const std::vector<fault::GroupRecord> winners =
-      winning_records(loaded->records);
-  const std::string data = encode_journal(loaded->meta, winners);
-  CompactionStats stats;
-  stats.records_before = loaded->records.size();
-  stats.records_after = winners.size();
-  stats.bytes_before = journal_file_bytes(*loaded);
-  stats.bytes_after = data.size();
-  util::write_file_atomic(out.empty() ? path : out, data, durability);
-  return stats;
-}
-
 RepairStats repair_journal(const std::string& path, const std::string& out,
                            util::Durability durability) {
   std::optional<JournalLoad> loaded = load_journal_raw(path);
@@ -406,54 +386,62 @@ RepairStats repair_journal(const std::string& path, const std::string& out,
   return stats;
 }
 
-MergeStats merge_journals(const std::vector<std::string>& inputs,
-                          const std::string& out,
-                          util::Durability durability) {
-  if (inputs.empty()) {
-    throw std::runtime_error("journal merge needs at least one input");
+JournalSet load_journals(const std::vector<std::string>& paths) {
+  if (paths.empty()) {
+    throw std::runtime_error("no journal to load");
   }
-  MergeStats stats;
-  // Concatenation in input-file order: within one file later records
-  // already win (compaction semantics), and across files a later input
-  // supersedes an earlier one the same way a later append would.
-  std::vector<fault::GroupRecord> all;
-  std::vector<std::size_t> source;  // all[i] came from inputs[source[i]]
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    std::optional<JournalLoad> loaded = load_journal_raw(inputs[i]);
-    if (!loaded) throw std::runtime_error("cannot open " + inputs[i]);
+  JournalSet set;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    std::optional<JournalLoad> loaded = load_journal_raw(paths[i]);
+    if (!loaded) throw std::runtime_error("cannot open " + paths[i]);
     if (loaded->empty_file) {
-      throw std::runtime_error(inputs[i] +
+      throw std::runtime_error(paths[i] +
                                " is an empty journal (no header yet)");
     }
     if (i == 0) {
-      stats.meta = loaded->meta;
-    } else if (loaded->meta.fingerprint != stats.meta.fingerprint ||
-               loaded->meta.num_groups != stats.meta.num_groups ||
-               loaded->meta.num_faults != stats.meta.num_faults) {
+      set.meta = loaded->meta;
+    } else if (loaded->meta.fingerprint != set.meta.fingerprint ||
+               loaded->meta.num_groups != set.meta.num_groups ||
+               loaded->meta.num_faults != set.meta.num_faults) {
       throw std::runtime_error(
-          inputs[i] + " records a different campaign than " + inputs[0] +
-          " (fingerprint, group universe or fault count differ); merging "
-          "them would corrupt both");
+          paths[i] + " records a different campaign than " + paths[0] +
+          " (fingerprint, group universe or fault count differ); combining "
+          "them would corrupt the result");
     }
     MergeInputStats in;
-    in.path = inputs[i];
+    in.path = paths[i];
     in.records = loaded->records.size();
+    in.bytes = journal_file_bytes(*loaded);
+    in.skipped_spans = loaded->stats.skipped_records;
+    in.dropped_bytes = loaded->dropped_bytes;
     in.damaged = loaded->damaged();
-    stats.inputs.push_back(std::move(in));
+    set.inputs.push_back(std::move(in));
     for (fault::GroupRecord& rec : loaded->records) {
-      all.push_back(std::move(rec));
-      source.push_back(i);
+      set.records.push_back(std::move(rec));
+      set.source.push_back(i);
     }
   }
-  stats.records_in = all.size();
+  return set;
+}
+
+MergeStats merge_journals(const std::vector<std::string>& inputs,
+                          const std::string& out,
+                          util::Durability durability) {
+  JournalSet set = load_journals(inputs);
+  MergeStats stats;
+  stats.meta = set.meta;
+  stats.inputs = std::move(set.inputs);
+  stats.records_in = set.records.size();
+  for (const MergeInputStats& in : stats.inputs) stats.bytes_in += in.bytes;
   std::vector<fault::GroupRecord> winners;
-  for (std::size_t idx : winner_positions(all)) {
-    winners.push_back(std::move(all[idx]));
-    ++stats.inputs[source[idx]].winners;
+  for (std::size_t idx : winner_positions(set.records)) {
+    winners.push_back(std::move(set.records[idx]));
+    ++stats.inputs[set.source[idx]].winners;
   }
   stats.records_out = winners.size();
-  util::write_file_atomic(out, encode_journal(stats.meta, winners),
-                          durability);
+  const std::string data = encode_journal(stats.meta, winners);
+  stats.bytes_out = data.size();
+  util::write_file_atomic(out, data, durability);
   return stats;
 }
 
@@ -468,33 +456,26 @@ JournalSession open_journal_session(const std::string& path,
     s.truncated = loaded->truncated;
     s.stats = loaded->stats;
     s.was_empty = loaded->records.empty();
-    for (const fault::GroupRecord& rec : loaded->records) {
-      if ((rec.timed_out || rec.quarantined) && retry_inconclusive) {
-        // Give the group a fresh chance; a new record supersedes this
-        // one in file order on the next load.
-        s.seeds.erase(rec.group);
-        continue;
-      }
-      s.seeds[rec.group] = rec;  // later record wins
+    const std::vector<fault::GroupRecord> winners =
+        winning_records(loaded->records);
+    for (const fault::GroupRecord& rec : winners) {
+      // Under retry an inconclusive winner gets a fresh chance; the new
+      // record supersedes it in file order on the next load.
+      if (retry_inconclusive && (rec.timed_out || rec.quarantined)) continue;
+      s.seeds.emplace(rec.group, rec);
     }
 
     // Dead-record pressure: retries, quarantine heals and resume churn
     // append superseding records without ever reclaiming the old ones.
     // When the dead outnumber the live by more than the threshold,
-    // rewrite the file down to one winning record per group — the
-    // append writer below then continues on the compacted file. (The
-    // winning records are exactly what the seeds were computed from, so
-    // compaction never changes what a resume sees.)
-    const std::vector<fault::GroupRecord> winners =
-        winning_records(loaded->records);
+    // rewrite the file down to the winners the seeds came from, so
+    // compaction never changes what a resume sees. The rewrite drops
+    // any damage too, so the append writer below has nothing to heal.
     const std::size_t dead = loaded->records.size() - winners.size();
     if (dead > kCompactDeadFactor * winners.size()) {
       loaded->intact_bytes = encode_journal(loaded->meta, winners);
-      loaded->records = winners;
       loaded->truncated = false;
-      loaded->dropped_bytes = 0;
-      loaded->stats.skipped_records = 0;
-      loaded->stats.skipped_bytes = 0;
+      loaded->stats = JournalLoadStats{};
       util::write_file_atomic(path, loaded->intact_bytes, durability);
       s.compacted = true;
     }

@@ -29,8 +29,9 @@
 // re-simulates exactly those groups. A torn *tail* (crash mid-append)
 // is the degenerate case: nothing to resync onto, the tail is dropped.
 // Retries and quarantine-heals append superseding records, so a
-// long-lived journal accumulates dead records; compaction rewrites it
-// keeping only the winning (latest) record per group, atomically.
+// long-lived journal accumulates dead records. Every reader resolves a
+// group to its latest record (winning_records): merge, compaction (a
+// merge of one journal), resume seeding and `sbst stats --journal`.
 //
 // The fingerprint in the header ties the journal to one exact campaign
 // (netlist + fault list + program + sampling + cycle bound); resuming
@@ -163,8 +164,8 @@ std::string encode_record_payload(const fault::GroupRecord& rec);
 bool decode_record_payload(std::string_view payload, fault::GroupRecord* rec);
 
 /// Serializes a complete journal: header + one frame per record, in
-/// order. The building block of compaction and repair (both stay in the
-/// SBSTJRN1 format, so old readers load their output unchanged).
+/// order. The building block of merge, compaction and repair (all stay
+/// in the SBSTJRN1 format, so old readers load their output unchanged).
 std::string encode_journal(const JournalMeta& meta,
                            const std::vector<fault::GroupRecord>& records);
 
@@ -172,24 +173,6 @@ std::string encode_journal(const JournalMeta& meta,
 /// per group, returned sorted by group for deterministic output.
 std::vector<fault::GroupRecord> winning_records(
     const std::vector<fault::GroupRecord>& records);
-
-struct CompactionStats {
-  std::size_t records_before = 0;
-  std::size_t records_after = 0;  // live (= distinct groups)
-  std::size_t bytes_before = 0;
-  std::size_t bytes_after = 0;
-};
-
-/// Rewrites the journal at `path` keeping only the winning record per
-/// group, atomically (util::write_file_atomic under `durability`).
-/// Damaged spans are dropped as a side effect — a compacted journal is
-/// always clean. `out` may name a different destination (repair-into-
-/// fresh-file workflows); equal or empty `out` compacts in place.
-/// Throws on missing/corrupt-header/unwritable files.
-CompactionStats compact_journal(const std::string& path,
-                                const std::string& out = std::string(),
-                                util::Durability durability =
-                                    util::Durability::kFsync);
 
 struct RepairStats {
   JournalLoadStats stats;      // what the salvaging load saw
@@ -208,35 +191,48 @@ RepairStats repair_journal(const std::string& path,
                            util::Durability durability =
                                util::Durability::kFsync);
 
-/// Per-input accounting of a merge: what each shard journal brought and
-/// how much of it survived conflict resolution.
+/// Per-input accounting of a multi-journal load: what each input
+/// brought and how much of it survived conflict resolution.
 struct MergeInputStats {
   std::string path;
   std::size_t records = 0;  // intact records contributed (file order)
   std::size_t winners = 0;  // of those, records that won their group
+  std::size_t bytes = 0;    // file size, damaged spans and tail included
+  std::size_t skipped_spans = 0;  // damaged interior spans salvage skipped
+  std::size_t dropped_bytes = 0;  // torn tail salvage dropped
   bool damaged = false;     // salvage dropped spans/tail from this input
 };
+
+/// Several journals of one campaign, loaded as one. Records are
+/// concatenated in input order, so a later input supersedes an earlier
+/// one the way a later append does within one file.
+struct JournalSet {
+  JournalMeta meta;  // the first input's header, shared by every input
+  std::vector<fault::GroupRecord> records;
+  std::vector<std::size_t> source;  // records[i] came from inputs[source[i]]
+  std::vector<MergeInputStats> inputs;  // `winners` left at zero
+};
+
+/// Salvages every input like load_journal_raw. Throws on no input, a
+/// missing, empty or corrupt-header file, and on an input whose
+/// fingerprint, num_groups or num_faults differ from the first one's —
+/// folding foreign campaigns together would be silent corruption.
+JournalSet load_journals(const std::vector<std::string>& paths);
 
 struct MergeStats {
   JournalMeta meta;
   std::vector<MergeInputStats> inputs;
   std::size_t records_in = 0;   // sum of intact input records
   std::size_t records_out = 0;  // distinct groups in the merged journal
+  std::size_t bytes_in = 0;     // sum of input file sizes
+  std::size_t bytes_out = 0;    // size of the merged journal
 };
 
-/// Merges shard journals into one: concatenates every input's intact
-/// records in input-file order and keeps the winning (latest) record
-/// per group — exactly the conflict resolution of in-journal
-/// compaction, so a group present in several shards (re-dispatch
-/// races, quarantined copy later healed) resolves to the same
-/// record compaction would pick, with later *inputs* winning ties the
-/// way later *appends* do within one file. The first input defines the
-/// campaign identity; any input whose fingerprint/num_groups/num_faults
-/// differ is refused (throws) — merging foreign campaigns would be
-/// silent corruption. Damaged inputs are salvaged like any load: their
-/// lost records simply re-simulate on resume. Writes `out` atomically
-/// in SBSTJRN1 format. Throws on < 1 input, missing files, or corrupt
-/// headers.
+/// Writes the winning records of load_journals(inputs) to `out`,
+/// atomically. A group present in several shards (re-dispatch races, a
+/// quarantined copy later healed) resolves to the record appending all
+/// inputs into one file would have kept; lost records of damaged inputs
+/// re-simulate on resume. With one input this is compaction.
 MergeStats merge_journals(const std::vector<std::string>& inputs,
                           const std::string& out,
                           util::Durability durability =
@@ -248,7 +244,7 @@ MergeStats merge_journals(const std::vector<std::string>& inputs,
 struct JournalSession {
   /// Engaged iff a journal path was configured.
   std::optional<JournalWriter> writer;
-  /// Latest record per group from previous runs (later records win);
+  /// Winning record per group from previous runs (winning_records);
   /// groups present here are seeded instead of simulated.
   std::unordered_map<std::uint64_t, fault::GroupRecord> seeds;
   /// Salvage accounting from the load (skipped spans re-simulate).
@@ -264,12 +260,13 @@ struct JournalSession {
 constexpr std::size_t kCompactDeadFactor = 2;
 
 /// Loads (or creates) the journal at `path` for the campaign identified
-/// by `meta` and folds its records into a seed map. When
-/// `retry_inconclusive` is set, timed-out and quarantined records are
-/// dropped from the seeds so those groups re-simulate (their superseding
+/// by `meta` and seeds from its winning records. When
+/// `retry_inconclusive` is set, timed-out and quarantined winners are
+/// left out of the seeds so those groups re-simulate (their superseding
 /// records win on the next load). Journals whose dead records exceed
-/// kCompactDeadFactor x live ones are compacted in passing. Empty
-/// `path` returns a session with no writer and no seeds.
+/// kCompactDeadFactor x live ones are rewritten to those same winners
+/// in passing. Empty `path` returns a session with no writer and no
+/// seeds.
 JournalSession open_journal_session(const std::string& path,
                                     const JournalMeta& meta,
                                     bool retry_inconclusive,

@@ -144,23 +144,15 @@ CampaignTelemetry::~CampaignTelemetry() {
 
 std::size_t CampaignTelemetry::records() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return totals_.records;
 }
 
 void CampaignTelemetry::record(const GroupMetric& m) {
   const std::lock_guard<std::mutex> lock(mu_);
   lines_ += metric_to_json(m);
   lines_ += '\n';
-  ++records_;
+  totals_.add(m);
   ++unflushed_;
-  if (m.seeded) ++seeded_;
-  if (m.timed_out) ++timed_out_groups_;
-  if (m.quarantined) ++quarantined_groups_;
-  faults_ += m.faults;
-  detected_ += m.detected;
-  if (m.attempts > 1) retries_ += m.attempts - 1;
-  gates_evaluated_ += m.gates_evaluated;
-  sim_cycles_ += m.sim_cycles;
 
   if (opt_.rewrite_every != 0 && unflushed_ >= opt_.rewrite_every) {
     flush_metrics_locked();
@@ -201,7 +193,8 @@ void CampaignTelemetry::write_status_locked(const char* state) {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
-  const double eta = eta_seconds(records_, seeded_, groups_total_, elapsed);
+  const MetricsSummary& s = totals_;
+  const double eta = eta_seconds(s.records, s.seeded, groups_total_, elapsed);
 
   std::string out = "{\"schema\":\"sbst-campaign-status-v1\"";
   out += ",\"state\":";
@@ -213,15 +206,15 @@ void CampaignTelemetry::write_status_locked(const char* state) {
     append_u64(out, "shard_count", opt_.shard_count);
   }
   append_u64(out, "groups_total", groups_total_);
-  append_u64(out, "groups_done", records_);
-  append_u64(out, "groups_seeded", seeded_);
-  append_u64(out, "timed_out_groups", timed_out_groups_);
-  append_u64(out, "quarantined_groups", quarantined_groups_);
-  append_u64(out, "retries", retries_);
-  append_u64(out, "faults", faults_);
-  append_u64(out, "detected", detected_);
-  append_u64(out, "gates_evaluated", gates_evaluated_);
-  append_u64(out, "sim_cycles", sim_cycles_);
+  append_u64(out, "groups_done", s.records);
+  append_u64(out, "groups_seeded", s.seeded);
+  append_u64(out, "timed_out_groups", s.timed_out_groups);
+  append_u64(out, "quarantined_groups", s.quarantined_groups);
+  append_u64(out, "retries", s.retries);
+  append_u64(out, "faults", s.faults);
+  append_u64(out, "detected", s.detected);
+  append_u64(out, "gates_evaluated", s.gates_evaluated);
+  append_u64(out, "sim_cycles", s.sim_cycles);
   char buf[64];
   std::snprintf(buf, sizeof(buf), ",\"elapsed_s\":%.3f", elapsed);
   out += buf;

@@ -40,6 +40,7 @@
 #include <string>
 #include <string_view>
 
+#include "telemetry/stats.h"
 #include "util/atomic_file.h"
 
 namespace sbst::telemetry {
@@ -157,16 +158,8 @@ class CampaignTelemetry {
 
   mutable std::mutex mu_;
   std::string lines_;  // every NDJSON line so far, '\n'-terminated
-  std::size_t records_ = 0;
+  MetricsSummary totals_;  // the `sbst stats` counter fold, per record
   std::size_t unflushed_ = 0;
-  std::size_t seeded_ = 0;
-  std::size_t timed_out_groups_ = 0;
-  std::size_t quarantined_groups_ = 0;
-  std::uint64_t faults_ = 0;
-  std::uint64_t detected_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t gates_evaluated_ = 0;
-  std::uint64_t sim_cycles_ = 0;
   std::chrono::steady_clock::time_point last_status_;
   bool status_written_ = false;
   bool finished_ = false;

@@ -20,16 +20,14 @@ double percentile_nearest_rank(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-void MetricsFolder::fold(const GroupMetric& m) {
-  MetricsSummary& s = summary_;
+void MetricsSummary::add(const GroupMetric& m) {
+  MetricsSummary& s = *this;
   ++s.records;
   if (m.seeded) {
     ++s.seeded;
   } else {
     ++s.simulated;
-    durations_.push_back(m.duration_ms);
     s.total_ms += m.duration_ms;
-    simulated_gates_ += m.gates_evaluated;
   }
   if (m.timed_out) ++s.timed_out_groups;
   if (m.quarantined) ++s.quarantined_groups;
@@ -47,6 +45,14 @@ void MetricsFolder::fold(const GroupMetric& m) {
   s.evals_mux += m.evals_mux;
   s.max_rss_kb = std::max(s.max_rss_kb, m.max_rss_kb);
   s.cpu_ms += m.cpu_ms;
+}
+
+void MetricsFolder::fold(const GroupMetric& m) {
+  summary_.add(m);
+  if (!m.seeded) {
+    durations_.push_back(m.duration_ms);
+    simulated_gates_ += m.gates_evaluated;
+  }
 }
 
 void MetricsFolder::count_malformed() { ++summary_.malformed; }

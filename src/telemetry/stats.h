@@ -12,6 +12,8 @@
 
 namespace sbst::telemetry {
 
+struct GroupMetric;
+
 struct MetricsSummary {
   std::size_t records = 0;    // well-formed metric lines
   std::size_t malformed = 0;  // lines that failed to parse (blank skipped)
@@ -48,13 +50,16 @@ struct MetricsSummary {
   /// records replay in ~zero time, so they are excluded from both the
   /// numerator and the denominator). 0 when nothing was simulated.
   double eval_ns_per_gate = 0.0;
+
+  /// Folds one metric into every field above except `malformed` and the
+  /// latency sample statistics (p50..max_ms, eval_ns_per_gate), which
+  /// need MetricsFolder's sample. The status heartbeat reports these.
+  void add(const GroupMetric& m);
 };
 
 /// Nearest-rank percentile (q in (0, 100]) of an ascending-sorted
 /// sample; 0.0 for an empty sample.
 double percentile_nearest_rank(const std::vector<double>& sorted, double q);
-
-struct GroupMetric;
 
 /// Incremental folder behind summarize_metrics, exposed so the same
 /// counter lines can be derived from sources other than an NDJSON

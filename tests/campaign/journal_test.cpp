@@ -3,9 +3,9 @@
 // salvages by resynchronizing on the [len][crc][payload] framing; a
 // torn or corrupt tail is detected and dropped; appending after a
 // damaged load first rewrites the intact bytes so garbage never
-// resurfaces; compaction and repair rewrite journals atomically in the
-// same format; and a journal can never be spliced into a campaign it
-// does not belong to.
+// resurfaces; compaction (a merge of one journal) and repair rewrite
+// journals atomically in the same format; and a journal can never be
+// spliced into a campaign it does not belong to.
 #include "campaign/journal.h"
 
 #include <gtest/gtest.h>
@@ -260,14 +260,27 @@ TEST(Journal, QuarantinedRecordRoundTrips) {
   rec.error.attempts = 3;
   rec.error.max_rss_kb = 51200;
   rec.error.cpu_ms = 1234;
+  // Group 5: an inconclusive record superseded by a conclusive retry.
+  // Group 7: a conclusive record superseded by a quarantine.
+  fault::GroupRecord inconclusive = make_record(5, 63);
+  inconclusive.timed_out = true;
+  fault::GroupRecord conclusive = make_record(5, 63);
+  conclusive.cycles = 5555;
+  fault::GroupRecord healed = make_record(7, 63);
+  fault::GroupRecord relapsed = make_record(7, 63);
+  relapsed.quarantined = true;
   {
     JournalWriter w = JournalWriter::create(path, kMeta);
     w.add(make_record(1, 63));
     w.add(rec);
+    w.add(inconclusive);
+    w.add(healed);
+    w.add(conclusive);
+    w.add(relapsed);
   }
   const auto loaded = load_journal(path, kMeta);
   ASSERT_TRUE(loaded);
-  ASSERT_EQ(loaded->records.size(), 2u);
+  ASSERT_EQ(loaded->records.size(), 6u);
   const fault::GroupRecord& got = loaded->records[1];
   EXPECT_TRUE(got.quarantined);
   EXPECT_EQ(got.error.term_signal, SIGABRT);
@@ -277,13 +290,22 @@ TEST(Journal, QuarantinedRecordRoundTrips) {
   EXPECT_EQ(got.error.cpu_ms, 1234u);
   expect_equal(loaded->records[0], make_record(1, 63));
 
-  // retry_inconclusive drops quarantined seeds like timed-out ones.
+  // Seeds follow each group's winning (latest) record; retry_inconclusive
+  // drops an inconclusive winner, quarantined like timed-out, whatever
+  // came before it.
   JournalSession keep = open_journal_session(path, kMeta, false);
+  EXPECT_EQ(keep.seeds.size(), 4u);
   EXPECT_EQ(keep.seeds.count(4), 1u);
+  EXPECT_EQ(keep.seeds.at(5).cycles, 5555u);
+  EXPECT_FALSE(keep.seeds.at(5).timed_out);
+  EXPECT_TRUE(keep.seeds.at(7).quarantined);
   keep.writer.reset();
   JournalSession retry = open_journal_session(path, kMeta, true);
+  EXPECT_EQ(retry.seeds.size(), 2u);
   EXPECT_EQ(retry.seeds.count(4), 0u);
   EXPECT_EQ(retry.seeds.count(1), 1u);
+  EXPECT_EQ(retry.seeds.at(5).cycles, 5555u);
+  EXPECT_EQ(retry.seeds.count(7), 0u);
 }
 
 TEST(Journal, WorkCountersRoundTripThroughPayloadCodec) {
@@ -479,12 +501,13 @@ TEST(Journal, CompactKeepsWinnersAndShrinksTheFile) {
     }
   }
   const std::size_t before = slurp(path).size();
-  const CompactionStats stats = compact_journal(path);
-  EXPECT_EQ(stats.records_before, 9u);
-  EXPECT_EQ(stats.records_after, 3u);
-  EXPECT_EQ(stats.bytes_before, before);
-  EXPECT_LT(stats.bytes_after, before);
-  EXPECT_EQ(slurp(path).size(), stats.bytes_after);
+  // Compaction is a merge of the one journal into itself.
+  const MergeStats stats = merge_journals({path}, path);
+  EXPECT_EQ(stats.records_in, 9u);
+  EXPECT_EQ(stats.records_out, 3u);
+  EXPECT_EQ(stats.bytes_in, before);
+  EXPECT_LT(stats.bytes_out, before);
+  EXPECT_EQ(slurp(path).size(), stats.bytes_out);
   const auto loaded = load_journal(path, kMeta);
   ASSERT_TRUE(loaded);
   EXPECT_FALSE(loaded->damaged());
@@ -505,8 +528,8 @@ TEST(Journal, CompactToSeparateOutputLeavesSourceUntouched) {
     w.add(make_record(5, 63));
   }
   const std::string original = slurp(path);
-  const CompactionStats stats = compact_journal(path, out);
-  EXPECT_EQ(stats.records_after, 2u);
+  const MergeStats stats = merge_journals({path}, out);
+  EXPECT_EQ(stats.records_out, 2u);
   EXPECT_EQ(slurp(path), original);
   const auto loaded = load_journal(out, kMeta);
   ASSERT_TRUE(loaded);
@@ -552,11 +575,11 @@ TEST(Journal, RepairDropsDamageAndOutputVerifiesClean) {
 TEST(Journal, RepairAndCompactThrowOnEmptyOrMissingFiles) {
   const std::string missing = temp_path("journal_not_there.sbstj");
   EXPECT_THROW(repair_journal(missing), std::runtime_error);
-  EXPECT_THROW(compact_journal(missing), std::runtime_error);
+  EXPECT_THROW(merge_journals({missing}, missing), std::runtime_error);
   const std::string empty = temp_path("journal_repair_empty.sbstj");
   spit(empty, "");
   EXPECT_THROW(repair_journal(empty), std::runtime_error);
-  EXPECT_THROW(compact_journal(empty), std::runtime_error);
+  EXPECT_THROW(merge_journals({empty}, empty), std::runtime_error);
 }
 
 TEST(Journal, SessionSeedsOnlySalvagedGroupsAfterMidFileDamage) {

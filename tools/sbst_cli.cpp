@@ -111,11 +111,11 @@
 //                                                 damaged spans and the
 //                                                 torn tail; prints what
 //                                                 was lost
-//                                        compact  rewrite keeping only
-//                                                 the winning record per
-//                                                 group (retries and
-//                                                 heals leave dead
-//                                                 records behind)
+//                                        compact  merge of the one
+//                                                 journal: keep only
+//                                                 the winning record
+//                                                 per group (retries and
+//                                                 heals leave dead ones)
 //   sbst journal merge A.sbstj B.sbstj ... -o OUT.sbstj
 //                                        merge    reconcile shard
 //                                                 journals: refuses
@@ -459,6 +459,11 @@ int cmd_grade(int argc, char** argv) {
     throw util::ArgError(
         "--workers/--worker-mem-mb/--crash-group only apply to --isolate");
   }
+  if (isolate && threads != 0) {
+    throw util::ArgError(
+        "--threads does not apply to --isolate; use --workers N to set the "
+        "number of isolated worker processes");
+  }
   unsigned shard_index = 0, shard_count = 0;
   if (!shard.empty()) {
     char extra = 0;
@@ -550,19 +555,13 @@ int cmd_grade(int argc, char** argv) {
   }
 
   const bool sampled = sample != 0 && sample < faults.size();
-  if (isolate) {
-    std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
-                " (%u isolated worker processes)\n",
-                sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)camp->good_cycles,
-                workers == 0 ? util::hardware_threads() : workers);
-  } else {
-    std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
-                " (%u threads)\n",
-                sampled ? sample : faults.size(), faults.size(),
-                (unsigned long long)camp->good_cycles,
-                threads == 0 ? util::hardware_threads() : threads);
-  }
+  const unsigned parallel = isolate ? workers : threads;
+  std::printf("fault-grading %zu of %zu collapsed faults over %llu cycles"
+              " (%u %s)\n",
+              sampled ? sample : faults.size(), faults.size(),
+              (unsigned long long)camp->good_cycles,
+              parallel == 0 ? util::hardware_threads() : parallel,
+              isolate ? "isolated worker processes" : "threads");
   if (sampled) {
     std::printf("note: sampled run — coverage below is a statistical "
                 "estimate over %zu randomly chosen faults; components whose "
@@ -891,46 +890,23 @@ int cmd_stats(int argc, char** argv) {
   // duplicate groups — re-dispatch races, healed quarantines — count
   // each group once. Counter lines are bit-equal to a clean run's
   // `sbst stats` output; latency fields (never journaled) read zero.
-  std::vector<fault::GroupRecord> records;
-  std::uint64_t num_groups = 0;
-  bool have_meta = false;
-  std::uint64_t meta_fp = 0;
-  for (const std::string& path : journals) {
-    const auto loaded = campaign::load_journal_raw(path);
-    if (!loaded) {
-      std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-      return 1;
-    }
-    if (loaded->empty_file) {
-      std::fprintf(stderr, "error: %s is an empty journal\n", path.c_str());
-      return 1;
-    }
-    if (!have_meta) {
-      have_meta = true;
-      meta_fp = loaded->meta.fingerprint;
-      num_groups = loaded->meta.num_groups;
-    } else if (loaded->meta.fingerprint != meta_fp) {
-      std::fprintf(stderr,
-                   "error: %s records a different campaign than the first "
-                   "--journal input; aggregating them would be meaningless\n",
-                   path.c_str());
-      return 1;
-    }
-    if (loaded->damaged()) {
-      std::fprintf(stderr,
-                   "warning: %s is damaged (%zu span(s), torn tail %zu "
-                   "bytes); stats cover the %zu salvaged record(s)\n",
-                   path.c_str(), loaded->stats.skipped_records,
-                   loaded->dropped_bytes, loaded->stats.salvaged);
-    }
-    records.insert(records.end(), loaded->records.begin(),
-                   loaded->records.end());
-  }
   std::size_t journal_groups = 0;
+  std::uint64_t num_groups = 0;
   if (!journals.empty()) {
+    const campaign::JournalSet set = campaign::load_journals(journals);
+    for (const campaign::MergeInputStats& in : set.inputs) {
+      if (in.damaged) {
+        std::fprintf(stderr,
+                     "warning: %s is damaged (%zu span(s), torn tail %zu "
+                     "bytes); stats cover the %zu salvaged record(s)\n",
+                     in.path.c_str(), in.skipped_spans, in.dropped_bytes,
+                     in.records);
+      }
+    }
     const std::vector<fault::GroupRecord> winners =
-        campaign::winning_records(records);
+        campaign::winning_records(set.records);
     journal_groups = winners.size();
+    num_groups = set.meta.num_groups;
     for (const fault::GroupRecord& rec : winners) {
       folder.fold(campaign::to_group_metric(rec, /*seeded=*/false, 0.0));
     }
@@ -1088,12 +1064,12 @@ int cmd_journal(int argc, char** argv) {
     return 0;
   }
 
-  // compact
-  const campaign::CompactionStats c = campaign::compact_journal(path, out, dur);
+  // compact: a merge of one journal
+  const std::string dest = out.empty() ? path : out;
+  const campaign::MergeStats c = campaign::merge_journals({path}, dest, dur);
   std::printf("compacted %s -> %s: %zu -> %zu record(s), %zu -> %zu bytes\n",
-              path.c_str(), out.empty() ? path.c_str() : out.c_str(),
-              c.records_before, c.records_after, c.bytes_before,
-              c.bytes_after);
+              path.c_str(), dest.c_str(), c.records_in, c.records_out,
+              c.bytes_in, c.bytes_out);
   return 0;
 }
 
