@@ -47,15 +47,18 @@ CompiledEventKernel::CompiledEventKernel(
     std::shared_ptr<const GoodTrace> trace)
     : netlist_(&netlist), cn_(&cn), trace_(std::move(trace)) {
   const std::size_t n = netlist.size();
-  is_po_.assign(n + 1, 0);
+  slot_flags_.assign(n + 1, 0);
   for (nl::GateId b : po_bits) {
-    if (b < n) is_po_[b] = 1;
+    if (b < n) slot_flags_[b] = kSlotPo;
   }
   // AoS repack of the compiled node streams (see header).
   nodes_.resize(cn.num_nodes());
   for (std::size_t i = 0; i < cn.num_nodes(); ++i) {
+    const std::uint32_t guards = cn.guard_offset[i + 1] - cn.guard_offset[i];
     nodes_[i] = {cn.node_in0[i], cn.node_in1[i], cn.node_in2[i],
-                 cn.node_gate[i], cn.node_level[i], cn.node_meta[i]};
+                 cn.node_gate[i], cn.node_level[i],
+                 static_cast<std::uint8_t>(cn.node_meta[i] |
+                                           (guards << kGuardShift))};
   }
   vm_.assign(n + 1, Slot{0, 0});
   seen_.assign(n + 1, 0);
@@ -179,6 +182,11 @@ void CompiledEventKernel::simulate(
         static_cast<std::uint32_t>(inj_nodes_.size());
     inj_nodes_.push_back(r);
     nodes_[nidx].meta |= kInjected;
+    // A forced select pin lets this MUX pass the data pin its select
+    // slot does not pick, so no guard on that slot holds in this group.
+    if (r.kind == nl::GateKind::kMux2 && (r.f.set[3] | r.f.clr[3]) != 0) {
+      slot_flags_[r.q2] |= kSlotTainted;
+    }
   }
   aggregate_seed_forces(inj.sources(), &src_forces_);
   aggregate_seed_forces(inj.dff_q(), &q_forces_);
@@ -273,12 +281,36 @@ void CompiledEventKernel::simulate(
             dff_cands_.push_back(d);
           }
         } else if (queued_[entry] != st) {
+          const Node& c = nodes[entry];
+          // An event on one data pin of a non-injected MUX cannot change
+          // its output while the good select picks the other pin: should
+          // the select diverge, its own event wakes the MUX.
+          if ((c.meta & (nl::CompiledNetlist::kMetaOpMask | kInjected)) ==
+                  static_cast<std::uint8_t>(nl::CompiledOp::kMux) &&
+              c.in2 < n32 && s != c.in2 && (s == c.in0) != (s == c.in1) &&
+              trace_bit(base, c.in2) != (s == c.in1)) {
+            continue;
+          }
           queued_[entry] = st;
-          const std::uint32_t lvl = nodes[entry].level;
-          buckets_[lvl].push_back(entry);
-          if (lvl > lvl_hi) lvl_hi = lvl;
+          buckets_[c.level].push_back(entry);
+          if (c.level > lvl_hi) lvl_hi = c.level;
         }
       }
+    };
+    // True when some guard of the node has its select picking the other
+    // pin in every live lane: no value of the node is observable this
+    // cycle. A guard select sits at a lower level, so its value is final.
+    auto unobservable = [&](std::uint32_t nidx, unsigned count) {
+      const std::uint32_t* const g = cn.guards.data() + cn.guard_offset[nidx];
+      for (unsigned k = 0; k < count; ++k) {
+        const std::uint32_t sel = g[k] & ~nl::CompiledNetlist::kGuardPin1;
+        if (slot_flags_[sel] & kSlotTainted) continue;
+        const Word v = value_of(sel).w & live;
+        if (v == ((g[k] & nl::CompiledNetlist::kGuardPin1) ? 0 : live)) {
+          return true;
+        }
+      }
+      return false;
     };
     // Seeds one already-valued slot: accumulate PO divergence and wake
     // its fanout iff it actually differs from the good machine.
@@ -287,7 +319,7 @@ void CompiledEventKernel::simulate(
       seen_[s] = st;
       const Word dv = (vm[s].v ^ GoodTrace::broadcast_bit(base, s)) & live;
       if (dv == 0) return;
-      if (is_po_[s]) po_acc |= dv;
+      if (slot_flags_[s] & kSlotPo) po_acc |= dv;
       schedule_consumers(s);
     };
 
@@ -381,6 +413,10 @@ void CompiledEventKernel::simulate(
             if (meta & nl::CompiledNetlist::kMetaPo) po_acc |= dv;
             schedule_consumers(nd.gate);
           }
+          continue;
+        }
+        if (const unsigned guards = meta >> kGuardShift;
+            guards != 0 && unobservable(nidx, guards)) {
           continue;
         }
         const VG A = value_of(nd.in0);
@@ -481,8 +517,9 @@ void CompiledEventKernel::simulate(
   }
 
   // Restore the shared meta bits for the next group.
-  for (std::uint32_t nidx : comb_injected_) {
-    nodes_[nidx].meta &= static_cast<std::uint8_t>(~kInjected);
+  for (std::size_t k = 0; k < comb_injected_.size(); ++k) {
+    nodes_[comb_injected_[k]].meta &= static_cast<std::uint8_t>(~kInjected);
+    slot_flags_[inj_nodes_[k].q2] &= static_cast<std::uint8_t>(~kSlotTainted);
   }
 
   stats_.gates_evaluated += total_evals;

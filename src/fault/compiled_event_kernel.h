@@ -36,12 +36,19 @@
 //     excited), the node is skipped outright, so an unexcited fault
 //     costs three trace-bit reads per cycle. Fanin divergence falls back
 //     to lane-wise forced evaluation of the original GateKind, matching
-//     the sweep kernel's pin semantics exactly.
+//     the sweep kernel's pin semantics exactly;
+//   * two exact rules skip work the good machine cannot observe
+//     (DESIGN.md §5, "Unobservable work"): an event on one data pin of a
+//     non-injected MUX wakes it only when the good select picks that
+//     pin, and a node is not evaluated while one of its compile-time
+//     guards (CompiledNetlist::guards) has its select picking the other
+//     pin in every live lane.
 //
 // Verdicts are bit-identical to the sweep kernel's: same detection
 // masks, detect cycles, fault dropping, cycle accounting and watchdog
 // cadence. The evaluation-count telemetry reflects the work actually
-// performed (skipped unexcited nodes are not counted).
+// performed (skipped unexcited nodes, filtered wakeups and guarded
+// nodes are not counted).
 #pragma once
 
 #include <chrono>
@@ -97,8 +104,9 @@ class CompiledEventKernel {
   using Word = sim::Word;
 
   /// Packed per-node evaluation record (AoS repack of the compiled SoA
-  /// streams). `meta` carries the compiler's op/invert/PO bits plus the
-  /// per-group kInjected flag set and cleared by simulate().
+  /// streams). `meta` carries the compiler's op/invert/PO bits, the
+  /// per-group kInjected flag set and cleared by simulate(), and the
+  /// node's guard count (CompiledNetlist::guards) from bit kGuardShift.
   struct Node {
     std::uint32_t in0;
     std::uint32_t in1;
@@ -108,6 +116,8 @@ class CompiledEventKernel {
     std::uint8_t meta;
   };
   static constexpr std::uint8_t kInjected = 0x10;
+  static constexpr unsigned kGuardShift = 5;
+  static_assert(nl::CompiledNetlist::kMaxGuards < (1u << (8 - kGuardShift)));
 
   /// Per-group record of one injected combinational node.
   struct InjectedNode {
@@ -130,7 +140,13 @@ class CompiledEventKernel {
   const nl::CompiledNetlist* cn_;
   std::shared_ptr<const GoodTrace> trace_;
   std::vector<Node> nodes_;
-  std::vector<std::uint8_t> is_po_;  // per value slot (non-node seeds)
+  /// Per value slot: kSlotPo for a primary-output bit (read for the
+  /// non-node seeds), and kSlotTainted while the group being simulated
+  /// forces the select pin of an injected MUX on this slot, so no guard
+  /// on that select holds (set and cleared by simulate()).
+  std::vector<std::uint8_t> slot_flags_;
+  static constexpr std::uint8_t kSlotPo = 1;
+  static constexpr std::uint8_t kSlotTainted = 2;
 
   /// Per-slot diverged value plus its validity stamp, fused so the
   /// blend in value_of touches one cache line instead of two.

@@ -261,6 +261,74 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   });
   cn.fanout_offset.pop_back();
 
+  // Pass 6 (reverse topological): observability guards. A node keeps the
+  // guards that every consumer edge brings: the edge into data pin p of a
+  // MUX that the node drives on no other pin brings (select, p), and
+  // every edge brings the consumer's own guards. A PO node, a D-pin edge
+  // and a node without consumers keep none. Nodes are level-major, so a
+  // node's consumers are final when it is visited. Each node's guards are
+  // appended nearest-last, guard_offset[i] holding the end of its span,
+  // and one reversal puts them in node order, nearest first. No scratch
+  // array sized by the netlist is used: a freed one leaves heap behind
+  // that forked --isolate workers inherit past their RLIMIT_AS.
+  constexpr std::uint32_t kMax = CompiledNetlist::kMaxGuards;
+  cn.guard_offset.assign(num_nodes + 1, 0);
+  for (std::uint32_t i = static_cast<std::uint32_t>(num_nodes); i-- > 0;) {
+    const std::uint32_t s = cn.node_gate[i];
+    const std::uint32_t fo_begin = cn.fanout_offset[s];
+    const std::uint32_t fo_end = cn.fanout_offset[s + 1];
+    const bool po = (cn.node_meta[i] & CompiledNetlist::kMetaPo) != 0;
+    std::uint32_t common[kMax + 1];
+    std::size_t num_common = 0;
+    for (std::uint32_t e = fo_begin; e < fo_end && !po; ++e) {
+      const std::uint32_t c = cn.fanout[e];
+      if (c & CompiledNetlist::kDffFlag) {
+        num_common = 0;
+        break;
+      }
+      std::uint32_t edge[kMax + 1];
+      std::size_t num_edge = 0;
+      const auto add = [&](std::uint32_t g) {
+        const std::uint32_t sel = g & ~CompiledNetlist::kGuardPin1;
+        if (cn.lv.level[sel] >= cn.node_level[i]) return;
+        if (std::find(edge, edge + num_edge, g) == edge + num_edge) {
+          edge[num_edge++] = g;
+        }
+      };
+      const std::uint32_t in0 = cn.node_in0[c], in1 = cn.node_in1[c];
+      const std::uint32_t sel = cn.node_in2[c];
+      if ((cn.node_meta[c] & CompiledNetlist::kMetaOpMask) ==
+              static_cast<std::uint8_t>(CompiledOp::kMux) &&
+          sel != cn.zero_slot && sel != s && (in0 == s) != (in1 == s)) {
+        add(sel | (in1 == s ? CompiledNetlist::kGuardPin1 : 0));
+      }
+      for (std::uint32_t j = cn.guard_offset[c]; j > cn.guard_offset[c + 1];
+           --j) {
+        add(cn.guards[j - 1]);
+      }
+      if (e == fo_begin) {
+        std::copy_n(edge, num_edge, common);
+        num_common = num_edge;
+      } else {
+        num_common = static_cast<std::size_t>(
+            std::remove_if(common, common + num_common,
+                           [&](std::uint32_t g) {
+                             return std::find(edge, edge + num_edge, g) ==
+                                    edge + num_edge;
+                           }) -
+            common);
+      }
+      if (num_common == 0) break;
+    }
+    for (std::size_t j = std::min<std::size_t>(num_common, kMax); j-- > 0;) {
+      cn.guards.push_back(common[j]);
+    }
+    cn.guard_offset[i] = static_cast<std::uint32_t>(cn.guards.size());
+  }
+  std::reverse(cn.guards.begin(), cn.guards.end());
+  const std::uint32_t total = static_cast<std::uint32_t>(cn.guards.size());
+  for (std::uint32_t& off : cn.guard_offset) off = total - off;
+
   return out;
 }
 

@@ -124,6 +124,21 @@ struct CompiledNetlist {
   std::vector<std::uint32_t> fanout_offset;
   std::vector<std::uint32_t> fanout;
 
+  // --- static observability guards ---------------------------------------
+  // A guard (sel, p) of node i states that every path from i to a
+  // flip-flop D pin or a primary output crosses data pin p of a MUX
+  // whose fold-rooted select slot is sel, and that level(sel) <
+  // level(i). Whenever sel picks pin 1 - p, no value of node i can be
+  // observed, so the event kernel need not evaluate it. PO nodes and
+  // nodes that drive a D pin have none; a node has at most kMaxGuards,
+  // nearest MUX first. Guards of node i are
+  // guards[guard_offset[i] .. guard_offset[i + 1]), each encoded as
+  // sel | (p ? kGuardPin1 : 0).
+  static constexpr std::uint32_t kMaxGuards = 4;
+  static constexpr std::uint32_t kGuardPin1 = 0x80000000u;
+  std::vector<std::uint32_t> guard_offset;
+  std::vector<std::uint32_t> guards;
+
   /// Static node count per base op (materialized nodes only: folded
   /// BUFs have none, unlike the sweep's per-kind tallies, which count
   /// every combinational gate).

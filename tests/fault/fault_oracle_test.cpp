@@ -5,6 +5,7 @@
 // detect cycle must match.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/classify.h"
 #include "core/program.h"
 #include "fault/faultsim.h"
+#include "netlist/compiled.h"
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
@@ -84,6 +86,49 @@ TEST(FaultOracle, SyntheticMeshesMatch) {
     EXPECT_EQ(checked, fl.size());
     EXPECT_GT(detected, 0u);
   }
+}
+
+// The event kernel skips work the good machine cannot observe: MUX
+// wakeups through the data pin the good select does not pick, and nodes
+// whose every observation path a MUX select currently blocks (DESIGN.md
+// §5, "Unobservable work"). This netlist holds each shape those rules
+// could get wrong: a guard select forced by a fault on a guarded MUX's
+// select pin, a select that settles after its data pin, and an AND
+// whose two inputs diverge in the same cycle.
+TEST(FaultOracle, GuardedNetlistMatchesBothEngines) {
+  const testutil::GuardNet gn = testutil::make_guard_netlist();
+  const nl::Netlist& n = gn.n;
+  const nl::FaultList fl = nl::enumerate_faults(n);
+
+  // The shapes are there: every adder output is guarded by busy, the
+  // deep select guards nothing, and busy's MUX select pins carry faults.
+  const auto cn = nl::compile(n);
+  const auto guarded_by = [&](nl::GateId g, nl::GateId sel) {
+    const std::uint32_t node = cn->node_of_gate[g];
+    for (std::uint32_t k = cn->guard_offset[node];
+         k < cn->guard_offset[node + 1]; ++k) {
+      if ((cn->guards[k] & ~nl::CompiledNetlist::kGuardPin1) == sel) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (nl::GateId s : gn.sum) EXPECT_TRUE(guarded_by(s, gn.busy));
+  EXPECT_FALSE(guarded_by(gn.shallow, gn.deep_sel));
+  std::size_t select_faults = 0;
+  for (const nl::Fault& f : fl.faults) {
+    select_faults += f.pin == 3 && std::count(gn.hold_mux.begin(),
+                                              gn.hold_mux.end(), f.gate);
+  }
+  EXPECT_GT(select_faults, 0u);
+
+  FaultSimOptions opt;
+  opt.max_cycles = 4096;
+  opt.threads = 2;
+  const auto [checked, detected] =
+      expect_engines_match_oracle(n, fl, testutil::pattern_env(400), opt);
+  EXPECT_EQ(checked, fl.size());
+  EXPECT_GT(detected, checked / 2);
 }
 
 TEST(FaultOracle, ParwanFullListMatchesBothEngines) {

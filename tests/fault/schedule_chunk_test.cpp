@@ -10,7 +10,9 @@
 // interpreted single-fault reference (verify/fault_oracle.h).
 // The last test pins the compiled event kernel's work counters on two
 // reference campaigns: the schedule decides only *when* the wavefront
-// runs, so any change to it must reproduce these numbers exactly.
+// runs, so any change to it must reproduce these numbers exactly. They
+// count the evaluations left after the select filter and the
+// observability guards (DESIGN.md §5, "Unobservable work").
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,10 +397,10 @@ TEST(EventKernel, CompiledWorkCountersPinned) {
     const Work w = event_work(cpu.netlist, nl::enumerate_faults(cpu.netlist),
                               plasma::make_cpu_env_factory(cpu, p.image),
                               opt);
-    EXPECT_EQ(w.gates_evaluated, 3'124'810u);
+    EXPECT_EQ(w.gates_evaluated, 814'668u);
     EXPECT_EQ(w.sim_cycles, 41'295u);
-    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{644'982, 30'414,
-                                                       393'423, 2'055'991}));
+    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{225'317, 25'455,
+                                                       72'117, 491'779}));
   }
   {
     const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
@@ -409,10 +411,10 @@ TEST(EventKernel, CompiledWorkCountersPinned) {
     const Work w = event_work(cpu.netlist, nl::enumerate_faults(cpu.netlist),
                               parwan::make_parwan_env_factory(cpu, st.image),
                               opt);
-    EXPECT_EQ(w.gates_evaluated, 575'247u);
+    EXPECT_EQ(w.gates_evaluated, 397'013u);
     EXPECT_EQ(w.sim_cycles, 27'259u);
-    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{273'205, 58'257,
-                                                       23'964, 219'821}));
+    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{238'280, 23'407,
+                                                       15'924, 119'402}));
   }
 }
 

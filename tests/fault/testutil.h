@@ -75,6 +75,100 @@ inline nl::Netlist make_seq_netlist() {
   return n;
 }
 
+// Gates of make_guard_netlist() that tests look up.
+struct GuardNet {
+  nl::Netlist n;
+  nl::GateId busy = nl::kNoGate;     // the hold MUXes' select
+  std::vector<nl::GateId> hold_mux;  // next_h = MUX(busy, h, iter)
+  std::vector<nl::GateId> sum;       // h + x, feeds iter
+  nl::GateId deep_sel = nl::kNoGate;  // select above its data pin
+  nl::GateId shallow = nl::kNoGate;   // that data pin's driver
+};
+
+// A sequential netlist built from the shapes the event kernel's select
+// filter and observability guards act on, with 16 inputs "in":
+//   * a 4-bit register h behind a ripple adder and a negation MUX,
+//     held by next_h = MUX(busy, h, iter) while the busy flip-flop is
+//     0, and seen only through a strobe (MulD's HI/LO);
+//   * a 4 x 2-bit register file with hold MUXes on its write enables
+//     and a two-level MUX-tree read port into a flip-flop (RegF);
+//   * MUX(NOT(t), y, NOT(NOT(t))) into an output: its select settles
+//     a level after the data pin it gates, and t diverges both;
+//   * AND(AND(a, b), AND(a, c)) into an output, whose two inputs both
+//     rise when a is stuck at 1.
+inline GuardNet make_guard_netlist() {
+  using K = nl::GateKind;
+  GuardNet gn;
+  nl::Netlist& n = gn.n;
+  const nl::Port in = n.add_input("in", 16);
+  const auto b = [&](int i) { return in.bits[static_cast<std::size_t>(i)]; };
+  std::vector<nl::GateId> outs;
+
+  // busy rises on in0 & in1 and falls on in2.
+  gn.busy = n.add_dff(b(0), false);
+  const nl::GateId start = n.add_gate(K::kAnd2, b(0), b(1));
+  const nl::GateId keep =
+      n.add_gate(K::kAnd2, gn.busy, n.add_gate(K::kNot, b(2)));
+  n.set_gate_input(gn.busy, 0, n.add_gate(K::kOr2, start, keep));
+  const nl::GateId strobe = n.add_gate(
+      K::kAnd2, n.add_gate(K::kAnd2, b(3), b(4)), b(5));
+  std::vector<nl::GateId> h;
+  for (int i = 0; i < 4; ++i) h.push_back(n.add_dff(b(0), (i & 1) != 0));
+  nl::GateId carry = nl::kNoGate;
+  for (int i = 0; i < 4; ++i) {
+    const nl::GateId x = b(6 + i);
+    const nl::GateId hx = n.add_gate(K::kXor2, h[i], x);
+    const nl::GateId s =
+        carry == nl::kNoGate ? hx : n.add_gate(K::kXor2, hx, carry);
+    const nl::GateId g = n.add_gate(K::kAnd2, h[i], x);
+    carry = carry == nl::kNoGate
+                ? g
+                : n.add_gate(K::kOr2, g, n.add_gate(K::kAnd2, hx, carry));
+    gn.sum.push_back(s);
+    const nl::GateId iter =
+        n.add_gate(K::kMux2, s, n.add_gate(K::kNot, s), b(10));
+    gn.hold_mux.push_back(n.add_gate(K::kMux2, h[i], iter, gn.busy));
+    n.set_gate_input(h[i], 0, gn.hold_mux.back());
+    outs.push_back(n.add_gate(K::kAnd2, h[i], strobe));
+  }
+
+  // Register file: we = in11, write address in12/in13, data in6/in7;
+  // read address in14/in15.
+  std::vector<std::vector<nl::GateId>> regs(4);
+  for (int r = 0; r < 4; ++r) {
+    const nl::GateId a0 = (r & 1) ? b(12) : n.add_gate(K::kNot, b(12));
+    const nl::GateId a1 = (r & 2) ? b(13) : n.add_gate(K::kNot, b(13));
+    const nl::GateId we =
+        n.add_gate(K::kAnd2, b(11), n.add_gate(K::kAnd2, a0, a1));
+    for (int bit = 0; bit < 2; ++bit) {
+      const nl::GateId q = n.add_dff(b(0), false);
+      n.set_gate_input(q, 0, n.add_gate(K::kMux2, q, b(6 + bit), we));
+      regs[static_cast<std::size_t>(r)].push_back(q);
+    }
+  }
+  for (int bit = 0; bit < 2; ++bit) {
+    const nl::GateId l0 =
+        n.add_gate(K::kMux2, regs[0][bit], regs[1][bit], b(14));
+    const nl::GateId l1 =
+        n.add_gate(K::kMux2, regs[2][bit], regs[3][bit], b(14));
+    outs.push_back(n.add_dff(n.add_gate(K::kMux2, l0, l1, b(15)), false));
+  }
+
+  // A select one level above the data pin it gates; a fault on t flips
+  // both, and only where the good select picks the other pin.
+  const nl::GateId t = n.add_gate(K::kAnd2, b(7), b(8));
+  gn.shallow = n.add_gate(K::kNot, t);
+  gn.deep_sel = n.add_gate(K::kNot, n.add_gate(K::kNot, t));
+  outs.push_back(n.add_gate(K::kMux2, gn.shallow, b(1), gn.deep_sel));
+
+  // Two ANDs that rise together under in12 stuck-at-1.
+  outs.push_back(n.add_gate(K::kAnd2, n.add_gate(K::kAnd2, b(12), b(3)),
+                            n.add_gate(K::kAnd2, b(12), b(5))));
+
+  n.add_output("o", outs);
+  return gn;
+}
+
 // Drives the inputs with a cycle-dependent pattern for a fixed number
 // of cycles. Deterministic and good-machine-only, like all engine
 // environments.

@@ -10,7 +10,9 @@
 // alias-aware live_mask overload that feeds nl::lint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "netlist/compiled.h"
@@ -102,6 +104,195 @@ TEST(CompiledNetlist, FuzzTenThousandRandomNetlistsMatchReference) {
       sim.step_clock();
     }
   }
+}
+
+/// Guards of gate g's compiled node as (select gate, data pin) pairs.
+std::vector<std::pair<GateId, int>> guards_of(const CompiledNetlist& cn,
+                                              GateId g) {
+  std::vector<std::pair<GateId, int>> out;
+  const std::uint32_t node = cn.node_of_gate[g];
+  for (std::uint32_t k = cn.guard_offset[node]; k < cn.guard_offset[node + 1];
+       ++k) {
+    const std::uint32_t e = cn.guards[k];
+    out.emplace_back(e & ~CompiledNetlist::kGuardPin1,
+                     (e & CompiledNetlist::kGuardPin1) ? 1 : 0);
+  }
+  return out;
+}
+
+/// Brute force, sharing no code with compile(): every path from gate g
+/// through the original netlist to a flip-flop D pin or a primary output
+/// must enter data pin `pin` of a MUX whose select, followed back
+/// through BUFs that compile() folds (non-PO BUFs), is `sel`.
+bool every_path_crosses(const Netlist& n, GateId g, GateId sel, int pin) {
+  std::vector<std::uint8_t> is_po(n.size(), 0);
+  for (const Port& port : n.outputs()) {
+    for (GateId b : port.bits) is_po[b] = 1;
+  }
+  const auto root = [&](GateId x) {
+    while (x != kNoGate && n.gate(x).kind == GateKind::kBuf && !is_po[x] &&
+           n.gate(x).in[0] != kNoGate) {
+      x = n.gate(x).in[0];
+    }
+    return x;
+  };
+  std::vector<std::uint8_t> explored(n.size(), 0);
+  std::vector<GateId> stack = {g};
+  while (!stack.empty()) {
+    const GateId x = stack.back();
+    stack.pop_back();
+    if (explored[x]) continue;
+    explored[x] = 1;
+    if (is_po[x]) return false;
+    for (GateId c = 0; c < n.size(); ++c) {
+      const Gate& gate = n.gate(c);
+      for (int k = 0; k < fanin_count(gate.kind); ++k) {
+        if (gate.in[k] != x) continue;
+        if (gate.kind == GateKind::kDff) return false;
+        if (gate.kind == GateKind::kMux2 && k == pin &&
+            root(gate.in[2]) == sel) {
+          continue;  // this path is blocked here
+        }
+        stack.push_back(c);
+      }
+    }
+  }
+  return true;
+}
+
+/// Levels by their definition: 0 for sources, else one more than the
+/// deepest fanin.
+std::vector<std::uint32_t> brute_levels(const Netlist& n) {
+  std::vector<std::uint32_t> level(n.size(), 0);
+  std::vector<std::uint8_t> done(n.size(), 0);
+  const auto visit = [&](auto&& self, GateId g) -> std::uint32_t {
+    if (done[g]) return level[g];
+    const Gate& gate = n.gate(g);
+    std::uint32_t l = 0;
+    if (gate.kind != GateKind::kDff) {
+      for (int k = 0; k < fanin_count(gate.kind); ++k) {
+        if (gate.in[k] != kNoGate) l = std::max(l, self(self, gate.in[k]) + 1);
+      }
+    }
+    done[g] = 1;
+    return level[g] = l;
+  };
+  for (GateId g = 0; g < n.size(); ++g) visit(visit, g);
+  return level;
+}
+
+TEST(CompiledNetlist, FuzzGuardsHoldOnEveryObservationPath) {
+  std::size_t guarded = 0;
+  for (std::uint64_t seed = 1; seed <= 10'000; ++seed) {
+    const Netlist n = random_netlist(seed);
+    const auto cn = compile(n);
+    const std::vector<std::uint32_t> level = brute_levels(n);
+    for (std::uint32_t i = 0; i < cn->num_nodes(); ++i) {
+      const GateId g = cn->node_gate[i];
+      const auto guards = guards_of(*cn, g);
+      ASSERT_LE(guards.size(), CompiledNetlist::kMaxGuards);
+      guarded += !guards.empty();
+      for (const auto& [sel, pin] : guards) {
+        ASSERT_LT(level[sel], level[g]) << "seed " << seed << " gate " << g;
+        ASSERT_TRUE(every_path_crosses(n, g, sel, pin))
+            << "seed " << seed << " gate " << g << " guard (" << sel << ", "
+            << pin << ")";
+      }
+    }
+  }
+  EXPECT_GT(guarded, 1000u);
+}
+
+TEST(CompiledNetlist, MuxChainIntoDffGuardsEveryDataPinDriver) {
+  Netlist n;
+  const Port in = n.add_input("in", 4);
+  const Port s = n.add_input("s", 6);
+  const GateId x = n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
+  std::vector<GateId> chain = {x};
+  for (int k = 0; k < 6; ++k) {
+    // Alternate the pin the chain enters: 0, 1, 0, ...
+    const GateId other = in.bits[2 + (k & 1)];
+    chain.push_back(k & 1 ? n.add_gate(GateKind::kMux2, other, chain.back(),
+                                       s.bits[k])
+                          : n.add_gate(GateKind::kMux2, chain.back(), other,
+                                       s.bits[k]));
+  }
+  n.add_output("o", {n.add_dff(chain.back(), false)});
+
+  const auto cn = compile(n);
+  // The last MUX drives the D pin directly; each earlier driver is
+  // guarded by every MUX after it, nearest first, up to kMaxGuards.
+  EXPECT_TRUE(guards_of(*cn, chain[6]).empty());
+  for (int i = 0; i < 6; ++i) {
+    std::vector<std::pair<GateId, int>> want;
+    for (int k = i; k < 6 && want.size() < CompiledNetlist::kMaxGuards; ++k) {
+      want.emplace_back(s.bits[k], k & 1);
+    }
+    EXPECT_EQ(guards_of(*cn, chain[i]), want) << "chain[" << i << "]";
+  }
+}
+
+TEST(CompiledNetlist, NoGuardWhereAPathEscapesTheMux) {
+  Netlist n;
+  const Port in = n.add_input("in", 4);
+  const GateId sel = in.bits[3];
+  const auto mux_into_dff = [&](GateId d0, GateId d1, GateId s) {
+    return n.add_dff(n.add_gate(GateKind::kMux2, d0, d1, s), false);
+  };
+  const auto node = [&]() {
+    return n.add_gate(GateKind::kAnd2, in.bits[0], in.bits[1]);
+  };
+  std::vector<GateId> outs;
+  // Also drives a D pin directly.
+  const GateId to_dff = node();
+  outs.push_back(mux_into_dff(to_dff, in.bits[2], sel));
+  outs.push_back(n.add_dff(to_dff, false));
+  // A primary output itself.
+  const GateId po = node();
+  outs.push_back(mux_into_dff(po, in.bits[2], sel));
+  outs.push_back(po);
+  // On both data pins.
+  const GateId both = node();
+  outs.push_back(mux_into_dff(both, both, sel));
+  // On a data pin and the select.
+  const GateId on_sel = node();
+  outs.push_back(mux_into_dff(on_sel, in.bits[2], on_sel));
+  // Control: on one data pin only.
+  const GateId guarded = node();
+  outs.push_back(mux_into_dff(guarded, in.bits[2], sel));
+  n.add_output("o", outs);
+
+  const auto cn = compile(n);
+  EXPECT_TRUE(guards_of(*cn, to_dff).empty());
+  EXPECT_TRUE(guards_of(*cn, po).empty());
+  EXPECT_TRUE(guards_of(*cn, both).empty());
+  EXPECT_TRUE(guards_of(*cn, on_sel).empty());
+  EXPECT_EQ(guards_of(*cn, guarded),
+            (std::vector<std::pair<GateId, int>>{{sel, 0}}));
+}
+
+TEST(CompiledNetlist, GuardSelectAtOrAboveNodeLevelIsNotKept) {
+  Netlist n;
+  const Port in = n.add_input("in", 6);
+  const auto b = [&](int i) { return in.bits[static_cast<std::size_t>(i)]; };
+  const GateId x = n.add_gate(GateKind::kAnd2, b(0), b(1));         // 1
+  const GateId level1 = n.add_gate(GateKind::kAnd2, b(2), b(3));    // 1
+  const GateId level2 = n.add_gate(GateKind::kAnd2, level1, b(4));  // 2
+  const GateId y = n.add_gate(GateKind::kAnd2, x, b(5));            // 2
+  std::vector<GateId> outs;
+  for (const auto& [d, s] : {std::pair{x, level1}, std::pair{x, level2},
+                             std::pair{y, level1}}) {
+    outs.push_back(
+        n.add_dff(n.add_gate(GateKind::kMux2, d, b(5), s), false));
+  }
+  n.add_output("o", outs);
+
+  const auto cn = compile(n);
+  // x reaches all three MUXes (the third through y), and every select
+  // sits at or above x's level 1; y, at level 2, keeps level1's guard.
+  EXPECT_TRUE(guards_of(*cn, x).empty());
+  EXPECT_EQ(guards_of(*cn, y),
+            (std::vector<std::pair<GateId, int>>{{level1, 0}}));
 }
 
 TEST(CompiledNetlist, BufChainsFoldToRootAndCopyOut) {
