@@ -137,7 +137,7 @@ CampaignResult run_campaign(const nl::Netlist& netlist,
     // Shard-local total: the heartbeat's groups_total/ETA describe what
     // this runner is responsible for, not the whole campaign.
     tele.emplace(topt, options.isolate ? "isolate" : "threads",
-                 out.shard_groups_total);
+                 out.shard_groups_total, fingerprint);
   }
 
   // Every group the run resolves passes through this one hook (under the

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <chrono>
@@ -25,8 +26,6 @@ namespace sbst::campaign {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr char kLeaseMagic[] = "SBSTLEASE1";
 
 /// splitmix64 — the jitter source. Deterministic in (shard, attempt) so
 /// re-dispatch timing is reproducible in tests, spread enough that
@@ -59,21 +58,22 @@ std::string shard_file(const std::string& dir, unsigned shard,
   return dir + buf;
 }
 
-bool read_text_file(const std::string& path, std::string* out) {
+/// Parses a runner's status heartbeat; false when it is missing or not
+/// one flat JSON object.
+bool read_status(const std::string& path,
+                 std::map<std::string, telemetry::JsonValue>* out) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
   std::ostringstream ss;
   ss << f.rdbuf();
-  *out = ss.str();
-  return true;
+  return telemetry::parse_flat_json_object(ss.str(), out);
 }
 
-/// Seconds since the file was last written; negative when it does not
-/// exist. 1-second mtime granularity is fine against stale_after_s.
-double file_age_s(const std::string& path) {
+/// When the file was last written; 0 when it does not exist. 1-second
+/// mtime granularity is fine against stale_after_s.
+std::time_t file_mtime(const std::string& path) {
   struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) return -1.0;
-  return std::difftime(std::time(nullptr), st.st_mtime);
+  return ::stat(path.c_str(), &st) == 0 ? st.st_mtime : 0;
 }
 
 pid_t spawn_runner(const std::vector<std::string>& argv) {
@@ -114,7 +114,7 @@ struct Shard {
   unsigned stale_leases = 0;
   Clock::time_point eligible = Clock::time_point::min();  // backoff gate
   std::time_t spawned_wall = 0;
-  std::string journal, lease, status;
+  std::string journal, status;
   std::string error;
 };
 
@@ -132,81 +132,14 @@ const char* state_name(ShardState s) {
 
 }  // namespace
 
-std::string encode_lease(const LeaseInfo& info) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%s\nshard %u/%u\npid %lld\nfingerprint %016" PRIx64 "\n",
-                kLeaseMagic, info.shard, info.shard_count,
-                static_cast<long long>(info.pid), info.fingerprint);
-  return buf;
-}
-
-bool decode_lease(std::string_view text, LeaseInfo* out) {
-  LeaseInfo info;
-  unsigned long long pid = 0;
-  char magic[16] = {0};
-  if (std::sscanf(std::string(text).c_str(),
-                  "%15s\nshard %u/%u\npid %llu\nfingerprint %" SCNx64,
-                  magic, &info.shard, &info.shard_count, &pid,
-                  &info.fingerprint) != 5) {
-    return false;
-  }
-  if (std::strcmp(magic, kLeaseMagic) != 0) return false;
-  if (info.shard_count == 0 || info.shard >= info.shard_count) return false;
-  info.pid = static_cast<std::int64_t>(pid);
-  *out = info;
-  return true;
-}
-
 std::string shard_journal_path(const std::string& dir, unsigned shard,
                                unsigned shard_count) {
   return shard_file(dir, shard, shard_count, "sbstj");
 }
 
-std::string shard_lease_path(const std::string& dir, unsigned shard,
-                             unsigned shard_count) {
-  return shard_file(dir, shard, shard_count, "lease");
-}
-
 std::string shard_status_path(const std::string& dir, unsigned shard,
                               unsigned shard_count) {
   return shard_file(dir, shard, shard_count, "status.json");
-}
-
-LeaseHolder::LeaseHolder(std::string path, const LeaseInfo& info,
-                         double period_s)
-    : path_(std::move(path)), content_(encode_lease(info)) {
-  // First heartbeat lands before the constructor returns, so the lease
-  // exists the moment the holder does — a dispatcher's pre-spawn check
-  // on a freshly started runner never sees a missing lease window
-  // longer than exec-to-here.
-  try {
-    util::write_file_atomic(path_, content_, util::Durability::kNone);
-  } catch (...) {
-    // Unwritable lease directory: the dispatcher will see staleness.
-  }
-  thread_ = std::thread([this, period_s] {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto period = std::chrono::duration<double>(period_s);
-    while (!stop_) {
-      cv_.wait_for(lock, period, [this] { return stop_; });
-      if (stop_) break;
-      try {
-        util::write_file_atomic(path_, content_, util::Durability::kNone);
-      } catch (...) {
-      }
-    }
-  });
-}
-
-LeaseHolder::~LeaseHolder() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  std::remove(path_.c_str());
 }
 
 DispatchResult run_dispatch(const DispatchOptions& options) {
@@ -229,7 +162,6 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     Shard& s = shards[i];
     s.id = i;
     s.journal = shard_journal_path(options.journal_dir, i, options.shards);
-    s.lease = shard_lease_path(options.journal_dir, i, options.shards);
     s.status = shard_status_path(options.journal_dir, i, options.shards);
   }
 
@@ -259,44 +191,47 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                  options.max_shard_retries, delay);
   };
 
-  // A fresh lease held by a live pid that is not our child means some
-  // other dispatcher (or a hand-started runner) owns the shard.
-  const auto lease_blocks_spawn = [&](Shard& s, std::string* why) {
-    std::string text;
-    if (!read_text_file(s.lease, &text)) return false;
-    LeaseInfo info;
-    if (!decode_lease(text, &info)) {
-      std::remove(s.lease.c_str());  // garbage lease: reclaim
+  // The shard is held while its status says a runner is "running", was
+  // rewritten within stale_after_s and names a live pid. Spawning only
+  // happens while the shard has no child of ours, so that pid belongs
+  // to some other dispatcher (or a hand-started runner). Anything else
+  // holds nothing: the runner finished, died or wedged past
+  // stale_after_s (and lost the shard by contract), and the next
+  // runner's heartbeat overwrites its file.
+  const auto held_elsewhere = [&](const Shard& s, std::string* why) {
+    std::map<std::string, telemetry::JsonValue> obj;
+    if (!read_status(s.status, &obj)) return false;
+    const telemetry::JsonValue& pid = obj["pid"];
+    const bool alive = pid.u64_valid && pid.u64 > 0 &&
+                       pid.u64 <= static_cast<std::uint64_t>(INT32_MAX) &&
+                       ::kill(static_cast<pid_t>(pid.u64), 0) == 0;
+    const double age =
+        std::difftime(std::time(nullptr), file_mtime(s.status));
+    if (obj["state"].str != "running" || age > options.stale_after_s ||
+        !alive) {
       return false;
     }
-    const double age = file_age_s(s.lease);
-    const bool fresh = age >= 0 && age <= options.stale_after_s;
-    const bool alive =
-        info.pid > 0 && ::kill(static_cast<pid_t>(info.pid), 0) == 0;
-    if (fresh && alive) {
-      if (info.fingerprint != options.fingerprint) {
-        *why = "lease held by pid " + std::to_string(info.pid) +
-               " for a different campaign (journal directory collision)";
-      } else {
-        *why = "lease already held by live pid " + std::to_string(info.pid);
-      }
-      return true;
+    const std::string holder = std::to_string(pid.u64);
+    char fp[17];
+    std::snprintf(fp, sizeof(fp), "%016" PRIx64, options.fingerprint);
+    if (obj["fingerprint"].str != fp) {
+      *why = "lease held by pid " + holder +
+             " for a different campaign (journal directory collision)";
+    } else {
+      *why = "lease already held by live pid " + holder;
     }
-    // Stale or orphaned: reclaim. The holder is gone (or wedged past
-    // stale_after_s, in which case it lost the shard by contract).
-    std::remove(s.lease.c_str());
-    return false;
+    return true;
   };
 
   const auto spawn_shard = [&](Shard& s) {
     std::string why;
-    if (lease_blocks_spawn(s, &why)) {
+    if (held_elsewhere(s, &why)) {
       fail_shard(s, why);
       return;
     }
     ++s.attempt;
     const std::vector<std::string> argv =
-        options.make_runner_argv(s.id, s.journal, s.lease, s.status);
+        options.make_runner_argv(s.id, s.journal, s.status);
     s.pid = spawn_runner(argv);
     if (s.pid < 0) {
       fail_shard(s, "cannot spawn runner");
@@ -325,16 +260,8 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
            ",\"redispatches\":" + std::to_string(s.redispatches);
       // Fold in the runner's own heartbeat so one file answers "how far
       // along is the whole campaign".
-      std::string text;
       std::map<std::string, telemetry::JsonValue> obj;
-      if (read_text_file(s.status, &text)) {
-        while (!text.empty() &&
-               (text.back() == '\n' || text.back() == '\r' ||
-                text.back() == ' ')) {
-          text.pop_back();
-        }
-      }
-      if (!text.empty() && telemetry::parse_flat_json_object(text, &obj)) {
+      if (read_status(s.status, &obj)) {
         const auto put = [&](const char* key) {
           const auto it = obj.find(key);
           if (it != obj.end() && it->second.u64_valid) {
@@ -413,13 +340,12 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
             }
             break;
           }
-          // Heartbeat check: lease mtime, or spawn time until the first
-          // heartbeat lands.
-          const double lease_age = file_age_s(s.lease);
-          const double age =
-              lease_age >= 0
-                  ? lease_age
-                  : std::difftime(std::time(nullptr), s.spawned_wall);
+          // Heartbeat check: status mtime, or spawn time until this
+          // runner's first heartbeat lands (an older file is a previous
+          // runner's).
+          const double age = std::difftime(
+              std::time(nullptr),
+              std::max(file_mtime(s.status), s.spawned_wall));
           if (!draining && age > options.stale_after_s) {
             ++s.stale_leases;
             std::fprintf(

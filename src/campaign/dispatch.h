@@ -4,25 +4,28 @@
 // A campaign's 63-fault groups partition into N residue classes
 // (FaultSimOptions::shard_count/shard_index); each class is a *shard*
 // with its own journal in a shared directory. The dispatcher spawns one
-// runner process per shard and supervises them through on-disk *leases*:
+// runner process per shard and supervises it through the runner's own
+// `--status` heartbeat, which is the shard's lease:
 //
-//   lease file   = "SBSTLEASE1" + shard id + holder pid + campaign
-//                  fingerprint, rewritten ~every second by the runner's
-//                  LeaseHolder thread so the file's mtime is a
-//                  monotonic heartbeat;
+//   heartbeat    = shard-<i>-of-<N>.status.json, the runner's campaign
+//                  status (state, pid, campaign fingerprint, progress),
+//                  rewritten ~every second by its telemetry thread so
+//                  the file's mtime is a monotonic heartbeat;
 //   liveness     = a shard is healthy while its child is running and
-//                  its lease mtime (or spawn time, before the first
-//                  heartbeat lands) is younger than stale_after_s;
-//   revocation   = a stale lease or an abnormal child exit kills the
+//                  its status mtime (or spawn time, until the child's
+//                  first heartbeat lands) is younger than stale_after_s;
+//   revocation   = a stale heartbeat or an abnormal child exit kills the
 //                  runner (SIGKILL for stale; every signal goes to the
 //                  runner's own process group, so its descendants, such
 //                  as --isolate workers, die with it) and re-dispatches the
 //                  shard under capped exponential backoff with
 //                  deterministic jitter, up to max_shard_retries;
-//   exclusion    = a fresh lease held by a live foreign pid blocks
+//   exclusion    = a status that says "running", is fresh and names a
+//                  live pid that is not the dispatcher's child blocks
 //                  dispatch of that shard (two holders would race the
-//                  same journal), and a lease with a different
-//                  fingerprint marks a directory collision.
+//                  same journal), and one with a different fingerprint
+//                  marks a directory collision. A finished, stale,
+//                  dead-pid or unreadable status holds nothing.
 //
 // Every failure mode degrades to "the shard's journal is missing some
 // groups and a re-dispatch (or later resume) re-simulates them" — the
@@ -36,73 +39,34 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "util/atomic_file.h"
 
 namespace sbst::campaign {
 
-/// Contents of a lease file (freshness lives in the file mtime, not in
-/// the payload — rewriting the same bytes is the heartbeat).
-struct LeaseInfo {
-  std::uint32_t shard = 0;
-  std::uint32_t shard_count = 0;
-  std::int64_t pid = 0;
-  std::uint64_t fingerprint = 0;
-};
-
-std::string encode_lease(const LeaseInfo& info);
-bool decode_lease(std::string_view text, LeaseInfo* out);
-
 /// Canonical per-shard file names inside the dispatch journal
 /// directory, shared by dispatcher, runners and the merge recipe
-/// (shard-<i>-of-<N>.sbstj / .lease / .status).
+/// (shard-<i>-of-<N>.sbstj / .status.json).
 std::string shard_journal_path(const std::string& dir, unsigned shard,
                                unsigned shard_count);
-std::string shard_lease_path(const std::string& dir, unsigned shard,
-                             unsigned shard_count);
 std::string shard_status_path(const std::string& dir, unsigned shard,
                               unsigned shard_count);
-
-/// RAII heartbeat: a background thread rewrites the lease file (atomic
-/// tmp+rename, so readers never see a torn lease) every `period_s`,
-/// bumping its mtime; the destructor stops the thread and removes the
-/// file — a released lease disappears instead of going stale. Never
-/// throws out of the heartbeat: an unwritable lease directory means the
-/// dispatcher will see staleness and act, which is the contract.
-class LeaseHolder {
- public:
-  LeaseHolder(std::string path, const LeaseInfo& info, double period_s = 1.0);
-  ~LeaseHolder();
-  LeaseHolder(const LeaseHolder&) = delete;
-  LeaseHolder& operator=(const LeaseHolder&) = delete;
-
- private:
-  const std::string path_;
-  const std::string content_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 struct DispatchOptions {
   /// Number of shards (= residue classes = runner processes).
   unsigned shards = 1;
-  /// Directory for shard journals, leases and status files. Must exist.
+  /// Directory for shard journals and status files. Must exist.
   std::string journal_dir;
-  /// Re-dispatches a shard gets after an abnormal death or stale lease
-  /// before it is declared failed (so max_shard_retries + 1 attempts).
+  /// Re-dispatches a shard gets after an abnormal death or stale
+  /// heartbeat before it is declared failed (so max_shard_retries + 1
+  /// attempts).
   unsigned max_shard_retries = 3;
-  /// A running shard whose lease mtime (or spawn, before the first
+  /// A running shard whose status mtime (or spawn, before the first
   /// heartbeat) is older than this is declared dead and re-dispatched.
   double stale_after_s = 10.0;
   /// Supervision loop wake period.
@@ -113,13 +77,14 @@ struct DispatchOptions {
   /// lockstep yet tests stay reproducible.
   double backoff_initial_s = 0.5;
   double backoff_cap_s = 30.0;
-  /// Campaign fingerprint, for lease collision checks.
+  /// Campaign fingerprint, checked against a live runner's status.
   std::uint64_t fingerprint = 0;
   /// Builds the runner argv for one shard (argv[0] = executable path)
-  /// from the canonical journal/lease/status paths the dispatcher owns.
-  std::function<std::vector<std::string>(
-      unsigned shard, const std::string& journal, const std::string& lease,
-      const std::string& status)>
+  /// from the canonical journal/status paths the dispatcher owns. The
+  /// runner must keep its status heartbeat at `status`.
+  std::function<std::vector<std::string>(unsigned shard,
+                                         const std::string& journal,
+                                         const std::string& status)>
       make_runner_argv;
   /// Dispatcher roll-up heartbeat ("sbst-dispatch-status-v1"): per-shard
   /// state plus groups_done/groups_total folded in from the runners'
@@ -139,7 +104,7 @@ struct ShardOutcome {
   unsigned shard = 0;
   /// Runner processes spawned for this shard (1 = clean first try).
   unsigned attempts = 0;
-  /// Re-dispatches after abnormal death or stale lease.
+  /// Re-dispatches after abnormal death or stale heartbeat.
   unsigned redispatches = 0;
   /// Of those, re-dispatches triggered by a stale heartbeat.
   unsigned stale_leases = 0;
@@ -147,7 +112,8 @@ struct ShardOutcome {
   /// Stopped by a drain before completing: the shard journal resumes
   /// where it left.
   bool resumable = false;
-  /// Retries exhausted, foreign lease, or spawn failure.
+  /// Retries exhausted, shard held by a foreign runner, or spawn
+  /// failure.
   bool failed = false;
   std::string journal;
   std::string error;  // human-readable failure reason when failed

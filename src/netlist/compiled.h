@@ -87,8 +87,7 @@ struct CompiledNetlist {
   /// Value arrays driven through this program are sized num_gates + 1.
   std::uint32_t zero_slot = 0;
   /// The levelization the program was built from (levels, comb order,
-  /// DFF list, original fanout CSR) — shared so simulators need not
-  /// levelize again.
+  /// DFF list) — shared so simulators need not levelize again.
   Levelization lv;
 
   // --- node program (SoA, level-major, grouped into `runs`) ---------------

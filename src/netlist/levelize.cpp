@@ -69,34 +69,6 @@ Levelization levelize(const Netlist& nl) {
         " gate(s) unreachable in topological order");
   }
 
-  // CSR fanout over every driver->consumer edge, DFF D-pins included
-  // (the comb-only `fanout` above is a levelization scratch structure;
-  // this one is the published forward-scheduling index). Dangling pins
-  // are skipped so partially built netlists can still be levelized by
-  // callers that tolerate them elsewhere.
-  lv.fanout_offset.assign(n + 1, 0);
-  for (GateId g = 0; g < n; ++g) {
-    const Gate& gate = nl.gate(g);
-    const int arity = fanin_count(gate.kind);
-    for (int pin = 0; pin < arity; ++pin) {
-      const GateId d = gate.in[static_cast<std::size_t>(pin)];
-      if (d < n) ++lv.fanout_offset[d + 1];
-    }
-  }
-  for (std::size_t g = 0; g < n; ++g) {
-    lv.fanout_offset[g + 1] += lv.fanout_offset[g];
-  }
-  lv.fanout.resize(lv.fanout_offset[n]);
-  std::vector<std::uint32_t> cursor(lv.fanout_offset.begin(),
-                                    lv.fanout_offset.end() - 1);
-  for (GateId g = 0; g < n; ++g) {
-    const Gate& gate = nl.gate(g);
-    const int arity = fanin_count(gate.kind);
-    for (int pin = 0; pin < arity; ++pin) {
-      const GateId d = gate.in[static_cast<std::size_t>(pin)];
-      if (d < n) lv.fanout[cursor[d]++] = g;
-    }
-  }
   return lv;
 }
 

@@ -6,7 +6,6 @@
 // design error and raises NetlistError.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -23,20 +22,6 @@ struct Levelization {
   std::vector<std::uint32_t> level;
   /// Maximum combinational depth (levels of logic).
   std::uint32_t max_level = 0;
-  /// CSR fanout index over every driver->consumer edge (DFF D-pins
-  /// included): the consumers of gate g are
-  /// fanout[fanout_offset[g] .. fanout_offset[g+1]). A consumer appears
-  /// once per pin it connects, so a gate feeding two pins of the same
-  /// MUX is listed twice. Event-driven fault simulation uses this to
-  /// schedule divergence forward in level order.
-  std::vector<std::uint32_t> fanout_offset;
-  std::vector<GateId> fanout;
-
-  /// Consumers of gate g (valid ids only; dangling pins are skipped).
-  std::span<const GateId> consumers(GateId g) const {
-    return std::span<const GateId>(fanout).subspan(
-        fanout_offset[g], fanout_offset[g + 1] - fanout_offset[g]);
-  }
 };
 
 /// Computes a levelization; throws NetlistError on combinational cycles.

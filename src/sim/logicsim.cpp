@@ -37,8 +37,6 @@ void LogicSim::set_input(const nl::Port& port, std::uint64_t value) {
   }
 }
 
-void LogicSim::set_input_word(nl::GateId g, Word w) { val_[g] = w; }
-
 void LogicSim::eval() {
   Word* const v = val_.data();
   for (const nl::CompiledRun& r : cn_->runs) nl::eval_run(*cn_, r, v);

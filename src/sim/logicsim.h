@@ -71,8 +71,6 @@ class LogicSim {
   /// Drives an input port with a scalar value (broadcast to all machines),
   /// bit i of `value` driving port bit i.
   void set_input(const nl::Port& port, std::uint64_t value);
-  /// Drives one net (must be an INPUT gate) with a raw simulation word.
-  void set_input_word(nl::GateId g, Word w);
 
   /// Propagates through the combinational logic (compiled sweep).
   void eval();

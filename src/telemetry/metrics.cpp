@@ -1,5 +1,7 @@
 #include "telemetry/metrics.h"
 
+#include <unistd.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -129,18 +131,32 @@ double eta_seconds(std::size_t done, std::size_t seeded, std::size_t total,
 
 CampaignTelemetry::CampaignTelemetry(TelemetryOptions options,
                                      std::string mode,
-                                     std::size_t groups_total)
+                                     std::size_t groups_total,
+                                     std::uint64_t fingerprint)
     : opt_(std::move(options)),
       mode_(std::move(mode)),
       groups_total_(groups_total),
-      t0_(std::chrono::steady_clock::now()),
-      // Backdated so the very first record publishes a status file
-      // immediately — a dashboard sees the campaign the moment it starts.
-      last_status_(t0_ - std::chrono::hours(1)) {}
-
-CampaignTelemetry::~CampaignTelemetry() {
-  if (!finished_) finish(/*interrupted=*/true);
+      fingerprint_(fingerprint),
+      t0_(std::chrono::steady_clock::now()) {
+  if (opt_.status_path.empty()) return;
+  // The first heartbeat lands before the campaign does any work, so a
+  // dashboard or a dispatcher sees the campaign from its start, and the
+  // timer keeps the file fresh through good-run recording and long
+  // groups alike.
+  write_status_locked("running");
+  if (opt_.heartbeat_period_s <= 0) return;
+  heartbeat_ = std::thread([this] {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::chrono::duration<double> period(opt_.heartbeat_period_s);
+    const auto finished = [this] { return finished_; };
+    while (!opt_.status_path.empty() &&
+           !finished_cv_.wait_for(lock, period, finished)) {
+      write_status_locked("running");
+    }
+  });
 }
+
+CampaignTelemetry::~CampaignTelemetry() { finish(/*interrupted=*/true); }
 
 std::size_t CampaignTelemetry::records() const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -157,21 +173,18 @@ void CampaignTelemetry::record(const GroupMetric& m) {
   if (opt_.rewrite_every != 0 && unflushed_ >= opt_.rewrite_every) {
     flush_metrics_locked();
   }
-  const double since_status =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    last_status_)
-          .count();
-  if (since_status >= opt_.heartbeat_period_s) {
-    write_status_locked("running");
-  }
 }
 
 void CampaignTelemetry::finish(bool interrupted) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (finished_) return;
-  finished_ = true;
-  flush_metrics_locked();
-  write_status_locked(interrupted ? "interrupted" : "done");
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (finished_) return;
+    finished_ = true;
+    flush_metrics_locked();
+    write_status_locked(interrupted ? "interrupted" : "done");
+  }
+  finished_cv_.notify_all();
+  if (heartbeat_.joinable()) heartbeat_.join();
 }
 
 void CampaignTelemetry::flush_metrics_locked() {
@@ -188,8 +201,7 @@ void CampaignTelemetry::flush_metrics_locked() {
   }
 }
 
-void CampaignTelemetry::write_status_locked(const char* state) {
-  if (opt_.status_path.empty()) return;
+std::string CampaignTelemetry::status_json_locked(const char* state) const {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
@@ -201,6 +213,11 @@ void CampaignTelemetry::write_status_locked(const char* state) {
   append_json_string(out, state);
   out += ",\"mode\":";
   append_json_string(out, mode_);
+  append_u64(out, "pid", static_cast<std::uint64_t>(::getpid()));
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ",\"fingerprint\":\"%016" PRIx64 "\"",
+                fingerprint_);
+  out += buf;
   if (opt_.shard_count > 1) {
     append_u64(out, "shard", opt_.shard_index);
     append_u64(out, "shard_count", opt_.shard_count);
@@ -215,7 +232,6 @@ void CampaignTelemetry::write_status_locked(const char* state) {
   append_u64(out, "detected", s.detected);
   append_u64(out, "gates_evaluated", s.gates_evaluated);
   append_u64(out, "sim_cycles", s.sim_cycles);
-  char buf[64];
   std::snprintf(buf, sizeof(buf), ",\"elapsed_s\":%.3f", elapsed);
   out += buf;
   if (eta >= 0) {
@@ -225,9 +241,16 @@ void CampaignTelemetry::write_status_locked(const char* state) {
     out += ",\"eta_s\":null";
   }
   out += "}\n";
+  return out;
+}
+
+void CampaignTelemetry::write_status_locked(const char* state) {
+  if (opt_.status_path.empty()) return;
+  // Building the JSON is inside the try too: the heartbeat thread must
+  // not let an exception escape.
   try {
-    util::write_file_atomic(opt_.status_path, out, opt_.durability);
-    last_status_ = std::chrono::steady_clock::now();
+    util::write_file_atomic(opt_.status_path, status_json_locked(state),
+                            opt_.durability);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "warning: status sink disabled: %s\n", e.what());
     opt_.status_path.clear();

@@ -31,14 +31,19 @@
 // metrics file is rewritten in full every `rewrite_every` records and
 // at finish (campaigns are a few hundred to a few thousand groups;
 // the quadratic rewrite cost is dwarfed by simulation); the status
-// file is one JSON object rewritten at most once per heartbeat period.
+// file is one JSON object, written when the campaign starts, rewritten
+// by a heartbeat thread every period and stamped with the terminal
+// state at finish. It names the runner's pid and campaign fingerprint,
+// so its mtime doubles as the liveness lease `sbst dispatch` reads.
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "telemetry/stats.h"
 #include "util/atomic_file.h"
@@ -109,7 +114,8 @@ struct TelemetryOptions {
   /// Rewrite the metrics file after this many new records (always at
   /// finish). 0 = only at finish.
   std::size_t rewrite_every = 256;
-  /// Minimum seconds between status rewrites (finish always writes).
+  /// Seconds between the heartbeat thread's status rewrites; 0 = no
+  /// thread, so the status is written only at start and at finish.
   double heartbeat_period_s = 1.0;
   /// Durability of both sinks' atomic rewrites. The campaign forwards
   /// its own policy here so "--durability fsync" makes the heartbeat
@@ -129,11 +135,14 @@ struct TelemetryOptions {
 /// finish() flushes everything and stamps the terminal state. If the
 /// campaign unwinds without reaching finish(), the destructor flushes
 /// with state "interrupted" so a crash-adjacent run still leaves
-/// complete files behind.
+/// complete files behind. The status file is written only by the
+/// constructor, the heartbeat thread (started when status_path is set)
+/// and finish(); nothing is written after finish().
 class CampaignTelemetry {
  public:
+  /// `fingerprint` is the campaign identity the status file reports.
   CampaignTelemetry(TelemetryOptions options, std::string mode,
-                    std::size_t groups_total);
+                    std::size_t groups_total, std::uint64_t fingerprint);
   ~CampaignTelemetry();
   CampaignTelemetry(const CampaignTelemetry&) = delete;
   CampaignTelemetry& operator=(const CampaignTelemetry&) = delete;
@@ -149,20 +158,22 @@ class CampaignTelemetry {
 
  private:
   void flush_metrics_locked();
+  std::string status_json_locked(const char* state) const;
   void write_status_locked(const char* state);
 
   TelemetryOptions opt_;    // paths cleared when a sink fails (disable)
   const std::string mode_;  // "threads" | "isolate"
   const std::size_t groups_total_;
+  const std::uint64_t fingerprint_;
   const std::chrono::steady_clock::time_point t0_;
 
   mutable std::mutex mu_;
+  std::condition_variable finished_cv_;  // wakes the heartbeat to exit
   std::string lines_;  // every NDJSON line so far, '\n'-terminated
   MetricsSummary totals_;  // the `sbst stats` counter fold, per record
   std::size_t unflushed_ = 0;
-  std::chrono::steady_clock::time_point last_status_;
-  bool status_written_ = false;
   bool finished_ = false;
+  std::thread heartbeat_;
 };
 
 }  // namespace sbst::telemetry

@@ -1,10 +1,12 @@
-// Supervision contract of the shard dispatcher: leases are the liveness
-// signal (held = fresh mtime + live pid, released = file gone), runner
-// death re-dispatches the shard under bounded backoff, retries exhaust
-// into an explicit failure, a foreign live lease blocks dispatch
-// instead of racing the journal, and a drain request turns running
-// shards into resumable ones. Fake /bin/sh runners keep every scenario
-// deterministic.
+// Supervision contract of the shard dispatcher: a runner's status
+// heartbeat is its lease (held = "running" + fresh mtime + live pid;
+// finished, stale, dead or unreadable = released), runner death
+// re-dispatches the shard under bounded backoff, retries exhaust into
+// an explicit failure, a foreign live runner blocks dispatch instead of
+// racing the journal, and a drain request turns running shards into
+// resumable ones. Fake /bin/sh runners keep every scenario
+// deterministic; the foreign runners' status files come from the real
+// telemetry writer, so reader and writer agree on the format.
 //
 // Suite names (Lease, Dispatch) deliberately avoid the sanitizer ctest
 // regexes: these tests fork, which TSan does not tolerate.
@@ -15,9 +17,11 @@
 #include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#include <utime.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 #include <atomic>
 #include <chrono>
@@ -27,6 +31,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "telemetry/metrics.h"
 
 namespace sbst::campaign {
 namespace {
@@ -71,7 +77,7 @@ bool file_exists(const std::string& path) {
 }
 
 /// Writes a fake runner and returns DispatchOptions invoking it as
-/// `/bin/sh script <shard> <journal> <lease> <status>`.
+/// `/bin/sh script <shard> <journal> <status>`.
 DispatchOptions sh_runner_options(const std::string& dir,
                                   const char* script_name,
                                   const std::string& script_body,
@@ -85,67 +91,29 @@ DispatchOptions sh_runner_options(const std::string& dir,
   opt.backoff_initial_s = 0.05;
   opt.heartbeat_period_s = 0.05;
   opt.make_runner_argv = [script](unsigned shard, const std::string& journal,
-                                  const std::string& lease,
                                   const std::string& status) {
-    return std::vector<std::string>{"/bin/sh",  script,
-                                    std::to_string(shard), journal,
-                                    lease,      status};
+    return std::vector<std::string>{"/bin/sh", script, std::to_string(shard),
+                                    journal, status};
   };
   static std::FILE* devnull = std::fopen("/dev/null", "w");
   opt.log = devnull;
   return opt;
 }
 
-TEST(Lease, EncodeDecodeRoundTrip) {
-  const LeaseInfo in{3, 8, 12345, 0xdeadbeefcafe1234ull};
-  LeaseInfo out;
-  ASSERT_TRUE(decode_lease(encode_lease(in), &out));
-  EXPECT_EQ(out.shard, in.shard);
-  EXPECT_EQ(out.shard_count, in.shard_count);
-  EXPECT_EQ(out.pid, in.pid);
-  EXPECT_EQ(out.fingerprint, in.fingerprint);
-}
-
-TEST(Lease, DecodeRejectsGarbage) {
-  LeaseInfo out;
-  EXPECT_FALSE(decode_lease("", &out));
-  EXPECT_FALSE(decode_lease("not a lease at all", &out));
-  EXPECT_FALSE(decode_lease("WRONGMAGIC\nshard 0/2\npid 1\nfingerprint 0\n",
-                            &out));
-  // Truncated mid-fields.
-  EXPECT_FALSE(decode_lease("SBSTLEASE1\nshard 0/2\n", &out));
-  // Shard index out of range / zero shard count.
-  EXPECT_FALSE(decode_lease(encode_lease({5, 4, 1, 0}), &out));
-  EXPECT_FALSE(decode_lease(encode_lease({0, 0, 1, 0}), &out));
-}
-
 TEST(Lease, PathsAreCanonicalPerShard) {
   EXPECT_EQ(shard_journal_path("d", 2, 4), "d/shard-2-of-4.sbstj");
-  EXPECT_EQ(shard_lease_path("d", 2, 4), "d/shard-2-of-4.lease");
   EXPECT_EQ(shard_status_path("d", 2, 4), "d/shard-2-of-4.status.json");
 }
 
-TEST(Lease, HolderWritesRefreshesAndRemoves) {
-  const std::string dir = make_dir("lease_holder");
-  const std::string path = dir + "/holder.lease";
-  const LeaseInfo info{1, 2, ::getpid(), 0x1111222233334444ull};
-  {
-    LeaseHolder holder(path, info, 0.05);
-    // The first heartbeat lands in the constructor.
-    LeaseInfo got;
-    ASSERT_TRUE(decode_lease(slurp(path), &got));
-    EXPECT_EQ(got.pid, info.pid);
-    EXPECT_EQ(got.fingerprint, info.fingerprint);
-    // The background thread re-creates the file if it disappears — the
-    // observable form of "the heartbeat keeps writing".
-    std::remove(path.c_str());
-    for (int i = 0; i < 100 && !file_exists(path); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(file_exists(path));
-  }
-  // Destruction releases: the lease is gone, not stale.
-  EXPECT_FALSE(file_exists(path));
+/// The status heartbeat of a runner that is not the dispatcher's child:
+/// this test process, which is alive, holding shard 0 of 1 for campaign
+/// `fingerprint`. The period is long so the file's mtime stays put.
+telemetry::CampaignTelemetry foreign_runner(const std::string& dir,
+                                            std::uint64_t fingerprint) {
+  telemetry::TelemetryOptions topt;
+  topt.status_path = shard_status_path(dir, 0, 1);
+  topt.heartbeat_period_s = 3600.0;
+  return telemetry::CampaignTelemetry(topt, "threads", 1, fingerprint);
 }
 
 TEST(Dispatch, RejectsUnusableOptions) {
@@ -154,7 +122,7 @@ TEST(Dispatch, RejectsUnusableOptions) {
   EXPECT_THROW(run_dispatch(opt), std::runtime_error);
   opt.shards = 1;
   EXPECT_THROW(run_dispatch(opt), std::runtime_error);  // no argv factory
-  opt.make_runner_argv = [](unsigned, const std::string&, const std::string&,
+  opt.make_runner_argv = [](unsigned, const std::string&,
                             const std::string&) {
     return std::vector<std::string>{"/bin/true"};
   };
@@ -279,36 +247,74 @@ TEST(Dispatch, ForeignLiveLeaseBlocksTheShard) {
   DispatchOptions opt =
       sh_runner_options(dir, "runner.sh", "exit 0\n", 1);
   opt.fingerprint = 0xaaaabbbbccccddddull;
-  // A fresh lease held by a live pid (this test) that is not a child of
-  // the dispatcher: the shard must not be double-dispatched.
-  spit(shard_lease_path(dir, 0, 1),
-       encode_lease({0, 1, ::getpid(), opt.fingerprint}));
-  const DispatchResult res = run_dispatch(opt);
-  ASSERT_EQ(res.shards.size(), 1u);
-  EXPECT_TRUE(res.shards[0].failed);
-  EXPECT_EQ(res.shards[0].attempts, 0u);
-  EXPECT_NE(res.shards[0].error.find("lease already held"), std::string::npos)
-      << res.shards[0].error;
-
-  // Same liveness but a different campaign fingerprint: the error names
-  // the journal-directory collision.
-  spit(shard_lease_path(dir, 0, 1),
-       encode_lease({0, 1, ::getpid(), opt.fingerprint ^ 1}));
-  const DispatchResult res2 = run_dispatch(opt);
-  EXPECT_TRUE(res2.shards[0].failed);
-  EXPECT_NE(res2.shards[0].error.find("different campaign"),
-            std::string::npos)
-      << res2.shards[0].error;
+  {
+    // A fresh "running" status naming a live pid (this test) that is
+    // not a child of the dispatcher: the shard must not be
+    // double-dispatched.
+    const telemetry::CampaignTelemetry holder =
+        foreign_runner(dir, opt.fingerprint);
+    const DispatchResult res = run_dispatch(opt);
+    ASSERT_EQ(res.shards.size(), 1u);
+    EXPECT_TRUE(res.shards[0].failed);
+    EXPECT_EQ(res.shards[0].attempts, 0u);
+    EXPECT_NE(res.shards[0].error.find("lease already held"),
+              std::string::npos)
+        << res.shards[0].error;
+  }
+  {
+    // Same liveness but a different campaign fingerprint: the error
+    // names the journal-directory collision.
+    const telemetry::CampaignTelemetry holder =
+        foreign_runner(dir, opt.fingerprint ^ 1);
+    const DispatchResult res = run_dispatch(opt);
+    EXPECT_TRUE(res.shards[0].failed);
+    EXPECT_NE(res.shards[0].error.find("different campaign"),
+              std::string::npos)
+        << res.shards[0].error;
+  }
 }
 
 TEST(Dispatch, GarbageOrStaleLeaseIsReclaimed) {
   const std::string dir = make_dir("dispatch_garbage");
   DispatchOptions opt =
       sh_runner_options(dir, "runner.sh", "exit 0\n", 1);
-  spit(shard_lease_path(dir, 0, 1), "this is not a lease\n");
+  const std::string status = shard_status_path(dir, 0, 1);
+  spit(status, "this is not a status\n");
   const DispatchResult res = run_dispatch(opt);
   EXPECT_TRUE(res.all_completed());
   EXPECT_EQ(res.shards[0].attempts, 1u);
+
+  // A live runner whose heartbeat stopped an hour ago is wedged past
+  // stale_after_s and has lost the shard. Its file is not the new
+  // runner's heartbeat either: a runner that has not written one yet
+  // is judged by its spawn time, so it is not revoked while it works.
+  const telemetry::CampaignTelemetry holder =
+      foreign_runner(dir, opt.fingerprint);
+  const std::time_t hour_ago = std::time(nullptr) - 3600;
+  const struct utimbuf times {hour_ago, hour_ago};
+  ASSERT_EQ(::utime(status.c_str(), &times), 0);
+  const DispatchOptions slow =
+      sh_runner_options(dir, "slow.sh", "sleep 0.3\nexit 0\n", 1);
+  const DispatchResult res2 = run_dispatch(slow);
+  EXPECT_TRUE(res2.all_completed());
+  EXPECT_EQ(res2.shards[0].attempts, 1u);
+  EXPECT_EQ(res2.shards[0].stale_leases, 0u);
+}
+
+TEST(Dispatch, FinishedRunnerStatusDoesNotBlockRedispatch) {
+  const std::string dir = make_dir("dispatch_finished");
+  DispatchOptions opt =
+      sh_runner_options(dir, "runner.sh", "exit 0\n", 1);
+  // A runner that finished, or drained, left its status behind with a
+  // live pid and a fresh mtime; only "running" holds the shard.
+  for (const bool interrupted : {false, true}) {
+    telemetry::CampaignTelemetry runner =
+        foreign_runner(dir, opt.fingerprint);
+    runner.finish(interrupted);
+    const DispatchResult res = run_dispatch(opt);
+    EXPECT_TRUE(res.all_completed()) << "interrupted=" << interrupted;
+    EXPECT_EQ(res.shards[0].attempts, 1u) << "interrupted=" << interrupted;
+  }
 }
 
 TEST(Dispatch, DrainMarksShardsResumable) {
@@ -376,7 +382,7 @@ TEST(Dispatch, StatusRollupFoldsRunnerProgress) {
   const std::string dir = make_dir("dispatch_status");
   DispatchOptions opt = sh_runner_options(
       dir, "runner.sh",
-      "printf '{\"groups_done\":3,\"groups_total\":5}' > \"$4\"\nexit 0\n",
+      "printf '{\"groups_done\":3,\"groups_total\":5}' > \"$3\"\nexit 0\n",
       2);
   opt.status_path = dir + "/rollup.json";
   const DispatchResult res = run_dispatch(opt);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "campaign/campaign.h"
@@ -328,13 +329,14 @@ nl::Netlist make_wide_netlist(std::size_t gates) {
   return n;
 }
 
-TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
-  // Half a million gates need 8 MiB of kernel state in every worker,
-  // which can never be granted under a 4 MiB RLIMIT_AS: under either
-  // engine, every attempt on every group OOMs its own worker. The
-  // campaign must still terminate with every group quarantined rather
-  // than crash, hang, or take the test runner down — that containment is
-  // the entire point of process isolation.
+/// Half a million gates need 8 MiB of kernel state in every worker,
+/// which can never be granted under a 4 MiB RLIMIT_AS: under either
+/// engine, every attempt on every group OOMs its own worker. Returns
+/// one line per failed check, so an empty string means the campaign
+/// terminated with every group quarantined rather than crashing,
+/// hanging, or taking the test runner down — that containment is the
+/// entire point of process isolation.
+std::string oom_campaign_failures() {
   const nl::Netlist n = make_wide_netlist(std::size_t{1} << 19);
   // Two groups of stem faults.
   nl::FaultList faults;
@@ -346,6 +348,13 @@ TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
   faults.total_uncollapsed = faults.size();
   const auto env = []() { return std::make_unique<ConstEnv>(); };
 
+  std::string failures;
+  const auto check = [&failures](bool ok, fault::Engine engine,
+                                 const std::string& what) {
+    if (ok) return;
+    failures += engine == fault::Engine::kSweep ? "sweep: " : "event: ";
+    failures += what + "\n";
+  };
   for (const fault::Engine engine :
        {fault::Engine::kSweep, fault::Engine::kEvent}) {
     CampaignOptions opt;
@@ -357,16 +366,44 @@ TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
     opt.iso.worker_mem_mb = 4;
     const CampaignResult res = run_campaign(n, faults, env, kFp ^ 0x99, opt);
 
-    EXPECT_EQ(res.groups_done, res.groups_total);
-    EXPECT_EQ(res.quarantined_groups.size(), res.groups_total);
-    EXPECT_GE(res.worker_restarts, res.groups_total);
+    const std::string counts = " (" + std::to_string(res.groups_done) +
+                               " done, " +
+                               std::to_string(res.quarantined_groups.size()) +
+                               " quarantined, " +
+                               std::to_string(res.worker_restarts) +
+                               " restarts, of " +
+                               std::to_string(res.groups_total) + " groups)";
+    check(res.groups_done == res.groups_total, engine,
+          "not every group resolved" + counts);
+    check(res.quarantined_groups.size() == res.groups_total, engine,
+          "not every group quarantined" + counts);
+    check(res.worker_restarts >= res.groups_total, engine,
+          "fewer restarts than groups" + counts);
     for (const QuarantinedGroup& q : res.quarantined_groups) {
       // Death by rlimit shows up as SIGABRT (uncaught bad_alloc) or
       // SIGSEGV/SIGKILL — never as a clean exit 0.
-      EXPECT_TRUE(q.error.term_signal != 0 || q.error.exit_code != 0)
-          << "group " << q.group;
+      check(q.error.term_signal != 0 || q.error.exit_code != 0, engine,
+            "group " + std::to_string(q.group) + " exited cleanly");
     }
   }
+  return failures;
+}
+
+TEST(Supervisor, WorkerMemoryLimitTurnsOomIntoQuarantineNotCampaignDeath) {
+  // A forked worker inherits its supervisor's free heap, and malloc
+  // serves the worker from it without asking for address space, so
+  // RLIMIT_AS bites only if that heap is small. Suites that ran earlier
+  // in this process can leave it large, so the campaign runs in a
+  // freshly exec'd copy of this binary (a "threadsafe" death test),
+  // whose heap holds nothing but this test's own allocations.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::string failures = oom_campaign_failures();
+        std::fputs(failures.c_str(), stderr);
+        std::_Exit(failures.empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

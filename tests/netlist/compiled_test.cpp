@@ -322,6 +322,40 @@ TEST(CompiledNetlist, BufChainsFoldToRootAndCopyOut) {
   EXPECT_EQ(sim.word(user), sim.word(root) ^ sim.word(in.bits[0]));
 }
 
+TEST(CompiledNetlist, FanoutIndexCoversEveryEdge) {
+  Netlist n;
+  const GateId a = n.add_gate(GateKind::kInput);
+  const GateId b = n.add_gate(GateKind::kInput);
+  const GateId x = n.add_gate(GateKind::kAnd2, a, b);
+  const GateId w = n.add_gate(GateKind::kBuf, x);       // folds into x
+  const GateId y = n.add_gate(GateKind::kXor2, w, x);   // both pins fold to x
+  const GateId q = n.add_dff(y, false);                 // DFF D-pin edge
+  const GateId z = n.add_gate(GateKind::kNot, q);
+  n.add_output("o", {z});
+  const auto cn = compile(n);
+
+  const auto consumers = [&cn](GateId g) {
+    return std::vector<std::uint32_t>(
+        cn->fanout.begin() + cn->fanout_offset[g],
+        cn->fanout.begin() + cn->fanout_offset[g + 1]);
+  };
+  const auto node = [&cn](GateId g) {
+    return std::vector<std::uint32_t>{cn->node_of_gate[g]};
+  };
+  EXPECT_EQ(consumers(a), node(x));
+  EXPECT_EQ(consumers(b), node(x));
+  // Edges are fold-rooted and one per consumer: y reads x through the
+  // folded BUF and directly, and is woken once; the BUF has no edges.
+  EXPECT_EQ(consumers(x), node(y));
+  EXPECT_TRUE(consumers(w).empty());
+  EXPECT_EQ(consumers(y),
+            std::vector<std::uint32_t>{CompiledNetlist::kDffFlag | 0u});
+  EXPECT_EQ(consumers(q), node(z));
+  EXPECT_TRUE(consumers(z).empty());
+  ASSERT_EQ(cn->fanout_offset.size(), n.size() + 1);
+  EXPECT_EQ(cn->fanout_offset.back(), cn->fanout.size());
+}
+
 TEST(CompiledNetlist, PrimaryOutputBufIsMaterializedNotFolded) {
   Netlist n;
   const Port in = n.add_input("in", 2);

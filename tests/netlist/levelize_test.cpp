@@ -56,33 +56,6 @@ TEST(Levelize, EmptyNetlistIsFine) {
   EXPECT_TRUE(lv.dffs.empty());
 }
 
-TEST(Levelize, FanoutIndexCoversEveryEdge) {
-  Netlist n;
-  const GateId a = n.add_gate(GateKind::kInput);
-  const GateId b = n.add_gate(GateKind::kInput);
-  const GateId x = n.add_gate(GateKind::kAnd2, a, b);
-  const GateId y = n.add_gate(GateKind::kXor2, x, x);  // duplicate pins
-  const GateId q = n.add_dff(y, false);                // DFF D-pin edge
-  const GateId z = n.add_gate(GateKind::kNot, q);
-  const Levelization lv = levelize(n);
-
-  auto consumers = [&lv](GateId g) {
-    const auto span = lv.consumers(g);
-    return std::vector<GateId>(span.begin(), span.end());
-  };
-  EXPECT_EQ(consumers(a), std::vector<GateId>{x});
-  EXPECT_EQ(consumers(b), std::vector<GateId>{x});
-  // One entry per connected pin, so a double-connected driver wakes the
-  // consumer via either pin (the event kernel dedupes by stamp).
-  EXPECT_EQ(consumers(x), (std::vector<GateId>{y, y}));
-  EXPECT_EQ(consumers(y), std::vector<GateId>{q});
-  EXPECT_EQ(consumers(q), std::vector<GateId>{z});
-  EXPECT_TRUE(consumers(z).empty());
-  // CSR sizes: offsets cover n.size()+1, entries = total connected pins.
-  ASSERT_EQ(lv.fanout_offset.size(), n.size() + 1);
-  EXPECT_EQ(lv.fanout_offset.back(), lv.fanout.size());
-}
-
 TEST(LiveMask, MarksOutputCone) {
   Netlist n;
   const GateId a = n.add_gate(GateKind::kInput);

@@ -2,16 +2,23 @@
 // round-trip every field (with u64 counters preserved exactly), the
 // ETA estimator must rate-limit itself to groups simulated this run,
 // and CampaignTelemetry must leave complete, parseable files behind in
-// every exit path — finished, and abandoned mid-campaign.
+// every exit path — finished, and abandoned mid-campaign — with a
+// status heartbeat that is live from construction to finish() and
+// silent after it.
 #include "telemetry/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/json.h"
@@ -29,6 +36,25 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+bool file_exists(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Polls for up to 2 s: a heartbeat period of 20 ms gets ~100 chances.
+bool wait_for_file(const std::string& path) {
+  for (int i = 0; i < 200 && !file_exists(path); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return file_exists(path);
+}
+
+std::map<std::string, JsonValue> read_status(const std::string& path) {
+  std::map<std::string, JsonValue> status;
+  EXPECT_TRUE(parse_flat_json_object(slurp(path), &status)) << path;
+  return status;
 }
 
 TEST(Json, StringEscapingRoundTrips) {
@@ -175,7 +201,7 @@ TEST(CampaignTelemetryFiles, WritesParseableMetricsAndStatus) {
   std::remove(opt.metrics_path.c_str());
   std::remove(opt.status_path.c_str());
 
-  CampaignTelemetry tele(opt, "threads", 4);
+  CampaignTelemetry tele(opt, "threads", 4, /*fingerprint=*/1);
   for (std::uint64_t g = 0; g < 4; ++g) {
     GroupMetric m = sample_metric();
     m.group = g;
@@ -223,7 +249,7 @@ TEST(CampaignTelemetryFiles, AbandonedRunFlushesAsInterrupted) {
   std::remove(opt.metrics_path.c_str());
   std::remove(opt.status_path.c_str());
   {
-    CampaignTelemetry tele(opt, "isolate", 9);
+    CampaignTelemetry tele(opt, "isolate", 9, /*fingerprint=*/1);
     GroupMetric m = sample_metric();
     tele.record(m);
     // No finish(): the campaign unwound (exception, early return).
@@ -239,6 +265,66 @@ TEST(CampaignTelemetryFiles, AbandonedRunFlushesAsInterrupted) {
   EXPECT_EQ(status["state"].str, "interrupted");
   EXPECT_EQ(status["mode"].str, "isolate");
   EXPECT_EQ(status["groups_done"].u64, 1u);
+}
+
+TEST(CampaignTelemetryFiles, StatusNamesPidAndFingerprintBeforeAnyRecord) {
+  TelemetryOptions opt;
+  opt.status_path = temp_path("tele_first_beat.json");
+  opt.heartbeat_period_s = 3600.0;  // only the constructor's write lands
+  std::remove(opt.status_path.c_str());
+
+  CampaignTelemetry tele(opt, "threads", 7, 0x00c0ffee12345678ull);
+  std::map<std::string, JsonValue> status = read_status(opt.status_path);
+  EXPECT_EQ(status["state"].str, "running");
+  EXPECT_EQ(status["groups_total"].u64, 7u);
+  ASSERT_TRUE(status["groups_done"].u64_valid);
+  EXPECT_EQ(status["groups_done"].u64, 0u);
+  ASSERT_TRUE(status["pid"].u64_valid);
+  EXPECT_EQ(status["pid"].u64, static_cast<std::uint64_t>(::getpid()));
+  // 16 hex digits, zero-padded: a dispatcher compares it as a string.
+  EXPECT_EQ(status["fingerprint"].str, "00c0ffee12345678");
+}
+
+TEST(CampaignTelemetryFiles, HeartbeatRewritesADeletedStatusFile) {
+  TelemetryOptions opt;
+  opt.status_path = temp_path("tele_heartbeat.json");
+  opt.heartbeat_period_s = 0.02;
+  std::remove(opt.status_path.c_str());
+
+  CampaignTelemetry tele(opt, "threads", 3, 1);
+  ASSERT_TRUE(file_exists(opt.status_path));
+  // record() does not write the status: a deleted file comes back
+  // only from the timer, and the next beat carries the new record.
+  tele.record(sample_metric());
+  std::remove(opt.status_path.c_str());
+  ASSERT_TRUE(wait_for_file(opt.status_path));
+  std::map<std::string, JsonValue> status = read_status(opt.status_path);
+  EXPECT_EQ(status["state"].str, "running");
+  EXPECT_EQ(status["groups_done"].u64, 1u);
+}
+
+TEST(CampaignTelemetryFiles, FinishWritesTheTerminalStateOnceAndLast) {
+  TelemetryOptions opt;
+  opt.status_path = temp_path("tele_finish.json");
+  opt.heartbeat_period_s = 0.01;
+  std::remove(opt.status_path.c_str());
+  {
+    CampaignTelemetry tele(opt, "threads", 2, 1);
+    tele.record(sample_metric());
+    tele.finish(/*interrupted=*/false);
+    std::map<std::string, JsonValue> status = read_status(opt.status_path);
+    EXPECT_EQ(status["state"].str, "done");
+    EXPECT_EQ(status["groups_done"].u64, 1u);
+
+    // Neither the heartbeat, a second finish() nor the destructor
+    // writes again.
+    std::remove(opt.status_path.c_str());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(file_exists(opt.status_path));
+    tele.finish(/*interrupted=*/true);
+    EXPECT_FALSE(file_exists(opt.status_path));
+  }
+  EXPECT_FALSE(file_exists(opt.status_path));
 }
 
 }  // namespace

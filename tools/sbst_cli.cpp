@@ -58,9 +58,7 @@
 //                                      (fingerprint unchanged, so shard
 //                                      journals merge; progress/status
 //                                      are labelled and rated per
-//                                      shard); --lease FILE maintains a
-//                                      heartbeat lease file for the
-//                                      dispatcher (see sbst dispatch).
+//                                      shard).
 //   sbst dispatch FILE.s --shards N --journal-dir D
 //              [--workers-per-shard K] [--max-shard-retries R]
 //              [--stale-after SEC] [--backoff-ms MS]
@@ -68,9 +66,10 @@
 //              [--durability D] [-o MERGED.sbstj]
 //                                      fan one campaign out over N shard
 //                                      runner processes, supervised via
-//                                      on-disk leases (mtime heartbeat).
-//                                      A shard whose runner dies or
-//                                      whose lease goes stale is
+//                                      their --status heartbeats (the
+//                                      file mtime is the lease). A shard
+//                                      whose runner dies or whose
+//                                      heartbeat goes stale is
 //                                      re-dispatched under capped,
 //                                      jittered exponential backoff.
 //                                      On a drain, shards stopped short
@@ -207,11 +206,11 @@ struct GradeCampaign {
   plasma::PlasmaCpu cpu;
   std::uint64_t good_cycles = 0;  // cycles the program runs to its halt
   nl::FaultList faults;
-  /// Ties a journal (and a runner's lease) to this exact campaign:
-  /// program image, netlist, fault universe, sampling and cycle budget.
-  /// The shard restriction is deliberately NOT part of it — every shard
-  /// of a campaign shares one identity, which is exactly what makes
-  /// their journals mutually mergeable.
+  /// Ties a journal (and a runner's status heartbeat) to this exact
+  /// campaign: program image, netlist, fault universe, sampling and
+  /// cycle budget. The shard restriction is deliberately NOT part of
+  /// it — every shard of a campaign shares one identity, which is
+  /// exactly what makes their journals mutually mergeable.
   std::uint64_t fingerprint = 0;
 };
 
@@ -429,7 +428,6 @@ int cmd_grade(int argc, char** argv) {
   std::string status;
   std::string durability = "flush";
   std::string shard;  // "i/N": run only the i-th residue class of groups
-  std::string lease;  // heartbeat lease file for the dispatcher
   std::size_t trace_mem_mb = 1024;
   const auto pos = util::ArgParser(argc, argv)
                        .value_size("--sample", &sample)
@@ -441,7 +439,6 @@ int cmd_grade(int argc, char** argv) {
                        .value("--metrics", &metrics)
                        .value("--status", &status)
                        .value("--shard", &shard)
-                       .value("--lease", &lease)
                        .value_u64("--group-timeout", &group_timeout_s)
                        .value_u64("--time-budget", &time_budget_s)
                        .flag("--retry-timeouts", &retry_timeouts)
@@ -473,9 +470,6 @@ int cmd_grade(int argc, char** argv) {
       throw util::ArgError("--shard wants i/N with 0 <= i < N and N >= 2, "
                            "got '" + shard + "'");
     }
-  }
-  if (!lease.empty() && shard.empty()) {
-    throw util::ArgError("--lease only applies to --shard runs");
   }
   const std::optional<GradeCampaign> camp = prepare_campaign(pos[0], sample);
   if (!camp) return 1;
@@ -542,16 +536,6 @@ int cmd_grade(int argc, char** argv) {
                    label.c_str(), p.done, p.total, elapsed, eta);
       if (p.done == p.total) std::fputc('\n', stderr);
     };
-  }
-
-  std::optional<campaign::LeaseHolder> lease_holder;
-  if (!lease.empty()) {
-    campaign::LeaseInfo li;
-    li.shard = shard_index;
-    li.shard_count = shard_count;
-    li.pid = static_cast<std::int64_t>(::getpid());
-    li.fingerprint = camp->fingerprint;
-    lease_holder.emplace(lease, li);
   }
 
   const bool sampled = sample != 0 && sample < faults.size();
@@ -746,8 +730,9 @@ int cmd_dispatch(int argc, char** argv) {
   util::parse_durability(durability);  // fail fast, runners re-parse
 
   // Same preamble as cmd_grade: the dispatcher computes the campaign
-  // fingerprint itself (for lease collision checks) and verifies the
-  // program halts once, before forking N runners that would all fail.
+  // fingerprint itself (a live runner's status must name it) and
+  // verifies the program halts once, before forking N runners that
+  // would all fail.
   const std::optional<GradeCampaign> camp = prepare_campaign(pos[0], sample);
   if (!camp) return 1;
   const std::uint64_t fp = camp->fingerprint;
@@ -772,14 +757,12 @@ int cmd_dispatch(int argc, char** argv) {
   dopt.durability = util::parse_durability(durability);
   dopt.cancel = &util::drain_requested();
   dopt.make_runner_argv = [&](unsigned shard, const std::string& journal,
-                              const std::string& lease,
                               const std::string& shard_status) {
     std::vector<std::string> argv = {
         exe,         "grade",
         prog,        "--shard",
         std::to_string(shard) + "/" + std::to_string(shards),
         "--journal", journal,
-        "--lease",   lease,
         "--status",  shard_status,
         "--sample",  std::to_string(sample),
         "--engine",  engine,
