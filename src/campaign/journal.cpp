@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "util/atomic_file.h"
+#include "util/child.h"
 #include "util/crc32.h"
 #include "util/faulty_io.h"
 
@@ -61,6 +62,14 @@ std::string encode_header(const JournalMeta& meta) {
   return out;
 }
 
+/// Checks a frame's payload against the frame's CRC, then decodes it:
+/// the validation shared by the file loader and the pipe reader.
+bool decode_frame_payload(std::uint32_t crc, std::string_view payload,
+                          fault::GroupRecord* rec) {
+  return util::crc32(payload.data(), payload.size()) == crc &&
+         decode_record_payload(payload, rec);
+}
+
 /// Parses one framed record starting at `off`. Returns true and advances
 /// `off` past the frame on success; false on any torn/corrupt frame
 /// (leaving `off` at the frame start).
@@ -70,8 +79,7 @@ bool parse_record(const std::string& data, std::size_t& off,
   std::uint32_t len = 0, crc = 0;
   if (!get(data, p, &len) || !get(data, p, &crc)) return false;
   if (len > kMaxPayload || data.size() - p < len) return false;
-  if (util::crc32(data.data() + p, len) != crc) return false;
-  if (!decode_record_payload(std::string_view(data).substr(p, len), rec)) {
+  if (!decode_frame_payload(crc, std::string_view(data).substr(p, len), rec)) {
     return false;
   }
   off = p + len;
@@ -118,6 +126,7 @@ std::optional<JournalLoad> load_impl(const std::string& path,
     throw std::runtime_error(path + " is not a campaign journal");
   }
   JournalLoad out;
+  out.file_bytes = data.size();
   std::size_t off = sizeof(kMagic);
   std::uint32_t hcrc = 0;
   get(data, off, &out.meta.fingerprint);
@@ -137,13 +146,11 @@ std::optional<JournalLoad> load_impl(const std::string& path,
         "cycle budget changed); delete it or pass a fresh --journal path");
   }
 
-  out.intact_bytes.assign(data, 0, kHeaderBytes);
   fault::GroupRecord rec;
   while (off < data.size()) {
     const std::size_t frame_start = off;
     if (parse_record(data, off, &rec)) {
       out.records.push_back(std::move(rec));
-      out.intact_bytes.append(data, frame_start, off - frame_start);
       continue;
     }
     // Damaged frame. Resynchronize on the next validating frame and
@@ -159,11 +166,6 @@ std::optional<JournalLoad> load_impl(const std::string& path,
   out.dropped_bytes = data.size() - off;
   out.stats.salvaged = out.records.size();
   return out;
-}
-
-std::size_t journal_file_bytes(const JournalLoad& loaded) {
-  return loaded.intact_bytes.size() + loaded.stats.skipped_bytes +
-         loaded.dropped_bytes;
 }
 
 }  // namespace
@@ -246,19 +248,47 @@ bool decode_record_payload(std::string_view payload, fault::GroupRecord* rec) {
   return true;
 }
 
+std::string encode_record_frame(const fault::GroupRecord& rec) {
+  const std::string payload = encode_record_payload(rec);
+  std::string frame;
+  frame.reserve(8 + payload.size());
+  put(frame, static_cast<std::uint32_t>(payload.size()));
+  put(frame, util::crc32(payload.data(), payload.size()));
+  frame += payload;
+  return frame;
+}
+
+bool read_record_frame(int fd, fault::GroupRecord* rec) {
+  std::uint32_t head[2] = {0, 0};  // len, crc
+  if (!util::read_full(fd, head, sizeof(head)) || head[0] > kMaxPayload) {
+    return false;
+  }
+  char payload[kMaxPayload] = {};
+  return util::read_full(fd, payload, head[0]) &&
+         decode_frame_payload(head[1], std::string_view(payload, head[0]),
+                              rec);
+}
+
 std::string encode_journal(const JournalMeta& meta,
                            const std::vector<fault::GroupRecord>& records) {
   std::string out = encode_header(meta);
   for (const fault::GroupRecord& rec : records) {
-    const std::string payload = encode_record_payload(rec);
-    put(out, static_cast<std::uint32_t>(payload.size()));
-    put(out, util::crc32(payload.data(), payload.size()));
-    out += payload;
+    out += encode_record_frame(rec);
   }
   return out;
 }
 
 namespace {
+
+/// The one journal rewrite: `records` (the winners) under `meta`'s
+/// header, swapped in atomically. Returns the bytes written.
+std::size_t write_journal(const std::string& path, const JournalMeta& meta,
+                          const std::vector<fault::GroupRecord>& records,
+                          util::Durability durability) {
+  const std::string data = encode_journal(meta, records);
+  util::write_file_atomic(path, data, durability);
+  return data.size();
+}
 
 /// Positions in `records` of the winning record per group, in group
 /// order: a later file position supersedes an earlier one.
@@ -327,34 +357,21 @@ JournalWriter::~JournalWriter() {
 JournalWriter JournalWriter::create(const std::string& path,
                                     const JournalMeta& meta,
                                     util::Durability durability) {
-  // The header goes through the atomic-write helper so a crash during
-  // creation leaves either no journal or a complete empty one.
-  util::write_file_atomic(path, encode_header(meta), durability);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) throw std::runtime_error("cannot open journal " + path);
-  return JournalWriter(f, path, durability);
+  // The header is written atomically so a crash during creation leaves
+  // either no journal or a complete empty one.
+  write_journal(path, meta, {}, durability);
+  return append(path, durability);
 }
 
 JournalWriter JournalWriter::append(const std::string& path,
-                                    const JournalLoad& loaded,
                                     util::Durability durability) {
-  if (loaded.damaged()) {
-    // Heal before appending, atomically: cut the torn tail and close up
-    // interior damage — otherwise new records would land after garbage
-    // and the next load would skip or drop them.
-    util::write_file_atomic(path, loaded.intact_bytes, durability);
-  }
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (!f) throw std::runtime_error("cannot open journal " + path);
   return JournalWriter(f, path, durability);
 }
 
 void JournalWriter::add(const fault::GroupRecord& rec) {
-  const std::string payload = encode_record_payload(rec);
-  std::string frame;
-  put(frame, static_cast<std::uint32_t>(payload.size()));
-  put(frame, util::crc32(payload.data(), payload.size()));
-  frame += payload;
+  const std::string frame = encode_record_frame(rec);
   if (util::checked_fwrite(f_, frame.data(), frame.size()) != frame.size()) {
     throw std::runtime_error("cannot append to journal " + path_);
   }
@@ -366,24 +383,6 @@ void JournalWriter::add(const fault::GroupRecord& rec) {
       util::checked_fsync(::fileno(f_)) != 0) {
     throw std::runtime_error("cannot fsync journal " + path_);
   }
-}
-
-RepairStats repair_journal(const std::string& path, const std::string& out,
-                           util::Durability durability) {
-  std::optional<JournalLoad> loaded = load_journal_raw(path);
-  if (!loaded) throw std::runtime_error("cannot open " + path);
-  if (loaded->empty_file) {
-    throw std::runtime_error(path + " is an empty journal (no header yet)");
-  }
-  RepairStats stats;
-  stats.stats = loaded->stats;
-  stats.kept_records = loaded->records.size();
-  stats.bytes_before = journal_file_bytes(*loaded);
-  stats.bytes_after = loaded->intact_bytes.size();
-  stats.was_damaged = loaded->damaged();
-  util::write_file_atomic(out.empty() ? path : out, loaded->intact_bytes,
-                          durability);
-  return stats;
 }
 
 JournalSet load_journals(const std::vector<std::string>& paths) {
@@ -411,7 +410,7 @@ JournalSet load_journals(const std::vector<std::string>& paths) {
     MergeInputStats in;
     in.path = paths[i];
     in.records = loaded->records.size();
-    in.bytes = journal_file_bytes(*loaded);
+    in.bytes = loaded->file_bytes;
     in.skipped_spans = loaded->stats.skipped_records;
     in.dropped_bytes = loaded->dropped_bytes;
     in.damaged = loaded->damaged();
@@ -439,9 +438,7 @@ MergeStats merge_journals(const std::vector<std::string>& inputs,
     ++stats.inputs[set.source[idx]].winners;
   }
   stats.records_out = winners.size();
-  const std::string data = encode_journal(stats.meta, winners);
-  stats.bytes_out = data.size();
-  util::write_file_atomic(out, data, durability);
+  stats.bytes_out = write_journal(out, stats.meta, winners, durability);
   return stats;
 }
 
@@ -465,21 +462,18 @@ JournalSession open_journal_session(const std::string& path,
       s.seeds.emplace(rec.group, rec);
     }
 
-    // Dead-record pressure: retries, quarantine heals and resume churn
-    // append superseding records without ever reclaiming the old ones.
-    // When the dead outnumber the live by more than the threshold,
-    // rewrite the file down to the winners the seeds came from, so
-    // compaction never changes what a resume sees. The rewrite drops
-    // any damage too, so the append writer below has nothing to heal.
+    // Two reasons to rewrite the file down to the winners the seeds came
+    // from, so a rewrite never changes what a resume sees. Damage: new
+    // records appended after a torn tail or a damaged span would be
+    // skipped or dropped by the next load. Dead-record pressure:
+    // retries, quarantine heals and resume churn append superseding
+    // records without ever reclaiming the old ones.
     const std::size_t dead = loaded->records.size() - winners.size();
-    if (dead > kCompactDeadFactor * winners.size()) {
-      loaded->intact_bytes = encode_journal(loaded->meta, winners);
-      loaded->truncated = false;
-      loaded->stats = JournalLoadStats{};
-      util::write_file_atomic(path, loaded->intact_bytes, durability);
-      s.compacted = true;
+    s.compacted = dead > kCompactDeadFactor * winners.size();
+    if (s.compacted || loaded->damaged()) {
+      write_journal(path, loaded->meta, winners, durability);
     }
-    s.writer = JournalWriter::append(path, *loaded, durability);
+    s.writer = JournalWriter::append(path, durability);
   } else {
     s.was_empty = loaded.has_value();  // existed, zero-length
     s.writer = JournalWriter::create(path, meta, durability);

@@ -18,7 +18,9 @@
 //
 // Records are appended (and made durable per JournalWriter's
 // Durability policy) as fault groups finish, in completion order —
-// group indices are NOT sorted.
+// group indices are NOT sorted. The record frame is also the wire
+// format of an --isolate worker's results (read_record_frame), so disk
+// and pipe share one encoding and one validation.
 //
 // Self-healing: each frame carries its own length and CRC, so damage is
 // contained to the records it touches. load_journal() *salvages*: on a
@@ -30,8 +32,11 @@
 // is the degenerate case: nothing to resync onto, the tail is dropped.
 // Retries and quarantine-heals append superseding records, so a
 // long-lived journal accumulates dead records. Every reader resolves a
-// group to its latest record (winning_records): merge, compaction (a
-// merge of one journal), resume seeding and `sbst stats --journal`.
+// group to its latest record (winning_records): merge, compaction and
+// repair (both a merge of one journal), resume seeding and
+// `sbst stats --journal`. So every rewrite writes those winners and
+// nothing else: opening a damaged or dead-heavy journal for a campaign,
+// and the offline merge.
 //
 // The fingerprint in the header ties the journal to one exact campaign
 // (netlist + fault list + program + sampling + cycle bound); resuming
@@ -83,12 +88,8 @@ struct JournalLoad {
   /// frame to resynchronize onto).
   bool truncated = false;
   std::size_t dropped_bytes = 0;
-  /// The journal re-serialized without the damage: header + every
-  /// intact frame, in order. Equal to the file content when the file is
-  /// clean. JournalWriter::append() rewrites the file to exactly these
-  /// bytes before appending, so damage never resurfaces; `sbst journal
-  /// repair` writes them to a fresh file.
-  std::string intact_bytes;
+  /// Size of the file, damaged spans and torn tail included.
+  std::size_t file_bytes = 0;
   /// True when the file existed but was zero-length — e.g. created by a
   /// crash before the header landed, or touch(1)'d. Not an error: the
   /// campaign starts fresh ("empty journal"), it is not a corrupt tail.
@@ -126,10 +127,10 @@ class JournalWriter {
                               util::Durability durability =
                                   util::Durability::kFlush);
 
-  /// Opens an existing journal for appending, first rewriting it to
-  /// `loaded.intact_bytes` if any damage (interior or tail) was dropped.
+  /// Opens an existing, undamaged journal for appending. A damaged one
+  /// must be rewritten first (open_journal_session does), or new records
+  /// would land after garbage.
   static JournalWriter append(const std::string& path,
-                              const JournalLoad& loaded,
                               util::Durability durability =
                                   util::Durability::kFlush);
 
@@ -154,18 +155,29 @@ class JournalWriter {
 };
 
 /// Serializes one record payload (without the length/CRC frame) —
-/// exposed for tests that need to build corrupt journals, and reused as
-/// the wire encoding of worker results in the supervisor IPC protocol.
+/// exposed for tests that need to build corrupt journals.
 std::string encode_record_payload(const fault::GroupRecord& rec);
 
 /// Inverse of encode_record_payload. Returns false on any malformed
 /// payload (bad sizes, count > 63) without touching `rec`'s validity
-/// guarantees. Shared by journal frame parsing and IPC result frames.
+/// guarantees.
 bool decode_record_payload(std::string_view payload, fault::GroupRecord* rec);
 
+/// One framed record, `len u32 | crc32 u32 | payload`: the only byte
+/// encoding of a GroupRecord, on disk and on a worker's result pipe. At
+/// most a few hundred bytes, far below PIPE_BUF, so one write(2) of it
+/// to a pipe is atomic.
+std::string encode_record_frame(const fault::GroupRecord& rec);
+
+/// Blocking read of one record frame from a pipe or file descriptor.
+/// Returns false on EOF before or inside the frame, on a read error, on
+/// a length above the largest valid payload (rejected before reading
+/// or allocating it), on a CRC mismatch and on a malformed payload.
+bool read_record_frame(int fd, fault::GroupRecord* rec);
+
 /// Serializes a complete journal: header + one frame per record, in
-/// order. The building block of merge, compaction and repair (all stay
-/// in the SBSTJRN1 format, so old readers load their output unchanged).
+/// order. Every journal rewrite writes its winning records this way
+/// (SBSTJRN1 throughout, so old readers load the output unchanged).
 std::string encode_journal(const JournalMeta& meta,
                            const std::vector<fault::GroupRecord>& records);
 
@@ -174,30 +186,13 @@ std::string encode_journal(const JournalMeta& meta,
 std::vector<fault::GroupRecord> winning_records(
     const std::vector<fault::GroupRecord>& records);
 
-struct RepairStats {
-  JournalLoadStats stats;      // what the salvaging load saw
-  std::size_t kept_records = 0;
-  std::size_t bytes_before = 0;
-  std::size_t bytes_after = 0;
-  bool was_damaged = false;
-};
-
-/// Salvages the journal at `path` into `out` (in place when `out` is
-/// empty or equal): header + every intact record, damage dropped. The
-/// output always passes a verify sweep. Throws on missing files or
-/// corrupt headers (nothing attributable to salvage).
-RepairStats repair_journal(const std::string& path,
-                           const std::string& out = std::string(),
-                           util::Durability durability =
-                               util::Durability::kFsync);
-
 /// Per-input accounting of a multi-journal load: what each input
 /// brought and how much of it survived conflict resolution.
 struct MergeInputStats {
   std::string path;
   std::size_t records = 0;  // intact records contributed (file order)
   std::size_t winners = 0;  // of those, records that won their group
-  std::size_t bytes = 0;    // file size, damaged spans and tail included
+  std::size_t bytes = 0;    // JournalLoad::file_bytes
   std::size_t skipped_spans = 0;  // damaged interior spans salvage skipped
   std::size_t dropped_bytes = 0;  // torn tail salvage dropped
   bool damaged = false;     // salvage dropped spans/tail from this input
@@ -232,7 +227,8 @@ struct MergeStats {
 /// atomically. A group present in several shards (re-dispatch races, a
 /// quarantined copy later healed) resolves to the record appending all
 /// inputs into one file would have kept; lost records of damaged inputs
-/// re-simulate on resume. With one input this is compaction.
+/// re-simulate on resume. With one input this is compaction, and
+/// repair: the output is undamaged and always passes a verify sweep.
 MergeStats merge_journals(const std::vector<std::string>& inputs,
                           const std::string& out,
                           util::Durability durability =
@@ -252,7 +248,7 @@ struct JournalSession {
   bool truncated = false;   // a torn tail was dropped on load
   bool was_empty = false;   // file existed but held no records
   bool compacted = false;   // dead records exceeded the auto-compaction
-                            // threshold and the file was rewritten
+                            // threshold (the file was rewritten)
 };
 
 /// Auto-compaction trigger: a journal whose dead (superseded) records
@@ -263,9 +259,10 @@ constexpr std::size_t kCompactDeadFactor = 2;
 /// by `meta` and seeds from its winning records. When
 /// `retry_inconclusive` is set, timed-out and quarantined winners are
 /// left out of the seeds so those groups re-simulate (their superseding
-/// records win on the next load). Journals whose dead records exceed
-/// kCompactDeadFactor x live ones are rewritten to those same winners
-/// in passing. Empty `path` returns a session with no writer and no
+/// records win on the next load). A damaged journal, or one whose dead
+/// records exceed kCompactDeadFactor x live ones, is rewritten once to
+/// those same winners before appending, so a rewrite never changes what
+/// a resume sees. Empty `path` returns a session with no writer and no
 /// seeds.
 JournalSession open_journal_session(const std::string& path,
                                     const JournalMeta& meta,

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -17,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "campaign/ipc.h"
 #include "campaign/journal.h"
 #include "util/child.h"
 #include "util/parallel.h"
@@ -27,6 +27,30 @@ namespace sbst::campaign {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// A group request on a worker's request pipe: `group u64 | attempt u32`,
+/// one fixed-size write well below PIPE_BUF, so it arrives whole. The
+/// attempt number (0 = first try) feeds the seeded crash hook.
+struct GroupRequest {
+  std::uint64_t group = 0;
+  std::uint32_t attempt = 0;
+};
+constexpr std::size_t kRequestBytes = 8 + 4;
+
+bool write_request(int fd, const GroupRequest& req) {
+  char buf[kRequestBytes];
+  std::memcpy(buf, &req.group, 8);
+  std::memcpy(buf + 8, &req.attempt, 4);
+  return util::write_full(fd, buf, sizeof(buf));
+}
+
+bool read_request(int fd, GroupRequest* req) {
+  char buf[kRequestBytes];
+  if (!util::read_full(fd, buf, sizeof(buf))) return false;
+  std::memcpy(&req->group, buf, 8);
+  std::memcpy(&req->attempt, buf + 8, 4);
+  return true;
+}
 
 /// Everything a worker needs, captured before forking so children
 /// inherit it copy-on-write (notably the levelized GroupSimulator —
@@ -76,13 +100,8 @@ struct WorkerContext {
         pollfd p{in_fd, POLLIN, 0};
         if (::poll(&p, 1, 0) <= 0) return std::nullopt;
       }
-      ipc::Frame frame;
-      if (!ipc::read_frame(in_fd, &frame)) return std::nullopt;
-      ipc::GroupRequest req;
-      if (frame.tag != ipc::kTagGroup ||
-          !ipc::decode_group_request(frame.payload, &req)) {
-        _exit(2);
-      }
+      GroupRequest req;
+      if (!read_request(in_fd, &req)) return std::nullopt;
       if (ctx.iso.crash_group >= 0 &&
           req.group == static_cast<std::uint64_t>(ctx.iso.crash_group) &&
           req.attempt < ctx.iso.crash_attempts) {
@@ -93,10 +112,9 @@ struct WorkerContext {
       return static_cast<std::size_t>(req.group);
     };
     ctx.sim.run(pull, [&](fault::GroupRecord&& rec) {
-      if (!ipc::write_frame(out_fd, ipc::kTagRecord,
-                            encode_record_payload(rec))) {
-        _exit(2);
-      }
+      // One write of one journal frame: atomic on the pipe.
+      const std::string frame = encode_record_frame(rec);
+      if (!util::write_full(out_fd, frame.data(), frame.size())) _exit(2);
     });
   } catch (...) {
     // bad_alloc under RLIMIT_AS, or any simulator failure: die the way
@@ -112,7 +130,7 @@ struct WorkerContext {
 /// One group request on its way through a worker. Queued requests use
 /// only `req` and `solo`; the times are set when a worker takes it.
 struct Job {
-  ipc::GroupRequest req;
+  GroupRequest req;
   bool solo = false;  // retry: runs alone in its worker
   Clock::time_point started{};  // when the request was dispatched
   Clock::time_point deadline = Clock::time_point::max();  // hang kill
@@ -330,8 +348,7 @@ fault::FaultSimResult run_fault_sim_isolated(
                                 ? job->started + hang_grace
                                 : Clock::time_point::max();
             w.held.push_back(*job);
-            if (!ipc::write_frame(w.to_fd, ipc::kTagGroup,
-                                  ipc::encode_group_request(job->req))) {
+            if (!write_request(w.to_fd, job->req)) {
               // The worker died before reading the request (startup OOM,
               // external kill). Indistinguishable from dying right after
               // reading it, so it costs the request an attempt — keeping
@@ -393,11 +410,8 @@ fault::FaultSimResult run_fault_sim_isolated(
           }
           continue;
         }
-        ipc::Frame frame;
         fault::GroupRecord rec;
-        const bool ok = ipc::read_frame(w.from_fd, &frame) &&
-                        frame.tag == ipc::kTagRecord &&
-                        decode_record_payload(frame.payload, &rec);
+        const bool ok = read_record_frame(w.from_fd, &rec);
         const auto job = std::find_if(
             w.held.begin(), w.held.end(),
             [&](const Job& j) { return ok && j.req.group == rec.group; });

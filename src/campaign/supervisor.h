@@ -18,8 +18,11 @@
 //     environment;
 //   * workers run under RLIMIT_AS (IsolateOptions::worker_mem_mb) and,
 //     when the campaign has a time budget, a coarse RLIMIT_CPU backstop;
-//   * groups travel over the pipe protocol in ipc.h; results come back
-//     in the journal's own payload encoding;
+//   * a group request travels down the worker's pipe as a fixed 12-byte
+//     (group u64, attempt u32); the result comes back as one journal
+//     record frame (journal.h), CRC included. EOF is the only failure
+//     signal: a dead worker's pipe reads EOF, a dead supervisor's pipe
+//     turns worker writes into EPIPE;
 //   * a worker keeps GroupSimulator::lanes() groups in flight (two under
 //     the compiled sweep);
 //   * a worker that crashes, OOMs, or blows its hang deadline is reaped

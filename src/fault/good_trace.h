@@ -68,7 +68,6 @@ class GoodTrace {
   }
 
   bool has_planes() const { return has_planes_; }
-  std::size_t words_per_cycle() const { return words_per_cycle_; }
   /// Size of the planes (0 without them).
   std::size_t memory_bytes() const {
     return planes_.size() * sizeof(sim::Word);
@@ -78,11 +77,6 @@ class GoodTrace {
   const sim::Word* cycle_base(std::uint64_t t) const {
     return planes_.data() + (t >> 3) * (words_per_cycle_ * kCycleBlock) +
            (t & 7);
-  }
-
-  /// Good value of gate g at cycle t, broadcast to a full word.
-  sim::Word broadcast(std::uint64_t t, nl::GateId g) const {
-    return broadcast_bit(cycle_base(t), g);
   }
 
   /// Broadcasts one bit of a tiled cycle base to all 64 machine lanes.

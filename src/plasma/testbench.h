@@ -32,9 +32,6 @@ class CpuMemEnv final : public fault::Environment {
 
   const std::vector<iss::WriteOp>& writes() const { return writes_; }
   const std::vector<std::uint32_t>& memory() const { return mem_; }
-  std::uint32_t mem_word(std::uint32_t addr) const {
-    return mem_[(addr & mask_) >> 2];
-  }
   bool halted() const { return halted_; }
 
  private:

@@ -10,9 +10,6 @@ LogicSim::LogicSim(const nl::Netlist& netlist,
     : nl_(&netlist),
       cn_(std::move(compiled)),
       val_(netlist.size() + 1, 0) {
-  for (const nl::Port& p : netlist.outputs()) {
-    po_bits_.insert(po_bits_.end(), p.bits.begin(), p.bits.end());
-  }
   reset();
 }
 

@@ -61,9 +61,6 @@ class LogicSim {
   const nl::Netlist& netlist() const { return *nl_; }
   const nl::Levelization& levelization() const { return cn_->lv; }
   const nl::CompiledNetlist& compiled() const { return *cn_; }
-  const std::shared_ptr<const nl::CompiledNetlist>& compiled_ptr() const {
-    return cn_;
-  }
 
   /// Loads DFF reset values and clears inputs.
   void reset();
@@ -94,16 +91,10 @@ class LogicSim {
   std::vector<Word>& values() { return val_; }
   const std::vector<Word>& values() const { return val_; }
 
-  /// All primary-output bits, flattened across ports in declaration
-  /// order. Precomputed so per-cycle PO comparisons need not walk the
-  /// nested Port structure.
-  const std::vector<nl::GateId>& po_bits() const { return po_bits_; }
-
  private:
   const nl::Netlist* nl_;
   std::shared_ptr<const nl::CompiledNetlist> cn_;
   std::vector<Word> val_;
-  std::vector<nl::GateId> po_bits_;
 };
 
 }  // namespace sbst::sim

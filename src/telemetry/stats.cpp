@@ -55,7 +55,18 @@ void MetricsFolder::fold(const GroupMetric& m) {
   }
 }
 
-void MetricsFolder::count_malformed() { ++summary_.malformed; }
+void MetricsFolder::fold_ndjson(std::istream& in) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    GroupMetric m;
+    if (metric_from_json(line, &m)) {
+      fold(m);
+    } else {
+      ++summary_.malformed;
+    }
+  }
+}
 
 MetricsSummary MetricsFolder::finish() {
   std::sort(durations_.begin(), durations_.end());
@@ -72,16 +83,7 @@ MetricsSummary MetricsFolder::finish() {
 
 MetricsSummary summarize_metrics(std::istream& in) {
   MetricsFolder folder;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    GroupMetric m;
-    if (!metric_from_json(line, &m)) {
-      folder.count_malformed();
-      continue;
-    }
-    folder.fold(m);
-  }
+  folder.fold_ndjson(in);
   return folder.finish();
 }
 

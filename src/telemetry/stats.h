@@ -69,7 +69,9 @@ double percentile_nearest_rank(const std::vector<double>& sorted, double q);
 class MetricsFolder {
  public:
   void fold(const GroupMetric& m);
-  void count_malformed();
+  /// Folds every NDJSON line of `in`: whitespace-only lines are skipped,
+  /// lines that fail to parse are counted in `malformed`.
+  void fold_ndjson(std::istream& in);
   /// Sorts the latency sample and returns the finished summary.
   MetricsSummary finish();
 

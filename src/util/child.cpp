@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 
@@ -30,6 +31,35 @@ std::optional<ChildExit> reap_child(pid_t pid, bool block) {
       static_cast<std::uint64_t>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) /
           1000;
   return out;
+}
+
+bool write_full(int fd, const void* data, std::size_t n) {
+  const char* p = static_cast<const char*>(data);
+  while (n != 0) {
+    const ssize_t w = ::write(fd, p, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+bool read_full(int fd, void* data, std::size_t n) {
+  char* p = static_cast<char*>(data);
+  while (n != 0) {
+    const ssize_t r = ::read(fd, p, n);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (r == 0) return false;
+    p += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
 }
 
 }  // namespace sbst::util

@@ -1,6 +1,7 @@
 // Reaping child processes: the one place the campaign layer waits for
 // a child, shared by the --isolate supervisor (worker processes) and the
-// shard dispatcher (runner processes).
+// shard dispatcher (runner processes). Also the full-length pipe reads
+// and writes both ends of an --isolate worker's pipes use.
 //
 // Forking stays with each owner, because their process-group rules are
 // opposite: a dispatcher runner leads its own group so that revoking it
@@ -10,6 +11,7 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -33,5 +35,15 @@ struct ChildExit {
 /// nullopt while the child still runs; also nullopt when `pid` is not a
 /// waitable child of this process.
 std::optional<ChildExit> reap_child(pid_t pid, bool block);
+
+/// Writes all `n` bytes, retrying on EINTR and partial writes. Returns
+/// false when the descriptor fails, e.g. EPIPE from a dead reader
+/// (callers must have SIGPIPE ignored).
+bool write_full(int fd, const void* data, std::size_t n);
+
+/// Reads exactly `n` bytes, retrying on EINTR and partial reads.
+/// Returns false on a read error or on EOF before `n` bytes arrived —
+/// a dead writer.
+bool read_full(int fd, void* data, std::size_t n);
 
 }  // namespace sbst::util

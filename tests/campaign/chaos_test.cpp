@@ -219,17 +219,20 @@ TEST(Chaos, MidFileJournalDamageLosesOnlyTheDamagedRecords) {
       EXPECT_EQ(rec.cycles, it->second.cycles);
     }
 
-    // Odd seeds run the offline repair first (the `sbst journal repair`
-    // engine); even seeds resume straight off the damaged file — both
-    // paths must converge to the same bit-identical result.
+    // Odd seeds run the offline repair first (`sbst journal repair`: a
+    // merge of the one journal); even seeds resume straight off the
+    // damaged file — both paths must converge to the same bit-identical
+    // result.
     if (seed % 2 == 1) {
-      const RepairStats r = repair_journal(path);
-      EXPECT_EQ(r.was_damaged, loaded->damaged());
-      EXPECT_EQ(r.kept_records, salvaged);
+      const std::size_t winners = winning_records(loaded->records).size();
+      const MergeStats r = merge_journals({path}, path);
+      EXPECT_EQ(r.inputs[0].damaged, loaded->damaged());
+      EXPECT_EQ(r.records_in, salvaged);
+      EXPECT_EQ(r.records_out, winners);
       const auto repaired = load_journal(path, meta);
       ASSERT_TRUE(repaired);
       EXPECT_FALSE(repaired->damaged());
-      EXPECT_EQ(repaired->records.size(), salvaged);
+      EXPECT_EQ(repaired->records.size(), winners);
     }
 
     CampaignOptions resume = base;

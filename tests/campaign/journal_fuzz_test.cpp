@@ -3,10 +3,13 @@
 // from a crash to bad RAM, so the contract under arbitrary input is:
 // return a structured result (false / damage accounting) or throw
 // std::runtime_error — never crash, never read out of bounds, never
-// allocate proportionally to an attacker-controlled length field. Runs
-// under the same ASan/UBSan CI leg as the rest of the suite, which is
-// what turns "didn't crash" into a real memory-safety check.
+// allocate proportionally to an attacker-controlled length field. The
+// same holds for the record frames an --isolate worker's pipe delivers
+// to read_record_frame. Runs under the same ASan/UBSan CI leg as the
+// rest of the suite, which is what turns "didn't crash" into a real
+// memory-safety check.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -60,6 +63,32 @@ fault::GroupRecord make_record(std::uint64_t group, std::uint32_t count) {
 
 const JournalMeta kMeta{0xfeedfacecafef00dull, 8, 504};
 constexpr std::size_t kHeaderBytes = 36;
+
+/// Every byte of a loaded journal's file, accounted: the header and the
+/// intact frames, plus what salvage skipped or dropped.
+std::size_t accounted_bytes(const JournalLoad& loaded) {
+  std::size_t n = kHeaderBytes + loaded.stats.skipped_bytes +
+                  loaded.dropped_bytes;
+  for (const fault::GroupRecord& rec : loaded.records) {
+    n += encode_record_frame(rec).size();
+  }
+  return n;
+}
+
+/// Feeds `bytes` through a pipe (write end closed) and reads record
+/// frames until the reader fails; returns how many frames it read.
+std::size_t frames_read_from_pipe(const std::string& bytes) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  std::size_t n = 0;
+  fault::GroupRecord rec;
+  while (read_record_frame(fds[0], &rec)) ++n;
+  ::close(fds[0]);
+  return n;
+}
 
 TEST(JournalFuzz, DecodeRandomPayloadsNeverCrashes) {
   std::uint64_t state = 0x5eed0001;
@@ -135,9 +164,8 @@ TEST(JournalFuzz, RandomFilesLoadOrThrowStructuredErrors) {
     try {
       const auto loaded = load_journal_raw(path);
       ASSERT_TRUE(loaded);  // the file exists; nullopt would be a lie
-      EXPECT_EQ(loaded->intact_bytes.size() + loaded->stats.skipped_bytes +
-                    loaded->dropped_bytes,
-                data.size());
+      EXPECT_EQ(loaded->file_bytes, data.size());
+      EXPECT_EQ(accounted_bytes(*loaded), data.size());
     } catch (const std::runtime_error&) {
       // Structured rejection (bad magic / header CRC) is a valid outcome.
     }
@@ -179,9 +207,7 @@ TEST(JournalFuzz, BitFlippedJournalsSalvageAllUndamagedRecords) {
     ASSERT_TRUE(loaded);
     EXPECT_GE(loaded->records.size(), kGroups - 1)
         << "iter " << iter << " flip at " << pos;
-    EXPECT_EQ(loaded->intact_bytes.size() + loaded->stats.skipped_bytes +
-                  loaded->dropped_bytes,
-              data.size())
+    EXPECT_EQ(accounted_bytes(*loaded), data.size())
         << "iter " << iter << " flip at " << pos;
     for (const fault::GroupRecord& rec : loaded->records) {
       // Anything salvaged must be bit-exact: the CRC frame makes a
@@ -197,7 +223,8 @@ TEST(JournalFuzz, BitFlippedJournalsSalvageAllUndamagedRecords) {
 
 TEST(JournalFuzz, HostileLengthFieldsAreDamageNotAllocation) {
   // Frames whose length fields claim absurd sizes (up to UINT32_MAX)
-  // must be treated as damage — not trusted, not allocated.
+  // must be treated as damage — not trusted, not allocated — by the
+  // file loader and by the pipe reader alike.
   const std::string path = temp_path("journal_fuzz_len.sbstj");
   std::string base;
   {
@@ -223,6 +250,22 @@ TEST(JournalFuzz, HostileLengthFieldsAreDamageNotAllocation) {
     EXPECT_TRUE(loaded->truncated);
     EXPECT_EQ(loaded->records.size(), 1u);
     EXPECT_EQ(loaded->dropped_bytes, 13u);
+    EXPECT_EQ(frames_read_from_pipe(data.substr(kHeaderBytes)), 1u)
+        << "hostile length " << hostile;
+  }
+}
+
+TEST(JournalFuzz, RandomPipeStreamsReadOrFailCleanly) {
+  // Random bytes, and real frames with random bytes spliced in, on a
+  // worker's result pipe: the reader returns whole valid frames or
+  // false, and never reads a frame from garbage.
+  const std::string good = encode_record_frame(make_record(5, 63));
+  std::uint64_t state = 0x5eed0006;
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string noise(splitmix64(state) % 700, '\0');
+    for (char& c : noise) c = static_cast<char>(splitmix64(state) & 0xff);
+    EXPECT_EQ(frames_read_from_pipe(noise), 0u) << "iter " << iter;
+    EXPECT_EQ(frames_read_from_pipe(good + noise), 1u) << "iter " << iter;
   }
 }
 
@@ -248,9 +291,7 @@ TEST(JournalFuzz, EveryTruncationPointLoadsOrThrows) {
       if (cut == 0) {
         EXPECT_TRUE(loaded->empty_file);
       } else {
-        EXPECT_EQ(loaded->intact_bytes.size() + loaded->stats.skipped_bytes +
-                      loaded->dropped_bytes,
-                  cut);
+        EXPECT_EQ(accounted_bytes(*loaded), cut);
       }
     } catch (const std::runtime_error&) {
       EXPECT_LT(cut, kHeaderBytes)

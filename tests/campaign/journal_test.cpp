@@ -1,14 +1,17 @@
 // Crash-safety contract of the campaign journal: every intact record
 // loads — including records *after* mid-file damage, which the loader
 // salvages by resynchronizing on the [len][crc][payload] framing; a
-// torn or corrupt tail is detected and dropped; appending after a
-// damaged load first rewrites the intact bytes so garbage never
-// resurfaces; compaction (a merge of one journal) and repair rewrite
-// journals atomically in the same format; and a journal can never be
-// spliced into a campaign it does not belong to.
+// torn or corrupt tail is detected and dropped; opening a damaged
+// journal for a campaign first rewrites it to its winning records so
+// garbage never resurfaces; compaction and repair (both a merge of one
+// journal) rewrite journals atomically in the same format; a journal
+// can never be spliced into a campaign it does not belong to; and the
+// record frame read off a worker's pipe is the frame on disk.
 #include "campaign/journal.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
@@ -78,6 +81,16 @@ const JournalMeta kMeta{0x1234abcd5678ef01ull, 10, 630};
 
 constexpr std::size_t kHeaderBytes = 36;
 
+/// Bytes of the header and of every record `loaded` holds, framed: with
+/// the skipped spans and the dropped tail, the whole file.
+std::size_t intact_frame_bytes(const JournalLoad& loaded) {
+  std::size_t n = kHeaderBytes;
+  for (const fault::GroupRecord& rec : loaded.records) {
+    n += encode_record_frame(rec).size();
+  }
+  return n;
+}
+
 /// Byte range [begin, end) of record `i`'s frame, walked via the length
 /// fields — only valid on an intact journal.
 std::pair<std::size_t, std::size_t> frame_range(const std::string& data,
@@ -143,8 +156,9 @@ TEST(Journal, TornFinalRecordIsDropped) {
     EXPECT_TRUE(loaded->truncated) << "cut " << cut;
     ASSERT_EQ(loaded->records.size(), 1u) << "cut " << cut;
     expect_equal(loaded->records[0], make_record(0, 63));
-    EXPECT_EQ(loaded->intact_bytes.size() + loaded->dropped_bytes,
-              intact.size() - cut)
+    EXPECT_EQ(loaded->file_bytes, intact.size() - cut);
+    EXPECT_EQ(intact_frame_bytes(*loaded) + loaded->dropped_bytes,
+              loaded->file_bytes)
         << "intact bytes + dropped tail must account for the whole file";
   }
 }
@@ -174,13 +188,10 @@ TEST(Journal, AppendAfterTornLoadCutsTheTail) {
   }
   std::string data = slurp(path);
   spit(path, data.substr(0, data.size() - 9) + "garbage");
-  auto loaded = load_journal(path, kMeta);
-  ASSERT_TRUE(loaded);
-  EXPECT_TRUE(loaded->truncated);
-  {
-    JournalWriter w = JournalWriter::append(path, *loaded);
-    w.add(make_record(2, 63));
-  }
+  JournalSession session = open_journal_session(path, kMeta, false);
+  EXPECT_TRUE(session.truncated);
+  session.writer->add(make_record(2, 63));
+  session.writer.reset();
   const auto healed = load_journal(path, kMeta);
   ASSERT_TRUE(healed);
   EXPECT_FALSE(healed->truncated);
@@ -390,9 +401,10 @@ TEST(Journal, MidFileBitFlipSalvagesLaterRecords) {
   expect_equal(loaded->records[0], make_record(0, 63));
   expect_equal(loaded->records[1], make_record(2, 63));
   expect_equal(loaded->records[2], make_record(3, 63));
-  EXPECT_EQ(loaded->intact_bytes.size() + loaded->stats.skipped_bytes +
+  EXPECT_EQ(loaded->file_bytes, data.size());
+  EXPECT_EQ(intact_frame_bytes(*loaded) + loaded->stats.skipped_bytes +
                 loaded->dropped_bytes,
-            data.size())
+            loaded->file_bytes)
       << "every file byte must be accounted intact, skipped or dropped";
 }
 
@@ -453,12 +465,10 @@ TEST(Journal, AppendAfterMidFileDamageHealsTheFile) {
   std::string data = slurp(path);
   data[frame_range(data, 1).first + 9] ^= 0x01;
   spit(path, data);
-  auto loaded = load_journal(path, kMeta);
-  ASSERT_TRUE(loaded);
-  ASSERT_TRUE(loaded->damaged());
+  ASSERT_TRUE(load_journal(path, kMeta)->damaged());
   {
-    JournalWriter w = JournalWriter::append(path, *loaded);
-    w.add(make_record(1, 63));  // re-simulated lost group
+    JournalSession session = open_journal_session(path, kMeta, false);
+    session.writer->add(make_record(1, 63));  // re-simulated lost group
   }
   const auto healed = load_journal(path, kMeta);
   ASSERT_TRUE(healed);
@@ -550,12 +560,15 @@ TEST(Journal, RepairDropsDamageAndOutputVerifiesClean) {
   data.resize(data.size() - 5);
   spit(path, data);
 
-  const RepairStats r = repair_journal(path, out);
-  EXPECT_TRUE(r.was_damaged);
-  EXPECT_EQ(r.kept_records, 2u);
-  EXPECT_EQ(r.stats.skipped_records, 1u);
-  EXPECT_EQ(r.bytes_before, data.size());
-  EXPECT_LT(r.bytes_after, r.bytes_before);
+  // Repair is a merge of the one journal, like compaction.
+  const MergeStats r = merge_journals({path}, out);
+  ASSERT_EQ(r.inputs.size(), 1u);
+  EXPECT_TRUE(r.inputs[0].damaged);
+  EXPECT_EQ(r.inputs[0].skipped_spans, 1u);
+  EXPECT_EQ(r.records_out, 2u);
+  EXPECT_EQ(r.bytes_in, data.size());
+  EXPECT_LT(r.bytes_out, r.bytes_in);
+  EXPECT_EQ(slurp(out).size(), r.bytes_out);
   EXPECT_EQ(slurp(path), data) << "repair into OUT must not touch the source";
 
   const auto repaired = load_journal(out, kMeta);
@@ -565,21 +578,23 @@ TEST(Journal, RepairDropsDamageAndOutputVerifiesClean) {
   expect_equal(repaired->records[0], make_record(0, 63));
   expect_equal(repaired->records[1], make_record(2, 63));
 
-  // Repairing an intact journal is a no-op rewrite.
-  const RepairStats clean = repair_journal(out);
-  EXPECT_FALSE(clean.was_damaged);
-  EXPECT_EQ(clean.kept_records, 2u);
-  EXPECT_EQ(clean.bytes_after, clean.bytes_before);
+  // Repairing an intact, already compact journal rewrites the same bytes.
+  const std::string repaired_bytes = slurp(out);
+  const MergeStats clean = merge_journals({out}, out);
+  EXPECT_FALSE(clean.inputs[0].damaged);
+  EXPECT_EQ(clean.records_out, 2u);
+  EXPECT_EQ(slurp(out), repaired_bytes);
 }
 
 TEST(Journal, RepairAndCompactThrowOnEmptyOrMissingFiles) {
   const std::string missing = temp_path("journal_not_there.sbstj");
-  EXPECT_THROW(repair_journal(missing), std::runtime_error);
+  const std::string out = temp_path("journal_repair_out.sbstj");
   EXPECT_THROW(merge_journals({missing}, missing), std::runtime_error);
+  EXPECT_THROW(merge_journals({missing}, out), std::runtime_error);
   const std::string empty = temp_path("journal_repair_empty.sbstj");
   spit(empty, "");
-  EXPECT_THROW(repair_journal(empty), std::runtime_error);
   EXPECT_THROW(merge_journals({empty}, empty), std::runtime_error);
+  EXPECT_EQ(slurp(empty), "") << "a refused input is left as it was";
 }
 
 TEST(Journal, SessionSeedsOnlySalvagedGroupsAfterMidFileDamage) {
@@ -605,6 +620,56 @@ TEST(Journal, SessionSeedsOnlySalvagedGroupsAfterMidFileDamage) {
   ASSERT_TRUE(healed);
   EXPECT_FALSE(healed->damaged()) << "opening a session heals the file";
   EXPECT_EQ(healed->records.size(), 4u);
+}
+
+TEST(Journal, SessionHealOfDamagedJournalKeepsOneRecordPerGroup) {
+  // Group 1 is superseded by a later record, and group 2's frame is
+  // damaged. Opening the journal rewrites it to the winners: one record
+  // per surviving group, and the same seeds a raw load's winners give.
+  const std::string path = temp_path("journal_session_heal_dead.sbstj");
+  {
+    JournalWriter w = JournalWriter::create(path, kMeta);
+    for (std::uint64_t g : {0u, 1u, 2u, 3u}) w.add(make_record(g, 63));
+    fault::GroupRecord retry = make_record(1, 63);
+    retry.cycles = 55555;
+    w.add(retry);
+  }
+  std::string data = slurp(path);
+  data[frame_range(data, 2).first + 13] ^= 0x04;
+  spit(path, data);
+  const auto damaged = load_journal(path, kMeta);
+  ASSERT_TRUE(damaged);
+  ASSERT_TRUE(damaged->damaged());
+  const std::vector<fault::GroupRecord> winners =
+      winning_records(damaged->records);
+  ASSERT_EQ(winners.size(), 3u);
+
+  JournalSession session = open_journal_session(path, kMeta, false);
+  EXPECT_FALSE(session.compacted) << "1 dead record is below the threshold";
+  ASSERT_EQ(session.seeds.size(), winners.size());
+  for (const fault::GroupRecord& w : winners) {
+    ASSERT_EQ(session.seeds.count(w.group), 1u);
+    expect_equal(session.seeds.at(w.group), w);
+  }
+  session.writer.reset();
+
+  const auto healed = load_journal(path, kMeta);
+  ASSERT_TRUE(healed);
+  EXPECT_FALSE(healed->damaged());
+  ASSERT_EQ(healed->records.size(), winners.size())
+      << "exactly one record per group";
+  for (std::size_t i = 0; i < winners.size(); ++i) {
+    expect_equal(healed->records[i], winners[i]);
+  }
+  EXPECT_EQ(healed->records[1].cycles, 55555u);
+
+  // The healed file seeds exactly what the damaged one did.
+  JournalSession resumed = open_journal_session(path, kMeta, false);
+  EXPECT_EQ(resumed.stats.skipped_records, 0u);
+  ASSERT_EQ(resumed.seeds.size(), session.seeds.size());
+  for (const auto& [group, rec] : session.seeds) {
+    expect_equal(resumed.seeds.at(group), rec);
+  }
 }
 
 TEST(Journal, SessionAutoCompactsWhenDeadRecordsDominate) {
@@ -661,6 +726,142 @@ TEST(Journal, RejectsCorruptHeader) {
   data[10] ^= 0x01;  // flip a fingerprint bit, CRC now mismatches
   spit(path, data);
   EXPECT_THROW(load_journal(path, kMeta), std::runtime_error);
+}
+
+// --- Record frames over a pipe: the --isolate worker's result stream ---
+
+struct Pipe {
+  int fds[2] = {-1, -1};
+  Pipe() { EXPECT_EQ(::pipe(fds), 0); }
+  ~Pipe() {
+    if (fds[0] >= 0) ::close(fds[0]);
+    if (fds[1] >= 0) ::close(fds[1]);
+  }
+  int r() const { return fds[0]; }
+  int w() const { return fds[1]; }
+  void put(const std::string& bytes) const {
+    ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void close_write() {
+    ::close(fds[1]);
+    fds[1] = -1;
+  }
+};
+
+std::string frame_header(std::uint32_t len, std::uint32_t crc) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &len, 4);
+  std::memcpy(out.data() + 4, &crc, 4);
+  return out;
+}
+
+TEST(JournalFrame, RoundTripsOverAPipe) {
+  fault::GroupRecord quarantined = make_record(4, 63);
+  quarantined.quarantined = true;
+  quarantined.error.term_signal = SIGKILL;
+  quarantined.error.attempts = 3;
+  quarantined.error.max_rss_kb = 4096;
+  const fault::GroupRecord sent[] = {make_record(7, 63), make_record(9, 5),
+                                     quarantined};
+  Pipe p;
+  for (const fault::GroupRecord& rec : sent) p.put(encode_record_frame(rec));
+  for (const fault::GroupRecord& rec : sent) {
+    fault::GroupRecord got;
+    ASSERT_TRUE(read_record_frame(p.r(), &got));
+    expect_equal(got, rec);
+    EXPECT_EQ(got.quarantined, rec.quarantined);
+    EXPECT_EQ(got.error.term_signal, rec.error.term_signal);
+    EXPECT_EQ(got.error.attempts, rec.error.attempts);
+    EXPECT_EQ(got.error.max_rss_kb, rec.error.max_rss_kb);
+  }
+}
+
+TEST(JournalFrame, EofBetweenFramesFailsCleanly) {
+  Pipe p;
+  p.put(encode_record_frame(make_record(1, 63)));
+  p.close_write();
+  fault::GroupRecord got;
+  ASSERT_TRUE(read_record_frame(p.r(), &got));
+  EXPECT_FALSE(read_record_frame(p.r(), &got))
+      << "EOF must read as failure, not hang";
+}
+
+TEST(JournalFrame, EofInsideAFrameFailsCleanly) {
+  // A worker's single write of a frame is atomic, but a reader can still
+  // see a frame cut short — inside the header or inside the payload.
+  const std::string frame = encode_record_frame(make_record(2, 63));
+  for (std::size_t cut : {std::size_t{3}, std::size_t{8}, frame.size() - 1}) {
+    Pipe p;
+    p.put(frame.substr(0, cut));
+    p.close_write();
+    fault::GroupRecord got;
+    EXPECT_FALSE(read_record_frame(p.r(), &got)) << "cut at " << cut;
+  }
+}
+
+TEST(JournalFrame, OversizedLengthIsRejectedWithoutReadingIt) {
+  // The length is checked before a payload byte is read: the bytes behind
+  // the header stay in the pipe. A reader that trusted the length would
+  // consume them (the read end is non-blocking, so it cannot hang).
+  // A quarantined 63-fault record carries every optional section: the
+  // largest valid payload.
+  fault::GroupRecord largest = make_record(0, 63);
+  largest.quarantined = true;
+  const auto max_payload =
+      static_cast<std::uint32_t>(encode_record_frame(largest).size() - 8);
+  for (std::uint32_t len : {0xffffffffu, 0x80000000u, max_payload + 1}) {
+    Pipe p;
+    ASSERT_EQ(::fcntl(p.r(), F_SETFL, O_NONBLOCK), 0);
+    p.put(frame_header(len, 0xdeadbeef) + "tail");
+    fault::GroupRecord got;
+    EXPECT_FALSE(read_record_frame(p.r(), &got)) << "len " << len;
+    char rest[8] = {};
+    EXPECT_EQ(::read(p.r(), rest, sizeof(rest)), 4) << "len " << len;
+    EXPECT_EQ(std::string(rest, 4), "tail") << "len " << len;
+  }
+}
+
+TEST(JournalFrame, FlippedPayloadBitFailsTheCrc) {
+  const std::string frame = encode_record_frame(make_record(3, 63));
+  // A flip in the detect-cycle table still decodes as a payload, so only
+  // the CRC can catch it.
+  std::string bad = frame;
+  bad[8 + 40] ^= 0x01;
+  fault::GroupRecord decoded;
+  ASSERT_TRUE(decode_record_payload(bad.substr(8), &decoded));
+  Pipe p;
+  p.put(bad);
+  p.put(frame);
+  fault::GroupRecord got;
+  EXPECT_FALSE(read_record_frame(p.r(), &got));
+}
+
+TEST(JournalFrame, PipeBytesEqualTheJournalWritersFrame) {
+  const std::string path = temp_path("journal_frame_file.sbstj");
+  fault::GroupRecord rec = make_record(6, 63);
+  { JournalWriter::create(path, kMeta).add(rec); }
+  const std::string file = slurp(path);
+  Pipe p;
+  p.put(encode_record_frame(rec));
+  p.close_write();
+  std::string wire;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::read(p.r(), buf, sizeof(buf))) > 0) wire.append(buf, n);
+  EXPECT_EQ(wire, file.substr(kHeaderBytes))
+      << "one record frame on disk and on the wire";
+
+  // And the fd reader reads the journal file itself.
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::lseek(fd, static_cast<off_t>(kHeaderBytes), SEEK_SET),
+            static_cast<off_t>(kHeaderBytes));
+  fault::GroupRecord got;
+  EXPECT_TRUE(read_record_frame(fd, &got));
+  expect_equal(got, rec);
+  EXPECT_FALSE(read_record_frame(fd, &got)) << "EOF after the last frame";
+  ::close(fd);
 }
 
 }  // namespace

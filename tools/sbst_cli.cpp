@@ -104,17 +104,18 @@
 //                                                 only when every byte
 //                                                 of every frame checks
 //                                                 out (CI validator)
-//                                        repair   salvage intact records
-//                                                 into OUT (default: in
-//                                                 place), dropping
-//                                                 damaged spans and the
-//                                                 torn tail; prints what
-//                                                 was lost
-//                                        compact  merge of the one
-//                                                 journal: keep only
-//                                                 the winning record
-//                                                 per group (retries and
-//                                                 heals leave dead ones)
+//                                        repair   merge of the one
+//                                                 journal into OUT
+//                                                 (default: in place):
+//                                                 the winning record per
+//                                                 group; damaged spans,
+//                                                 the torn tail and dead
+//                                                 records are dropped;
+//                                                 prints what was lost
+//                                        compact  the same merge of the
+//                                                 one journal, for dead
+//                                                 records (retries and
+//                                                 heals leave them)
 //   sbst journal merge A.sbstj B.sbstj ... -o OUT.sbstj
 //                                        merge    reconcile shard
 //                                                 journals: refuses
@@ -843,7 +844,6 @@ int cmd_stats(int argc, char** argv) {
   }
 
   telemetry::MetricsFolder folder;
-  std::size_t malformed = 0;
 
   // NDJSON inputs fold line by line into one aggregate.
   for (const std::string& path : pos) {
@@ -852,17 +852,7 @@ int cmd_stats(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
       return 1;
     }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      telemetry::GroupMetric m;
-      if (telemetry::metric_from_json(line, &m)) {
-        folder.fold(m);
-      } else {
-        ++malformed;
-        folder.count_malformed();
-      }
-    }
+    folder.fold_ndjson(in);
   }
 
   // Journal inputs: counter reconstruction from the journals themselves.
@@ -914,9 +904,9 @@ int cmd_stats(int argc, char** argv) {
     std::fprintf(stderr, "error: inputs hold no metric records\n");
     return 1;
   }
-  if (malformed != 0) {
+  if (s.malformed != 0) {
     std::fprintf(stderr, "error: %zu malformed line(s) across inputs\n",
-                 malformed);
+                 s.malformed);
     return 1;
   }
   return 0;
@@ -1028,31 +1018,20 @@ int cmd_journal(int argc, char** argv) {
     return clean ? 0 : 1;
   }
 
-  if (verb == "repair") {
-    const campaign::RepairStats r = campaign::repair_journal(path, out, dur);
-    const std::string dest = out.empty() ? path : out;
-    if (!r.was_damaged) {
-      std::printf("%s is intact; wrote %zu record(s) (%zu bytes) to %s "
-                  "unchanged\n",
-                  path.c_str(), r.kept_records, r.bytes_after, dest.c_str());
-      return 0;
-    }
-    std::printf("repaired %s -> %s: kept %zu record(s), dropped %zu damaged "
-                "span(s) (%zu bytes) and a %zu-byte tail; %zu -> %zu bytes\n",
-                path.c_str(), dest.c_str(), r.kept_records,
-                r.stats.skipped_records, r.stats.skipped_bytes,
-                r.bytes_before - r.bytes_after - r.stats.skipped_bytes,
-                r.bytes_before, r.bytes_after);
-    std::printf("damaged groups re-simulate on the next resume\n");
-    return 0;
-  }
-
-  // compact: a merge of one journal
+  // repair and compact: a merge of one journal, which keeps the winning
+  // record per group and leaves damage behind.
   const std::string dest = out.empty() ? path : out;
   const campaign::MergeStats c = campaign::merge_journals({path}, dest, dur);
-  std::printf("compacted %s -> %s: %zu -> %zu record(s), %zu -> %zu bytes\n",
-              path.c_str(), dest.c_str(), c.records_in, c.records_out,
-              c.bytes_in, c.bytes_out);
+  std::printf("%s %s -> %s: %zu -> %zu record(s), %zu -> %zu bytes\n",
+              verb == "repair" ? "repaired" : "compacted", path.c_str(),
+              dest.c_str(), c.records_in, c.records_out, c.bytes_in,
+              c.bytes_out);
+  const campaign::MergeInputStats& in = c.inputs.front();
+  if (in.damaged) {
+    std::printf("dropped %zu damaged span(s) and a %zu-byte torn tail; "
+                "damaged groups re-simulate on the next resume\n",
+                in.skipped_spans, in.dropped_bytes);
+  }
   return 0;
 }
 
