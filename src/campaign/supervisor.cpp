@@ -215,6 +215,7 @@ fault::FaultSimResult run_fault_sim_isolated(
     const IsolateOptions& iso, std::size_t* worker_restarts) {
   fault::GroupDriver driver(netlist, faults, make_env, options);
   if (driver.pending() == 0) return driver.finish();
+  driver.record();
 
   // Built once, before any fork, over the driver's compiled netlist and
   // recording: children inherit all three copy-on-write. The supervisor

@@ -9,15 +9,6 @@ namespace sbst::fault {
 
 using sim::Word;
 
-namespace {
-
-/// One good-trace bit of a tiled cycle row, as 0/1.
-inline unsigned trace_bit(const Word* base, std::uint32_t s) {
-  return static_cast<unsigned>((base[(s >> 6) << 3] >> (s & 63)) & 1);
-}
-
-}  // namespace
-
 void aggregate_seed_forces(const std::vector<detail::Injection>& list,
                            std::vector<SeedForce>* out) {
   out->clear();
@@ -69,34 +60,27 @@ CompiledEventKernel::CompiledEventKernel(
 }
 
 void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
-                                     std::uint64_t lo, std::uint64_t hi) {
-  const GoodTrace& tr = *trace_;
+                                     const Word* blk, std::uint64_t len) {
   const std::size_t num_sites = inj_nodes_.size();
-  const std::uint64_t len = hi - lo;
   std::fill_n(chunk_dv_, len, Word{0});
   std::fill_n(chunk_flags_, len, std::uint8_t{0});
-  // One trace-sequential scan per site: the samples of 8 adjacent
-  // cycles of one gate share a cache line of the tiled trace.
+  // One word per probed gate holds all 64 cycles of the block.
   for (std::size_t k = 0; k < num_sites; ++k) {
     const InjectedNode& r = inj_nodes_[k];
-    const std::uint32_t o0 = (r.p0 >> 6) << 3, s0 = r.p0 & 63;
-    const std::uint32_t o1 = (r.p1 >> 6) << 3, s1 = r.p1 & 63;
-    const std::uint32_t o2 = (r.p2 >> 6) << 3, s2 = r.p2 & 63;
+    const Word w0 = blk[r.p0], w1 = blk[r.p1], w2 = blk[r.p2];
     std::uint8_t* const ix_col = chunk_ix_.data() + k;
     for (std::uint64_t i = 0; i < len; ++i) {
-      const Word* const b = tr.cycle_base(lo + i);
       const unsigned ix = static_cast<unsigned>(
-          ((b[o0] >> s0) & 1) | (((b[o1] >> s1) & 1) << 1) |
-          (((b[o2] >> s2) & 1) << 2));
+          ((w0 >> i) & 1) | (((w1 >> i) & 1) << 1) | (((w2 >> i) & 1) << 2));
       ix_col[i * num_sites] = static_cast<std::uint8_t>(ix);
       chunk_dv_[i] |= r.dv[ix];
     }
   }
   const auto force_excite = [&](std::uint32_t gate, Word set, Word clr,
                                 std::uint8_t flag) {
-    const std::uint32_t off = (gate >> 6) << 3, sh = gate & 63;
+    const Word good = blk[gate];
     for (std::uint64_t i = 0; i < len; ++i) {
-      const Word g = Word{0} - ((tr.cycle_base(lo + i)[off] >> sh) & 1);
+      const Word g = Word{0} - ((good >> i) & 1);
       const Word exc = (set & ~g) | (clr & g);
       chunk_dv_[i] |= exc;
       chunk_flags_[i] |= static_cast<std::uint8_t>(flag * (exc != 0));
@@ -117,14 +101,18 @@ void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
   }
 }
 
-void CompiledEventKernel::simulate(
-    const detail::InjectionTable& inj, int count,
-    std::chrono::steady_clock::time_point deadline, GroupRecord* rec) {
+bool CompiledEventKernel::simulate(
+    const detail::InjectionTable& inj,
+    std::chrono::steady_clock::time_point deadline, GroupSlice* slice) {
   using Clock = std::chrono::steady_clock;
   const GoodTrace& tr = *trace_;
   const nl::CompiledNetlist& cn = *cn_;
-  const std::uint64_t T = tr.cycles();
-  const Word all_mask = (Word{1} << count) - 1;  // count <= 63
+  GroupRecord* const rec = &slice->rec;
+  // Run to the stop cycle once the recording is complete, else to the
+  // watermark, where the group parks.
+  const GoodTrace::Watermark mark = tr.watermark();
+  const std::uint64_t end = mark.cycles;
+  const Word all_mask = (Word{1} << rec->count) - 1;  // count <= 63
   const std::uint32_t n32 = static_cast<std::uint32_t>(cn.num_gates);
 
   // Partition this group's injection sites. The GroupSimulator
@@ -162,7 +150,7 @@ void CompiledEventKernel::simulate(
     const bool u0 = r.q0 < n32;
     const bool u1 = r.q1 < n32;
     const bool u2 = r.q2 < n32;
-    r.p0 = u0 ? r.q0 : 0;  // never probe the trace-less zero slot
+    r.p0 = u0 ? r.q0 : 0;  // never probe the always-marked zero slot
     r.p1 = u1 ? r.q1 : r.p0;
     r.p2 = u2 ? r.q2 : r.p0;
     for (unsigned ix = 0; ix < 8; ++ix) {
@@ -193,7 +181,8 @@ void CompiledEventKernel::simulate(
 
   const std::size_t num_sites = inj_nodes_.size();
   chunk_ix_.resize(kChunk * num_sites);
-  diverged_dffs_.clear();
+  diverged_dffs_.swap(slice->diverged_dffs);
+  slice->diverged_dffs.clear();
   next_diverged_.clear();
   dff_cands_.clear();
 
@@ -201,18 +190,21 @@ void CompiledEventKernel::simulate(
   Slot* const vm = vm_.data();
   const std::uint32_t* const fo_off = cn.fanout_offset.data();
 
-  Word detected = 0;
+  Word detected = slice->detected;
   // Machines still awaiting a verdict. Divergence is masked with this
   // before it propagates: once a machine is detected, its detection
   // mask bit is frozen (the sweep kernel masks it out of every later
   // PO comparison), so its divergence can never be observed again and
   // its wavefront collapses immediately — the event-driven form of
   // fault dropping.
-  Word live = all_mask;
+  Word live = all_mask & ~detected;
   std::uint64_t total_evals = 0;
   std::uint64_t kind_evals[nl::kNumCompiledOps] = {0, 0, 0, 0};
-  std::uint64_t cycle = 0;
-  for (; cycle < T; ++cycle) {
+  std::uint64_t cycle = slice->cycle;
+  // The block of the current chunk: bit ci of blk[s] is slot s's good
+  // value at this cycle (the zero slot's word is 0).
+  const Word* blk = nullptr;
+  for (; cycle < end; ++cycle) {
     // Same amortized watchdog cadence and verdict as the sweep kernel.
     // Keep the clock read nested: folded into this condition it cost the
     // whole loop about 7% (EXPERIMENTS.md, "One good run per campaign").
@@ -224,7 +216,10 @@ void CompiledEventKernel::simulate(
       }
     }
     const std::uint64_t ci = cycle % kChunk;
-    if (ci == 0) fill_chunk(inj, cycle, std::min(cycle + kChunk, T));
+    if (ci == 0) {
+      blk = tr.block(cycle / kChunk);
+      fill_chunk(inj, blk, std::min(kChunk, end - cycle));
+    }
 
     // Quiet cycle: no site can diverge a live lane and no flip-flop
     // carries divergence — every net provably matches the good machine,
@@ -235,10 +230,14 @@ void CompiledEventKernel::simulate(
       continue;
     }
 
-    const Word* const base = tr.cycle_base(cycle);
+    const auto good_bit = [&](std::uint32_t s) -> unsigned {
+      return static_cast<unsigned>((blk[s] >> ci) & 1);
+    };
+    const auto good_word = [&](std::uint32_t s) -> Word {
+      return Word{0} - ((blk[s] >> ci) & 1);
+    };
     const std::uint64_t st = ++stamp_;
-    // The always-zero slot is valid every cycle (its trace bits do not
-    // exist, so it must never fall back to a trace read).
+    // The always-zero slot is valid every cycle.
     vm[cn.zero_slot] = {0, st};
     Word po_acc = 0;
     std::uint32_t lvl_hi = 0;
@@ -247,8 +246,7 @@ void CompiledEventKernel::simulate(
     // with the good broadcast: the diverged word when one was computed,
     // otherwise the good word itself. Branchless blend — divergence hit
     // rates hover near 50%, so a branch here mispredicts constantly.
-    // The good word of the zero slot is forced to 0 (it has no trace
-    // bits; the clamped read is discarded by the mask). Carrying the
+    // The zero slot's block word is 0, so its good word is 0. Carrying the
     // good fanin words out lets the evaluator derive the good *output*
     // word by running the same op over them — the trace invariant is
     // exactly that the recorded output bit equals the op over the
@@ -262,8 +260,7 @@ void CompiledEventKernel::simulate(
     };
     auto value_of = [&](std::uint32_t s) -> VG {
       const Slot& sl = vm[s];
-      const Word good = GoodTrace::broadcast_bit(base, s < n32 ? s : 0) &
-                        (Word{0} - static_cast<Word>(s < n32));
+      const Word good = good_word(s);
       const Word m = Word{0} - (sl.mark == st);
       return {(sl.v & m) | (good & ~m), good};
     };
@@ -288,7 +285,7 @@ void CompiledEventKernel::simulate(
           if ((c.meta & (nl::CompiledNetlist::kMetaOpMask | kInjected)) ==
                   static_cast<std::uint8_t>(nl::CompiledOp::kMux) &&
               c.in2 < n32 && s != c.in2 && (s == c.in0) != (s == c.in1) &&
-              trace_bit(base, c.in2) != (s == c.in1)) {
+              good_bit(c.in2) != static_cast<unsigned>(s == c.in1)) {
             continue;
           }
           queued_[entry] = st;
@@ -317,7 +314,7 @@ void CompiledEventKernel::simulate(
     auto seed = [&](std::uint32_t s) {
       if (seen_[s] == st) return;
       seen_[s] = st;
-      const Word dv = (vm[s].v ^ GoodTrace::broadcast_bit(base, s)) & live;
+      const Word dv = (vm[s].v ^ good_word(s)) & live;
       if (dv == 0) return;
       if (slot_flags_[s] & kSlotPo) po_acc |= dv;
       schedule_consumers(s);
@@ -334,14 +331,12 @@ void CompiledEventKernel::simulate(
     //    cycles where a force is excited or some flip-flop diverged.
     if ((chunk_flags_[ci] & kSeedExcited) != 0 || !diverged_dffs_.empty()) {
       for (const SeedForce& f : q_forces_) {
-        const Word b = vm[f.gate].mark == st
-                           ? vm[f.gate].v
-                           : GoodTrace::broadcast_bit(base, f.gate);
+        const Word b =
+            vm[f.gate].mark == st ? vm[f.gate].v : good_word(f.gate);
         vm[f.gate] = {(b | f.set) & ~f.clr, st};
       }
       for (const SeedForce& f : src_forces_) {
-        vm[f.gate] = {
-            (GoodTrace::broadcast_bit(base, f.gate) | f.set) & ~f.clr, st};
+        vm[f.gate] = {(good_word(f.gate) | f.set) & ~f.clr, st};
       }
       // 3. Schedule the fanout of every diverged seed.
       for (const auto& [g, w] : diverged_dffs_) seed(g);
@@ -384,9 +379,8 @@ void CompiledEventKernel::simulate(
           if (vm[r.p0].mark != st && vm[r.p1].mark != st &&
               vm[r.p2].mark != st) {
             // Fanins match the good machine: the LUT probe is exact.
-            const unsigned ix = trace_bit(base, r.p0) |
-                                (trace_bit(base, r.p1) << 1) |
-                                (trace_bit(base, r.p2) << 2);
+            const unsigned ix = good_bit(r.p0) | (good_bit(r.p1) << 1) |
+                                (good_bit(r.p2) << 2);
             const Word dv = r.dv[ix] & live;
             if (dv == 0) continue;  // queued by a consumer edge; unexcited
             w = r.lut[ix];
@@ -407,8 +401,7 @@ void CompiledEventKernel::simulate(
           vm[nd.gate] = {w, st};
           ++evals;
           ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];
-          const Word dv =
-              (w ^ GoodTrace::broadcast_bit(base, nd.gate)) & live;
+          const Word dv = (w ^ good_word(nd.gate)) & live;
           if (dv != 0) {
             if (meta & nl::CompiledNetlist::kMetaPo) po_acc |= dv;
             schedule_consumers(nd.gate);
@@ -483,37 +476,35 @@ void CompiledEventKernel::simulate(
     // 7. Clock edge: recompute the next state of every flip-flop whose
     //    D input diverged this cycle or carries an excited D-pin
     //    injection; all other flip-flops converge to the recorded good
-    //    state.
-    if (cycle + 1 < T) {
-      if ((chunk_flags_[ci] & kDffdExcited) != 0) {
-        for (std::uint32_t d : dffd_dffs_) {
-          if (cand_mark_[d] != st) {
-            cand_mark_[d] = st;
-            dff_cands_.push_back(d);
-          }
+    //    state. The edge after the recording's last cycle is computed
+    //    too (while the recording streams, no cycle is known to be the
+    //    last) and discarded with the group.
+    if ((chunk_flags_[ci] & kDffdExcited) != 0) {
+      for (std::uint32_t d : dffd_dffs_) {
+        if (cand_mark_[d] != st) {
+          cand_mark_[d] = st;
+          dff_cands_.push_back(d);
         }
       }
-      next_diverged_.clear();
-      for (std::uint32_t d : dff_cands_) {
-        const nl::GateId g = cn.dff_gate[d];
-        const std::uint32_t dslot = cn.dff_d[d];
-        // Good next state of a DFF is the good machine's D value now;
-        // the alias trace bit equals the root's, so the root read is
-        // exact even when the original D pin was a folded BUF.
-        const VG dvg = value_of(dslot);
-        Word next = dvg.w;
-        if (const std::uint32_t slot = inj.slot(g); slot != 0) {
-          const detail::GateForce& f = inj.force_record(slot);
-          next = (next | f.set[1]) & ~f.clr[1];
-        }
-        const Word dv = (next ^ dvg.g) & live;
-        if (dv != 0) next_diverged_.emplace_back(g, next);
-      }
-      dff_cands_.clear();
-      diverged_dffs_.swap(next_diverged_);
-    } else {
-      dff_cands_.clear();
     }
+    next_diverged_.clear();
+    for (std::uint32_t d : dff_cands_) {
+      const nl::GateId g = cn.dff_gate[d];
+      const std::uint32_t dslot = cn.dff_d[d];
+      // Good next state of a DFF is the good machine's D value now;
+      // the alias trace bit equals the root's, so the root read is
+      // exact even when the original D pin was a folded BUF.
+      const VG dvg = value_of(dslot);
+      Word next = dvg.w;
+      if (const std::uint32_t slot = inj.slot(g); slot != 0) {
+        const detail::GateForce& f = inj.force_record(slot);
+        next = (next | f.set[1]) & ~f.clr[1];
+      }
+      const Word dv = (next ^ dvg.g) & live;
+      if (dv != 0) next_diverged_.emplace_back(g, next);
+    }
+    dff_cands_.clear();
+    diverged_dffs_.swap(next_diverged_);
   }
 
   // Restore the shared meta bits for the next group.
@@ -528,6 +519,12 @@ void CompiledEventKernel::simulate(
   }
   rec->detected_mask = detected;
   rec->cycles = cycle;
+  if (rec->timed_out || detected == all_mask || mark.complete) return true;
+  // Parked at the watermark (a block boundary): carry the state over.
+  slice->cycle = cycle;
+  slice->detected = detected;
+  slice->diverged_dffs.swap(diverged_dffs_);
+  return false;
 }
 
 }  // namespace sbst::fault

@@ -25,9 +25,9 @@
 //   * events are scheduled through the compiled fanout CSR, whose edges
 //     skip folded BUF chains entirely (an event crosses a chain in zero
 //     evaluations) and carry DFF consumers as tagged entries;
-//   * good values come from the tiled trace (GoodTrace::cycle_base), so
-//     reconstructing the same gate across adjacent cycles stays within
-//     one cache line;
+//   * good values come from the trace's gate-major 64-cycle blocks
+//     (GoodTrace::block): one 64-cycle chunk of the loop reads one block,
+//     and reconstructing a gate across the chunk's cycles reads one word;
 //   * each injected node gets a per-group record holding its forcing
 //     masks and an 8-entry LUT of the forced output word as a function
 //     of the good fanin bits. While its fanins match the good machine
@@ -43,6 +43,16 @@
 //     pin, and a node is not evaluated while one of its compile-time
 //     guards (CompiledNetlist::guards) has its select picking the other
 //     pin in every live lane.
+//
+// A group runs to the trace's watermark (GoodTrace::watermark). Once the
+// recording is complete that is its stop cycle. While the recording is
+// still being written it is the end of the last published block: a group
+// that gets there *parks*. simulate() returns with the group's cycle, its
+// detected machines and its diverged flip-flops in the GroupSlice. A
+// later call, on any worker's kernel, resumes from exactly that state.
+// The injection partition and the chunk schedule are rebuilt on resume,
+// and a park always falls on a chunk boundary, so a group simulated in
+// slices does the same work as one simulated in one go.
 //
 // Verdicts are bit-identical to the sweep kernel's: same detection
 // masks, detect cycles, fault dropping, cycle accounting and watchdog
@@ -87,16 +97,21 @@ class CompiledEventKernel {
                       const std::vector<nl::GateId>& po_bits,
                       std::shared_ptr<const GoodTrace> trace);
 
-  /// Simulates one injected group differentially against the trace,
-  /// filling rec->detected_mask, detect_cycle, cycles and timed_out
-  /// (rec->group/count/detect_cycle must be pre-sized by the caller).
-  /// `deadline` is the group's wall-clock bound (time_point::max() =
-  /// unbounded), checked with the sweep kernel's watchdog cadence.
-  /// Precondition (checked when the GroupSimulator is built): every
-  /// non-DFF slotted gate of `inj` has a compiled node.
-  void simulate(const detail::InjectionTable& inj, int count,
+  /// Simulates the injected group of `slice` differentially against the
+  /// trace, from slice->cycle to the watermark, filling the record's
+  /// detected_mask, detect_cycle, cycles and timed_out
+  /// (rec.group/count/detect_cycle must be pre-sized by the caller).
+  /// Returns true when the group is finished: all machines detected,
+  /// timed out, or at the stop cycle of a complete recording. Returns
+  /// false when it parked at the watermark of a recording still being
+  /// written, with its carried state in `slice`. `deadline` is the
+  /// group's wall-clock bound (time_point::max() = unbounded), checked
+  /// with the sweep kernel's watchdog cadence. Precondition (checked when
+  /// the GroupSimulator is built): every non-DFF slotted gate of `inj`
+  /// has a compiled node.
+  bool simulate(const detail::InjectionTable& inj,
                 std::chrono::steady_clock::time_point deadline,
-                GroupRecord* rec);
+                GroupSlice* slice);
 
   const KernelStats& stats() const { return stats_; }
 
@@ -125,7 +140,7 @@ class CompiledEventKernel {
     // missing pins) evaluated as the original GateKind under `f`.
     std::uint32_t q0, q1, q2;
     // Trace/mark probe slots: like q*, but missing pins duplicate q0 so
-    // probing never touches the (trace-less, always-marked) zero slot.
+    // probing never touches the always-marked zero slot.
     std::uint32_t p0, p1, p2;
     nl::GateKind kind;
     detail::GateForce f;
@@ -177,17 +192,17 @@ class CompiledEventKernel {
   std::vector<SeedForce> src_forces_;
   std::vector<SeedForce> q_forces_;
 
-  // Excitation schedule of one kChunk-cycle window, filled as the cycle
-  // loop enters it, so a dropped group never scans the rest of the
-  // trace: per window cycle, each combinational site's LUT index (one
+  // Excitation schedule of one kChunk-cycle window (one trace block),
+  // filled from the block as the cycle loop enters it, so a dropped group
+  // never scans the rest of the trace: per window cycle, each combinational site's LUT index (one
   // row of sites per cycle), the OR of every divergence word any site
   // could contribute, and the excited-force flags. A cycle with no live
   // bit in chunk_dv_ and no carried flip-flop divergence is skipped.
-  static constexpr std::uint64_t kChunk = 64;
+  static constexpr std::uint64_t kChunk = GoodTrace::kBlockCycles;
   static constexpr std::uint8_t kSeedExcited = 1;  // source/Q force
   static constexpr std::uint8_t kDffdExcited = 2;  // D-pin injection
-  void fill_chunk(const detail::InjectionTable& inj, std::uint64_t lo,
-                  std::uint64_t hi);
+  void fill_chunk(const detail::InjectionTable& inj, const Word* blk,
+                  std::uint64_t len);
   std::vector<std::uint8_t> chunk_ix_;
   Word chunk_dv_[kChunk];
   std::uint8_t chunk_flags_[kChunk];

@@ -27,8 +27,8 @@ namespace sbst::fault {
 
 /// Closed-loop environment around the netlist (memory model, testbench).
 /// The fault engine builds one per campaign with groups to simulate, on
-/// the run's own thread before any worker exists, and only to record the
-/// good run (record_good_trace), which every group replays. It must be
+/// the run's own thread, and only to record the good run
+/// (record_good_trace), which every group replays. It must be
 /// deterministic, and may only drive primary inputs (broadcast values)
 /// and read primary outputs: the recording keeps nothing else of it.
 class Environment {
@@ -166,7 +166,9 @@ struct FaultSimOptions {
   /// Cooperative cancellation (graceful drain). Checked between groups
   /// only: when the flag becomes true, in-flight groups finish normally,
   /// unstarted groups are left unsimulated, and the run returns early
-  /// with FaultSimResult::cancelled set. Stored records (seed_group) are
+  /// with FaultSimResult::cancelled set. Groups parked at the watermark
+  /// of a streamed recording, and records held until it completes, count
+  /// as unstarted (GroupDriver::record()). Stored records (seed_group) are
   /// replayed even when the flag is already set. Safe to flip from a
   /// signal handler or another thread.
   const std::atomic<bool>* cancel = nullptr;
@@ -181,7 +183,9 @@ struct FaultSimOptions {
   std::uint32_t shard_index = 0;  // must be < shard_count when sharded
   /// Wall-clock bound per fault group in milliseconds (0 = unlimited).
   /// A group exceeding it stops early; its faults without a verdict are
-  /// recorded as timed out (inconclusive), never as undetected.
+  /// recorded as timed out (inconclusive), never as undetected. It
+  /// counts from the group's claim, or from the end of the good-run
+  /// recording for a group claimed while it streamed.
   std::uint64_t group_timeout_ms = 0;
   /// Wall-clock budget for the whole run in milliseconds (0 = unlimited).
   /// Groups unstarted when the budget expires are recorded as timed out
@@ -255,6 +259,10 @@ struct FaultSimResult {
   /// a drain leaves no group to simulate and sets no fallback.
   std::size_t trace_bytes = 0;
   bool trace_fallback = false;
+  /// Times a group parked at the watermark of a recording still being
+  /// written (see GroupDriver::next_slice). Timing-dependent, like
+  /// wall-clock cut-offs; 0 when the recording did not stream.
+  std::size_t parks = 0;
 };
 
 /// Work counters of the event kernels: gate evaluations actually
@@ -323,6 +331,25 @@ class GroupPlan {
 
 class GoodTrace;
 
+/// A group simulated by the event kernel in slices: its record so far
+/// and the kernel state carried from one slice to the next. A slice runs
+/// to the recording's watermark; a group that reaches the watermark of a
+/// recording still being written *parks* there (always at a 64-cycle
+/// block boundary) and resumes from exactly this state, on any worker.
+struct GroupSlice {
+  GroupRecord rec;
+  std::uint64_t cycle = 0;     // next cycle to simulate
+  std::uint64_t detected = 0;  // machines detected so far
+  /// Flip-flops whose state diverges entering `cycle`, with their word.
+  std::vector<std::pair<nl::GateId, std::uint64_t>> diverged_dffs;
+  /// When the group was claimed, and its wall-clock bound for the next
+  /// slice (time_point::max() = unbounded).
+  std::chrono::steady_clock::time_point claimed;
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+  double run_ms = 0;  // wall clock of the slices run so far
+};
+
 /// Worker-owned simulation state (kernel scratch + injection tables)
 /// able to simulate any group of a plan. Build one per worker thread, or
 /// once before forking isolated worker processes (children inherit it
@@ -334,10 +361,11 @@ class GoodTrace;
 ///
 /// Every group replays `good_run`, the campaign-shared recording of the
 /// good machine, up to its stop cycle. Planes in it select the
-/// event-driven differential kernel, otherwise the sweep; the kernel,
-/// and so lanes(), is fixed when the simulator is built. Null only for a
-/// recording cut short, which leaves no group to simulate (run() throws
-/// std::logic_error on one).
+/// event-driven differential kernel for run() and simulate(), otherwise
+/// the sweep; the kernel, and so lanes(), is fixed when the simulator is
+/// built. Null only for a recording cut short, which leaves no group to
+/// simulate (run() throws std::logic_error on one). advance() runs the
+/// event kernel on a recording that may still be being written.
 ///
 /// The compiled sweep kernel simulates two groups side by side, one per
 /// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
@@ -383,6 +411,12 @@ class GroupSimulator {
   /// every lane has drained.
   void run(const PullGroup& pull, const EmitRecord& emit);
 
+  /// Runs one slice of `slice`'s group on the event kernel, to the
+  /// recording's watermark, under slice->deadline. Returns true when the
+  /// group finished (slice->rec is then what simulate() returns, absent
+  /// wall-clock cut-offs), false when it parked.
+  bool advance(GroupSlice* slice);
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -404,15 +438,29 @@ class GroupDriver {
   /// group that options.seed_group supplies, checking each record
   /// against the plan (std::runtime_error on a mismatch), before any
   /// group is simulated. Then starts the run deadline and, if groups
-  /// are left, compiles the netlist and records the good run (the only
-  /// call of `make_env`; planes under the event engine within
-  /// trace_mem_mb; cut by the run deadline and options.cancel) before
-  /// any worker exists. `netlist`, `faults` and `options` must outlive
-  /// the driver.
+  /// are left, compiles the netlist. `netlist`, `faults`, `make_env` and
+  /// `options` must outlive the driver.
   GroupDriver(const nl::Netlist& netlist, const nl::FaultList& faults,
               const EnvFactory& make_env, const FaultSimOptions& options);
   GroupDriver(const GroupDriver&) = delete;
   GroupDriver& operator=(const GroupDriver&) = delete;
+  ~GroupDriver();
+
+  /// Records the good run on the calling thread, if groups are left to
+  /// simulate: the only call of `make_env`; planes under the event engine
+  /// within trace_mem_mb; cut by the run deadline, options.cancel and
+  /// stop(). Each 64-cycle block of planes is published as it is built,
+  /// so next_slice() can hand out work while this runs. Call once, before
+  /// make_simulator() is used for anything but next_slice() work.
+  ///
+  /// When the recording ends, the records of groups that finished during
+  /// it are folded (one by one; a drain set meanwhile leaves the rest
+  /// unsimulated), and parked groups become resumable — but only if it
+  /// ended complete with planes, undrained, unstopped and before the run
+  /// deadline. Otherwise both are discarded, and their groups go back to
+  /// claim() as if never claimed, so the run proceeds exactly as if the
+  /// recording had been made before any group started.
+  void record();
 
   const GroupPlan& plan() const { return plan_; }
 
@@ -420,14 +468,40 @@ class GroupDriver {
   std::size_t pending() const;
 
   /// A simulator over this run's plan, compiled netlist, recording and
-  /// run deadline: one per worker thread, or one to fork from.
+  /// run deadline: one per worker thread, or one to fork from. While
+  /// record() runs, its recording is the one being written. Thread-safe.
   std::unique_ptr<GroupSimulator> make_simulator() const;
 
-  /// Next group to simulate in schedule order, or nullopt once the
-  /// schedule is exhausted, options.cancel is set or stop() was called.
-  /// Groups still unstarted at the run deadline resolve here, as timed
-  /// out. Thread-safe.
+  /// Next group to simulate in schedule order (groups a discarded
+  /// recording returned first), or nullopt once the schedule is
+  /// exhausted, options.cancel is set or stop() was called. Groups still
+  /// unstarted at the run deadline resolve here, as timed out.
+  /// Thread-safe.
   std::optional<std::size_t> claim();
+
+  /// Event-engine work for a thread that runs while record() does: the
+  /// next slice to advance() and hand back to settle(). While recording,
+  /// a fresh claim if the watermark has reached one block, else the
+  /// parked group furthest behind the watermark, else it blocks until
+  /// the watermark moves or the recording ends. Once the recording has
+  /// ended with planes (streamed()), parked groups first (none once
+  /// draining), then fresh claims; nullopt when both are gone. Nullopt
+  /// at once after the recording was discarded: the caller then claims
+  /// groups with claim() on a new simulator. A slice's deadline is its group timeout counted
+  /// from the later of its claim and the end of the recording (and the
+  /// run deadline); while recording it has none. Thread-safe.
+  std::optional<GroupSlice> next_slice();
+
+  /// Takes back a slice from advance(): `finished` records are held
+  /// while recording and resolved once it has ended with planes; parked
+  /// groups wait for next_slice(). After a discarded recording the group
+  /// returns to claim(). `run_ms` is the duration reported to on_group.
+  /// Thread-safe.
+  void settle(GroupSlice&& slice, bool finished);
+
+  /// True once the recording has ended complete with planes and its
+  /// slices carry the run (see record()).
+  bool streamed() const;
 
   /// Folds a claimed group's record into the result and calls
   /// on_group(rec, false, duration_ms) and progress under one lock.
@@ -442,9 +516,13 @@ class GroupDriver {
 
  private:
   void fold(const GroupRecord& rec, bool seeded, double duration_ms);
+  void end_recording(std::shared_ptr<const GoodTrace> trace);
+  /// options.cancel is set or stop() was called.
+  bool draining() const;
 
   const nl::Netlist& netlist_;
   const nl::FaultList& faults_;
+  const EnvFactory& make_env_;
   const FaultSimOptions& options_;
   GroupPlan plan_;
   std::vector<std::size_t> unseeded_;  // scheduled groups to simulate
@@ -453,7 +531,9 @@ class GroupDriver {
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   std::shared_ptr<const nl::CompiledNetlist> compiled_;
-  std::shared_ptr<const GoodTrace> trace_;  // null = recording was cut
+  /// Recording state shared with next_slice()/settle() (seq_faultsim.cpp).
+  struct Stream;
+  std::unique_ptr<Stream> stream_;
   std::mutex mu_;  // guards result_, seeded_ and the hook calls
   FaultSimResult result_;
   std::size_t seeded_ = 0;

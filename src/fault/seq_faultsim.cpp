@@ -2,7 +2,9 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -278,19 +280,14 @@ struct GroupSimulator::Impl {
     }
   }
 
-  /// Loads `group`'s faults into `table` and returns its empty record.
-  GroupRecord begin(std::size_t group, InjectionTable& table) const {
-    GroupRecord rec;
-    rec.group = group;
-    rec.count = plan.group_count(group);
-    rec.detect_cycle.assign(rec.count, -1);
+  /// Loads `group`'s faults into `table`.
+  void load(std::size_t group, InjectionTable& table) const {
     table.clear();
     const std::size_t base = group * kFaultsPerGroup;
-    for (std::uint32_t i = 0; i < rec.count; ++i) {
+    for (std::uint32_t i = 0; i < plan.group_count(group); ++i) {
       table.add(netlist, faults.faults[plan.active()[base + i]],
                 static_cast<int>(i));
     }
-    return rec;
   }
 
   /// The wall-clock bound of a group starting now: its group timeout or
@@ -313,7 +310,7 @@ struct GroupSimulator::Impl {
     rec.engine_used = GroupEngine::kSweep;
   }
 
-  GroupRecord simulate_event(std::size_t group);
+  bool advance_event(GroupSlice* slice);
   void run_lanes(std::size_t first, const PullGroup& pull,
                  const EmitRecord& emit);
 
@@ -325,19 +322,23 @@ struct GroupSimulator::Impl {
   void step_lanes();
 };
 
-GroupRecord GroupSimulator::Impl::simulate_event(std::size_t group) {
-  GroupRecord rec = begin(group, inj);
+// One slice: the injection table and the kernel's per-group partition
+// are rebuilt from the group index, the carried state comes from the
+// slice, and the slice's work is added to the record's counters.
+bool GroupSimulator::Impl::advance_event(GroupSlice* slice) {
+  GroupRecord& rec = slice->rec;
+  load(rec.group, inj);
   if (!event) event.emplace(netlist, *compiled, po_bits, trace);
   const KernelStats before = event->stats();
-  event->simulate(inj, static_cast<int>(rec.count), group_deadline(), &rec);
+  const bool finished = event->simulate(inj, slice->deadline, slice);
   const KernelStats& after = event->stats();
-  rec.gates_evaluated = after.gates_evaluated - before.gates_evaluated;
-  rec.sim_cycles = after.cycles - before.cycles;
+  rec.gates_evaluated += after.gates_evaluated - before.gates_evaluated;
+  rec.sim_cycles += after.cycles - before.cycles;
   for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    rec.evals_by_kind[i] = after.evals_by_kind[i] - before.evals_by_kind[i];
+    rec.evals_by_kind[i] += after.evals_by_kind[i] - before.evals_by_kind[i];
   }
   rec.engine_used = GroupEngine::kEvent;
-  return rec;
+  return finished;
 }
 
 // The two-lane compiled sweep. Each pass runs one cycle of every busy
@@ -449,7 +450,8 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
 
 void GroupSimulator::Impl::load_lane(int l, std::size_t group) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
-  ln.rec = begin(group, ln.inj);
+  ln.rec = plan.unstarted_record(group);
+  load(group, ln.inj);
   LaneWord* const v = sweep->v.data();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
   ln.all_mask = (Word{1} << ln.rec.count) - 1;  // count <= 63
@@ -572,8 +574,16 @@ void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
       im.run_lanes(*group, pull, emit);
       return;
     }
-    emit(im.simulate_event(*group));
+    GroupSlice slice;
+    slice.rec = im.plan.unstarted_record(*group);
+    slice.deadline = im.group_deadline();
+    im.advance_event(&slice);  // the recording is complete: finishes
+    emit(std::move(slice.rec));
   }
+}
+
+bool GroupSimulator::advance(GroupSlice* slice) {
+  return impl_->advance_event(slice);
 }
 
 GroupRecord GroupSimulator::simulate(std::size_t group) {
@@ -591,14 +601,51 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
 
 // --- GroupDriver ------------------------------------------------------------
 
+struct GroupDriver::Stream {
+  using Clock = std::chrono::steady_clock;
+  /// kRecording until record() returns; then kComplete when the
+  /// recording kept its planes and the slices carry on, else kDiscarded.
+  enum class Phase { kRecording, kComplete, kDiscarded };
+
+  std::mutex mu;
+  std::condition_variable cv;  // watermark moved, or the recording ended
+  Phase phase = Phase::kRecording;
+  std::shared_ptr<GoodTrace> live;          // being written; null once ended
+  std::shared_ptr<const GoodTrace> trace;   // once ended; null = cut
+  Clock::time_point ended;
+  std::vector<GroupSlice> parked;
+  std::vector<std::pair<GroupRecord, double>> held;  // finished while recording
+  std::vector<std::size_t> returned;  // claimed, then discarded
+  std::size_t parks = 0;
+
+  /// Removes and returns the parked group with the lowest cycle below
+  /// `mark`, if any.
+  std::optional<GroupSlice> take_parked(std::uint64_t mark) {
+    auto behind = parked.end();
+    for (auto it = parked.begin(); it != parked.end(); ++it) {
+      if (it->cycle < mark &&
+          (behind == parked.end() || it->cycle < behind->cycle)) {
+        behind = it;
+      }
+    }
+    if (behind == parked.end()) return std::nullopt;
+    GroupSlice s = std::move(*behind);
+    *behind = std::move(parked.back());
+    parked.pop_back();
+    return s;
+  }
+};
+
 GroupDriver::GroupDriver(const nl::Netlist& netlist,
                          const nl::FaultList& faults,
                          const EnvFactory& make_env,
                          const FaultSimOptions& options)
     : netlist_(netlist),
       faults_(faults),
+      make_env_(make_env),
       options_(options),
       plan_(faults, options),
+      stream_(std::make_unique<Stream>()),
       result_(plan_.make_result()) {
   using Clock = std::chrono::steady_clock;
 
@@ -643,17 +690,82 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   if (unseeded_.empty()) return;  // nothing to simulate: no compile, no run
 
   // The compiled program and the recording of the good run are built
-  // once, on this thread, before any worker exists, and shared read-only
-  // by every worker; forked workers inherit both. This is the only place
-  // the environment runs. A recording cut by the deadline or a drain is
-  // null and leaves nothing to simulate: claim() expires every group
-  // past the deadline and claims none while draining.
+  // once per campaign and shared read-only by every worker; forked
+  // workers inherit both.
   compiled_ = nl::compile(netlist);
+  stream_->live = std::make_shared<GoodTrace>(
+      netlist, options.engine == Engine::kEvent);
+}
+
+GroupDriver::~GroupDriver() = default;
+
+// This is the only place the environment runs. A recording cut by the
+// deadline, a drain or stop() is null and leaves nothing to simulate:
+// claim() expires every group past the deadline and claims none while
+// draining or stopped.
+void GroupDriver::record() {
+  Stream& st = *stream_;
+  if (st.live == nullptr) {  // nothing to simulate: no environment
+    end_recording(nullptr);
+    return;
+  }
   const std::size_t cap_bytes =
-      options.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
-  trace_ = record_good_trace(netlist, make_env, options.max_cycles, cap_bytes,
-                             options.engine == Engine::kEvent, deadline_,
-                             options.cancel, compiled_);
+      options_.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
+  std::shared_ptr<const GoodTrace> trace;
+  try {
+    trace = record_good_trace(
+        st.live, netlist_, make_env_, options_.max_cycles, cap_bytes,
+        deadline_,
+        [this] { return draining(); },
+        [&st] {
+          { std::lock_guard<std::mutex> lock(st.mu); }
+          st.cv.notify_all();
+        },
+        compiled_);
+  } catch (...) {
+    stop();
+    end_recording(nullptr);
+    throw;
+  }
+  end_recording(std::move(trace));
+}
+
+void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
+  using Clock = std::chrono::steady_clock;
+  Stream& st = *stream_;
+  std::vector<std::pair<GroupRecord, double>> held;
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    st.ended = Clock::now();
+    // Work done against the recording stands only if the recording is
+    // exactly what a run that recorded first would go on to simulate.
+    const bool keep = trace != nullptr && trace->has_planes() &&
+                      !draining() && st.ended < deadline_;
+    st.trace = std::move(trace);
+    st.live.reset();
+    if (keep) {
+      st.phase = Stream::Phase::kComplete;
+      held.swap(st.held);
+    } else {
+      st.phase = Stream::Phase::kDiscarded;
+      for (const auto& h : st.held) st.returned.push_back(h.first.group);
+      for (const GroupSlice& s : st.parked) st.returned.push_back(s.rec.group);
+      st.held.clear();
+      st.parked.clear();
+    }
+  }
+  st.cv.notify_all();
+  // Held groups fold as if each had started only now: once a drain is
+  // set (say by a progress hook), the rest stay unsimulated.
+  for (const auto& [rec, ms] : held) {
+    if (draining()) break;
+    fold(rec, /*seeded=*/false, ms);
+  }
+}
+
+bool GroupDriver::draining() const {
+  return stopped_.load(std::memory_order_relaxed) ||
+         (options_.cancel && options_.cancel->load(std::memory_order_relaxed));
 }
 
 std::size_t GroupDriver::pending() const {
@@ -662,19 +774,33 @@ std::size_t GroupDriver::pending() const {
 }
 
 std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
+  std::shared_ptr<const GoodTrace> trace;
+  {
+    std::lock_guard<std::mutex> lock(stream_->mu);
+    trace = stream_->phase == Stream::Phase::kRecording ? stream_->live
+                                                       : stream_->trace;
+  }
   return std::make_unique<GroupSimulator>(netlist_, faults_, plan_, options_,
-                                          trace_, deadline_, compiled_);
+                                          std::move(trace), deadline_,
+                                          compiled_);
 }
 
 std::optional<std::size_t> GroupDriver::claim() {
   for (;;) {
-    if (stopped_.load(std::memory_order_relaxed) ||
-        (options_.cancel && options_.cancel->load(std::memory_order_relaxed))) {
-      return std::nullopt;
+    if (draining()) return std::nullopt;
+    std::size_t group;
+    {
+      std::lock_guard<std::mutex> lock(stream_->mu);
+      std::vector<std::size_t>& returned = stream_->returned;
+      if (!returned.empty()) {
+        group = returned.back();
+        returned.pop_back();
+      } else {
+        const std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
+        if (slot >= unseeded_.size()) return std::nullopt;
+        group = unseeded_[slot];
+      }
     }
-    const std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= unseeded_.size()) return std::nullopt;
-    const std::size_t group = unseeded_[slot];
     if (deadline_ != std::chrono::steady_clock::time_point::max() &&
         std::chrono::steady_clock::now() >= deadline_) {
       // Unstarted at the campaign deadline: every fault is inconclusive.
@@ -685,6 +811,93 @@ std::optional<std::size_t> GroupDriver::claim() {
     }
     return group;
   }
+}
+
+std::optional<GroupSlice> GroupDriver::next_slice() {
+  using Clock = std::chrono::steady_clock;
+  using Phase = Stream::Phase;
+  Stream& st = *stream_;
+  std::unique_lock<std::mutex> lock(st.mu);
+  for (;;) {
+    const Phase phase = st.phase;
+    if (phase == Phase::kDiscarded) return std::nullopt;
+    const std::uint64_t mark = phase == Phase::kRecording
+                                   ? st.live->watermark().cycles
+                                   : std::numeric_limits<std::uint64_t>::max();
+    // Once the recording is complete, parked groups go first, furthest
+    // behind first: they are the groups that outlived the most cycles.
+    // A drain leaves them unsimulated, like unstarted groups.
+    std::optional<GroupSlice> s;
+    if (phase == Phase::kComplete && !draining()) s = st.take_parked(mark);
+    if (!s && mark > 0) {
+      lock.unlock();
+      const std::optional<std::size_t> group = claim();
+      lock.lock();
+      if (group) {
+        s.emplace();
+        s->rec = plan_.unstarted_record(*group);
+        s->claimed = Clock::now();
+      } else if (phase == Phase::kComplete) {
+        // Groups parked later are resumed by the worker that parks them.
+        return std::nullopt;
+      }
+    }
+    // While recording, fresh claims go first (they have the most cycles
+    // below the watermark), then the group furthest behind it.
+    std::uint64_t seen = mark;
+    if (!s && st.phase == Phase::kRecording) {
+      seen = st.live->watermark().cycles;
+      s = st.take_parked(seen);
+    }
+    if (s) {
+      // Unbounded while recording (a slice stops at the watermark);
+      // after it, the group timeout counts from the later of the claim
+      // and the end of the recording.
+      if (st.phase != Phase::kRecording) {
+        s->deadline = deadline_;
+        if (options_.group_timeout_ms != 0) {
+          s->deadline = std::min(
+              deadline_,
+              std::max(s->claimed, st.ended) +
+                  std::chrono::milliseconds(options_.group_timeout_ms));
+        }
+      }
+      return s;
+    }
+    if (st.phase != Phase::kRecording) continue;
+    // Nothing below the watermark: block until it moves or the
+    // recording ends.
+    st.cv.wait(lock, [&] {
+      return st.phase != Phase::kRecording ||
+             st.live->watermark().cycles != seen;
+    });
+  }
+}
+
+void GroupDriver::settle(GroupSlice&& slice, bool finished) {
+  Stream& st = *stream_;
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (st.phase == Stream::Phase::kDiscarded) {
+      st.returned.push_back(slice.rec.group);
+      return;
+    }
+    if (!finished) {
+      ++st.parks;
+      st.parked.push_back(std::move(slice));
+      return;
+    }
+    if (st.phase == Stream::Phase::kRecording) {
+      st.held.emplace_back(std::move(slice.rec), slice.run_ms);
+      return;
+    }
+  }
+  fold(slice.rec, /*seeded=*/false, slice.run_ms);
+}
+
+bool GroupDriver::streamed() const {
+  std::lock_guard<std::mutex> lock(stream_->mu);
+  return stream_->phase == Stream::Phase::kComplete;
 }
 
 void GroupDriver::resolve(const GroupRecord& rec, double duration_ms) {
@@ -714,9 +927,11 @@ void GroupDriver::fold(const GroupRecord& rec, bool seeded,
 
 FaultSimResult GroupDriver::finish() {
   std::lock_guard<std::mutex> lock(mu_);
-  result_.trace_bytes = trace_ ? trace_->memory_bytes() : 0;
-  result_.trace_fallback = options_.engine == Engine::kEvent && trace_ &&
-                           !trace_->has_planes();
+  const std::shared_ptr<const GoodTrace>& trace = stream_->trace;
+  result_.trace_bytes = trace ? trace->memory_bytes() : 0;
+  result_.trace_fallback = options_.engine == Engine::kEvent && trace &&
+                           !trace->has_planes();
+  result_.parks = stream_->parks;
   result_.cancelled = options_.cancel &&
                       options_.cancel->load(std::memory_order_relaxed) &&
                       result_.groups_done < result_.groups_scheduled;
@@ -731,6 +946,16 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const FaultSimOptions& options) {
   using Clock = std::chrono::steady_clock;
   GroupDriver driver(netlist, faults, make_env, options);
+
+  // N workers on N OS threads: the calling thread is worker 0. Under the
+  // event engine with two or more workers the recording streams: the
+  // calling thread records while the others simulate slices against it,
+  // and then joins them. Otherwise it records before any worker starts.
+  const std::size_t workers = std::min<std::size_t>(
+      options.threads == 0 ? util::hardware_threads() : options.threads,
+      driver.pending());
+  const bool streaming = workers > 1 && options.engine == Engine::kEvent;
+  if (!streaming) driver.record();
 
   // One worker's group stream: the simulator claims groups whenever a
   // lane is free and hands each record back with the wall clock since
@@ -754,6 +979,20 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     };
     sim.run(pull, emit);
   };
+  // Slices against the recording while it streams, and after it, until
+  // every group is done — or, when the recording was discarded, until
+  // that is known; the claim loop then runs as if nothing had streamed.
+  auto slices = [&driver] {
+    const std::unique_ptr<GroupSimulator> sim = driver.make_simulator();
+    while (std::optional<GroupSlice> s = driver.next_slice()) {
+      const auto start = Clock::now();
+      const bool finished = sim->advance(&*s);
+      s->run_ms +=
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      driver.settle(std::move(*s), finished);
+    }
+  };
 
   // A worker's first failure ends every worker's claims (groups in
   // flight finish) and is rethrown once all workers have joined.
@@ -766,16 +1005,16 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   };
   const auto work = [&] {
     try {
+      if (streaming) {
+        slices();
+        if (driver.streamed()) return;
+      }
       stream(*driver.make_simulator());
     } catch (...) {
       fail();
     }
   };
 
-  // N workers on N OS threads: the calling thread is worker 0.
-  const std::size_t workers = std::min<std::size_t>(
-      options.threads == 0 ? util::hardware_threads() : options.threads,
-      driver.pending());
   std::vector<std::thread> threads;
   for (std::size_t w = 1; w < workers; ++w) {
     try {
@@ -783,6 +1022,13 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
     } catch (...) {
       fail();
       break;
+    }
+  }
+  if (streaming) {
+    try {
+      driver.record();
+    } catch (...) {
+      fail();
     }
   }
   if (workers > 0) work();

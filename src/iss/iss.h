@@ -64,9 +64,6 @@ class Iss {
   std::uint64_t instructions() const { return instructions_; }
   bool halted() const { return halted_; }
 
-  std::uint32_t mem_word(std::uint32_t addr) const {
-    return mem_[word_index(addr)];
-  }
   const std::vector<std::uint32_t>& memory() const { return mem_; }
   const std::vector<WriteOp>& writes() const { return writes_; }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "netlist/compiled.h"
-#include "netlist/levelize.h"
 #include "netlist/netlist.h"
 
 namespace sbst::sim {
@@ -59,7 +58,6 @@ class LogicSim {
            std::shared_ptr<const nl::CompiledNetlist> compiled);
 
   const nl::Netlist& netlist() const { return *nl_; }
-  const nl::Levelization& levelization() const { return cn_->lv; }
   const nl::CompiledNetlist& compiled() const { return *cn_; }
 
   /// Loads DFF reset values and clears inputs.

@@ -230,9 +230,9 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
   // Engine level: a run whose planes exceed trace_mem_mb completes on
   // the sweep kernel with identical results and reports the fallback.
   // trace_bytes counts planes only: 0 for the sweep and the fallback.
-  const std::size_t wpc = (n.size() + 63) / 64;
-  const std::uint64_t cycles =
-      (std::size_t{1} << 20) / (wpc * sizeof(sim::Word)) + 64;
+  // One bit per gate per cycle: 8 Mi gate-cycles fill the 1 MiB cap in
+  // any plane layout, and one more block crosses it.
+  const std::uint64_t cycles = (std::size_t{1} << 23) / n.size() + 64;
   FaultSimOptions opt;
   opt.max_cycles = cycles + 64;
   opt.threads = 1;
