@@ -4,7 +4,8 @@
 // tracked across PRs.
 //
 // Also re-verifies the engine's determinism contract end to end: every
-// thread count must produce a bit-identical FaultSimResult.
+// thread count must produce bit-identical verdicts, good-run length,
+// work counters (gate evaluations, simulated cycles) and recording size.
 //
 // Usage: bench_faultsim_scaling [--full] [--out FILE.json]
 //        default grades a 6300-fault statistical sample (~100 groups);
@@ -79,7 +80,10 @@ int main(int argc, char** argv) {
     } else if (res.detected != reference.detected ||
                res.detect_cycle != reference.detect_cycle ||
                res.simulated != reference.simulated ||
-               res.good_cycles != reference.good_cycles) {
+               res.good_cycles != reference.good_cycles ||
+               res.gates_evaluated != reference.gates_evaluated ||
+               res.sim_cycles != reference.sim_cycles ||
+               res.trace_bytes != reference.trace_bytes) {
       deterministic = false;
     }
     runs.push_back({t, secs, 0.0});

@@ -94,8 +94,8 @@ struct WorkerContext {
     // The simulator pulls a request whenever one of its lanes is free:
     // blocking when every lane is idle, a non-blocking peek at the pipe
     // while another lane is still busy. EOF ends the stream once the
-    // lanes drain.
-    const auto pull = [&](bool wait) -> std::optional<std::size_t> {
+    // lanes drain. The recording is complete, so every slice finishes.
+    const auto pull = [&](bool wait) -> std::optional<fault::GroupSlice> {
       if (!wait) {
         pollfd p{in_fd, POLLIN, 0};
         if (::poll(&p, 1, 0) <= 0) return std::nullopt;
@@ -109,11 +109,11 @@ struct WorkerContext {
         // would, after the request was accepted.
         std::abort();
       }
-      return static_cast<std::size_t>(req.group);
+      return ctx.sim.slice(static_cast<std::size_t>(req.group));
     };
-    ctx.sim.run(pull, [&](fault::GroupRecord&& rec) {
+    ctx.sim.run(pull, [&](fault::GroupSlice&& slice, bool) {
       // One write of one journal frame: atomic on the pipe.
-      const std::string frame = encode_record_frame(rec);
+      const std::string frame = encode_record_frame(slice.rec);
       if (!util::write_full(out_fd, frame.data(), frame.size())) _exit(2);
     });
   } catch (...) {
@@ -127,10 +127,12 @@ struct WorkerContext {
   _exit(0);
 }
 
-/// One group request on its way through a worker. Queued requests use
-/// only `req` and `solo`; the times are set when a worker takes it.
+/// One group request on its way through a worker, with the driver's
+/// slice it answers. Queued requests use only `req`, `slice` and `solo`;
+/// the times are set when a worker takes it.
 struct Job {
   GroupRequest req;
+  fault::GroupSlice slice;
   bool solo = false;  // retry: runs alone in its worker
   Clock::time_point started{};  // when the request was dispatched
   Clock::time_point deadline = Clock::time_point::max();  // hang kill
@@ -256,11 +258,11 @@ fault::FaultSimResult run_fault_sim_isolated(
   };
   std::unordered_map<std::uint64_t, AttemptCost> attempt_cost;
 
-  // Hands a record to the driver with its attempt accounting in
-  // rec.error (see fault::GroupRecord::error).
-  const auto resolve = [&](fault::GroupRecord rec, double duration_ms,
-                           std::uint32_t attempts) {
-    rec.error.attempts = attempts;
+  // Hands a job's slice back to the driver, finished with `rec` and its
+  // attempt accounting in rec.error (see fault::GroupRecord::error).
+  const auto resolve = [&](Job job, fault::GroupRecord rec,
+                           double duration_ms) {
+    rec.error.attempts = job.req.attempt + 1;
     const auto it = attempt_cost.find(rec.group);
     if (it != attempt_cost.end()) {
       rec.error.max_rss_kb =
@@ -268,7 +270,9 @@ fault::FaultSimResult run_fault_sim_isolated(
       rec.error.cpu_ms += it->second.cpu_ms;
       attempt_cost.erase(it);
     }
-    driver.resolve(rec, duration_ms);
+    job.slice.rec = std::move(rec);
+    job.slice.run_ms = duration_ms;
+    driver.settle(std::move(job.slice), /*finished=*/true);
   };
 
   // Retries run alone on a fresh worker, ahead of unclaimed groups.
@@ -287,14 +291,15 @@ fault::FaultSimResult run_fault_sim_isolated(
           driver.plan().unstarted_record(static_cast<std::size_t>(group));
       rec.quarantined = true;
       rec.error = err;
-      resolve(std::move(rec), duration_ms, job.req.attempt + 1);
+      resolve(job, std::move(rec), duration_ms);
     } else {
       AttemptCost& acc = attempt_cost[group];
       acc.max_rss_kb = std::max(acc.max_rss_kb, err.max_rss_kb);
       acc.cpu_ms += err.cpu_ms;
       // Retry first so a transient failure is re-attempted while the
       // campaign is still warm, with the attempt count advanced.
-      retries.push_front({{group, job.req.attempt + 1}, /*solo=*/true});
+      retries.push_front(
+          {{group, job.req.attempt + 1}, job.slice, /*solo=*/true});
     }
   };
 
@@ -327,9 +332,9 @@ fault::FaultSimResult run_fault_sim_isolated(
         (!w.held.empty() && w.held.front().solo)) {
       return std::nullopt;
     }
-    const std::optional<std::size_t> group = driver.claim();
-    if (!group) return std::nullopt;
-    return Job{{*group, 0}};
+    std::optional<fault::GroupSlice> slice = driver.next_slice(false);
+    if (!slice) return std::nullopt;
+    return Job{{slice->rec.group, 0}, std::move(*slice)};
   };
 
   try {
@@ -420,9 +425,9 @@ fault::FaultSimResult run_fault_sim_isolated(
           const double attempt_ms =
               std::chrono::duration<double, std::milli>(after - job->started)
                   .count();
-          const std::uint32_t attempts = job->req.attempt + 1;
+          Job done = std::move(*job);
           w.held.erase(job);
-          resolve(std::move(rec), attempt_ms, attempts);
+          resolve(std::move(done), std::move(rec), attempt_ms);
           continue;
         }
         // EOF (crash/OOM/hard kill) or a desynchronized stream.

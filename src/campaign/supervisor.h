@@ -11,15 +11,16 @@
 //   * the run itself — plan, shard schedule, seeding, deadlines, the
 //     compiled netlist and good-run recording, record folding and hooks —
 //     is the same fault::GroupDriver that run_fault_sim's threads use; the
-//     supervisor only claims groups from it and hands records back;
-//   * workers are forked from a pristine GroupSimulator built after the
-//     driver's constructor recorded the good run, so children inherit the
-//     compiled netlist and the recording copy-on-write and never run the
-//     environment;
+//     supervisor only takes slices from it and hands them back;
+//   * the supervisor records the good run before any worker exists, and
+//     workers are forked from a pristine GroupSimulator built after it,
+//     so children inherit the compiled netlist and the recording
+//     copy-on-write and never run the environment;
 //   * workers run under RLIMIT_AS (IsolateOptions::worker_mem_mb) and,
 //     when the campaign has a time budget, a coarse RLIMIT_CPU backstop;
 //   * a group request travels down the worker's pipe as a fixed 12-byte
-//     (group u64, attempt u32); the result comes back as one journal
+//     (group u64, attempt u32), from which the worker builds its slice
+//     (GroupSimulator::slice); the result comes back as one journal
 //     record frame (journal.h), CRC included. EOF is the only failure
 //     signal: a dead worker's pipe reads EOF, a dead supervisor's pipe
 //     turns worker writes into EPIPE;

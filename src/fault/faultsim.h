@@ -261,7 +261,7 @@ struct FaultSimResult {
   bool trace_fallback = false;
   /// Times a group parked at the watermark of a recording still being
   /// written (see GroupDriver::next_slice). Timing-dependent, like
-  /// wall-clock cut-offs; 0 when the recording did not stream.
+  /// wall-clock cut-offs; 0 at one worker and under --isolate.
   std::size_t parks = 0;
 };
 
@@ -279,9 +279,10 @@ struct KernelStats {
 /// environment produced by `make_env`. The engine performs fault dropping
 /// (a group stops as soon as all of its faults are detected) and runs a
 /// GroupDriver's 63-fault groups on `options.threads` worker threads,
-/// the calling thread among them, each with its own GroupSimulator. A
-/// worker's first exception stops every worker's claims and is rethrown
-/// once all workers have joined.
+/// each with its own GroupSimulator: the calling thread records the good
+/// run while the others start on it, then joins them. A worker's first
+/// exception stops every worker's claims and is rethrown once all
+/// workers have joined.
 FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
@@ -331,13 +332,15 @@ class GroupPlan {
 
 class GoodTrace;
 
-/// A group simulated by the event kernel in slices: its record so far
-/// and the kernel state carried from one slice to the next. A slice runs
-/// to the recording's watermark; a group that reaches the watermark of a
-/// recording still being written *parks* there (always at a 64-cycle
+/// A group on its way through a simulator: its record so far, the
+/// recording it runs against and the kernel state carried from one slice
+/// to the next. The sweep runs a slice to the end. The event kernel runs
+/// it to the recording's watermark; a group that reaches the watermark of
+/// a recording still being written *parks* there (always at a 64-cycle
 /// block boundary) and resumes from exactly this state, on any worker.
 struct GroupSlice {
   GroupRecord rec;
+  std::shared_ptr<const GoodTrace> good_run;
   std::uint64_t cycle = 0;     // next cycle to simulate
   std::uint64_t detected = 0;  // machines detected so far
   /// Flip-flops whose state diverges entering `cycle`, with their word.
@@ -359,17 +362,17 @@ struct GroupSlice {
 /// BUF that is not a primary output; nl::enumerate_faults never places
 /// one there).
 ///
-/// Every group replays `good_run`, the campaign-shared recording of the
-/// good machine, up to its stop cycle. Planes in it select the
-/// event-driven differential kernel for run() and simulate(), otherwise
-/// the sweep; the kernel, and so lanes(), is fixed when the simulator is
-/// built. Null only for a recording cut short, which leaves no group to
-/// simulate (run() throws std::logic_error on one). advance() runs the
-/// event kernel on a recording that may still be being written.
+/// Every group replays a campaign-shared recording of the good machine
+/// up to its stop cycle: `good_run`, or the recording a pulled slice
+/// names, on which the kernel is then rebuilt (a run whose planes crossed
+/// the memory cap goes on against a stimulus-only copy). Planes in the
+/// recording select the event-driven differential kernel, otherwise the
+/// sweep. Null only for a recording cut short, which leaves no group to
+/// simulate (run() throws std::logic_error on one).
 ///
 /// The compiled sweep kernel simulates two groups side by side, one per
 /// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
-/// the next group the moment a lane's group ends.
+/// the next slice the moment a lane's group ends.
 class GroupSimulator {
  public:
   /// `run_deadline` (time_budget_ms) is the same instant for every
@@ -387,35 +390,37 @@ class GroupSimulator {
   GroupSimulator(const GroupSimulator&) = delete;
   GroupSimulator& operator=(const GroupSimulator&) = delete;
 
-  /// Simulates one group to a record (honours the recorded stop cycle,
-  /// group_timeout_ms and the run deadline; sets timed_out when a bound
-  /// cut the group short). Bit-deterministic absent wall-clock cutoffs,
-  /// and bit-identical across both kernels.
+  /// A fresh slice of `group` against this simulator's recording,
+  /// bounded by group_timeout_ms from now and by the run deadline.
+  GroupSlice slice(std::size_t group) const;
+
+  /// Simulates one group to a record: run() of slice(group) alone
+  /// (honours the recorded stop cycle, group_timeout_ms and the run
+  /// deadline; sets timed_out when a bound cut the group short).
+  /// Bit-deterministic absent wall-clock cutoffs, and bit-identical
+  /// across both kernels.
   GroupRecord simulate(std::size_t group);
 
   /// Groups the kernel keeps in flight at once: 2 for the sweep, 1 for
   /// the event engine.
   std::size_t lanes() const;
 
-  /// Next-group source for run(). Called whenever a lane is free. With
-  /// `wait` true every lane is idle: return the next group, or nullopt to
-  /// end the stream. With `wait` false another lane is still busy: return
-  /// a group only if one is ready now; nullopt means "none yet" and the
-  /// kernel asks again at least every 16 cycles.
-  using PullGroup = std::function<std::optional<std::size_t>(bool wait)>;
-  /// Receives each finished record, in completion order (one per pulled
-  /// group; the record is identical to what simulate() returns).
-  using EmitRecord = std::function<void(GroupRecord&&)>;
+  /// Slice source for run(). Called whenever a lane is free. With `wait`
+  /// true every lane is idle: return the next slice, or nullopt to end
+  /// the stream. With `wait` false another lane is still busy: return a
+  /// slice only if one is ready now, without blocking; nullopt means
+  /// "none yet" and the kernel asks again at least every 16 cycles.
+  using PullSlice = std::function<std::optional<GroupSlice>(bool wait)>;
+  /// Receives each slice the kernel is done with, in completion order:
+  /// `finished` when its record is final (identical to what simulate()
+  /// returns, absent wall-clock cut-offs), false when it parked.
+  using EmitSlice = std::function<void(GroupSlice&&, bool finished)>;
 
-  /// Streams groups through the kernel until `pull` ends the stream and
-  /// every lane has drained.
-  void run(const PullGroup& pull, const EmitRecord& emit);
-
-  /// Runs one slice of `slice`'s group on the event kernel, to the
-  /// recording's watermark, under slice->deadline. Returns true when the
-  /// group finished (slice->rec is then what simulate() returns, absent
-  /// wall-clock cut-offs), false when it parked.
-  bool advance(GroupSlice* slice);
+  /// Streams slices through the kernel until `pull` ends the stream and
+  /// every lane has drained. The event kernel runs each slice to the
+  /// watermark under its deadline; the sweep runs fresh slices to the
+  /// end.
+  void run(const PullSlice& pull, const EmitSlice& emit);
 
  private:
   struct Impl;
@@ -429,8 +434,8 @@ class GroupSimulator {
 /// of the good run, seeding, expiring groups unstarted at the deadline,
 /// folding records into the result, and the on_group/progress hooks — so
 /// a run's verdicts, counters and hook calls do not depend on the
-/// executor. An executor claims groups, simulates them on simulators
-/// from make_simulator(), and hands each record back to resolve().
+/// executor. An executor takes slices from next_slice(), runs them on
+/// simulators from make_simulator(), and hands each back to settle().
 class GroupDriver {
  public:
   /// Plans the run and builds its shard schedule (std::runtime_error
@@ -450,16 +455,16 @@ class GroupDriver {
   /// simulate: the only call of `make_env`; planes under the event engine
   /// within trace_mem_mb; cut by the run deadline, options.cancel and
   /// stop(). Each 64-cycle block of planes is published as it is built,
-  /// so next_slice() can hand out work while this runs. Call once, before
-  /// make_simulator() is used for anything but next_slice() work.
+  /// so next_slice() can hand out event-kernel work while this runs.
+  /// Call once.
   ///
   /// When the recording ends, the records of groups that finished during
   /// it are folded (one by one; a drain set meanwhile leaves the rest
   /// unsimulated), and parked groups become resumable — but only if it
-  /// ended complete with planes, undrained, unstopped and before the run
-  /// deadline. Otherwise both are discarded, and their groups go back to
-  /// claim() as if never claimed, so the run proceeds exactly as if the
-  /// recording had been made before any group started.
+  /// ended complete with its planes, undrained, unstopped and before the
+  /// run deadline. Otherwise both are discarded, and their groups go back
+  /// to the schedule as if never claimed, so the run proceeds exactly as
+  /// if the recording had been made before any group started.
   void record();
 
   const GroupPlan& plan() const { return plan_; }
@@ -472,41 +477,26 @@ class GroupDriver {
   /// record() runs, its recording is the one being written. Thread-safe.
   std::unique_ptr<GroupSimulator> make_simulator() const;
 
-  /// Next group to simulate in schedule order (groups a discarded
-  /// recording returned first), or nullopt once the schedule is
-  /// exhausted, options.cancel is set or stop() was called. Groups still
-  /// unstarted at the run deadline resolve here, as timed out.
-  /// Thread-safe.
-  std::optional<std::size_t> claim();
+  /// The next slice to run and hand back to settle(). Once the recording
+  /// has ended: a parked group (none while draining), else a fresh claim
+  /// in schedule order, else nullopt. While it is being written: a fresh
+  /// claim once the watermark has reached one block, else the parked
+  /// group furthest behind the watermark, else nullopt without `wait`,
+  /// and with it a block until the watermark moves or the recording
+  /// ends. A recording without planes (the sweep) has no watermark
+  /// before it completes, so its slices wait for the end. A slice's
+  /// deadline is its group timeout counted from the later of its claim
+  /// and the end of the recording (and the run deadline); before the
+  /// recording completes it has none. Groups still unstarted at the run
+  /// deadline resolve here, as timed out. Thread-safe.
+  std::optional<GroupSlice> next_slice(bool wait);
 
-  /// Event-engine work for a thread that runs while record() does: the
-  /// next slice to advance() and hand back to settle(). While recording,
-  /// a fresh claim if the watermark has reached one block, else the
-  /// parked group furthest behind the watermark, else it blocks until
-  /// the watermark moves or the recording ends. Once the recording has
-  /// ended with planes (streamed()), parked groups first (none once
-  /// draining), then fresh claims; nullopt when both are gone. Nullopt
-  /// at once after the recording was discarded: the caller then claims
-  /// groups with claim() on a new simulator. A slice's deadline is its group timeout counted
-  /// from the later of its claim and the end of the recording (and the
-  /// run deadline); while recording it has none. Thread-safe.
-  std::optional<GroupSlice> next_slice();
-
-  /// Takes back a slice from advance(): `finished` records are held
-  /// while recording and resolved once it has ended with planes; parked
-  /// groups wait for next_slice(). After a discarded recording the group
-  /// returns to claim(). `run_ms` is the duration reported to on_group.
-  /// Thread-safe.
+  /// Takes back a slice from GroupSimulator::run(): `finished` records
+  /// are held while recording and folded once it is kept (see record());
+  /// parked groups wait for next_slice(). A slice run against a recording
+  /// that was discarded returns its group to the schedule instead.
+  /// slice.run_ms is the duration reported to on_group. Thread-safe.
   void settle(GroupSlice&& slice, bool finished);
-
-  /// True once the recording has ended complete with planes and its
-  /// slices carry the run (see record()).
-  bool streamed() const;
-
-  /// Folds a claimed group's record into the result and calls
-  /// on_group(rec, false, duration_ms) and progress under one lock.
-  /// Thread-safe.
-  void resolve(const GroupRecord& rec, double duration_ms);
 
   /// Ends claiming (an executor failed and will rethrow).
   void stop() { stopped_.store(true); }
@@ -515,6 +505,11 @@ class GroupDriver {
   FaultSimResult finish();
 
  private:
+  /// Next group to simulate in schedule order (groups a discarded
+  /// recording returned first), or nullopt once the schedule is
+  /// exhausted, options.cancel is set or stop() was called. Groups still
+  /// unstarted at the run deadline resolve here, as timed out.
+  std::optional<std::size_t> claim();
   void fold(const GroupRecord& rec, bool seeded, double duration_ms);
   void end_recording(std::shared_ptr<const GoodTrace> trace);
   /// options.cancel is set or stop() was called.

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "fault/compiled_event_kernel.h"
 #include "fault/faultsim.h"
@@ -92,18 +93,18 @@ static_assert(sizeof(LaneWord) == kLanes * sizeof(Word),
 /// while the other lane is busy.
 constexpr unsigned kPollCycles = 16;
 
-/// One lane: the group it simulates and everything lane-local about it.
+/// One lane: the slice it simulates and everything lane-local about it.
 struct SweepLane {
   explicit SweepLane(const nl::Netlist& netlist) : inj(netlist.size()) {}
 
   bool busy = false;
-  GroupRecord rec;
+  GroupSlice slice;
   InjectionTable inj;
   Word all_mask = 0;
   Word detected = 0;
   std::uint64_t cycle = 0;
   std::uint64_t evaluated = 0;  // cycles evaluated (work counters)
-  std::chrono::steady_clock::time_point deadline;
+  std::chrono::steady_clock::time_point started;
 };
 
 /// Forced re-evaluation of one injected combinational gate in one lane.
@@ -253,8 +254,8 @@ struct GroupSimulator::Impl {
         group_timeout_ms(options.group_timeout_ms),
         run_deadline(deadline),
         compiled(comp ? std::move(comp) : nl::compile(n)),
-        inj(n.size()),
-        trace(std::move(good_trace)) {
+        inj(n.size()) {
+    use(std::move(good_trace));
     // The kernels force faults on compiled nodes: a fault on a gate the
     // compiler folded away (a BUF that is not a primary output) has no
     // node to force. Generated fault lists never hold one
@@ -278,6 +279,20 @@ struct GroupSimulator::Impl {
       ++sweep_kinds_per_cycle[static_cast<std::size_t>(
           nl::op_class(n.gate(g).kind))];
     }
+  }
+
+  /// Takes `good_run` as the recording every later slice runs against.
+  void use(std::shared_ptr<const GoodTrace> good_run) {
+    trace = std::move(good_run);
+    event.reset();
+  }
+
+  /// Whether the event kernel reads the recording: one still being
+  /// written has planes, or lost them to the memory cap and only serves
+  /// slices that will be discarded (a recording without planes hands out
+  /// no slice before it completes); a complete one iff it kept them.
+  bool reads_planes() const {
+    return trace->has_planes() || !trace->watermark().complete;
   }
 
   /// Loads `group`'s faults into `table`.
@@ -311,12 +326,12 @@ struct GroupSimulator::Impl {
   }
 
   bool advance_event(GroupSlice* slice);
-  void run_lanes(std::size_t first, const PullGroup& pull,
-                 const EmitRecord& emit);
+  void run_lanes(GroupSlice first, const PullSlice& pull,
+                 const EmitSlice& emit);
 
   // Two-lane sweep steps (run_lanes).
-  void load_lane(int l, std::size_t group);
-  void finish_lane(int l, bool timed_out, const EmitRecord& emit);
+  void load_lane(int l, GroupSlice&& slice);
+  void finish_lane(int l, bool timed_out, const EmitSlice& emit);
   void rebuild_fixups();
   void eval_lanes();
   void step_lanes();
@@ -350,23 +365,21 @@ bool GroupSimulator::Impl::advance_event(GroupSlice* slice) {
 // refilled from lane-local reset on the next pass, while the other lane
 // carries on. No step reads the other lane, so records are bit-identical
 // whichever lane (and whichever partner) a group runs with.
-void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
-                                     const EmitRecord& emit) {
+void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
+                                     const EmitSlice& emit) {
   if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
   LaneSweep& s = *sweep;
   LaneWord* const v = s.v.data();
   const std::vector<nl::GateId>& inputs = trace->inputs();
   const std::uint64_t stop = trace->cycles();
 
-  std::size_t group = first;
-  bool have_group = true;
+  std::optional<GroupSlice> next = std::move(first);
   unsigned since_poll = kPollCycles;  // the first idle lane polls at once
   for (;;) {
     // Refill idle lanes.
     for (int l = 0; l < kLanes; ++l) {
       if (s.lanes[static_cast<std::size_t>(l)].busy) continue;
-      if (!have_group) {
-        std::optional<std::size_t> next;
+      if (!next) {
         if (s.busy == 0) {
           next = pull(true);
           if (!next) return;  // stream ended, every lane drained
@@ -379,10 +392,9 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
         } else {
           continue;
         }
-        group = *next;
       }
-      have_group = false;
-      load_lane(l, group);
+      load_lane(l, std::move(*next));
+      next.reset();
     }
     ++since_poll;
 
@@ -397,8 +409,8 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
       }
       // Amortized watchdog: one clock read every 1024 cycles keeps the
       // bound within ~ms granularity without slowing the hot loop.
-      if (ln.deadline != Clock::time_point::max() &&
-          (ln.cycle & 1023u) == 1023u && Clock::now() >= ln.deadline)
+      if (ln.slice.deadline != Clock::time_point::max() &&
+          (ln.cycle & 1023u) == 1023u && Clock::now() >= ln.slice.deadline)
           [[unlikely]] {
         finish_lane(l, true, emit);
         continue;
@@ -433,8 +445,8 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
       const Word d = diff[l] & ln.all_mask & ~ln.detected;
       if (d != 0) {
         for (Word m = d; m != 0; m &= m - 1) {
-          ln.rec.detect_cycle[static_cast<std::size_t>(std::countr_zero(m))] =
-              static_cast<std::int64_t>(ln.cycle);
+          const auto slot = static_cast<std::size_t>(std::countr_zero(m));
+          ln.slice.rec.detect_cycle[slot] = static_cast<std::int64_t>(ln.cycle);
         }
         ln.detected |= d;
         if (ln.detected == ln.all_mask) {  // fault dropping: group done
@@ -448,33 +460,37 @@ void GroupSimulator::Impl::run_lanes(std::size_t first, const PullGroup& pull,
   }
 }
 
-void GroupSimulator::Impl::load_lane(int l, std::size_t group) {
+void GroupSimulator::Impl::load_lane(int l, GroupSlice&& slice) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
-  ln.rec = plan.unstarted_record(group);
-  load(group, ln.inj);
+  ln.slice = std::move(slice);
+  load(ln.slice.rec.group, ln.inj);
   LaneWord* const v = sweep->v.data();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
-  ln.all_mask = (Word{1} << ln.rec.count) - 1;  // count <= 63
+  ln.all_mask = (Word{1} << ln.slice.rec.count) - 1;  // count <= 63
   ln.detected = 0;
   ln.cycle = 0;
   ln.evaluated = 0;
-  ln.deadline = group_deadline();
+  ln.started = Clock::now();
   ln.busy = true;
   ++sweep->busy;
   rebuild_fixups();
 }
 
 void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
-                                       const EmitRecord& emit) {
+                                       const EmitSlice& emit) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
   ln.busy = false;
   --sweep->busy;
   rebuild_fixups();
-  ln.rec.timed_out = timed_out;
-  ln.rec.detected_mask = ln.detected;
-  ln.rec.cycles = ln.cycle;
-  set_sweep_counters(ln.rec, ln.evaluated);
-  emit(std::move(ln.rec));
+  GroupRecord& rec = ln.slice.rec;
+  rec.timed_out = timed_out;
+  rec.detected_mask = ln.detected;
+  rec.cycles = ln.cycle;
+  set_sweep_counters(rec, ln.evaluated);
+  ln.slice.run_ms +=
+      std::chrono::duration<double, std::milli>(Clock::now() - ln.started)
+          .count();
+  emit(std::move(ln.slice), true);
 }
 
 void GroupSimulator::Impl::rebuild_fixups() {
@@ -560,42 +576,47 @@ GroupSimulator::GroupSimulator(
 GroupSimulator::~GroupSimulator() = default;
 
 std::size_t GroupSimulator::lanes() const {
-  return impl_->trace && impl_->trace->has_planes() ? 1 : kLanes;
+  return impl_->trace && impl_->reads_planes() ? 1 : kLanes;
 }
 
-void GroupSimulator::run(const PullGroup& pull, const EmitRecord& emit) {
+GroupSlice GroupSimulator::slice(std::size_t group) const {
+  GroupSlice s;
+  s.rec = impl_->plan.unstarted_record(group);
+  s.good_run = impl_->trace;
+  s.claimed = Impl::Clock::now();
+  s.deadline = impl_->group_deadline();
+  return s;
+}
+
+void GroupSimulator::run(const PullSlice& pull, const EmitSlice& emit) {
+  using Clock = Impl::Clock;
   Impl& im = *impl_;
-  while (const std::optional<std::size_t> group = pull(true)) {
+  while (std::optional<GroupSlice> s = pull(true)) {
+    // The one rebuild: slices that name another recording (the
+    // stimulus-only copy of planes that crossed the memory cap).
+    if (s->good_run != im.trace) im.use(s->good_run);
     if (!im.trace) {
       throw std::logic_error("no recorded good run to simulate group " +
-                             std::to_string(*group) + " against");
+                             std::to_string(s->rec.group) + " against");
     }
-    if (!im.trace->has_planes()) {
-      im.run_lanes(*group, pull, emit);
+    if (!im.reads_planes()) {
+      im.run_lanes(std::move(*s), pull, emit);
       return;
     }
-    GroupSlice slice;
-    slice.rec = im.plan.unstarted_record(*group);
-    slice.deadline = im.group_deadline();
-    im.advance_event(&slice);  // the recording is complete: finishes
-    emit(std::move(slice.rec));
+    const auto start = Clock::now();
+    const bool finished = im.advance_event(&*s);
+    s->run_ms +=
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    emit(std::move(*s), finished);
   }
 }
 
-bool GroupSimulator::advance(GroupSlice* slice) {
-  return impl_->advance_event(slice);
-}
-
 GroupRecord GroupSimulator::simulate(std::size_t group) {
+  std::optional<GroupSlice> next = slice(group);
   GroupRecord out;
-  bool pulled = false;
-  run(
-      [&](bool) -> std::optional<std::size_t> {
-        if (pulled) return std::nullopt;
-        pulled = true;
-        return group;
-      },
-      [&](GroupRecord&& rec) { out = std::move(rec); });
+  run([&](bool) { return std::exchange(next, std::nullopt); },
+      [&](GroupSlice&& s, bool) { out = std::move(s.rec); });
   return out;
 }
 
@@ -603,16 +624,17 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
 
 struct GroupDriver::Stream {
   using Clock = std::chrono::steady_clock;
-  /// kRecording until record() returns; then kComplete when the
-  /// recording kept its planes and the slices carry on, else kDiscarded.
-  enum class Phase { kRecording, kComplete, kDiscarded };
 
   std::mutex mu;
   std::condition_variable cv;  // watermark moved, or the recording ended
-  Phase phase = Phase::kRecording;
-  std::shared_ptr<GoodTrace> live;          // being written; null once ended
-  std::shared_ptr<const GoodTrace> trace;   // once ended; null = cut
-  Clock::time_point ended;
+  std::shared_ptr<GoodTrace> live;         // being written; null once ended
+  std::shared_ptr<const GoodTrace> trace;  // once ended; null = cut
+  /// The recording slices run against: `live` while it is written, then
+  /// `trace`, or null when a drain or the run deadline came first and
+  /// nothing more is simulated. A slice run against another recording
+  /// does not stand.
+  std::shared_ptr<const GoodTrace> current;
+  Clock::time_point ended;  // the epoch until the recording ends
   std::vector<GroupSlice> parked;
   std::vector<std::pair<GroupRecord, double>> held;  // finished while recording
   std::vector<std::size_t> returned;  // claimed, then discarded
@@ -695,6 +717,7 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   compiled_ = nl::compile(netlist);
   stream_->live = std::make_shared<GoodTrace>(
       netlist, options.engine == Engine::kEvent);
+  stream_->current = stream_->live;
 }
 
 GroupDriver::~GroupDriver() = default;
@@ -738,16 +761,18 @@ void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
     std::lock_guard<std::mutex> lock(st.mu);
     st.ended = Clock::now();
     // Work done against the recording stands only if the recording is
-    // exactly what a run that recorded first would go on to simulate.
-    const bool keep = trace != nullptr && trace->has_planes() &&
-                      !draining() && st.ended < deadline_;
+    // exactly what a run that recorded first would go on to simulate: it
+    // ended before a drain and the run deadline, and it is the recording
+    // the work read, not the stimulus-only copy made when its planes
+    // crossed the memory cap. A cut (null) comes only after a drain or
+    // the deadline.
+    st.current = !draining() && st.ended < deadline_ ? trace : nullptr;
+    const bool keep = st.current != nullptr && st.current == st.live;
     st.trace = std::move(trace);
     st.live.reset();
     if (keep) {
-      st.phase = Stream::Phase::kComplete;
       held.swap(st.held);
     } else {
-      st.phase = Stream::Phase::kDiscarded;
       for (const auto& h : st.held) st.returned.push_back(h.first.group);
       for (const GroupSlice& s : st.parked) st.returned.push_back(s.rec.group);
       st.held.clear();
@@ -777,8 +802,7 @@ std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
   std::shared_ptr<const GoodTrace> trace;
   {
     std::lock_guard<std::mutex> lock(stream_->mu);
-    trace = stream_->phase == Stream::Phase::kRecording ? stream_->live
-                                                       : stream_->trace;
+    trace = stream_->current;
   }
   return std::make_unique<GroupSimulator>(netlist_, faults_, plan_, options_,
                                           std::move(trace), deadline_,
@@ -813,31 +837,31 @@ std::optional<std::size_t> GroupDriver::claim() {
   }
 }
 
-std::optional<GroupSlice> GroupDriver::next_slice() {
+std::optional<GroupSlice> GroupDriver::next_slice(bool wait) {
   using Clock = std::chrono::steady_clock;
-  using Phase = Stream::Phase;
   Stream& st = *stream_;
   std::unique_lock<std::mutex> lock(st.mu);
   for (;;) {
-    const Phase phase = st.phase;
-    if (phase == Phase::kDiscarded) return std::nullopt;
-    const std::uint64_t mark = phase == Phase::kRecording
+    const bool recording = st.live != nullptr;
+    const std::uint64_t mark = recording
                                    ? st.live->watermark().cycles
                                    : std::numeric_limits<std::uint64_t>::max();
-    // Once the recording is complete, parked groups go first, furthest
+    // Once the recording has ended, parked groups go first, furthest
     // behind first: they are the groups that outlived the most cycles.
     // A drain leaves them unsimulated, like unstarted groups.
     std::optional<GroupSlice> s;
-    if (phase == Phase::kComplete && !draining()) s = st.take_parked(mark);
+    if (!recording && !draining()) s = st.take_parked(mark);
     if (!s && mark > 0) {
+      std::shared_ptr<const GoodTrace> good_run = st.current;
       lock.unlock();
       const std::optional<std::size_t> group = claim();
       lock.lock();
       if (group) {
         s.emplace();
         s->rec = plan_.unstarted_record(*group);
+        s->good_run = std::move(good_run);
         s->claimed = Clock::now();
-      } else if (phase == Phase::kComplete) {
+      } else if (!recording) {
         // Groups parked later are resumed by the worker that parks them.
         return std::nullopt;
       }
@@ -845,15 +869,15 @@ std::optional<GroupSlice> GroupDriver::next_slice() {
     // While recording, fresh claims go first (they have the most cycles
     // below the watermark), then the group furthest behind it.
     std::uint64_t seen = mark;
-    if (!s && st.phase == Phase::kRecording) {
+    if (!s && st.live != nullptr) {
       seen = st.live->watermark().cycles;
       s = st.take_parked(seen);
     }
     if (s) {
-      // Unbounded while recording (a slice stops at the watermark);
-      // after it, the group timeout counts from the later of the claim
-      // and the end of the recording.
-      if (st.phase != Phase::kRecording) {
+      // Unbounded before the recording completes (a slice stops at the
+      // watermark); after, the group timeout counts from the later of
+      // the claim and the end of the recording.
+      if (s->good_run == nullptr || s->good_run->watermark().complete) {
         s->deadline = deadline_;
         if (options_.group_timeout_ms != 0) {
           s->deadline = std::min(
@@ -864,12 +888,12 @@ std::optional<GroupSlice> GroupDriver::next_slice() {
       }
       return s;
     }
-    if (st.phase != Phase::kRecording) continue;
+    if (st.live == nullptr) continue;
+    if (!wait) return std::nullopt;
     // Nothing below the watermark: block until it moves or the
     // recording ends.
     st.cv.wait(lock, [&] {
-      return st.phase != Phase::kRecording ||
-             st.live->watermark().cycles != seen;
+      return st.live == nullptr || st.live->watermark().cycles != seen;
     });
   }
 }
@@ -878,7 +902,7 @@ void GroupDriver::settle(GroupSlice&& slice, bool finished) {
   Stream& st = *stream_;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    if (st.phase == Stream::Phase::kDiscarded) {
+    if (slice.good_run != st.current) {
       st.returned.push_back(slice.rec.group);
       return;
     }
@@ -887,21 +911,12 @@ void GroupDriver::settle(GroupSlice&& slice, bool finished) {
       st.parked.push_back(std::move(slice));
       return;
     }
-    if (st.phase == Stream::Phase::kRecording) {
+    if (st.live != nullptr) {
       st.held.emplace_back(std::move(slice.rec), slice.run_ms);
       return;
     }
   }
   fold(slice.rec, /*seeded=*/false, slice.run_ms);
-}
-
-bool GroupDriver::streamed() const {
-  std::lock_guard<std::mutex> lock(stream_->mu);
-  return stream_->phase == Stream::Phase::kComplete;
-}
-
-void GroupDriver::resolve(const GroupRecord& rec, double duration_ms) {
-  fold(rec, /*seeded=*/false, duration_ms);
 }
 
 // Summing per-record counters (instead of per-worker KernelStats) makes
@@ -944,55 +959,14 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
                              const nl::FaultList& faults,
                              const EnvFactory& make_env,
                              const FaultSimOptions& options) {
-  using Clock = std::chrono::steady_clock;
   GroupDriver driver(netlist, faults, make_env, options);
 
-  // N workers on N OS threads: the calling thread is worker 0. Under the
-  // event engine with two or more workers the recording streams: the
-  // calling thread records while the others simulate slices against it,
-  // and then joins them. Otherwise it records before any worker starts.
+  // N workers on N OS threads. The calling thread records the good run
+  // while the other N - 1 start on it (the event kernel below the
+  // watermark; the sweep once it completes), then joins them as worker 0.
   const std::size_t workers = std::min<std::size_t>(
       options.threads == 0 ? util::hardware_threads() : options.threads,
       driver.pending());
-  const bool streaming = workers > 1 && options.engine == Engine::kEvent;
-  if (!streaming) driver.record();
-
-  // One worker's group stream: the simulator claims groups whenever a
-  // lane is free and hands each record back with the wall clock since
-  // its claim.
-  auto stream = [&driver](GroupSimulator& sim) {
-    std::vector<std::pair<std::size_t, Clock::time_point>> claimed;
-    const auto pull = [&](bool) {
-      const std::optional<std::size_t> group = driver.claim();
-      if (group) claimed.emplace_back(*group, Clock::now());
-      return group;
-    };
-    const auto emit = [&](GroupRecord&& rec) {
-      const auto it = std::find_if(
-          claimed.begin(), claimed.end(),
-          [&rec](const auto& c) { return c.first == rec.group; });
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - it->second)
-              .count();
-      claimed.erase(it);
-      driver.resolve(rec, ms);
-    };
-    sim.run(pull, emit);
-  };
-  // Slices against the recording while it streams, and after it, until
-  // every group is done — or, when the recording was discarded, until
-  // that is known; the claim loop then runs as if nothing had streamed.
-  auto slices = [&driver] {
-    const std::unique_ptr<GroupSimulator> sim = driver.make_simulator();
-    while (std::optional<GroupSlice> s = driver.next_slice()) {
-      const auto start = Clock::now();
-      const bool finished = sim->advance(&*s);
-      s->run_ms +=
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
-      driver.settle(std::move(*s), finished);
-    }
-  };
 
   // A worker's first failure ends every worker's claims (groups in
   // flight finish) and is rethrown once all workers have joined.
@@ -1005,11 +979,11 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   };
   const auto work = [&] {
     try {
-      if (streaming) {
-        slices();
-        if (driver.streamed()) return;
-      }
-      stream(*driver.make_simulator());
+      driver.make_simulator()->run(
+          [&driver](bool wait) { return driver.next_slice(wait); },
+          [&driver](GroupSlice&& s, bool finished) {
+            driver.settle(std::move(s), finished);
+          });
     } catch (...) {
       fail();
     }
@@ -1024,12 +998,10 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
       break;
     }
   }
-  if (streaming) {
-    try {
-      driver.record();
-    } catch (...) {
-      fail();
-    }
+  try {
+    driver.record();
+  } catch (...) {
+    fail();
   }
   if (workers > 0) work();
   for (std::thread& t : threads) t.join();

@@ -78,8 +78,8 @@ Records grade(const nl::Netlist& n, const nl::FaultList& fl,
   return out;
 }
 
-/// Streams `groups` through GroupSimulator::run and logs how the lanes
-/// were used.
+/// Streams fresh slices of `groups` through GroupSimulator::run and logs
+/// how the lanes were used.
 struct LaneRun {
   Records records;
   std::vector<std::uint64_t> emit_order;
@@ -92,19 +92,21 @@ LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups) {
   std::size_t next = 0;
   std::set<std::uint64_t> in_flight;
   sim.run(
-      [&](bool) -> std::optional<std::size_t> {
+      [&](bool) -> std::optional<GroupSlice> {
         if (next == groups.size()) return std::nullopt;
         if (!in_flight.empty() && !out.emit_order.empty()) {
           out.refilled_mid_run = true;
         }
         in_flight.insert(groups[next]);
         out.max_in_flight = std::max(out.max_in_flight, in_flight.size());
-        return groups[next++];
+        return sim.slice(groups[next++]);
       },
-      [&](GroupRecord&& rec) {
-        EXPECT_EQ(in_flight.erase(rec.group), 1u) << "unexpected record";
-        out.emit_order.push_back(rec.group);
-        out.records[rec.group] = std::move(rec);
+      [&](GroupSlice&& slice, bool finished) {
+        EXPECT_TRUE(finished);
+        const std::uint64_t group = slice.rec.group;
+        EXPECT_EQ(in_flight.erase(group), 1u) << "unexpected record";
+        out.emit_order.push_back(group);
+        out.records[group] = std::move(slice.rec);
       });
   EXPECT_TRUE(in_flight.empty());
   return out;
