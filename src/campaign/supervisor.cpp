@@ -15,7 +15,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/journal.h"
@@ -55,8 +54,9 @@ bool read_request(int fd, GroupRequest* req) {
 /// Everything a worker needs, captured before forking so children
 /// inherit it copy-on-write (notably the levelized GroupSimulator —
 /// respawned workers fork from the supervisor's never-used pristine
-/// copy, so every attempt starts from identical state).
+/// copy, so every attempt starts from identical state — and the driver).
 struct WorkerContext {
+  const fault::GroupDriver& driver;
   fault::GroupSimulator& sim;
   const IsolateOptions& iso;
   std::uint64_t time_budget_ms = 0;
@@ -78,10 +78,10 @@ struct WorkerContext {
     ::setrlimit(RLIMIT_AS, &lim);
   }
   if (ctx.time_budget_ms != 0) {
-    // Coarse backstop only: the precise per-group bound is the
-    // cooperative deadline inside GroupSimulator plus the supervisor's
-    // wall-clock hard kill. RLIMIT_CPU is cumulative over the worker's
-    // whole life, so it cannot be a per-group limit.
+    // Coarse backstop only: the precise per-group bound is the slice's
+    // cooperative deadline plus the supervisor's wall-clock hard kill.
+    // RLIMIT_CPU is cumulative over the worker's whole life, so it
+    // cannot be a per-group limit.
     const rlim_t secs = static_cast<rlim_t>(ctx.time_budget_ms / 1000) * 2 + 30;
     rlimit lim{secs, secs};
     ::setrlimit(RLIMIT_CPU, &lim);
@@ -95,6 +95,8 @@ struct WorkerContext {
     // blocking when every lane is idle, a non-blocking peek at the pipe
     // while another lane is still busy. EOF ends the stream once the
     // lanes drain. The recording is complete, so every slice finishes.
+    // The driver bounds each slice from when its request is read (the
+    // supervisor forks outside the driver's lock).
     const auto pull = [&](bool wait) -> std::optional<fault::GroupSlice> {
       if (!wait) {
         pollfd p{in_fd, POLLIN, 0};
@@ -109,7 +111,7 @@ struct WorkerContext {
         // would, after the request was accepted.
         std::abort();
       }
-      return ctx.sim.slice(static_cast<std::size_t>(req.group));
+      return ctx.driver.slice(static_cast<std::size_t>(req.group));
     };
     ctx.sim.run(pull, [&](fault::GroupSlice&& slice, bool) {
       // One write of one journal frame: atomic on the pipe.
@@ -128,12 +130,16 @@ struct WorkerContext {
 }
 
 /// One group request on its way through a worker, with the driver's
-/// slice it answers. Queued requests use only `req`, `slice` and `solo`;
-/// the times are set when a worker takes it.
+/// slice it answers. Queued requests leave the times unset until a
+/// worker takes them.
 struct Job {
   GroupRequest req;
   fault::GroupSlice slice;
   bool solo = false;  // retry: runs alone in its worker
+  /// Peak RSS and summed CPU of the attempts whose workers died, folded
+  /// into the record so a crash-then-succeed group reports them too.
+  std::uint64_t dead_rss_kb = 0;
+  std::uint64_t dead_cpu_ms = 0;
   Clock::time_point started{};  // when the request was dispatched
   Clock::time_point deadline = Clock::time_point::max();  // hang kill
 };
@@ -223,7 +229,7 @@ fault::FaultSimResult run_fault_sim_isolated(
   // recording: children inherit all three copy-on-write. The supervisor
   // itself never simulates.
   const std::unique_ptr<fault::GroupSimulator> sim = driver.make_simulator();
-  const WorkerContext ctx{*sim, iso, options.time_budget_ms};
+  const WorkerContext ctx{driver, *sim, iso, options.time_budget_ms};
 
   // A worker that crashes mid-write leaves a half-closed pipe; writing
   // the next request to it must yield EPIPE, not kill the supervisor.
@@ -247,29 +253,13 @@ fault::FaultSimResult run_fault_sim_isolated(
           ? std::chrono::milliseconds(options.group_timeout_ms * 2 + 1000)
           : std::chrono::milliseconds(0);
 
-  // Rusage of worker attempts that died on a still-unresolved group,
-  // keyed by group: peak RSS across attempts, summed CPU. Folded into
-  // the group's record when it finally resolves — without the carry, a
-  // crash-then-succeed group would report only its surviving attempt
-  // and the dead attempts' cost would vanish from every report.
-  struct AttemptCost {
-    std::uint64_t max_rss_kb = 0;
-    std::uint64_t cpu_ms = 0;
-  };
-  std::unordered_map<std::uint64_t, AttemptCost> attempt_cost;
-
   // Hands a job's slice back to the driver, finished with `rec` and its
   // attempt accounting in rec.error (see fault::GroupRecord::error).
   const auto resolve = [&](Job job, fault::GroupRecord rec,
                            double duration_ms) {
     rec.error.attempts = job.req.attempt + 1;
-    const auto it = attempt_cost.find(rec.group);
-    if (it != attempt_cost.end()) {
-      rec.error.max_rss_kb =
-          std::max(rec.error.max_rss_kb, it->second.max_rss_kb);
-      rec.error.cpu_ms += it->second.cpu_ms;
-      attempt_cost.erase(it);
-    }
+    rec.error.max_rss_kb = std::max(rec.error.max_rss_kb, job.dead_rss_kb);
+    rec.error.cpu_ms += job.dead_cpu_ms;
     job.slice.rec = std::move(rec);
     job.slice.run_ms = duration_ms;
     driver.settle(std::move(job.slice), /*finished=*/true);
@@ -293,13 +283,12 @@ fault::FaultSimResult run_fault_sim_isolated(
       rec.error = err;
       resolve(job, std::move(rec), duration_ms);
     } else {
-      AttemptCost& acc = attempt_cost[group];
-      acc.max_rss_kb = std::max(acc.max_rss_kb, err.max_rss_kb);
-      acc.cpu_ms += err.cpu_ms;
       // Retry first so a transient failure is re-attempted while the
       // campaign is still warm, with the attempt count advanced.
-      retries.push_front(
-          {{group, job.req.attempt + 1}, job.slice, /*solo=*/true});
+      Job retry{{group, job.req.attempt + 1}, job.slice, /*solo=*/true};
+      retry.dead_rss_kb = std::max(job.dead_rss_kb, err.max_rss_kb);
+      retry.dead_cpu_ms = job.dead_cpu_ms + err.cpu_ms;
+      retries.push_front(std::move(retry));
     }
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 
 #include "sim/logicsim.h"
 
@@ -101,13 +102,13 @@ void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
   }
 }
 
-bool CompiledEventKernel::simulate(
-    const detail::InjectionTable& inj,
-    std::chrono::steady_clock::time_point deadline, GroupSlice* slice) {
+bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
+                                   GroupSlice* slice) {
   using Clock = std::chrono::steady_clock;
   const GoodTrace& tr = *trace_;
   const nl::CompiledNetlist& cn = *cn_;
   GroupRecord* const rec = &slice->rec;
+  const Clock::time_point deadline = slice->deadline;
   // Run to the stop cycle once the recording is complete, else to the
   // watermark, where the group parks.
   const GoodTrace::Watermark mark = tr.watermark();
@@ -200,10 +201,20 @@ bool CompiledEventKernel::simulate(
   Word live = all_mask & ~detected;
   std::uint64_t total_evals = 0;
   std::uint64_t kind_evals[nl::kNumCompiledOps] = {0, 0, 0, 0};
+  std::uint64_t cycles_run = 0;
   std::uint64_t cycle = slice->cycle;
   // The block of the current chunk: bit ci of blk[s] is slot s's good
-  // value at this cycle (the zero slot's word is 0).
+  // value at this cycle (the zero slot's word is 0). A chunk is filled
+  // from its block's first cycle, so a slice may resume at any cycle:
+  // the loop enters the next block at its first cycle, a resumed slice
+  // enters its own block here.
   const Word* blk = nullptr;
+  const auto enter_block = [&](std::uint64_t c) {
+    const std::uint64_t first = c - c % kChunk;
+    blk = tr.block(c / kChunk);
+    fill_chunk(inj, blk, std::min(kChunk, end - first));
+  };
+  if (cycle < end && cycle % kChunk != 0) enter_block(cycle);
   for (; cycle < end; ++cycle) {
     // Same amortized watchdog cadence and verdict as the sweep kernel.
     // Keep the clock read nested: folded into this condition it cost the
@@ -216,17 +227,14 @@ bool CompiledEventKernel::simulate(
       }
     }
     const std::uint64_t ci = cycle % kChunk;
-    if (ci == 0) {
-      blk = tr.block(cycle / kChunk);
-      fill_chunk(inj, blk, std::min(kChunk, end - cycle));
-    }
+    if (ci == 0) enter_block(cycle);
 
     // Quiet cycle: no site can diverge a live lane and no flip-flop
     // carries divergence — every net provably matches the good machine,
     // so nothing needs to be simulated or even touched. The wavefront
     // only ever starts at an excited site or a diverged flip-flop.
     if ((chunk_dv_[ci] & live) == 0 && diverged_dffs_.empty()) {
-      ++stats_.cycles;
+      ++cycles_run;
       continue;
     }
 
@@ -453,7 +461,7 @@ bool CompiledEventKernel::simulate(
       bucket.clear();
     }
     total_evals += evals;
-    ++stats_.cycles;
+    ++cycles_run;
 
     // 6. Detection — identical to the sweep kernel's po_diff handling.
     const Word diff = po_acc & all_mask & ~detected;
@@ -513,14 +521,17 @@ bool CompiledEventKernel::simulate(
     slot_flags_[inj_nodes_[k].q2] &= static_cast<std::uint8_t>(~kSlotTainted);
   }
 
-  stats_.gates_evaluated += total_evals;
+  // This slice's work, added to what the group's earlier slices did.
+  rec->gates_evaluated += total_evals;
+  rec->sim_cycles += cycles_run;
   for (std::size_t i = 0; i < nl::kNumCompiledOps; ++i) {
-    stats_.evals_by_kind[i] += kind_evals[i];
+    rec->evals_by_kind[i] += kind_evals[i];
   }
+  rec->engine_used = GroupEngine::kEvent;
   rec->detected_mask = detected;
   rec->cycles = cycle;
   if (rec->timed_out || detected == all_mask || mark.complete) return true;
-  // Parked at the watermark (a block boundary): carry the state over.
+  // Parked at the watermark: carry the state over.
   slice->cycle = cycle;
   slice->detected = detected;
   slice->diverged_dffs.swap(diverged_dffs_);

@@ -50,9 +50,11 @@
 // that gets there *parks*. simulate() returns with the group's cycle, its
 // detected machines and its diverged flip-flops in the GroupSlice. A
 // later call, on any worker's kernel, resumes from exactly that state.
-// The injection partition and the chunk schedule are rebuilt on resume,
-// and a park always falls on a chunk boundary, so a group simulated in
-// slices does the same work as one simulated in one go.
+// The injection partition and the chunk schedule are rebuilt on resume;
+// the schedule is filled from the first cycle of the resume cycle's
+// block, so a slice can resume at any cycle, and a group simulated in
+// slices does the same work as one simulated in one go. The kernel adds
+// each slice's work to the slice's record.
 //
 // Verdicts are bit-identical to the sweep kernel's: same detection
 // masks, detect cycles, fault dropping, cycle accounting and watchdog
@@ -61,7 +63,6 @@
 // nodes are not counted).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -98,22 +99,19 @@ class CompiledEventKernel {
                       std::shared_ptr<const GoodTrace> trace);
 
   /// Simulates the injected group of `slice` differentially against the
-  /// trace, from slice->cycle to the watermark, filling the record's
-  /// detected_mask, detect_cycle, cycles and timed_out
-  /// (rec.group/count/detect_cycle must be pre-sized by the caller).
-  /// Returns true when the group is finished: all machines detected,
-  /// timed out, or at the stop cycle of a complete recording. Returns
-  /// false when it parked at the watermark of a recording still being
-  /// written, with its carried state in `slice`. `deadline` is the
-  /// group's wall-clock bound (time_point::max() = unbounded), checked
-  /// with the sweep kernel's watchdog cadence. Precondition (checked when
-  /// the GroupSimulator is built): every non-DFF slotted gate of `inj`
-  /// has a compiled node.
-  bool simulate(const detail::InjectionTable& inj,
-                std::chrono::steady_clock::time_point deadline,
-                GroupSlice* slice);
-
-  const KernelStats& stats() const { return stats_; }
+  /// trace, from slice->cycle (any cycle) to the watermark, filling the
+  /// record's detected_mask, detect_cycle, cycles and timed_out, adding
+  /// the slice's gate evaluations, cycles and per-kind tallies to its
+  /// counters, and setting engine_used (rec.group/count/detect_cycle must
+  /// be pre-sized by the caller). Returns true when the group is
+  /// finished: all machines detected, timed out, or at the stop cycle of
+  /// a complete recording. Returns false when it parked at the watermark
+  /// of a recording still being written, with its carried state in
+  /// `slice`. slice->deadline is the group's wall-clock bound
+  /// (time_point::max() = unbounded), checked with the sweep kernel's
+  /// watchdog cadence. Precondition (checked when the GroupSimulator is
+  /// built): every non-DFF slotted gate of `inj` has a compiled node.
+  bool simulate(const detail::InjectionTable& inj, GroupSlice* slice);
 
  private:
   using Word = sim::Word;
@@ -206,8 +204,6 @@ class CompiledEventKernel {
   std::vector<std::uint8_t> chunk_ix_;
   Word chunk_dv_[kChunk];
   std::uint8_t chunk_flags_[kChunk];
-
-  KernelStats stats_;
 };
 
 }  // namespace sbst::fault

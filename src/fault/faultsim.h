@@ -185,7 +185,8 @@ struct FaultSimOptions {
   /// A group exceeding it stops early; its faults without a verdict are
   /// recorded as timed out (inconclusive), never as undetected. It
   /// counts from the group's claim, or from the end of the good-run
-  /// recording for a group claimed while it streamed.
+  /// recording for a group claimed while it streamed; under --isolate,
+  /// from when the worker reads the request (fresh for every attempt).
   std::uint64_t group_timeout_ms = 0;
   /// Wall-clock budget for the whole run in milliseconds (0 = unlimited).
   /// Groups unstarted when the budget expires are recorded as timed out
@@ -229,7 +230,10 @@ struct FaultSimResult {
   /// never "undetected" — and coverage is a lower bound. May be empty
   /// for results built before this field existed (treat as none).
   std::vector<std::uint8_t> quarantined;
-  /// Cycles the good machine ran for (environment stop or max_cycles).
+  /// Largest cycle count of the resolved groups' records, seeded ones
+  /// included (so a fully seeded resume, which records nothing, reports
+  /// the same number): the recording's length when some group runs to
+  /// its stop cycle, shorter when every group drops its faults early.
   std::uint64_t good_cycles = 0;
   /// Groups resolved by this run or a seed hook vs. the campaign total;
   /// groups_done < groups_scheduled iff the run was cancelled mid-way.
@@ -263,16 +267,6 @@ struct FaultSimResult {
   /// written (see GroupDriver::next_slice). Timing-dependent, like
   /// wall-clock cut-offs; 0 at one worker and under --isolate.
   std::size_t parks = 0;
-};
-
-/// Work counters of the event kernels: gate evaluations actually
-/// performed and machine cycles simulated. Deterministic (bit-stable for
-/// a fixed netlist/engine); GroupSimulator copies the per-group deltas
-/// into each GroupRecord.
-struct KernelStats {
-  std::uint64_t gates_evaluated = 0;
-  std::uint64_t cycles = 0;
-  std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};
 };
 
 /// Runs sequential fault simulation of `faults` on `netlist` inside the
@@ -332,12 +326,13 @@ class GroupPlan {
 
 class GoodTrace;
 
-/// A group on its way through a simulator: its record so far, the
-/// recording it runs against and the kernel state carried from one slice
-/// to the next. The sweep runs a slice to the end. The event kernel runs
-/// it to the recording's watermark; a group that reaches the watermark of
-/// a recording still being written *parks* there (always at a 64-cycle
-/// block boundary) and resumes from exactly this state, on any worker.
+/// A group on its way through a simulator: its record so far (work
+/// counters included: each kernel adds its own), the recording it runs
+/// against and the kernel state carried from one slice to the next. The
+/// sweep runs a fresh slice to the end. The event kernel runs it to the
+/// recording's watermark; a group that reaches the watermark of a
+/// recording still being written *parks* there and resumes from exactly
+/// this state, at any cycle, on any worker.
 struct GroupSlice {
   GroupRecord rec;
   std::shared_ptr<const GoodTrace> good_run;
@@ -346,7 +341,7 @@ struct GroupSlice {
   /// Flip-flops whose state diverges entering `cycle`, with their word.
   std::vector<std::pair<nl::GateId, std::uint64_t>> diverged_dffs;
   /// When the group was claimed, and its wall-clock bound for the next
-  /// slice (time_point::max() = unbounded).
+  /// slice (time_point::max() = unbounded; GroupDriver sets it).
   std::chrono::steady_clock::time_point claimed;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
@@ -375,30 +370,26 @@ struct GroupSlice {
 /// the next slice the moment a lane's group ends.
 class GroupSimulator {
  public:
-  /// `run_deadline` (time_budget_ms) is the same instant for every
-  /// worker. `compiled` is the campaign-shared program (nl::compile(netlist));
+  /// `compiled` is the campaign-shared program (nl::compile(netlist));
   /// pass null to compile privately. Like the recording it is built
   /// once per campaign and inherited copy-on-write by forked workers.
   GroupSimulator(const nl::Netlist& netlist, const nl::FaultList& faults,
-                 const GroupPlan& plan, const FaultSimOptions& options,
+                 const GroupPlan& plan,
                  std::shared_ptr<const GoodTrace> good_run,
-                 std::chrono::steady_clock::time_point run_deadline =
-                     std::chrono::steady_clock::time_point::max(),
                  std::shared_ptr<const nl::CompiledNetlist> compiled =
                      nullptr);
   ~GroupSimulator();
   GroupSimulator(const GroupSimulator&) = delete;
   GroupSimulator& operator=(const GroupSimulator&) = delete;
 
-  /// A fresh slice of `group` against this simulator's recording,
-  /// bounded by group_timeout_ms from now and by the run deadline.
+  /// A fresh, unbounded slice of `group` against this simulator's
+  /// recording (GroupDriver::slice() is the bounded one a run uses).
   GroupSlice slice(std::size_t group) const;
 
-  /// Simulates one group to a record: run() of slice(group) alone
-  /// (honours the recorded stop cycle, group_timeout_ms and the run
-  /// deadline; sets timed_out when a bound cut the group short).
-  /// Bit-deterministic absent wall-clock cutoffs, and bit-identical
-  /// across both kernels.
+  /// Simulates one group to a record, unbounded: run() of slice(group)
+  /// alone, to the recorded stop cycle or until every fault is detected.
+  /// The one-group reference: bit-deterministic, and bit-identical across
+  /// both kernels.
   GroupRecord simulate(std::size_t group);
 
   /// Groups the kernel keeps in flight at once: 2 for the sweep, 1 for
@@ -419,7 +410,7 @@ class GroupSimulator {
   /// Streams slices through the kernel until `pull` ends the stream and
   /// every lane has drained. The event kernel runs each slice to the
   /// watermark under its deadline; the sweep runs fresh slices to the
-  /// end.
+  /// end under theirs. Each kernel adds a slice's work to its record.
   void run(const PullSlice& pull, const EmitSlice& emit);
 
  private:
@@ -472,10 +463,16 @@ class GroupDriver {
   /// Groups left to claim (scheduled, not seeded, not yet claimed).
   std::size_t pending() const;
 
-  /// A simulator over this run's plan, compiled netlist, recording and
-  /// run deadline: one per worker thread, or one to fork from. While
-  /// record() runs, its recording is the one being written. Thread-safe.
+  /// A simulator over this run's plan, compiled netlist and recording:
+  /// one per worker thread, or one to fork from. While record() runs,
+  /// its recording is the one being written. Thread-safe.
   std::unique_ptr<GroupSimulator> make_simulator() const;
+
+  /// A fresh slice of `group`, bounded like next_slice()'s as if claimed
+  /// now; the schedule is not touched. An isolated worker builds each
+  /// request's slice with the driver it inherited, so the bound counts
+  /// from when it reads the request. Thread-safe.
+  GroupSlice slice(std::size_t group) const;
 
   /// The next slice to run and hand back to settle(). Once the recording
   /// has ended: a parked group (none while draining), else a fresh claim
@@ -510,6 +507,9 @@ class GroupDriver {
   /// exhausted, options.cancel is set or stop() was called. Groups still
   /// unstarted at the run deadline resolve here, as timed out.
   std::optional<std::size_t> claim();
+  /// The run's one group bound on s->deadline (see next_slice()). Call
+  /// with the stream mutex held.
+  void bound(GroupSlice* s) const;
   void fold(const GroupRecord& rec, bool seeded, double duration_ms);
   void end_recording(std::shared_ptr<const GoodTrace> trace);
   /// options.cancel is set or stop() was called.

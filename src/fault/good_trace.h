@@ -100,9 +100,8 @@ class GoodTrace {
 
   // --- planes (readable below the watermark) -------------------------------
 
-  /// Words per block: num_gates + 1.
-  std::size_t block_words() const { return block_words_; }
-  /// Block b (cycles [64 b, 64 b + 64)).
+  /// Block b: cycles [64 b, 64 b + 64), one word per gate plus the zero
+  /// slot (num_gates + 1 words).
   const sim::Word* block(std::uint64_t b) const {
     const unsigned k = std::bit_width(b + 1) - 1;
     return segments_[k][b + 1 - (std::uint64_t{1} << k)].get();

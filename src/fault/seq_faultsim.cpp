@@ -93,7 +93,8 @@ static_assert(sizeof(LaneWord) == kLanes * sizeof(Word),
 /// while the other lane is busy.
 constexpr unsigned kPollCycles = 16;
 
-/// One lane: the slice it simulates and everything lane-local about it.
+/// One lane: the slice it simulates (its cycle and detected machines
+/// included) and everything else lane-local about it.
 struct SweepLane {
   explicit SweepLane(const nl::Netlist& netlist) : inj(netlist.size()) {}
 
@@ -101,8 +102,6 @@ struct SweepLane {
   GroupSlice slice;
   InjectionTable inj;
   Word all_mask = 0;
-  Word detected = 0;
-  std::uint64_t cycle = 0;
   std::uint64_t evaluated = 0;  // cycles evaluated (work counters)
   std::chrono::steady_clock::time_point started;
 };
@@ -223,8 +222,6 @@ struct GroupSimulator::Impl {
   const nl::Netlist& netlist;
   const nl::FaultList& faults;
   const GroupPlan& plan;
-  std::uint64_t group_timeout_ms;
-  Clock::time_point run_deadline;
   // Campaign-shared compiled program (compiled privately when the caller
   // did not pass one).
   std::shared_ptr<const nl::CompiledNetlist> compiled;
@@ -244,15 +241,11 @@ struct GroupSimulator::Impl {
   std::unique_ptr<LaneSweep> sweep;
 
   Impl(const nl::Netlist& n, const nl::FaultList& f, const GroupPlan& p,
-       const FaultSimOptions& options,
        std::shared_ptr<const GoodTrace> good_trace,
-       Clock::time_point deadline,
        std::shared_ptr<const nl::CompiledNetlist> comp)
       : netlist(n),
         faults(f),
         plan(p),
-        group_timeout_ms(options.group_timeout_ms),
-        run_deadline(deadline),
         compiled(comp ? std::move(comp) : nl::compile(n)),
         inj(n.size()) {
     use(std::move(good_trace));
@@ -305,14 +298,6 @@ struct GroupSimulator::Impl {
     }
   }
 
-  /// The wall-clock bound of a group starting now: its group timeout or
-  /// the run deadline, whichever comes first (time_point::max() = none).
-  Clock::time_point group_deadline() const {
-    if (group_timeout_ms == 0) return run_deadline;
-    return std::min(run_deadline,
-                    Clock::now() + std::chrono::milliseconds(group_timeout_ms));
-  }
-
   /// Sweep work counters count every combinational gate once per
   /// evaluated cycle, folded BUFs included, so they are a pure function
   /// of (netlist, evaluated cycles) and the same in either lane.
@@ -338,22 +323,12 @@ struct GroupSimulator::Impl {
 };
 
 // One slice: the injection table and the kernel's per-group partition
-// are rebuilt from the group index, the carried state comes from the
-// slice, and the slice's work is added to the record's counters.
+// are rebuilt from the group index; the carried state, the bound and the
+// record the kernel adds its work to all come with the slice.
 bool GroupSimulator::Impl::advance_event(GroupSlice* slice) {
-  GroupRecord& rec = slice->rec;
-  load(rec.group, inj);
+  load(slice->rec.group, inj);
   if (!event) event.emplace(netlist, *compiled, po_bits, trace);
-  const KernelStats before = event->stats();
-  const bool finished = event->simulate(inj, slice->deadline, slice);
-  const KernelStats& after = event->stats();
-  rec.gates_evaluated += after.gates_evaluated - before.gates_evaluated;
-  rec.sim_cycles += after.cycles - before.cycles;
-  for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-    rec.evals_by_kind[i] += after.evals_by_kind[i] - before.evals_by_kind[i];
-  }
-  rec.engine_used = GroupEngine::kEvent;
-  return finished;
+  return event->simulate(inj, slice);
 }
 
 // The two-lane compiled sweep. Each pass runs one cycle of every busy
@@ -403,19 +378,20 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
-      if (ln.cycle >= stop) {
+      const std::uint64_t cycle = ln.slice.cycle;
+      if (cycle >= stop) {
         finish_lane(l, false, emit);
         continue;
       }
       // Amortized watchdog: one clock read every 1024 cycles keeps the
       // bound within ~ms granularity without slowing the hot loop.
       if (ln.slice.deadline != Clock::time_point::max() &&
-          (ln.cycle & 1023u) == 1023u && Clock::now() >= ln.slice.deadline)
+          (cycle & 1023u) == 1023u && Clock::now() >= ln.slice.deadline)
           [[unlikely]] {
         finish_lane(l, true, emit);
         continue;
       }
-      const Word* const in = trace->stimulus(ln.cycle);
+      const Word* const in = trace->stimulus(cycle);
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         v[inputs[i]][l] = Word{0} - ((in[i >> 6] >> (i & 63)) & 1);
       }
@@ -442,33 +418,36 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
       ++ln.evaluated;
-      const Word d = diff[l] & ln.all_mask & ~ln.detected;
+      GroupSlice& sl = ln.slice;
+      const Word d = diff[l] & ln.all_mask & ~sl.detected;
       if (d != 0) {
         for (Word m = d; m != 0; m &= m - 1) {
           const auto slot = static_cast<std::size_t>(std::countr_zero(m));
-          ln.slice.rec.detect_cycle[slot] = static_cast<std::int64_t>(ln.cycle);
+          sl.rec.detect_cycle[slot] = static_cast<std::int64_t>(sl.cycle);
         }
-        ln.detected |= d;
-        if (ln.detected == ln.all_mask) {  // fault dropping: group done
+        sl.detected |= d;
+        if (sl.detected == ln.all_mask) {  // fault dropping: group done
           finish_lane(l, false, emit);
           continue;
         }
       }
-      ++ln.cycle;
+      ++sl.cycle;
     }
     if (s.busy != 0) step_lanes();
   }
 }
 
 void GroupSimulator::Impl::load_lane(int l, GroupSlice&& slice) {
+  if (slice.cycle != 0) {  // a lane starts from lane-local reset
+    throw std::logic_error("the sweep cannot resume group " +
+                           std::to_string(slice.rec.group));
+  }
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
   ln.slice = std::move(slice);
   load(ln.slice.rec.group, ln.inj);
   LaneWord* const v = sweep->v.data();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
   ln.all_mask = (Word{1} << ln.slice.rec.count) - 1;  // count <= 63
-  ln.detected = 0;
-  ln.cycle = 0;
   ln.evaluated = 0;
   ln.started = Clock::now();
   ln.busy = true;
@@ -484,8 +463,8 @@ void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
   rebuild_fixups();
   GroupRecord& rec = ln.slice.rec;
   rec.timed_out = timed_out;
-  rec.detected_mask = ln.detected;
-  rec.cycles = ln.cycle;
+  rec.detected_mask = ln.slice.detected;
+  rec.cycles = ln.slice.cycle;
   set_sweep_counters(rec, ln.evaluated);
   ln.slice.run_ms +=
       std::chrono::duration<double, std::milli>(Clock::now() - ln.started)
@@ -565,12 +544,9 @@ void GroupSimulator::Impl::step_lanes() {
 
 GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
-    const GroupPlan& plan, const FaultSimOptions& options,
-    std::shared_ptr<const GoodTrace> good_run,
-    std::chrono::steady_clock::time_point run_deadline,
+    const GroupPlan& plan, std::shared_ptr<const GoodTrace> good_run,
     std::shared_ptr<const nl::CompiledNetlist> compiled)
-    : impl_(std::make_unique<Impl>(netlist, faults, plan, options,
-                                   std::move(good_run), run_deadline,
+    : impl_(std::make_unique<Impl>(netlist, faults, plan, std::move(good_run),
                                    std::move(compiled))) {}
 
 GroupSimulator::~GroupSimulator() = default;
@@ -584,7 +560,6 @@ GroupSlice GroupSimulator::slice(std::size_t group) const {
   s.rec = impl_->plan.unstarted_record(group);
   s.good_run = impl_->trace;
   s.claimed = Impl::Clock::now();
-  s.deadline = impl_->group_deadline();
   return s;
 }
 
@@ -636,7 +611,7 @@ struct GroupDriver::Stream {
   std::shared_ptr<const GoodTrace> current;
   Clock::time_point ended;  // the epoch until the recording ends
   std::vector<GroupSlice> parked;
-  std::vector<std::pair<GroupRecord, double>> held;  // finished while recording
+  std::vector<GroupSlice> held;  // finished while recording
   std::vector<std::size_t> returned;  // claimed, then discarded
   std::size_t parks = 0;
 
@@ -756,7 +731,7 @@ void GroupDriver::record() {
 void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
   using Clock = std::chrono::steady_clock;
   Stream& st = *stream_;
-  std::vector<std::pair<GroupRecord, double>> held;
+  std::vector<GroupSlice> held;
   {
     std::lock_guard<std::mutex> lock(st.mu);
     st.ended = Clock::now();
@@ -773,7 +748,7 @@ void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
     if (keep) {
       held.swap(st.held);
     } else {
-      for (const auto& h : st.held) st.returned.push_back(h.first.group);
+      for (const GroupSlice& s : st.held) st.returned.push_back(s.rec.group);
       for (const GroupSlice& s : st.parked) st.returned.push_back(s.rec.group);
       st.held.clear();
       st.parked.clear();
@@ -782,9 +757,9 @@ void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
   st.cv.notify_all();
   // Held groups fold as if each had started only now: once a drain is
   // set (say by a progress hook), the rest stay unsimulated.
-  for (const auto& [rec, ms] : held) {
+  for (const GroupSlice& s : held) {
     if (draining()) break;
-    fold(rec, /*seeded=*/false, ms);
+    fold(s.rec, /*seeded=*/false, s.run_ms);
   }
 }
 
@@ -804,9 +779,31 @@ std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
     std::lock_guard<std::mutex> lock(stream_->mu);
     trace = stream_->current;
   }
-  return std::make_unique<GroupSimulator>(netlist_, faults_, plan_, options_,
-                                          std::move(trace), deadline_,
-                                          compiled_);
+  return std::make_unique<GroupSimulator>(netlist_, faults_, plan_,
+                                          std::move(trace), compiled_);
+}
+
+GroupSlice GroupDriver::slice(std::size_t group) const {
+  GroupSlice s;
+  s.rec = plan_.unstarted_record(group);
+  s.claimed = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(stream_->mu);
+  s.good_run = stream_->current;
+  bound(&s);
+  return s;
+}
+
+void GroupDriver::bound(GroupSlice* s) const {
+  // Unbounded before the recording completes (a slice stops at the
+  // watermark); after, the group timeout counts from the later of the
+  // claim and the end of the recording.
+  if (s->good_run != nullptr && !s->good_run->watermark().complete) return;
+  s->deadline = deadline_;
+  if (options_.group_timeout_ms != 0) {
+    s->deadline = std::min(
+        deadline_, std::max(s->claimed, stream_->ended) +
+                       std::chrono::milliseconds(options_.group_timeout_ms));
+  }
 }
 
 std::optional<std::size_t> GroupDriver::claim() {
@@ -874,18 +871,7 @@ std::optional<GroupSlice> GroupDriver::next_slice(bool wait) {
       s = st.take_parked(seen);
     }
     if (s) {
-      // Unbounded before the recording completes (a slice stops at the
-      // watermark); after, the group timeout counts from the later of
-      // the claim and the end of the recording.
-      if (s->good_run == nullptr || s->good_run->watermark().complete) {
-        s->deadline = deadline_;
-        if (options_.group_timeout_ms != 0) {
-          s->deadline = std::min(
-              deadline_,
-              std::max(s->claimed, st.ended) +
-                  std::chrono::milliseconds(options_.group_timeout_ms));
-        }
-      }
+      bound(&*s);
       return s;
     }
     if (st.live == nullptr) continue;
@@ -912,14 +898,14 @@ void GroupDriver::settle(GroupSlice&& slice, bool finished) {
       return;
     }
     if (st.live != nullptr) {
-      st.held.emplace_back(std::move(slice.rec), slice.run_ms);
+      st.held.push_back(std::move(slice));
       return;
     }
   }
   fold(slice.rec, /*seeded=*/false, slice.run_ms);
 }
 
-// Summing per-record counters (instead of per-worker KernelStats) makes
+// Summing per-record counters (instead of per-worker tallies) makes
 // the aggregate a pure function of the resolved records: seeded groups
 // contribute the work their original simulation recorded, so resumed and
 // uninterrupted campaigns agree. Progress is counted and reported under

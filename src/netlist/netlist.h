@@ -41,7 +41,6 @@ class Netlist {
   ComponentId declare_component(std::string name);
   /// Sets the component tag applied to subsequently added gates.
   void set_current_component(ComponentId c);
-  ComponentId current_component() const { return current_component_; }
   int num_components() const { return static_cast<int>(component_names_.size()); }
   const std::string& component_name(ComponentId c) const;
 

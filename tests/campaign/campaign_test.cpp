@@ -351,30 +351,37 @@ TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
   // trips the 20ms group timeout long before their last cycle. The
   // sweep engine keeps it a pure group-timeout test: the event engine
   // skips the quiet cycles of an unexcited group and could reach the
-  // last cycle first.
+  // last cycle first. The same bound holds in a worker process, which
+  // gets it from the driver it inherited.
   opt.sim.max_cycles = 1'000'000;
   opt.sim.group_timeout_ms = 20;
   opt.sim.engine = fault::Engine::kSweep;
+  opt.iso.workers = 1;
   const auto env = []() {
     return std::make_unique<SlowEnv>(std::chrono::microseconds(0));
   };
-  const CampaignResult cres =
-      run_campaign(n, faults, env, kFp, opt);
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "threaded");
+    opt.isolate = isolate;
+    const CampaignResult cres = run_campaign(n, faults, env, kFp, opt);
 
-  EXPECT_EQ(cres.groups_done, cres.groups_total);
-  EXPECT_FALSE(cres.interrupted);
-  // With constant inputs some faults flip a PO at cycle 0 (detected
-  // before the timeout) but the rest can never get a verdict: every one
-  // of those must surface as timed_out, none as silently undetected.
-  EXPECT_GT(cres.faults_timed_out, 0u);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(cres.result.simulated[i], 1);
-    EXPECT_EQ(cres.result.detected[i] + cres.result.timed_out[i], 1)
-        << "fault " << i << " must be exactly one of detected/inconclusive";
+    EXPECT_EQ(cres.groups_done, cres.groups_total);
+    EXPECT_FALSE(cres.interrupted);
+    EXPECT_EQ(cres.worker_restarts, 0u);
+    // With constant inputs some faults flip a PO at cycle 0 (detected
+    // before the timeout) but the rest can never get a verdict: every
+    // one of those must surface as timed_out, none as silently
+    // undetected, and none as quarantined.
+    EXPECT_GT(cres.faults_timed_out, 0u);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(cres.result.simulated[i], 1);
+      EXPECT_EQ(cres.result.detected[i] + cres.result.timed_out[i], 1)
+          << "fault " << i << " must be exactly one of detected/inconclusive";
+    }
+    const fault::Coverage cov = fault::overall_coverage(faults, cres.result);
+    EXPECT_TRUE(cov.is_lower_bound());
+    EXPECT_EQ(cov.timed_out + cov.detected, cov.total);
   }
-  const fault::Coverage cov = fault::overall_coverage(faults, cres.result);
-  EXPECT_TRUE(cov.is_lower_bound());
-  EXPECT_EQ(cov.timed_out + cov.detected, cov.total);
 }
 
 TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {

@@ -203,8 +203,8 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
     FaultSimOptions opt;
     opt.max_cycles = 4096;
     const GroupPlan plan(fl, opt);
-    GroupSimulator event(n, fl, plan, opt, uncapped);
-    GroupSimulator replay(n, fl, plan, opt, capped);
+    GroupSimulator event(n, fl, plan, uncapped);
+    GroupSimulator replay(n, fl, plan, capped);
     EXPECT_EQ(event.lanes(), 1u);
     EXPECT_EQ(replay.lanes(), 2u);
     for (std::size_t g = 0; g < plan.num_groups(); ++g) {

@@ -21,7 +21,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classify.h"
@@ -311,8 +313,8 @@ TEST(EventKernel, ScheduleChunkPlasmaSampledMatchesSweepAndInterp) {
 }
 
 TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
-  // An already-expired run deadline trips the watchdog at its first
-  // check (cycle 1023), after the chunk [960, 1024) was filled but
+  // An already-expired bound on each slice trips the watchdog at its
+  // first check (cycle 1023), after the chunk [960, 1024) was filled but
   // before its last cycle ran. Every kernel must stop at the same cycle
   // with the same partial verdicts. The straggler never fires, so group
   // 0 runs one live lane from cycle 70 until the cut.
@@ -330,12 +332,17 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   std::map<std::string, std::vector<GroupRecord>> by_engine;
   for (const EngineCase& e : kEngines) {
     opt.engine = e.engine;
-    GroupSimulator sim(pn.n, fl, plan, opt,
+    GroupSimulator sim(pn.n, fl, plan,
                        record_good_trace(pn.n, env, opt.max_cycles, 0,
-                                         e.engine == Engine::kEvent),
-                       std::chrono::steady_clock::now());
+                                         e.engine == Engine::kEvent));
     for (std::size_t g = 0; g < plan.num_groups(); ++g) {
-      by_engine[e.name].push_back(sim.simulate(g));
+      std::optional<GroupSlice> bounded = sim.slice(g);
+      bounded->deadline = std::chrono::steady_clock::now();
+      sim.run([&](bool) { return std::exchange(bounded, std::nullopt); },
+              [&](GroupSlice&& s, bool finished) {
+                EXPECT_TRUE(finished);
+                by_engine[e.name].push_back(std::move(s.rec));
+              });
     }
   }
   const std::vector<GroupRecord>& want = by_engine["sweep"];

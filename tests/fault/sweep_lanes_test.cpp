@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -78,7 +79,8 @@ Records grade(const nl::Netlist& n, const nl::FaultList& fl,
   return out;
 }
 
-/// Streams fresh slices of `groups` through GroupSimulator::run and logs
+/// Streams fresh slices of `groups` through GroupSimulator::run, each
+/// bounded by `timeout` from when it is pulled (0 = unbounded), and logs
 /// how the lanes were used.
 struct LaneRun {
   Records records;
@@ -87,7 +89,8 @@ struct LaneRun {
   bool refilled_mid_run = false;  // loaded next to a running group
 };
 
-LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups) {
+LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups,
+                  std::chrono::milliseconds timeout = {}) {
   LaneRun out;
   std::size_t next = 0;
   std::set<std::uint64_t> in_flight;
@@ -99,7 +102,9 @@ LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups) {
         }
         in_flight.insert(groups[next]);
         out.max_in_flight = std::max(out.max_in_flight, in_flight.size());
-        return sim.slice(groups[next++]);
+        GroupSlice s = sim.slice(groups[next++]);
+        if (timeout.count() != 0) s.deadline = s.claimed + timeout;
+        return s;
       },
       [&](GroupSlice&& slice, bool finished) {
         EXPECT_TRUE(finished);
@@ -259,12 +264,12 @@ TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
   opt.engine = Engine::kSweep;
   const GroupPlan plan(fl, opt);
   const auto run400 = good_run(n, pattern_env(400), opt);
-  GroupSimulator alone(n, fl, plan, opt, run400);
+  GroupSimulator alone(n, fl, plan, run400);
   const Records want = simulate_alone(alone, plan);
   expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles,
                          {{0, want.at(0)}, {1, want.at(1)}});
 
-  GroupSimulator lanes(n, fl, plan, opt, run400);
+  GroupSimulator lanes(n, fl, plan, run400);
   EXPECT_EQ(lanes.lanes(), 2u);
   const LaneRun run = run_lanes(lanes, all_groups(plan));
   EXPECT_EQ(run.max_in_flight, 2u) << "both lanes must run at once";
@@ -359,7 +364,7 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   opt.engine = Engine::kSweep;
   const GroupPlan plan(faults, opt);
   const auto recorded = good_run(cpu.netlist, env, opt);
-  GroupSimulator alone(cpu.netlist, faults, plan, opt, recorded);
+  GroupSimulator alone(cpu.netlist, faults, plan, recorded);
   Records want;
   for (std::size_t g = opt.shard_index; g < plan.num_groups();
        g += opt.shard_count) {
@@ -372,7 +377,7 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   std::vector<std::size_t> groups;
   for (const auto& [g, rec] : want) groups.push_back(g);
 
-  GroupSimulator sim(cpu.netlist, faults, plan, opt, recorded);
+  GroupSimulator sim(cpu.netlist, faults, plan, recorded);
   const LaneRun run = run_lanes(sim, groups);
   EXPECT_TRUE(run.refilled_mid_run);
   EXPECT_EQ(run.max_in_flight, 2u);
@@ -400,7 +405,7 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   opt.engine = Engine::kSweep;
   const GroupPlan plan(faults, opt);
   const auto recorded = good_run(cpu.netlist, env, opt);
-  GroupSimulator alone(cpu.netlist, faults, plan, opt, recorded);
+  GroupSimulator alone(cpu.netlist, faults, plan, recorded);
   const Records want = simulate_alone(alone, plan);
   ASSERT_GT(want.size(), 20u);
 
@@ -412,7 +417,7 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
   // An odd-length stream: the last group runs with its partner lane idle.
   std::vector<std::size_t> odd = all_groups(plan);
   if (odd.size() % 2 == 0) odd.pop_back();
-  GroupSimulator sim(cpu.netlist, faults, plan, opt, recorded);
+  GroupSimulator sim(cpu.netlist, faults, plan, recorded);
   const LaneRun run = run_lanes(sim, odd);
   EXPECT_TRUE(run.refilled_mid_run);
   for (const auto& [g, rec] : run.records) {
@@ -458,14 +463,15 @@ TEST(SweepLanes, GroupTimeoutInOneLaneWhileTheOtherCompletes) {
   opt.max_cycles = 1'000'000;
   const GroupPlan plan(fl, opt);
   const auto recorded = good_run(n, pattern_env(opt.max_cycles), opt);
-  GroupSimulator plain(n, fl, plan, opt, recorded);
+  GroupSimulator plain(n, fl, plan, recorded);
   const GroupRecord want = plain.simulate(1);
   ASSERT_FALSE(want.timed_out);
   ASSERT_LE(want.cycles, 64u);
 
-  opt.group_timeout_ms = 20;
-  GroupSimulator sim(n, fl, plan, opt, recorded);
-  const LaneRun run = run_lanes(sim, {0, 1});
+  // Each slice carries a 20 ms bound, as a run's driver would set it.
+  GroupSimulator sim(n, fl, plan, recorded);
+  const LaneRun run =
+      run_lanes(sim, {0, 1}, std::chrono::milliseconds(20));
   EXPECT_EQ(run.max_in_flight, 2u);
   ASSERT_EQ(run.emit_order.size(), 2u);
   EXPECT_EQ(run.emit_order[0], 1u) << "the healthy lane finishes first";
