@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,21 +28,6 @@
 #include "bench_common.h"
 
 using namespace sbst;
-
-namespace {
-
-constexpr int kBestOf = 5;
-
-/// The host's 1-minute load average (first field of /proc/loadavg), or
-/// -1 where it cannot be read.
-double load_average() {
-  std::ifstream in("/proc/loadavg");
-  double load = -1;
-  if (!(in >> load)) return -1;
-  return load;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool full = false;
@@ -87,8 +71,8 @@ int main(int argc, char** argv) {
   fault::FaultSimResult reference;
   bool have_reference = false;
   bool deterministic = true;
-  const double load_start = load_average();
-  for (int round = 0; round < kBestOf; ++round) {
+  const double load_start = bench::load_average();
+  for (int round = 0; round < bench::kBestOf; ++round) {
     for (std::size_t k = 0; k < runs.size(); ++k) {
       Run& r = runs[round % 2 == 0 ? k : runs.size() - 1 - k];
       fault::FaultSimOptions o = opt;
@@ -114,10 +98,10 @@ int main(int argc, char** argv) {
       r.seconds = std::min(r.seconds, secs);
     }
   }
-  const double load_end = load_average();
+  const double load_end = bench::load_average();
   for (const Run& r : runs) {
     std::printf("  threads=%-2u  %7.2fs (best of %d)\n", r.threads, r.seconds,
-                kBestOf);
+                bench::kBestOf);
   }
   std::printf("load average %.2f at start, %.2f at end\n", load_start,
               load_end);
@@ -154,7 +138,7 @@ int main(int argc, char** argv) {
                // single-core box the thread sweep measures scheduling
                // overhead, not parallel scaling.
                hw == 1 ? "true" : "false", cov.percent(),
-               deterministic ? "true" : "false", kBestOf, load_start,
+               deterministic ? "true" : "false", bench::kBestOf, load_start,
                load_end);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     std::fprintf(f,

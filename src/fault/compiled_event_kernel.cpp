@@ -3,12 +3,23 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <utility>
 
 #include "sim/logicsim.h"
 
 namespace sbst::fault {
 
 using sim::Word;
+
+namespace {
+
+// Bit i of a bitmap stored in 64-bit words.
+void set_bit(Word* map, std::size_t i) { map[i >> 6] |= Word{1} << (i & 63); }
+Word get_bit(const Word* map, std::size_t i) {
+  return (map[i >> 6] >> (i & 63)) & 1;
+}
+
+}  // namespace
 
 void aggregate_seed_forces(const std::vector<detail::Injection>& list,
                            std::vector<SeedForce>* out) {
@@ -48,16 +59,17 @@ CompiledEventKernel::CompiledEventKernel(
   for (std::size_t i = 0; i < cn.num_nodes(); ++i) {
     const std::uint32_t guards = cn.guard_offset[i + 1] - cn.guard_offset[i];
     nodes_[i] = {cn.node_in0[i], cn.node_in1[i], cn.node_in2[i],
-                 cn.node_gate[i], cn.node_level[i],
+                 cn.node_gate[i],
                  static_cast<std::uint8_t>(cn.node_meta[i] |
                                            (guards << kGuardShift))};
   }
-  vm_.assign(n + 1, Slot{0, 0});
-  seen_.assign(n + 1, 0);
-  queued_.assign(cn.num_nodes(), 0);
+  // At least one word each, so the scan's first word always exists.
+  const auto words = [](std::size_t bits) { return bits / 64 + 1; };
+  vm_.assign(n + 1, 0);
+  valid_.assign(words(n + 1), 0);
+  wave_.assign(words(cn.num_nodes()), 0);
+  wake_.assign(words(cn.dff_gate.size()), 0);
   inj_slot_of_node_.assign(cn.num_nodes(), 0);
-  cand_mark_.assign(cn.dff_gate.size(), 0);
-  buckets_.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
 }
 
 void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
@@ -68,7 +80,7 @@ void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
   // One word per probed gate holds all 64 cycles of the block.
   for (std::size_t k = 0; k < num_sites; ++k) {
     const InjectedNode& r = inj_nodes_[k];
-    const Word w0 = blk[r.p0], w1 = blk[r.p1], w2 = blk[r.p2];
+    const Word w0 = blk[r.q0], w1 = blk[r.q1], w2 = blk[r.q2];
     std::uint8_t* const ix_col = chunk_ix_.data() + k;
     for (std::uint64_t i = 0; i < len; ++i) {
       const unsigned ix = static_cast<unsigned>(
@@ -144,16 +156,13 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     r.q0 = pin(gate.in[0]);
     r.q1 = pin(gate.in[1]);
     r.q2 = pin(gate.in[2]);
-    // A pin contributes to the LUT iff it resolved to a real slot; the
-    // lane-wise fallback sees 0 for the rest (value of the zero slot),
-    // so LUT rows that differ only in a non-contributing bit coincide
-    // and any probe value for that bit is exact.
+    // A pin contributes to the LUT iff it resolved to a real slot. A
+    // missing pin is the zero slot, whose good bit is 0 and whose valid
+    // bit is never set, so the LUT holds its input at 0 as the lane-wise
+    // fallback does.
     const bool u0 = r.q0 < n32;
     const bool u1 = r.q1 < n32;
     const bool u2 = r.q2 < n32;
-    r.p0 = u0 ? r.q0 : 0;  // never probe the always-marked zero slot
-    r.p1 = u1 ? r.q1 : r.p0;
-    r.p2 = u2 ? r.q2 : r.p0;
     for (unsigned ix = 0; ix < 8; ++ix) {
       const Word A = u0 ? Word{0} - (ix & 1) : 0;
       const Word B = u1 ? Word{0} - ((ix >> 1) & 1) : 0;
@@ -185,10 +194,12 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   diverged_dffs_.swap(slice->diverged_dffs);
   slice->diverged_dffs.clear();
   next_diverged_.clear();
-  dff_cands_.clear();
 
   const Node* const nodes = nodes_.data();
-  Slot* const vm = vm_.data();
+  Word* const vm = vm_.data();
+  Word* const valid = valid_.data();
+  Word* const wave = wave_.data();
+  Word* const wake = wake_.data();
   const std::uint32_t* const fo_off = cn.fanout_offset.data();
 
   Word detected = slice->detected;
@@ -244,11 +255,17 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     const auto good_word = [&](std::uint32_t s) -> Word {
       return Word{0} - ((blk[s] >> ci) & 1);
     };
-    const std::uint64_t st = ++stamp_;
-    // The always-zero slot is valid every cycle.
-    vm[cn.zero_slot] = {0, st};
     Word po_acc = 0;
-    std::uint32_t lvl_hi = 0;
+    // Highest wavefront word with a bit set; grows during the scan.
+    std::uint32_t wave_hi = 0;
+    const auto set_value = [&](std::uint32_t s, Word w) {
+      vm[s] = w;
+      set_bit(valid, s);
+    };
+    const auto queue = [&](std::uint32_t nidx) {
+      set_bit(wave, nidx);
+      wave_hi = std::max(wave_hi, nidx >> 6);
+    };
 
     // Value of a slot as the faulty machines see it this cycle, paired
     // with the good broadcast: the diverged word when one was computed,
@@ -267,10 +284,9 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
       Word g;  // good broadcast (0 for the zero slot)
     };
     auto value_of = [&](std::uint32_t s) -> VG {
-      const Slot& sl = vm[s];
       const Word good = good_word(s);
-      const Word m = Word{0} - (sl.mark == st);
-      return {(sl.v & m) | (good & ~m), good};
+      const Word m = Word{0} - get_bit(valid, s);
+      return {(vm[s] & m) | (good & ~m), good};
     };
     auto schedule_consumers = [&](std::uint32_t s) {
       const std::uint32_t* const fo = cn.fanout.data();
@@ -281,11 +297,8 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
           // Flip-flops do not propagate combinationally; they become
           // re-clock candidates at this cycle's edge.
           const std::uint32_t d = entry & ~nl::CompiledNetlist::kDffFlag;
-          if (cand_mark_[d] != st) {
-            cand_mark_[d] = st;
-            dff_cands_.push_back(d);
-          }
-        } else if (queued_[entry] != st) {
+          set_bit(wake, d);
+        } else {
           const Node& c = nodes[entry];
           // An event on one data pin of a non-injected MUX cannot change
           // its output while the good select picks the other pin: should
@@ -296,9 +309,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
               good_bit(c.in2) != static_cast<unsigned>(s == c.in1)) {
             continue;
           }
-          queued_[entry] = st;
-          buckets_[c.level].push_back(entry);
-          if (c.level > lvl_hi) lvl_hi = c.level;
+          queue(entry);
         }
       }
     };
@@ -318,20 +329,18 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
       return false;
     };
     // Seeds one already-valued slot: accumulate PO divergence and wake
-    // its fanout iff it actually differs from the good machine.
+    // its fanout iff it actually differs from the good machine. Every
+    // effect is an OR, so seeding a slot twice is harmless once all its
+    // writes are done.
     auto seed = [&](std::uint32_t s) {
-      if (seen_[s] == st) return;
-      seen_[s] = st;
-      const Word dv = (vm[s].v ^ good_word(s)) & live;
+      const Word dv = (vm[s] ^ good_word(s)) & live;
       if (dv == 0) return;
       if (slot_flags_[s] & kSlotPo) po_acc |= dv;
       schedule_consumers(s);
     };
 
     // 1. Carry diverged flip-flop state into this cycle.
-    for (const auto& [g, w] : diverged_dffs_) {
-      vm[g] = {w, st};
-    }
+    for (const auto& [g, w] : diverged_dffs_) set_value(g, w);
     // 2. Re-force Q-output and source-gate injections against this
     //    cycle's good values (sources and DFFs are never folded — they
     //    are their own fold roots). An unexcited force on an undiverged
@@ -339,19 +348,15 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     //    cycles where a force is excited or some flip-flop diverged.
     if ((chunk_flags_[ci] & kSeedExcited) != 0 || !diverged_dffs_.empty()) {
       for (const SeedForce& f : q_forces_) {
-        const Word b =
-            vm[f.gate].mark == st ? vm[f.gate].v : good_word(f.gate);
-        vm[f.gate] = {(b | f.set) & ~f.clr, st};
+        set_value(f.gate, (value_of(f.gate).w | f.set) & ~f.clr);
       }
       for (const SeedForce& f : src_forces_) {
-        vm[f.gate] = {(good_word(f.gate) | f.set) & ~f.clr, st};
+        set_value(f.gate, (good_word(f.gate) | f.set) & ~f.clr);
       }
-      // 3. Schedule the fanout of every diverged seed.
+      // 3. Schedule the fanout of every diverged seed, after every write.
       for (const auto& [g, w] : diverged_dffs_) seed(g);
       for (const SeedForce& f : q_forces_) seed(f.gate);
       for (const SeedForce& f : src_forces_) seed(f.gate);
-    } else {
-      for (const auto& [g, w] : diverged_dffs_) seed(g);
     }
     // 4. Queue this cycle's excited combinational sites straight from
     //    the schedule row (their forced output diverges from the good
@@ -360,39 +365,36 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     const std::uint8_t* const row = chunk_ix_.data() + ci * num_sites;
     for (std::size_t k = 0; k < num_sites; ++k) {
       if ((inj_nodes_[k].dv[row[k]] & live) == 0) continue;
-      const std::uint32_t nidx = comb_injected_[k];
-      if (queued_[nidx] != st) {
-        queued_[nidx] = st;
-        const std::uint32_t lvl = nodes[nidx].level;
-        buckets_[lvl].push_back(nidx);
-        if (lvl > lvl_hi) lvl_hi = lvl;
-      }
+      queue(comb_injected_[k]);
     }
 
-    // 5. Levelized wavefront over compiled nodes. lvl_hi can grow while
-    //    iterating (consumers always sit at higher levels).
+    // 5. Levelized wavefront: ascending node index is a levelized order,
+    //    and a node only queues consumers above itself, in its own word
+    //    or a later one. So the current word and wave_hi are re-read
+    //    after every node; each bit is cleared as it is taken.
     std::uint64_t evals = 0;
-    for (std::uint32_t lvl = 1; lvl <= lvl_hi; ++lvl) {
-      std::vector<std::uint32_t>& bucket = buckets_[lvl];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const std::uint32_t nidx = bucket[i];
-        if (i + 1 < bucket.size()) {
-          __builtin_prefetch(&nodes[bucket[i + 1]]);
+    for (std::uint32_t wi = 0; wi <= wave_hi; ++wi) {
+      while (const Word bits = wave[wi]) {
+        wave[wi] = bits & (bits - 1);
+        const std::uint32_t nidx =
+            (wi << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+        if (wave[wi] != 0) {
+          __builtin_prefetch(&nodes[(wi << 6) | std::countr_zero(wave[wi])]);
         }
         const Node& nd = nodes[nidx];
         const std::uint8_t meta = nd.meta;
         if (meta & kInjected) [[unlikely]] {
           const InjectedNode& r = inj_nodes_[inj_slot_of_node_[nidx]];
           Word w;
-          if (vm[r.p0].mark != st && vm[r.p1].mark != st &&
-              vm[r.p2].mark != st) {
+          if ((get_bit(valid, r.q0) | get_bit(valid, r.q1) |
+               get_bit(valid, r.q2)) == 0) {
             // Fanins match the good machine: the LUT probe is exact.
-            const unsigned ix = good_bit(r.p0) | (good_bit(r.p1) << 1) |
-                                (good_bit(r.p2) << 2);
+            const unsigned ix = good_bit(r.q0) | (good_bit(r.q1) << 1) |
+                                (good_bit(r.q2) << 2);
             const Word dv = r.dv[ix] & live;
             if (dv == 0) continue;  // queued by a consumer edge; unexcited
             w = r.lut[ix];
-            vm[nd.gate] = {w, st};
+            set_value(nd.gate, w);
             ++evals;
             ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];
             if (meta & nl::CompiledNetlist::kMetaPo) po_acc |= dv;
@@ -406,7 +408,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
           const Word b = (value_of(r.q1).w | r.f.set[2]) & ~r.f.clr[2];
           const Word c = (value_of(r.q2).w | r.f.set[3]) & ~r.f.clr[3];
           w = (sim::eval_gate(r.kind, a, b, c) | r.f.set[0]) & ~r.f.clr[0];
-          vm[nd.gate] = {w, st};
+          set_value(nd.gate, w);
           ++evals;
           ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];
           const Word dv = (w ^ good_word(nd.gate)) & live;
@@ -449,7 +451,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
         const Word inv = Word{0} - ((meta >> 2) & 1);
         w ^= inv;
         gw ^= inv;
-        vm[nd.gate] = {w, st};
+        set_value(nd.gate, w);
         ++evals;
         ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];
         const Word dv = (w ^ gw) & live;
@@ -458,7 +460,6 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
           schedule_consumers(nd.gate);
         }
       }
-      bucket.clear();
     }
     total_evals += evals;
     ++cycles_run;
@@ -475,7 +476,11 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
       }
       detected |= diff;
       if (detected == all_mask) {
-        dff_cands_.clear();
+        // Leave the bitmaps clear for the next group, as a cycle does.
+        std::fill(valid_.begin(), valid_.end(), 0);
+        // Stale wake bits are harmless (an undiverged, unexcited D gives
+        // the good state) but would cost the next group D-pin reads.
+        std::fill(wake_.begin(), wake_.end(), 0);
         break;  // fault dropping: group done
       }
       live = all_mask & ~detected;
@@ -488,30 +493,28 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     //    too (while the recording streams, no cycle is known to be the
     //    last) and discarded with the group.
     if ((chunk_flags_[ci] & kDffdExcited) != 0) {
-      for (std::uint32_t d : dffd_dffs_) {
-        if (cand_mark_[d] != st) {
-          cand_mark_[d] = st;
-          dff_cands_.push_back(d);
-        }
-      }
+      for (std::uint32_t d : dffd_dffs_) set_bit(wake, d);
     }
     next_diverged_.clear();
-    for (std::uint32_t d : dff_cands_) {
-      const nl::GateId g = cn.dff_gate[d];
-      const std::uint32_t dslot = cn.dff_d[d];
-      // Good next state of a DFF is the good machine's D value now;
-      // the alias trace bit equals the root's, so the root read is
-      // exact even when the original D pin was a folded BUF.
-      const VG dvg = value_of(dslot);
-      Word next = dvg.w;
-      if (const std::uint32_t slot = inj.slot(g); slot != 0) {
-        const detail::GateForce& f = inj.force_record(slot);
-        next = (next | f.set[1]) & ~f.clr[1];
+    for (std::size_t wi = 0; wi < wake_.size(); ++wi) {
+      for (Word bits = std::exchange(wake[wi], 0); bits != 0;
+           bits &= bits - 1) {
+        const std::size_t d = (wi << 6) | std::countr_zero(bits);
+        const nl::GateId g = cn.dff_gate[d];
+        // Good next state of a DFF is the good machine's D value now;
+        // the alias trace bit equals the root's, so the root read is
+        // exact even when the original D pin was a folded BUF.
+        const VG dvg = value_of(cn.dff_d[d]);
+        Word next = dvg.w;
+        if (const std::uint32_t slot = inj.slot(g); slot != 0) {
+          const detail::GateForce& f = inj.force_record(slot);
+          next = (next | f.set[1]) & ~f.clr[1];
+        }
+        const Word dv = (next ^ dvg.g) & live;
+        if (dv != 0) next_diverged_.emplace_back(g, next);
       }
-      const Word dv = (next ^ dvg.g) & live;
-      if (dv != 0) next_diverged_.emplace_back(g, next);
     }
-    dff_cands_.clear();
+    std::fill(valid_.begin(), valid_.end(), 0);
     diverged_dffs_.swap(next_diverged_);
   }
 

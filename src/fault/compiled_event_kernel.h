@@ -17,11 +17,14 @@
 // O(gates x cycles) to O(activity). The kernel runs over the compiled
 // program (nl::CompiledNetlist):
 //
-//   * worklist buckets hold compiled node indices; evaluation reads one
-//     packed 24-byte node record (fold-rooted fanin slots, base op,
-//     inversion and PO flags) — the wavefront's accesses are sparse, so
-//     the kernel repacks the compiler's SoA streams into AoS records
-//     that cost one cache line per evaluation instead of four;
+//   * the wavefront is a bitmap with one bit per compiled node, scanned
+//     in ascending node index: nl::compile emits nodes level-major and a
+//     consumer sits at a higher level than its driver, so the scan is a
+//     levelized order. Evaluation reads one packed 20-byte node record
+//     (fold-rooted fanin slots, base op, inversion and PO flags) — the
+//     wavefront's accesses are sparse, so the kernel repacks the
+//     compiler's SoA streams into AoS records that cost one cache line
+//     per evaluation instead of four;
 //   * events are scheduled through the compiled fanout CSR, whose edges
 //     skip folded BUF chains entirely (an event crosses a chain in zero
 //     evaluations) and carry DFF consumers as tagged entries;
@@ -125,21 +128,19 @@ class CompiledEventKernel {
     std::uint32_t in1;
     std::uint32_t in2;
     std::uint32_t gate;   // output value slot (original id)
-    std::uint32_t level;
     std::uint8_t meta;
   };
+  static_assert(sizeof(Node) == 20);
   static constexpr std::uint8_t kInjected = 0x10;
   static constexpr unsigned kGuardShift = 5;
   static_assert(nl::CompiledNetlist::kMaxGuards < (1u << (8 - kGuardShift)));
 
   /// Per-group record of one injected combinational node.
   struct InjectedNode {
-    // Lane-wise fallback: fold-rooted original pins (zero_slot for
-    // missing pins) evaluated as the original GateKind under `f`.
+    // Fold-rooted original pins (zero_slot for missing pins): probed
+    // for the LUT index and evaluated as the original GateKind under `f`
+    // by the lane-wise fallback.
     std::uint32_t q0, q1, q2;
-    // Trace/mark probe slots: like q*, but missing pins duplicate q0 so
-    // probing never touches the always-marked zero slot.
-    std::uint32_t p0, p1, p2;
     nl::GateKind kind;
     detail::GateForce f;
     // Forced output word and its divergence from the good output, as a
@@ -161,22 +162,14 @@ class CompiledEventKernel {
   static constexpr std::uint8_t kSlotPo = 1;
   static constexpr std::uint8_t kSlotTainted = 2;
 
-  /// Per-slot diverged value plus its validity stamp, fused so the
-  /// blend in value_of touches one cache line instead of two.
-  struct Slot {
-    Word v;
-    std::uint64_t mark;  // v valid this stamp
-  };
-
-  // Per-cycle scratch, validity tracked by monotone stamps. Value-slot
-  // arrays are sized num_gates + 1 (zero_slot included).
-  std::uint64_t stamp_ = 0;
-  std::vector<Slot> vm_;
-  std::vector<std::uint64_t> seen_;       // seed processed this stamp
-  std::vector<std::uint64_t> queued_;     // node in a bucket this stamp
-  std::vector<std::uint64_t> cand_mark_;  // DFF candidate this stamp
-  std::vector<std::vector<std::uint32_t>> buckets_;  // node idx, by level
-  std::vector<std::uint32_t> dff_cands_;             // dff index
+  // Per-cycle state: three bitmaps and the diverged values. Every bit is
+  // clear between active cycles. Value-slot arrays are sized
+  // num_gates + 1 (zero_slot included; its value, like its block word,
+  // is 0 and its valid bit is never set).
+  std::vector<Word> vm_;     // diverged value, meaningful under valid_
+  std::vector<Word> valid_;  // bit per value slot: vm_ written this cycle
+  std::vector<Word> wave_;   // bit per node: queued for evaluation
+  std::vector<Word> wake_;   // bit per flip-flop: re-clock at the edge
 
   // Sparse diverged flip-flop state carried across clock edges.
   std::vector<std::pair<nl::GateId, Word>> diverged_dffs_;

@@ -161,7 +161,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   cn.node_in1.reserve(num_nodes);
   cn.node_in2.reserve(num_nodes);
   cn.node_meta.reserve(num_nodes);
-  cn.node_level.reserve(num_nodes);
   for (const Key& k : keys) {
     const std::uint32_t idx = static_cast<std::uint32_t>(cn.node_gate.size());
     cn.node_of_gate[k.g] = idx;
@@ -174,23 +173,24 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     if (k.low.invert) meta |= CompiledNetlist::kMetaInvert;
     if (is_po[k.g]) meta |= CompiledNetlist::kMetaPo;
     cn.node_meta.push_back(meta);
-    cn.node_level.push_back(k.level);
-    ++cn.nodes_by_op[static_cast<std::size_t>(k.low.op)];
   }
 
-  // Pass 3: run boundaries + per-level indices.
+  const auto node_level = [&](std::uint32_t i) {
+    return cn.lv.level[cn.node_gate[i]];
+  };
+
+  // Pass 3: run boundaries + per-level run indices.
   const std::uint32_t num_levels = cn.lv.max_level + 1;
   cn.level_run_begin.assign(num_levels + 1, 0);
-  cn.level_node_begin.assign(num_levels + 1, 0);
   for (std::uint32_t i = 0; i < num_nodes;) {
     CompiledRun run;
     run.begin = i;
-    run.level = cn.node_level[i];
+    run.level = node_level(i);
     run.op = static_cast<CompiledOp>(cn.node_meta[i] &
                                      CompiledNetlist::kMetaOpMask);
     run.invert = (cn.node_meta[i] & CompiledNetlist::kMetaInvert) != 0;
     std::uint32_t j = i + 1;
-    while (j < num_nodes && cn.node_level[j] == run.level &&
+    while (j < num_nodes && node_level(j) == run.level &&
            static_cast<CompiledOp>(cn.node_meta[j] &
                                    CompiledNetlist::kMetaOpMask) == run.op &&
            ((cn.node_meta[j] & CompiledNetlist::kMetaInvert) != 0) ==
@@ -202,19 +202,13 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     i = j;
   }
   {
-    // Prefix-fill: level L owns runs/nodes up to the first of level > L.
+    // Prefix-fill: level L owns runs up to the first of level > L.
     std::size_t r = 0;
-    std::uint32_t nd = 0;
-    for (std::uint32_t lvl = 0; lvl <= num_levels; ++lvl) {
+    for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
       while (r < cn.runs.size() && cn.runs[r].level < lvl) ++r;
-      while (nd < num_nodes && cn.node_level[nd] < lvl) ++nd;
-      if (lvl < num_levels) {
-        cn.level_run_begin[lvl] = static_cast<std::uint32_t>(r);
-        cn.level_node_begin[lvl] = nd;
-      }
+      cn.level_run_begin[lvl] = static_cast<std::uint32_t>(r);
     }
     cn.level_run_begin[num_levels] = static_cast<std::uint32_t>(cn.runs.size());
-    cn.level_node_begin[num_levels] = static_cast<std::uint32_t>(num_nodes);
   }
 
   // Pass 4: DFFs (Levelization order) with fold-rooted D drivers.
@@ -290,7 +284,7 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
       std::size_t num_edge = 0;
       const auto add = [&](std::uint32_t g) {
         const std::uint32_t sel = g & ~CompiledNetlist::kGuardPin1;
-        if (cn.lv.level[sel] >= cn.node_level[i]) return;
+        if (cn.lv.level[sel] >= node_level(i)) return;
         if (std::find(edge, edge + num_edge, g) == edge + num_edge) {
           edge[num_edge++] = g;
         }

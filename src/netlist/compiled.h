@@ -29,7 +29,6 @@
 // tested in compiled_test.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -91,19 +90,16 @@ struct CompiledNetlist {
   Levelization lv;
 
   // --- node program (SoA, level-major, grouped into `runs`) ---------------
+  // Level-major: a node's index exceeds every fanin node's index, so
+  // ascending node order is a levelized evaluation order.
   std::vector<std::uint32_t> node_gate;  // output value slot (original id)
   std::vector<std::uint32_t> node_in0;   // fold-rooted fanin value slots
   std::vector<std::uint32_t> node_in1;
   std::vector<std::uint32_t> node_in2;   // zero_slot unless op == kMux
   std::vector<std::uint8_t> node_meta;
-  std::vector<std::uint32_t> node_level;
   std::vector<CompiledRun> runs;  // execution order
   /// Runs of level L are runs[level_run_begin[L] .. level_run_begin[L+1]).
   std::vector<std::uint32_t> level_run_begin;
-  /// Nodes of level L are [level_node_begin[L], level_node_begin[L+1])
-  /// (nodes are level-major) — the event kernel's flat worklist arena
-  /// uses these as per-level segment bases.
-  std::vector<std::uint32_t> level_node_begin;
 
   // --- gate <-> program maps ----------------------------------------------
   std::vector<std::uint32_t> node_of_gate;  // kNoNode for folded/non-comb
@@ -137,11 +133,6 @@ struct CompiledNetlist {
   static constexpr std::uint32_t kGuardPin1 = 0x80000000u;
   std::vector<std::uint32_t> guard_offset;
   std::vector<std::uint32_t> guards;
-
-  /// Static node count per base op (materialized nodes only: folded
-  /// BUFs have none, unlike the sweep's per-kind tallies, which count
-  /// every combinational gate).
-  std::array<std::uint64_t, kNumCompiledOps> nodes_by_op = {0, 0, 0, 0};
 
   std::size_t num_nodes() const { return node_gate.size(); }
 };

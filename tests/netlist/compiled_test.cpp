@@ -410,12 +410,27 @@ TEST(CompiledNetlist, LintSplitsDeadLogicFromFoldedAliases) {
   EXPECT_EQ(lint_check_name(LintCheck::kFoldedDeadAlias), "folded-alias");
 }
 
-TEST(CompiledNetlist, PerKindNodeTalliesSumToNodeCount) {
+TEST(CompiledNetlist, NodesAreLevelMajorAndRunsPartitionThem) {
   const Netlist n = random_netlist(7);
   const auto cn = compile(n);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : cn->nodes_by_op) sum += c;
-  EXPECT_EQ(sum, cn->num_nodes());
+  // The event kernel's ascending wavefront scan rests on this order: a
+  // node's level never decreases with its index, and every consumer
+  // node sits above the node that drives it.
+  for (std::size_t i = 1; i < cn->num_nodes(); ++i) {
+    EXPECT_LE(cn->lv.level[cn->node_gate[i - 1]],
+              cn->lv.level[cn->node_gate[i]])
+        << "node " << i;
+  }
+  for (std::uint32_t i = 0; i < cn->num_nodes(); ++i) {
+    const std::uint32_t s = cn->node_gate[i];
+    for (std::uint32_t e = cn->fanout_offset[s]; e < cn->fanout_offset[s + 1];
+         ++e) {
+      const std::uint32_t c = cn->fanout[e];
+      if (!(c & CompiledNetlist::kDffFlag)) {
+        EXPECT_GT(c, i) << "node " << i;
+      }
+    }
+  }
   // And the runs partition the node array in execution order.
   std::uint64_t covered = 0;
   for (const CompiledRun& r : cn->runs) {
