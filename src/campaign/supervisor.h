@@ -28,8 +28,8 @@
 //     (journal.h), CRC included. EOF is the only failure signal: a dead
 //     worker's pipe reads EOF, a dead supervisor's pipe turns worker
 //     writes into EPIPE;
-//   * a worker keeps GroupSimulator::lanes() groups in flight (two under
-//     the compiled sweep);
+//   * a worker keeps GroupSimulator::lanes() groups in flight (eight
+//     under the compiled sweep);
 //   * a worker that crashes, OOMs, or blows its hang deadline is reaped
 //     (with rusage) and re-forked; every group it held is charged an
 //     attempt and retried alone on a fresh worker, carrying the dead

@@ -123,7 +123,7 @@ enum class Engine : std::uint8_t {
   /// good-value planes. Falls back to kSweep for the whole run when the
   /// planes would exceed `trace_mem_mb`.
   kEvent,
-  /// Two-lane compiled sweep of every combinational gate each cycle.
+  /// Eight-lane compiled sweep of every combinational gate each cycle.
   kSweep,
 };
 
@@ -365,8 +365,8 @@ struct GroupSlice {
 /// sweep. Null only for a recording cut short, which leaves no group to
 /// simulate (run() throws std::logic_error on one).
 ///
-/// The compiled sweep kernel simulates two groups side by side, one per
-/// 64-bit lane of a 128-bit word; run() keeps both lanes busy by pulling
+/// The compiled sweep kernel simulates eight groups side by side, one per
+/// 64-bit lane of a 512-bit word; run() keeps every lane busy by pulling
 /// the next slice the moment a lane's group ends.
 class GroupSimulator {
  public:
@@ -392,7 +392,7 @@ class GroupSimulator {
   /// both kernels.
   GroupRecord simulate(std::size_t group);
 
-  /// Groups the kernel keeps in flight at once: 2 for the sweep, 1 for
+  /// Groups the kernel keeps in flight at once: 8 for the sweep, 1 for
   /// the event engine.
   std::size_t lanes() const;
 

@@ -1,5 +1,5 @@
 // Per-group stuck-at injection state shared by the fault-simulation
-// kernels (the two-lane sweep in seq_faultsim.cpp and the event-driven
+// kernels (the eight-lane sweep in seq_faultsim.cpp and the event-driven
 // differential kernel in compiled_event_kernel.cpp).
 //
 // Each of the group's <= 63 faults owns one machine bit of the 64-bit

@@ -3,10 +3,13 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -76,22 +79,38 @@ static_assert(kFaultsPerGroup < 64,
               "bit 63 of the simulation word is reserved for the good "
               "machine");
 
-// --- two-lane sweep ----------------------------------------------------------
+// --- eight-lane sweep --------------------------------------------------------
 //
-// The compiled sweep simulates two independent groups per pass: every
+// The compiled sweep simulates eight independent groups per pass: every
 // value slot holds one 64-bit simulation word per lane, each lane with
 // its own 63 faulty machines and its own good machine in bit 63. The
-// typedefs are deliberately non-dependent — GCC silently drops
+// typedef is deliberately non-dependent — GCC silently drops
 // vector_size on a template-dependent alias, leaving a scalar.
-constexpr int kLanes = 2;
-typedef Word LaneWord __attribute__((vector_size(16)));
-typedef std::int64_t LaneSigned __attribute__((vector_size(16)));
+constexpr int kLanes = 8;
+typedef Word LaneWord __attribute__((vector_size(64)));
 static_assert(sizeof(LaneWord) == kLanes * sizeof(Word),
               "one 64-bit simulation word per lane");
 
 /// An idle lane asks for a new group at least this often (in cycles)
-/// while the other lane is busy.
+/// while another lane is busy.
 constexpr unsigned kPollCycles = 16;
+
+/// Zeroed lane words, 64-byte aligned by construction. The AVX-512 pass
+/// moves whole words with aligned 512-bit loads and stores, but outside
+/// AVX-512 code GCC aligns a 64-byte vector type to 16 bytes only, and
+/// that is all operator new (and so std::vector) would give.
+struct FreeLaneWords {
+  void operator()(LaneWord* p) const { std::free(p); }
+};
+using LaneWords = std::unique_ptr<LaneWord[], FreeLaneWords>;
+
+LaneWords lane_words(std::size_t n) {
+  const std::size_t bytes = std::max<std::size_t>(n, 1) * sizeof(LaneWord);
+  void* const p = std::aligned_alloc(64, bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  std::memset(p, 0, bytes);
+  return LaneWords(static_cast<LaneWord*>(p));
+}
 
 /// One lane: the slice it simulates (its cycle and detected machines
 /// included) and everything else lane-local about it.
@@ -102,7 +121,8 @@ struct SweepLane {
   GroupSlice slice;
   InjectionTable inj;
   Word all_mask = 0;
-  std::uint64_t evaluated = 0;  // cycles evaluated (work counters)
+  const Word* stimulus = nullptr;  // recorded inputs of this pass's cycle
+  std::uint64_t evaluated = 0;     // cycles evaluated (work counters)
   std::chrono::steady_clock::time_point started;
 };
 
@@ -113,11 +133,12 @@ struct LaneFixup {
   detail::GateForce force;
 };
 
-/// Two-lane sweep state of one simulator.
+/// Eight-lane sweep state of one simulator.
 struct LaneSweep {
   LaneSweep(const nl::Netlist& netlist,
             const std::shared_ptr<const nl::CompiledNetlist>& compiled)
-      : v(compiled->num_gates + 1), next(compiled->dff_gate.size()) {
+      : v(lane_words(compiled->num_gates + 1)),
+        next(lane_words(compiled->dff_gate.size())) {
     const nl::CompiledNetlist& cn = *compiled;
     fix_by_level.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
     dff_index.assign(netlist.size(), 0);
@@ -139,8 +160,8 @@ struct LaneSweep {
     for (int l = 0; l < kLanes; ++l) lanes.emplace_back(netlist);
   }
 
-  std::vector<LaneWord> v;     // value slots, num_gates + 1
-  std::vector<LaneWord> next;  // per DFF, sampled D words
+  LaneWords v;     // value slots, num_gates + 1
+  LaneWords next;  // per DFF, sampled D words
   std::vector<SweepLane> lanes;
   std::vector<std::pair<nl::GateId, Word>> reset_image;
   std::vector<std::uint32_t> dff_index;  // gate -> Levelization::dffs index
@@ -150,6 +171,100 @@ struct LaneSweep {
   std::vector<std::uint32_t> fix_levels;
   int busy = 0;
 };
+
+// One cycle of every busy lane: replay of the lane's recorded inputs and
+// source/Q forcing; one branch-free sweep of the compiled runs over all
+// lanes, each injected gate re-evaluated in its lane at the end of its
+// level (its consumers sit at strictly higher levels, so the fixup lands
+// before anything reads the forced word); per lane, the bits where a
+// machine's PO differs from its lane's good machine (bit 63) into
+// diff[l]; one DFF step. Operands are read through the fold roots:
+// folded BUF copies are never materialized, since only POs (always
+// materialized) and fold-rooted DFF D slots are read from the lane.
+// D-pin forcing applies to the sampled (pre-update) words, so a DFF
+// feeding another DFF hands over its old, forced-or-not Q; Q-output
+// forcing is re-applied after the next drive. Idle lanes are evaluated
+// too and never read: a lane starts from lane-local reset.
+//
+// This is the one place the sweep spends its time, so it is compiled for
+// three ISAs and the loader picks the widest the CPU has: one LaneWord
+// is four SSE2, two AVX2 or one AVX-512 register. `flatten` inlines
+// nl::eval_run into each clone; a call would reach the generic build.
+// ThreadSanitizer instruments the ifunc resolver of the clones, which
+// runs before its runtime is up (a GCC 12 -fsanitize=thread binary dies
+// there before main), so a build for race checks compiles the pass once.
+#if defined(__SANITIZE_THREAD__)
+#define SBST_SWEEP_PASS_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SBST_SWEEP_PASS_CLONES
+#endif
+#endif
+#ifndef SBST_SWEEP_PASS_CLONES
+#define SBST_SWEEP_PASS_CLONES target_clones("default", "avx2", "avx512f"),
+#endif
+__attribute__((SBST_SWEEP_PASS_CLONES flatten))
+void sweep_pass(LaneSweep& s, const nl::Netlist& netlist,
+                const nl::CompiledNetlist& cn,
+                const std::vector<nl::GateId>& inputs,
+                const std::vector<nl::GateId>& po_bits, Word* diff) {
+  LaneWord* const v = s.v.get();
+  for (int l = 0; l < kLanes; ++l) {
+    const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+    if (!ln.busy) continue;
+    const Word* const in = ln.stimulus;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      v[inputs[i]][l] = Word{0} - ((in[i >> 6] >> (i & 63)) & 1);
+    }
+    for (const Injection& i : ln.inj.sources()) {
+      v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
+    }
+    for (const Injection& i : ln.inj.dff_q()) {
+      v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
+    }
+  }
+
+  std::size_t r = 0;
+  for (std::uint32_t lvl : s.fix_levels) {
+    for (const std::size_t end = cn.level_run_begin[lvl + 1]; r < end; ++r) {
+      nl::eval_run(cn, cn.runs[r], v);
+    }
+    for (const LaneFixup& fx : s.fix_by_level[lvl]) {
+      const nl::Gate& gate = netlist.gate(fx.gate);
+      const auto rd = [&](nl::GateId d) -> Word {
+        return d < cn.num_gates ? v[cn.fold_root[d]][fx.lane] : 0;
+      };
+      const detail::GateForce& f = fx.force;
+      const Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
+      const Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
+      const Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
+      v[fx.gate][fx.lane] =
+          (sim::eval_gate(gate.kind, a, b, c) | f.set[0]) & ~f.clr[0];
+    }
+  }
+  for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], v);
+
+  // The good bit replicated across its lane is 0 - (w >> 63).
+  LaneWord d = {};
+  for (nl::GateId b : po_bits) {
+    const LaneWord w = v[b];
+    d |= w ^ (LaneWord{} - (w >> 63));
+  }
+  for (int l = 0; l < kLanes; ++l) diff[l] = d[l];
+
+  LaneWord* const next = s.next.get();
+  const std::size_t num_dffs = cn.dff_gate.size();
+  for (std::size_t i = 0; i < num_dffs; ++i) next[i] = v[cn.dff_d[i]];
+  for (int l = 0; l < kLanes; ++l) {
+    const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+    if (!ln.busy) continue;
+    for (const Injection& i : ln.inj.dff_d()) {
+      LaneWord& n = next[s.dff_index[i.gate]];
+      n[l] = force(n[l], i.mask, i.stuck);
+    }
+  }
+  for (std::size_t i = 0; i < num_dffs; ++i) v[cn.dff_gate[i]] = next[i];
+}
 
 }  // namespace
 
@@ -314,12 +429,10 @@ struct GroupSimulator::Impl {
   void run_lanes(GroupSlice first, const PullSlice& pull,
                  const EmitSlice& emit);
 
-  // Two-lane sweep steps (run_lanes).
+  // Lane bookkeeping of the sweep (run_lanes); sweep_pass is the rest.
   void load_lane(int l, GroupSlice&& slice);
   void finish_lane(int l, bool timed_out, const EmitSlice& emit);
   void rebuild_fixups();
-  void eval_lanes();
-  void step_lanes();
 };
 
 // One slice: the injection table and the kernel's per-group partition
@@ -331,21 +444,17 @@ bool GroupSimulator::Impl::advance_event(GroupSlice* slice) {
   return event->simulate(inj, slice);
 }
 
-// The two-lane compiled sweep. Each pass runs one cycle of every busy
-// lane: per-lane input replay from the recorded stimulus and source/Q
-// forcing, one branch-free sweep of the compiled runs over both lanes
-// (with per-(gate, lane) fixups at their level), per-lane detection, one
-// DFF step. A group ends at the recorded stop cycle unless it drops or
-// times out first. A lane whose group ends emits its record and is
-// refilled from lane-local reset on the next pass, while the other lane
-// carries on. No step reads the other lane, so records are bit-identical
-// whichever lane (and whichever partner) a group runs with.
+// The eight-lane compiled sweep. Each pass runs one cycle of every busy
+// lane (sweep_pass), then detection per lane. A group ends at the
+// recorded stop cycle unless it drops or times out first. A lane whose
+// group ends emits its record and is refilled from lane-local reset on
+// the next pass, while the other lanes carry on. No step reads another
+// lane, so records are bit-identical whichever lane (and whichever
+// partners) a group runs with.
 void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
                                      const EmitSlice& emit) {
   if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
   LaneSweep& s = *sweep;
-  LaneWord* const v = s.v.data();
-  const std::vector<nl::GateId>& inputs = trace->inputs();
   const std::uint64_t stop = trace->cycles();
 
   std::optional<GroupSlice> next = std::move(first);
@@ -374,7 +483,7 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
     ++since_poll;
 
     // Cycle bounds (the recorded stop cycle, the watchdog), then the
-    // recorded inputs of the lane's cycle, before source forcing.
+    // recorded inputs of the lane's cycle.
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
@@ -391,29 +500,13 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
         finish_lane(l, true, emit);
         continue;
       }
-      const Word* const in = trace->stimulus(cycle);
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        v[inputs[i]][l] = Word{0} - ((in[i >> 6] >> (i & 63)) & 1);
-      }
-      for (const Injection& i : ln.inj.sources()) {
-        v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
-      }
-      for (const Injection& i : ln.inj.dff_q()) {
-        v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
-      }
+      ln.stimulus = trace->stimulus(cycle);
     }
     if (s.busy == 0) continue;
 
-    eval_lanes();
+    Word diff[kLanes] = {};
+    sweep_pass(s, netlist, *compiled, trace->inputs(), po_bits, diff);
 
-    // Detection word per lane: bits where a machine's PO differs from
-    // its lane's good machine (bit 63; the arithmetic shift replicates it
-    // across the lane).
-    LaneWord diff = {0, 0};
-    for (nl::GateId b : po_bits) {
-      const LaneWord w = v[b];
-      diff |= w ^ std::bit_cast<LaneWord>(std::bit_cast<LaneSigned>(w) >> 63);
-    }
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
@@ -433,7 +526,6 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
       }
       ++sl.cycle;
     }
-    if (s.busy != 0) step_lanes();
   }
 }
 
@@ -445,7 +537,7 @@ void GroupSimulator::Impl::load_lane(int l, GroupSlice&& slice) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
   ln.slice = std::move(slice);
   load(ln.slice.rec.group, ln.inj);
-  LaneWord* const v = sweep->v.data();
+  LaneWord* const v = sweep->v.get();
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
   ln.all_mask = (Word{1} << ln.slice.rec.count) - 1;  // count <= 63
   ln.evaluated = 0;
@@ -488,58 +580,6 @@ void GroupSimulator::Impl::rebuild_fixups() {
     }
   }
   std::sort(s.fix_levels.begin(), s.fix_levels.end());
-}
-
-// Branch-free runs over both lanes, with each injected gate re-evaluated
-// in its lane at the end of its level (its consumers sit at strictly
-// higher levels, so the fixup lands before anything reads the forced
-// word). Operands are read through the fold roots: folded BUF copies are
-// never materialized, since only POs (always materialized) and fold-rooted
-// DFF D slots are read from the lane.
-void GroupSimulator::Impl::eval_lanes() {
-  LaneSweep& s = *sweep;
-  const nl::CompiledNetlist& cn = *compiled;
-  LaneWord* const v = s.v.data();
-  std::size_t r = 0;
-  for (std::uint32_t lvl : s.fix_levels) {
-    for (const std::size_t end = cn.level_run_begin[lvl + 1]; r < end; ++r) {
-      nl::eval_run(cn, cn.runs[r], v);
-    }
-    for (const LaneFixup& fx : s.fix_by_level[lvl]) {
-      const nl::Gate& gate = netlist.gate(fx.gate);
-      const auto rd = [&](nl::GateId d) -> Word {
-        return d < cn.num_gates ? v[cn.fold_root[d]][fx.lane] : 0;
-      };
-      const detail::GateForce& f = fx.force;
-      const Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
-      const Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
-      const Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
-      v[fx.gate][fx.lane] =
-          (sim::eval_gate(gate.kind, a, b, c) | f.set[0]) & ~f.clr[0];
-    }
-  }
-  for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], v);
-}
-
-// Clocks every DFF in both lanes. D-pin forcing applies to the sampled
-// (pre-update) words, so a DFF feeding another DFF hands over its old,
-// forced-or-not Q. Q-output forcing is re-applied after the next drive.
-void GroupSimulator::Impl::step_lanes() {
-  LaneSweep& s = *sweep;
-  const nl::CompiledNetlist& cn = *compiled;
-  LaneWord* const v = s.v.data();
-  LaneWord* const next = s.next.data();
-  const std::size_t num_dffs = cn.dff_gate.size();
-  for (std::size_t i = 0; i < num_dffs; ++i) next[i] = v[cn.dff_d[i]];
-  for (int l = 0; l < kLanes; ++l) {
-    const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
-    if (!ln.busy) continue;
-    for (const Injection& i : ln.inj.dff_d()) {
-      LaneWord& n = next[s.dff_index[i.gate]];
-      n[l] = force(n[l], i.mask, i.stuck);
-    }
-  }
-  for (std::size_t i = 0; i < num_dffs; ++i) v[cn.dff_gate[i]] = next[i];
 }
 
 GroupSimulator::GroupSimulator(

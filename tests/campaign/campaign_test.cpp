@@ -21,13 +21,12 @@
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 void expect_identical(const fault::FaultSimResult& a,
                       const fault::FaultSimResult& b, const char* what) {
@@ -385,11 +384,12 @@ TEST(Campaign, GroupTimeoutRecordsInconclusiveNotUndetected) {
 }
 
 TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
-  // Four groups: two that fill the serial worker's sweep lanes, two
-  // left unstarted.
-  const nl::Netlist n = make_mesh_netlist(80);
+  // Fifteen groups: eight that fill the serial worker's sweep lanes,
+  // seven left unstarted.
+  const nl::Netlist n = make_mesh_netlist(200);
   const nl::FaultList faults = nl::enumerate_faults(n);
-  constexpr std::size_t kLaneFaults = 2 * 63;  // one group per sweep lane
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kLaneFaults = kLanes * 63;  // a group per lane
   ASSERT_GT(faults.size(), kLaneFaults + 63);
 
   CampaignOptions opt;
@@ -450,11 +450,11 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
   // sweep group replaying its 100k cycles runs several times longer (the
   // event engine would skip an unexcited group's quiet cycles and could
   // finish first), so a budget just past the recording expires while
-  // groups 0 and 1 run in the worker's lanes: the watchdog cuts them at
+  // groups 0 to 7 run in the worker's lanes: the watchdog cuts them at
   // a 1024-cycle check, so each of their faults is detected or
-  // inconclusive. Group 1 is claimed right after group 0, but a slow
-  // start (a fork under --isolate) can push that claim past the
-  // deadline, so it is either cut like group 0 or expires unstarted.
+  // inconclusive. Groups 1 to 7 are claimed right after group 0, but a
+  // slow start (a fork under --isolate) can push a claim past the
+  // deadline, so each is either cut like group 0 or expires unstarted.
   // Later groups wait for a free lane, are unstarted at the deadline,
   // and so are inconclusive in full, even the faults a run without a
   // budget would have detected. How long the recording takes depends on
@@ -484,7 +484,7 @@ TEST(Campaign, TimeBudgetExpiresUnstartedGroupsAsTimedOut) {
       ASSERT_EQ(loaded->records.size(), r.groups_total) << mode;
       for (const fault::GroupRecord& rec : loaded->records) {
         EXPECT_TRUE(rec.timed_out) << mode << " group " << rec.group;
-        if (rec.group == 0 || (rec.group == 1 && rec.cycles != 0)) {
+        if (rec.group == 0 || (rec.group < kLanes && rec.cycles != 0)) {
           EXPECT_EQ(rec.cycles % 1024, 1023u) << mode << " group " << rec.group;
           EXPECT_LT(rec.cycles, o.sim.max_cycles) << mode;
         } else {

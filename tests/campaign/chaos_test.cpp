@@ -19,13 +19,12 @@
 #include "netlist/fault.h"
 #include "util/atomic_file.h"
 #include "util/faulty_io.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 /// Deterministic no-op environment: inputs never change, so the result
 /// is a pure function of the netlist and cycle cap — cheap and exactly

@@ -33,17 +33,16 @@
 #include <vector>
 
 #include "telemetry/metrics.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
-// Fresh per-scenario directory. TempDir() is stable across test runs,
-// so leftovers from a previous run (marker files the fail-once runner
-// scripts key on) must be swept or the scenarios silently degenerate.
+// Fresh per-scenario directory: leftovers of an earlier use (marker
+// files the fail-once runner scripts key on) must be swept or the
+// scenarios silently degenerate.
 std::string make_dir(const char* name) {
   const std::string dir = temp_path(name);
   ::mkdir(dir.c_str(), 0755);

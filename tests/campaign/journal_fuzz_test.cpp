@@ -22,13 +22,12 @@
 #include <unordered_map>
 
 #include "campaign/journal.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 void spit(const std::string& path, const std::string& data) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);

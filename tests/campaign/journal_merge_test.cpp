@@ -6,6 +6,7 @@
 // damaged inputs degrade to "their lost groups re-simulate on resume",
 // never to wrong records.
 #include "campaign/journal.h"
+#include "temp_path.h"
 
 #include <gtest/gtest.h>
 
@@ -18,9 +19,7 @@
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

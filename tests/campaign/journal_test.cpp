@@ -8,6 +8,7 @@
 // can never be spliced into a campaign it does not belong to; and the
 // record frame read off a worker's pipe is the frame on disk.
 #include "campaign/journal.h"
+#include "temp_path.h"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -25,9 +26,7 @@
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

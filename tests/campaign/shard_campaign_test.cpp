@@ -16,13 +16,12 @@
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 void expect_identical(const fault::FaultSimResult& a,
                       const fault::FaultSimResult& b, const char* what) {

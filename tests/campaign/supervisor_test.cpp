@@ -19,13 +19,12 @@
 #include "netlist/fault.h"
 #include "parwan/sbst.h"
 #include "parwan/testbench.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 void expect_identical(const fault::FaultSimResult& a,
                       const fault::FaultSimResult& b, const char* what) {
@@ -227,9 +226,10 @@ TEST(Supervisor, DrainStopsDispatchAndResumesBitIdentical) {
   expect_identical(clean.result, full.result, "isolated resume");
 }
 
-// Under the sweep engine a worker simulates two groups at once, so a
-// crash is charged to both. The seeded crash hook fires on group 1, which
-// the single worker accepts while group 0 is still in its other lane.
+// Under the sweep engine a worker simulates eight groups at once, so a
+// crash is charged to every group it holds. The seeded crash hook fires
+// on group 1, which the single worker accepts while group 0 is still in
+// another lane.
 CampaignOptions paired_options() {
   CampaignOptions o = ParwanIsolated::base_options();
   o.sim.engine = fault::Engine::kSweep;
@@ -239,7 +239,7 @@ CampaignOptions paired_options() {
   return o;
 }
 
-TEST(Supervisor, TwoLaneWorkersAreBitIdenticalToInProcess) {
+TEST(Supervisor, SweepLaneWorkersAreBitIdenticalToInProcess) {
   const auto& fx = fixture();
   CampaignOptions inproc_opt = ParwanIsolated::base_options();
   inproc_opt.sim.engine = fault::Engine::kSweep;
@@ -251,7 +251,7 @@ TEST(Supervisor, TwoLaneWorkersAreBitIdenticalToInProcess) {
     opt.iso.workers = workers;
     const CampaignResult iso =
         run_campaign(fx.cpu.netlist, fx.faults, fx.env(), kFp, opt);
-    expect_identical(inproc.result, iso.result, "two-lane workers");
+    expect_identical(inproc.result, iso.result, "sweep lane workers");
     EXPECT_EQ(iso.result.gates_evaluated, inproc.result.gates_evaluated);
     EXPECT_EQ(iso.worker_restarts, 0u);
   }
@@ -312,8 +312,8 @@ class ConstEnv final : public fault::Environment {
 
 /// A netlist too wide for a small worker: `gates` two-input gates in one
 /// level over 8 inputs, the last 8 of them observed. A worker's kernel
-/// state holds a 16-byte value slot per gate (the sweep's two lane words,
-/// the event kernel's diverged word and stamp), allocated when its first
+/// state holds at least 8 bytes per gate (the event kernel's value word;
+/// 64 under the sweep, one word per lane), allocated when its first
 /// group starts.
 nl::Netlist make_wide_netlist(std::size_t gates) {
   nl::Netlist n;
@@ -329,8 +329,8 @@ nl::Netlist make_wide_netlist(std::size_t gates) {
   return n;
 }
 
-/// Half a million gates need 8 MiB of kernel state in every worker,
-/// which can never be granted under a 4 MiB RLIMIT_AS: under either
+/// Half a million gates need at least 4 MiB of kernel state in every
+/// worker, which can never be granted under a 4 MiB RLIMIT_AS: under either
 /// engine, every attempt on every group OOMs its own worker. Returns
 /// one line per failed check, so an empty string means the campaign
 /// terminated with every group quarantined rather than crashing,

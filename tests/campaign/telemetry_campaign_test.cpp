@@ -22,13 +22,12 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats.h"
+#include "temp_path.h"
 
 namespace sbst::campaign {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 struct ParwanFixture {
   parwan::ParwanCpu cpu = parwan::build_parwan_cpu();

@@ -25,6 +25,7 @@
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
 
+#include "temp_path.h"
 #include "testutil.h"
 
 namespace sbst::fault {
@@ -44,9 +45,7 @@ using testutil::make_comb_netlist;
 using testutil::make_seq_netlist;
 using testutil::pattern_env;
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 TEST(EventKernel, CombinationalIdenticalToSweep) {
   const nl::Netlist n = make_comb_netlist();
@@ -206,7 +205,7 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
     GroupSimulator event(n, fl, plan, uncapped);
     GroupSimulator replay(n, fl, plan, capped);
     EXPECT_EQ(event.lanes(), 1u);
-    EXPECT_EQ(replay.lanes(), 2u);
+    EXPECT_EQ(replay.lanes(), 8u);
     for (std::size_t g = 0; g < plan.num_groups(); ++g) {
       const GroupRecord want = event.simulate(g);
       const GroupRecord got = replay.simulate(g);

@@ -28,6 +28,7 @@
 #include "netlist/fault.h"
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
+#include "temp_path.h"
 
 namespace sbst::fault {
 namespace {
@@ -70,9 +71,7 @@ EnvFactory paced(EnvFactory inner, const Pacing& p) {
   return [inner, p] { return std::make_unique<PacedEnv>(inner(), p); };
 }
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 /// The journal's winning records, compacted: one per group, in group
 /// order, every record field included.

@@ -1,9 +1,9 @@
-// Two-lane sweep contract: the sweep simulates two groups side by side
-// and refills a lane the moment its group ends, yet every record it
+// Eight-lane sweep contract: the sweep simulates eight groups side by
+// side and refills a lane the moment its group ends, yet every record it
 // emits is bit-identical to the record of the same group simulated
 // alone (verdicts, cycle counts and work counters) and matches the event
 // engine's and the single-fault reference's verdicts — whatever the
-// partner group, lane, refill point or thread count.
+// partner groups, lane, refill point or thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "plasma/cpu.h"
 #include "plasma/testbench.h"
 
+#include "temp_path.h"
 #include "testutil.h"
 
 namespace sbst::fault {
@@ -86,6 +87,7 @@ struct LaneRun {
   Records records;
   std::vector<std::uint64_t> emit_order;
   std::size_t max_in_flight = 0;
+  std::size_t pulls_before_first_emit = 0;
   bool refilled_mid_run = false;  // loaded next to a running group
 };
 
@@ -102,6 +104,7 @@ LaneRun run_lanes(GroupSimulator& sim, const std::vector<std::size_t>& groups,
         }
         in_flight.insert(groups[next]);
         out.max_in_flight = std::max(out.max_in_flight, in_flight.size());
+        if (out.emit_order.empty()) ++out.pulls_before_first_emit;
         GroupSlice s = sim.slice(groups[next++]);
         if (timeout.count() != 0) s.deadline = s.claimed + timeout;
         return s;
@@ -123,10 +126,11 @@ std::vector<std::size_t> all_groups(const GroupPlan& plan) {
   return g;
 }
 
-// Sequential mesh with constants, an inverter, a mux, a folded BUF, a
-// three-stage DFF->DFF shift chain and register feedback: every
-// injection kind the kernels distinguish has live sites.
-nl::Netlist make_lane_netlist() {
+// Sequential mesh of `width` two-input gates with constants, an
+// inverter, a mux, a folded BUF, a three-stage DFF->DFF shift chain and
+// register feedback: every injection kind the kernels distinguish has
+// live sites.
+nl::Netlist make_lane_netlist(std::size_t width = 48) {
   using nl::GateKind;
   nl::Netlist n;
   const auto& in = n.add_input("in", 8);
@@ -137,7 +141,7 @@ nl::Netlist make_lane_netlist() {
                                  GateKind::kOr2,  GateKind::kNand2,
                                  GateKind::kNor2, GateKind::kXnor2};
   std::vector<nl::GateId> dffs;
-  for (std::size_t i = 0; i < 48; ++i) {
+  for (std::size_t i = 0; i < width; ++i) {
     const nl::GateId a = nets[(i * 7 + 3) % nets.size()];
     const nl::GateId b = nets[(i * 5 + 1) % nets.size()];
     const nl::GateId g = n.add_gate(kKinds[i % 6], a, b);
@@ -191,36 +195,55 @@ bool is_chain_d(const nl::Netlist& n, const nl::Fault& f) {
          n.gate(n.gate(f.gate).in[0]).kind == nl::GateKind::kDff;
 }
 
-/// Builds a list whose first two groups each open with a DFF->DFF D-pin
-/// fault and then take every other fault of each injection kind, dealt
-/// round-robin across kinds; the remaining faults follow.
-nl::FaultList interleave_kinds(const nl::Netlist& n, const nl::FaultList& fl) {
+/// Builds a list in which each group named in `mixed` opens with a
+/// DFF->DFF D-pin fault and then takes faults of every injection kind,
+/// dealt round-robin across kinds and mixed groups; the remaining faults
+/// fill the other groups, in list order.
+nl::FaultList interleave_kinds(const nl::Netlist& n, const nl::FaultList& fl,
+                               const std::vector<std::size_t>& mixed) {
   std::vector<nl::Fault> chain;
   std::map<Site, std::vector<nl::Fault>> by_site;
   for (const nl::Fault& f : fl.faults) {
     (is_chain_d(n, f) ? chain : by_site[site_of(n, f)]).push_back(f);
   }
-  std::vector<nl::Fault> groups[2];
+  std::vector<std::vector<nl::Fault>> groups(mixed.size());
   std::vector<nl::Fault> rest;
-  for (std::size_t g = 0; g < 2 && g < chain.size(); ++g) {
-    groups[g].push_back(chain[g]);
+  for (std::size_t c = 0; c < chain.size(); ++c) {
+    (c < groups.size() ? groups[c] : rest).push_back(chain[c]);
   }
-  for (std::size_t c = 2; c < chain.size(); ++c) rest.push_back(chain[c]);
   for (std::size_t i = 0;; ++i) {
     bool any = false;
     for (auto& [site, bucket] : by_site) {
       if (i >= bucket.size()) continue;
       any = true;
-      std::vector<nl::Fault>& dst = groups[i % 2];
-      std::vector<nl::Fault>& alt = groups[1 - i % 2];
-      (dst.size() < 63 ? dst : alt.size() < 63 ? alt : rest)
-          .push_back(bucket[i]);
+      std::vector<nl::Fault>* dst = &rest;
+      for (std::size_t k = 0; k < groups.size(); ++k) {
+        std::vector<nl::Fault>& g = groups[(i + k) % groups.size()];
+        if (g.size() < 63) {
+          dst = &g;
+          break;
+        }
+      }
+      dst->push_back(bucket[i]);
     }
     if (!any) break;
   }
+  // Group g of the list is mixed group k where mixed[k] == g, else the
+  // next 63 of the rest.
   nl::FaultList out;
-  for (const auto* part : {&groups[0], &groups[1], &rest}) {
-    for (const nl::Fault& f : *part) {
+  auto next = rest.begin();
+  const std::size_t last = *std::max_element(mixed.begin(), mixed.end());
+  for (std::size_t g = 0; g <= last || next != rest.end(); ++g) {
+    const auto m = std::find(mixed.begin(), mixed.end(), g);
+    std::vector<nl::Fault> part;
+    if (m != mixed.end()) {
+      part = groups[static_cast<std::size_t>(m - mixed.begin())];
+    } else {
+      const auto take = std::min<std::ptrdiff_t>(63, rest.end() - next);
+      part.assign(next, next + take);
+      next += take;
+    }
+    for (const nl::Fault& f : part) {
       out.faults.push_back(f);
       out.class_size.push_back(1);
     }
@@ -242,13 +265,17 @@ Records simulate_alone(GroupSimulator& sim, const GroupPlan& plan) {
   return r;
 }
 
-TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
-  const nl::Netlist n = make_lane_netlist();
-  const nl::FaultList fl = interleave_kinds(n, nl::enumerate_faults(n));
-  ASSERT_GE(fl.size(), 2u * 63u) << "need two full groups";
-  // Both lanes' groups carry every kind the generated list has, the
+TEST(SweepLanes, EveryInjectionKindLiveInLowAndHighLanesAtOnce) {
+  // Groups 0 and 3 run in the low half of the 512-bit lane word, groups
+  // 4 and 7 in the high half, which only the AVX-512 pass holds in one
+  // register; each carries every kind the generated list has, the
   // DFF->DFF D pins included.
-  for (std::size_t g = 0; g < 2; ++g) {
+  const std::vector<std::size_t> mixed = {0, 3, 4, 7};
+  const nl::Netlist n = make_lane_netlist(160);
+  const nl::FaultList fl =
+      interleave_kinds(n, nl::enumerate_faults(n), mixed);
+  ASSERT_GT(fl.size(), 8u * 63u) << "need eight full groups and a ninth";
+  for (std::size_t g : mixed) {
     std::set<Site> sites;
     bool chain_d = false;
     for (std::size_t i = g * 63; i < (g + 1) * 63; ++i) {
@@ -266,14 +293,18 @@ TEST(SweepLanes, EveryInjectionKindLiveInBothLanesAtOnce) {
   const auto run400 = good_run(n, pattern_env(400), opt);
   GroupSimulator alone(n, fl, plan, run400);
   const Records want = simulate_alone(alone, plan);
-  expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles,
-                         {{0, want.at(0)}, {1, want.at(1)}});
+  Records checked;
+  for (std::size_t g : mixed) checked[g] = want.at(g);
+  expect_oracle_verdicts(n, fl, pattern_env(400), opt.max_cycles, checked);
 
   GroupSimulator lanes(n, fl, plan, run400);
-  EXPECT_EQ(lanes.lanes(), 2u);
+  EXPECT_EQ(lanes.lanes(), 8u);
   const LaneRun run = run_lanes(lanes, all_groups(plan));
-  EXPECT_EQ(run.max_in_flight, 2u) << "both lanes must run at once";
-  expect_same_records(want, run.records, "both lanes vs one at a time");
+  EXPECT_EQ(run.max_in_flight, lanes.lanes()) << "every lane must run at once";
+  // The first pass fills the lanes in ascending order before any group
+  // can end, so group g < 8 runs in lane g.
+  EXPECT_GE(run.pulls_before_first_emit, lanes.lanes());
+  expect_same_records(want, run.records, "all lanes vs one at a time");
 
   opt.engine = Engine::kEvent;
   opt.threads = 1;
@@ -355,11 +386,12 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   const EnvFactory env = plasma::make_cpu_env_factory(cpu, p.image);
   FaultSimOptions opt;
   opt.max_cycles = 1'000'000;
-  // Seven groups of the full list, spread over the netlist by a shard
+  // Thirteen groups of the full list, spread over the netlist by a shard
   // restriction: full-list groups share components, so their lengths
-  // are skewed (random samples almost all run to the halt). Seven is odd,
-  // so the last group runs with its partner lane idle.
-  opt.shard_count = 100;
+  // are skewed (random samples almost all run to the halt). Thirteen is
+  // more than the eight lanes and not a multiple of them, so lanes are
+  // refilled mid-run and the last groups run beside idle lanes.
+  opt.shard_count = 50;
   opt.shard_index = 7;
   opt.engine = Engine::kSweep;
   const GroupPlan plan(faults, opt);
@@ -370,7 +402,7 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
        g += opt.shard_count) {
     want[g] = alone.simulate(g);
   }
-  ASSERT_EQ(want.size(), 7u);
+  ASSERT_EQ(want.size(), 13u);
   std::set<std::uint64_t> lengths;
   for (const auto& [g, rec] : want) lengths.insert(rec.cycles);
   EXPECT_GT(lengths.size(), 1u) << "group lengths must be skewed";
@@ -380,7 +412,7 @@ TEST(SweepLanes, PlasmaSkewedGroupsRefillMidRunAndOddTail) {
   GroupSimulator sim(cpu.netlist, faults, plan, recorded);
   const LaneRun run = run_lanes(sim, groups);
   EXPECT_TRUE(run.refilled_mid_run);
-  EXPECT_EQ(run.max_in_flight, 2u);
+  EXPECT_EQ(run.max_in_flight, sim.lanes());
   expect_same_records(want, run.records, "plasma lanes");
 
   for (unsigned threads : {1u, 2u, 4u}) {
@@ -414,10 +446,12 @@ TEST(SweepLanes, ParwanFullListIdenticalAcrossKernelsAndThreads) {
     expect_same_records(want, grade(cpu.netlist, faults, env, opt),
                         "parwan lanes");
   }
-  // An odd-length stream: the last group runs with its partner lane idle.
-  std::vector<std::size_t> odd = all_groups(plan);
-  if (odd.size() % 2 == 0) odd.pop_back();
+  // A stream whose length is not a multiple of the lane count: the last
+  // groups run beside idle lanes.
   GroupSimulator sim(cpu.netlist, faults, plan, recorded);
+  std::vector<std::size_t> odd = all_groups(plan);
+  if (odd.size() % sim.lanes() == 0) odd.pop_back();
+  ASSERT_GT(odd.size(), sim.lanes());
   const LaneRun run = run_lanes(sim, odd);
   EXPECT_TRUE(run.refilled_mid_run);
   for (const auto& [g, rec] : run.records) {
@@ -436,7 +470,7 @@ TEST(SweepLanes, GroupTimeoutInOneLaneWhileTheOtherCompletes) {
   // Group 0 holds a fault on a gate no output observes, so it never
   // drops and runs until its group timeout; group 1 holds only faults
   // detected within 64 cycles, so it drops early and completes while
-  // group 0 is still running in the other lane.
+  // group 0 is still running in another lane.
   nl::Netlist n = make_lane_netlist();
   const nl::FaultList generated = nl::enumerate_faults(n);
   const nl::Port& in = n.input("in");
@@ -494,15 +528,15 @@ TEST(SweepLanes, CancelMidStreamThenResumeIsIdentical) {
 
   campaign::CampaignOptions base;
   base.sim.max_cycles = 10000;
-  base.sim.sample = 945;  // 15 groups
+  // 25 groups: more than two workers' eight lanes each hold at once.
+  base.sim.sample = 1575;
   base.sim.engine = Engine::kSweep;
   for (unsigned threads : {1u, 2u}) {
     base.sim.threads = threads;
     const campaign::CampaignResult clean =
         campaign::run_campaign(cpu.netlist, faults, env, kFp, base);
 
-    const std::string journal = std::string(::testing::TempDir()) +
-                                "sweep_lanes_cancel.sbstj";
+    const std::string journal = testfs::temp_path("sweep_lanes_cancel.sbstj");
     std::remove(journal.c_str());
     std::atomic<bool> stop{false};
     campaign::CampaignOptions first = base;

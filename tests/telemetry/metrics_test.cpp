@@ -22,13 +22,12 @@
 #include <vector>
 
 #include "telemetry/json.h"
+#include "temp_path.h"
 
 namespace sbst::telemetry {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -13,13 +13,12 @@
 #include <string>
 
 #include "util/faulty_io.h"
+#include "temp_path.h"
 
 namespace sbst::util {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -2,6 +2,7 @@
 // triggers at the armed byte offset, stays tripped afterwards, and the
 // byte accounting matches what actually reached the file.
 #include "util/faulty_io.h"
+#include "temp_path.h"
 
 #include <gtest/gtest.h>
 
@@ -15,9 +16,7 @@
 namespace sbst::util {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testfs::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
