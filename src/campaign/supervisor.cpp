@@ -142,6 +142,7 @@ struct Job {
   std::uint64_t dead_cpu_ms = 0;
   Clock::time_point started{};  // when the request was dispatched
   Clock::time_point deadline = Clock::time_point::max();  // hang kill
+  double busy_ms = 0;  // its share of its worker's wall clock (charge())
 };
 
 struct Worker {
@@ -149,9 +150,24 @@ struct Worker {
   int to_fd = -1;    // supervisor -> worker requests
   int from_fd = -1;  // worker -> supervisor results
   std::vector<Job> held;  // in flight, at most GroupSimulator::lanes()
+  Clock::time_point charged{};  // held jobs are charged up to here
 
   bool alive() const { return pid > 0; }
 };
+
+/// Charges `w`'s wall clock since the last charge to the jobs it holds,
+/// in equal shares: a sweep worker runs up to eight groups side by side,
+/// and their durations must add up to the time the worker was busy.
+/// Called before every change to w.held.
+void charge(Worker& w, Clock::time_point now) {
+  if (!w.held.empty()) {
+    const double share =
+        std::chrono::duration<double, std::milli>(now - w.charged).count() /
+        static_cast<double>(w.held.size());
+    for (Job& job : w.held) job.busy_ms += share;
+  }
+  w.charged = now;
+}
 
 Worker spawn_worker(const WorkerContext& ctx) {
   int req[2] = {-1, -1};
@@ -296,15 +312,13 @@ fault::FaultSimResult run_fault_sim_isolated(
   // it held.
   const auto worker_died = [&](Worker& w, Clock::time_point now) {
     ::kill(w.pid, SIGKILL);
+    charge(w, now);
     const std::vector<Job> held = std::move(w.held);
     w.held.clear();
     const fault::GroupError err = reap_worker(&w);
     ++*worker_restarts;
     for (const Job& job : held) {
-      fail_group(job, err,
-                 std::chrono::duration<double, std::milli>(now - job.started)
-                     .count(),
-                 held.size() > 1);
+      fail_group(job, err, job.busy_ms, held.size() > 1);
     }
   };
 
@@ -339,6 +353,7 @@ fault::FaultSimResult run_fault_sim_isolated(
           while (std::optional<Job> job = next_job(w)) {
             if (!w.alive()) w = spawn_worker(ctx);
             job->started = Clock::now();
+            charge(w, job->started);
             job->deadline = hang_grace.count() != 0
                                 ? job->started + hang_grace
                                 : Clock::time_point::max();
@@ -411,12 +426,11 @@ fault::FaultSimResult run_fault_sim_isolated(
             w.held.begin(), w.held.end(),
             [&](const Job& j) { return ok && j.req.group == rec.group; });
         if (job != w.held.end()) {
-          const double attempt_ms =
-              std::chrono::duration<double, std::milli>(after - job->started)
-                  .count();
+          charge(w, after);
           Job done = std::move(*job);
           w.held.erase(job);
-          resolve(std::move(done), std::move(rec), attempt_ms);
+          const double busy_ms = done.busy_ms;
+          resolve(std::move(done), std::move(rec), busy_ms);
           continue;
         }
         // EOF (crash/OOM/hard kill) or a desynchronized stream.

@@ -47,12 +47,21 @@ void aggregate_seed_forces(const std::vector<detail::Injection>& list,
 CompiledEventKernel::CompiledEventKernel(
     const nl::Netlist& netlist, const nl::CompiledNetlist& cn,
     const std::vector<nl::GateId>& po_bits,
-    std::shared_ptr<const GoodTrace> trace)
-    : netlist_(&netlist), cn_(&cn), trace_(std::move(trace)) {
+    std::shared_ptr<const GoodTrace> trace, DenseCycles dense)
+    : netlist_(&netlist), cn_(&cn), trace_(std::move(trace)), dense_(dense) {
   const std::size_t n = netlist.size();
   slot_flags_.assign(n + 1, 0);
   for (nl::GateId b : po_bits) {
-    if (b < n) slot_flags_[b] = kSlotPo;
+    if (b < n) {
+      slot_flags_[b] = kSlotPo;
+      po_slots_.push_back(b);
+    }
+  }
+  for (nl::GateId g = 0; g < n; ++g) {
+    if (nl::fanin_count(netlist.gate(g).kind) == 0 ||
+        netlist.gate(g).kind == nl::GateKind::kDff) {
+      leaf_slots_.push_back(g);
+    }
   }
   // AoS repack of the compiled node streams (see header).
   nodes_.resize(cn.num_nodes());
@@ -70,6 +79,75 @@ CompiledEventKernel::CompiledEventKernel(
   wave_.assign(words(cn.num_nodes()), 0);
   wake_.assign(words(cn.dff_gate.size()), 0);
   inj_slot_of_node_.assign(cn.num_nodes(), 0);
+}
+
+CompiledEventKernel::Word CompiledEventKernel::forced_eval(
+    const InjectedNode& r, Word a, Word b, Word c) {
+  a = (a | r.f.set[1]) & ~r.f.clr[1];
+  b = (b | r.f.set[2]) & ~r.f.clr[2];
+  c = (c | r.f.set[3]) & ~r.f.clr[3];
+  return (sim::eval_gate(r.kind, a, b, c) | r.f.set[0]) & ~r.f.clr[0];
+}
+
+CompiledEventKernel::Word CompiledEventKernel::dense_eval(const Word* blk,
+                                                          std::uint64_t ci,
+                                                          Word live) {
+  const nl::CompiledNetlist& cn = *cn_;
+  Word* const vm = vm_.data();
+  const auto good_word = [&](std::uint32_t s) -> Word {
+    return Word{0} - ((blk[s] >> ci) & 1);
+  };
+  // 1-2. Every source and flip-flop as a full word: the good word, then
+  //      the carried divergence, then the Q and source forces.
+  for (nl::GateId g : leaf_slots_) vm[g] = good_word(g);
+  for (const auto& [g, w] : diverged_dffs_) vm[g] = w;
+  for (const auto* forces : {&q_forces_, &src_forces_}) {
+    for (const SeedForce& f : *forces) {
+      vm[f.gate] = (vm[f.gate] | f.set) & ~f.clr;
+    }
+  }
+  // 3-5. One sweep of the compiled runs. Each injected node is re-forced
+  //      at the end of its level, before a consumer (at a higher level)
+  //      reads it.
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < dense_fix_.size();) {
+    const std::uint32_t lvl = dense_fix_[i].first;
+    for (const std::size_t end = cn.level_run_begin[lvl + 1]; r < end; ++r) {
+      nl::eval_run(cn, cn.runs[r], vm);
+    }
+    for (; i < dense_fix_.size() && dense_fix_[i].first == lvl; ++i) {
+      const std::uint32_t k = dense_fix_[i].second;
+      const InjectedNode& in = inj_nodes_[k];
+      vm[nodes_[comb_injected_[k]].gate] =
+          forced_eval(in, vm[in.q0], vm[in.q1], vm[in.q2]);
+    }
+  }
+  for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], vm);
+  Word po_acc = 0;
+  for (nl::GateId b : po_slots_) po_acc |= vm[b] ^ good_word(b);
+  return po_acc & live;
+}
+
+void CompiledEventKernel::dense_edge(const detail::InjectionTable& inj,
+                                     const Word* blk, std::uint64_t ci,
+                                     Word live) {
+  const nl::CompiledNetlist& cn = *cn_;
+  const Word* const vm = vm_.data();
+  std::size_t k = 0;  // next D-pin-injected flip-flop (dffd_dffs_ ascends)
+  for (std::size_t d = 0; d < cn.dff_gate.size(); ++d) {
+    const std::uint32_t s = cn.dff_d[d];
+    Word next = vm[s];
+    if (k < dffd_dffs_.size() && dffd_dffs_[k] == d) [[unlikely]] {
+      const detail::GateForce& f =
+          inj.force_record(inj.slot(cn.dff_gate[d]));
+      next = (next | f.set[1]) & ~f.clr[1];
+      ++k;
+    }
+    const Word good = Word{0} - ((blk[s] >> ci) & 1);
+    if (((next ^ good) & live) != 0) {
+      next_diverged_.emplace_back(cn.dff_gate[d], next);
+    }
+  }
 }
 
 void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
@@ -134,6 +212,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   comb_injected_.clear();
   inj_nodes_.clear();
   dffd_dffs_.clear();
+  dense_fix_.clear();
   for (nl::GateId g : inj.slotted_gates()) {
     const nl::Gate& gate = netlist_->gate(g);
     if (gate.kind == nl::GateKind::kDff) {
@@ -178,6 +257,8 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     }
     inj_slot_of_node_[nidx] =
         static_cast<std::uint32_t>(inj_nodes_.size());
+    dense_fix_.emplace_back(cn.lv.level[g],
+                            static_cast<std::uint32_t>(inj_nodes_.size()));
     inj_nodes_.push_back(r);
     nodes_[nidx].meta |= kInjected;
     // A forced select pin lets this MUX pass the data pin its select
@@ -188,6 +269,8 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   }
   aggregate_seed_forces(inj.sources(), &src_forces_);
   aggregate_seed_forces(inj.dff_q(), &q_forces_);
+  std::sort(dense_fix_.begin(), dense_fix_.end());
+  std::sort(dffd_dffs_.begin(), dffd_dffs_.end());
 
   const std::size_t num_sites = inj_nodes_.size();
   chunk_ix_.resize(kChunk * num_sites);
@@ -214,6 +297,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   std::uint64_t kind_evals[nl::kNumCompiledOps] = {0, 0, 0, 0};
   std::uint64_t cycles_run = 0;
   std::uint64_t cycle = slice->cycle;
+  std::uint32_t dense_left = slice->dense_left;
   // The block of the current chunk: bit ci of blk[s] is slot s's good
   // value at this cycle (the zero slot's word is 0). A chunk is filled
   // from its block's first cycle, so a slice may resume at any cycle:
@@ -226,6 +310,19 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     fill_chunk(inj, blk, std::min(kChunk, end - first));
   };
   if (cycle < end && cycle % kChunk != 0) enter_block(cycle);
+  // 6. Detection — identical to the sweep kernel's po_diff handling.
+  //    True once every machine is detected.
+  const auto detect = [&](Word po_acc) {
+    const Word diff = po_acc & all_mask & ~detected;
+    if (diff == 0) return false;
+    for (Word d = diff; d != 0; d &= d - 1) {
+      rec->detect_cycle[static_cast<std::size_t>(std::countr_zero(d))] =
+          static_cast<std::int64_t>(cycle);
+    }
+    detected |= diff;
+    live = all_mask & ~detected;
+    return detected == all_mask;
+  };
   for (; cycle < end; ++cycle) {
     // Same amortized watchdog cadence and verdict as the sweep kernel.
     // Keep the clock read nested: folded into this condition it cost the
@@ -246,6 +343,24 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     // only ever starts at an excited site or a diverged flip-flop.
     if ((chunk_dv_[ci] & live) == 0 && diverged_dffs_.empty()) {
       ++cycles_run;
+      dense_left = 0;  // the divergence is gone: the stretch ends
+      continue;
+    }
+
+    if (dense_ == DenseCycles::kAlways || dense_left != 0) {
+      // Dense cycle (see header): one sweep in place of the wavefront,
+      // counted as a sweep cycle. valid_ and wake_ stay clear.
+      const Word po_acc = dense_eval(blk, ci, live);
+      total_evals += cn.lv.comb_order.size();
+      for (std::size_t i = 0; i < nl::kNumCompiledOps; ++i) {
+        kind_evals[i] += cn.sweep_evals_by_kind[i];
+      }
+      ++cycles_run;
+      if (dense_left != 0) --dense_left;
+      if (detect(po_acc)) break;  // fault dropping: group done
+      next_diverged_.clear();
+      dense_edge(inj, blk, ci, live);
+      diverged_dffs_.swap(next_diverged_);
       continue;
     }
 
@@ -401,13 +516,9 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
             schedule_consumers(nd.gate);
             continue;
           }
-          // Lane-wise fallback on diverged fanins: forced evaluation of
-          // the original GateKind (pin semantics identical to the sweep
-          // kernel, including pins the lowering duplicated or dropped).
-          const Word a = (value_of(r.q0).w | r.f.set[1]) & ~r.f.clr[1];
-          const Word b = (value_of(r.q1).w | r.f.set[2]) & ~r.f.clr[2];
-          const Word c = (value_of(r.q2).w | r.f.set[3]) & ~r.f.clr[3];
-          w = (sim::eval_gate(r.kind, a, b, c) | r.f.set[0]) & ~r.f.clr[0];
+          // Lane-wise fallback on diverged fanins.
+          w = forced_eval(r, value_of(r.q0).w, value_of(r.q1).w,
+                          value_of(r.q2).w);
           set_value(nd.gate, w);
           ++evals;
           ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];
@@ -463,27 +574,18 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     }
     total_evals += evals;
     ++cycles_run;
+    // A wide wavefront: the next active cycles run dense.
+    if (dense_ == DenseCycles::kAdaptive && evals > kDenseAbove) {
+      dense_left = kDenseProbe;
+    }
 
-    // 6. Detection — identical to the sweep kernel's po_diff handling.
-    const Word diff = po_acc & all_mask & ~detected;
-    if (diff != 0) {
-      Word d = diff;
-      while (d != 0) {
-        const int bit = std::countr_zero(d);
-        d &= d - 1;
-        rec->detect_cycle[static_cast<std::size_t>(bit)] =
-            static_cast<std::int64_t>(cycle);
-      }
-      detected |= diff;
-      if (detected == all_mask) {
-        // Leave the bitmaps clear for the next group, as a cycle does.
-        std::fill(valid_.begin(), valid_.end(), 0);
-        // Stale wake bits are harmless (an undiverged, unexcited D gives
-        // the good state) but would cost the next group D-pin reads.
-        std::fill(wake_.begin(), wake_.end(), 0);
-        break;  // fault dropping: group done
-      }
-      live = all_mask & ~detected;
+    if (detect(po_acc)) {
+      // Leave the bitmaps clear for the next group, as a cycle does.
+      std::fill(valid_.begin(), valid_.end(), 0);
+      // Stale wake bits are harmless (an undiverged, unexcited D gives
+      // the good state) but would cost the next group D-pin reads.
+      std::fill(wake_.begin(), wake_.end(), 0);
+      break;  // fault dropping: group done
     }
 
     // 7. Clock edge: recompute the next state of every flip-flop whose
@@ -537,6 +639,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   // Parked at the watermark: carry the state over.
   slice->cycle = cycle;
   slice->detected = detected;
+  slice->dense_left = dense_left;
   slice->diverged_dffs.swap(diverged_dffs_);
   return false;
 }

@@ -47,6 +47,25 @@
 //     guards (CompiledNetlist::guards) has its select picking the other
 //     pin in every live lane.
 //
+// A wavefront pays per node it evaluates, so a cycle where the
+// divergence has spread wide costs more than one plain sweep of the whole
+// program. After an event cycle that evaluates more than kDenseAbove
+// nodes, the group's next active cycles run *dense*: every source and
+// flip-flop is written into the value array as a full word (the good
+// word, overlaid with the carried divergence and the source and Q
+// forces), nl::eval_run sweeps every compiled run over it, each level's
+// injected nodes are re-forced after that level with the lane-wise
+// fallback formula, PO divergence is read off every primary-output bit,
+// and every flip-flop's next state (D-pin forces included) is compared
+// with its good D bit. Every kDenseProbe dense cycles one active cycle
+// runs through the wavefront again as a probe: a probe that still
+// evaluates more than kDenseAbove nodes starts another dense stretch. A
+// quiet cycle ends a stretch. The stretch's progress travels in the
+// GroupSlice with the carried state, so where a group parks cannot change
+// its work. A dense cycle counts its work as a sweep cycle does: every
+// combinational gate once, with the per-kind tallies of
+// CompiledNetlist::sweep_evals_by_kind.
+//
 // A group runs to the trace's watermark (GoodTrace::watermark). Once the
 // recording is complete that is its stop cycle. While the recording is
 // still being written it is the end of the last published block: a group
@@ -63,7 +82,7 @@
 // masks, detect cycles, fault dropping, cycle accounting and watchdog
 // cadence. The evaluation-count telemetry reflects the work actually
 // performed (skipped unexcited nodes, filtered wakeups and guarded
-// nodes are not counted).
+// nodes are not counted; dense cycles count a full sweep).
 #pragma once
 
 #include <cstdint>
@@ -91,6 +110,11 @@ struct SeedForce {
 void aggregate_seed_forces(const std::vector<detail::Injection>& list,
                            std::vector<SeedForce>* out);
 
+/// When the event kernel runs an active cycle dense (see above). Only
+/// kAdaptive is used in production; tests pin the other two to check the
+/// dense cycle against the wavefront.
+enum class DenseCycles : std::uint8_t { kAdaptive, kNever, kAlways };
+
 /// Per-worker compiled differential simulator state. Not thread-safe;
 /// the trace and compiled program are immutable and shared. `netlist`
 /// and `cn` must outlive the kernel.
@@ -99,7 +123,8 @@ class CompiledEventKernel {
   CompiledEventKernel(const nl::Netlist& netlist,
                       const nl::CompiledNetlist& cn,
                       const std::vector<nl::GateId>& po_bits,
-                      std::shared_ptr<const GoodTrace> trace);
+                      std::shared_ptr<const GoodTrace> trace,
+                      DenseCycles dense = DenseCycles::kAdaptive);
 
   /// Simulates the injected group of `slice` differentially against the
   /// trace, from slice->cycle (any cycle) to the watermark, filling the
@@ -115,6 +140,11 @@ class CompiledEventKernel {
   /// watchdog cadence. Precondition (checked when the GroupSimulator is
   /// built): every non-DFF slotted gate of `inj` has a compiled node.
   bool simulate(const detail::InjectionTable& inj, GroupSlice* slice);
+
+  /// An event cycle that evaluates more nodes than this starts a dense
+  /// stretch of kDenseProbe cycles (EXPERIMENTS.md, "Dense cycles").
+  static constexpr std::uint64_t kDenseAbove = 500;
+  static constexpr std::uint32_t kDenseProbe = 8;
 
  private:
   using Word = sim::Word;
@@ -150,10 +180,28 @@ class CompiledEventKernel {
     Word dv[8];
   };
 
+  /// The lane-wise forced evaluation of injected node `r`'s original
+  /// GateKind over fanin words a, b, c (pin semantics identical to the
+  /// sweep kernel, including pins the lowering duplicated or dropped).
+  static Word forced_eval(const InjectedNode& r, Word a, Word b, Word c);
+
+  /// Steps 1-5 of one dense cycle at bit `ci` of block `blk`: fills vm_
+  /// for every value slot and returns the PO divergence of the live lanes.
+  Word dense_eval(const Word* blk, std::uint64_t ci, Word live);
+  /// The clock edge of a dense cycle: every flip-flop whose next state
+  /// diverges in a live lane goes to next_diverged_.
+  void dense_edge(const detail::InjectionTable& inj, const Word* blk,
+                  std::uint64_t ci, Word live);
+
   const nl::Netlist* netlist_;
   const nl::CompiledNetlist* cn_;
   std::shared_ptr<const GoodTrace> trace_;
+  DenseCycles dense_;
   std::vector<Node> nodes_;
+  /// Dense cycles write these slots before the sweep: every source and
+  /// flip-flop (the gates no compiled node drives), and read these POs.
+  std::vector<nl::GateId> leaf_slots_;
+  std::vector<nl::GateId> po_slots_;
   /// Per value slot: kSlotPo for a primary-output bit (read for the
   /// non-node seeds), and kSlotTainted while the group being simulated
   /// forces the select pin of an injected MUX on this slot, so no guard
@@ -179,9 +227,13 @@ class CompiledEventKernel {
   std::vector<std::uint32_t> comb_injected_;  // node indices
   std::vector<InjectedNode> inj_nodes_;       // parallel to comb_injected_
   std::vector<std::uint32_t> inj_slot_of_node_;  // valid under kInjected
-  std::vector<std::uint32_t> dffd_dffs_;      // dff indices, D-pin-injected
+  // Ascending dff indices of the D-pin-injected flip-flops.
+  std::vector<std::uint32_t> dffd_dffs_;
   std::vector<SeedForce> src_forces_;
   std::vector<SeedForce> q_forces_;
+  /// (level, index into inj_nodes_) of every combinational injection
+  /// site, sorted: a dense cycle re-forces them level by level.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> dense_fix_;
 
   // Excitation schedule of one kChunk-cycle window (one trace block),
   // filled from the block as the cycle loop enters it, so a dropped group

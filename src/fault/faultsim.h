@@ -109,8 +109,8 @@ struct GroupRecord {
   /// tallies count every combinational gate once per evaluated cycle,
   /// folded BUFs included, so they are a pure function of (netlist,
   /// cycles); event-kernel tallies count the evaluations actually
-  /// performed. Zero for records journaled before this accounting
-  /// existed.
+  /// performed, a dense cycle counting as one sweep cycle. Zero for
+  /// records journaled before this accounting existed.
   std::array<std::uint64_t, nl::kNumCompiledOps> evals_by_kind = {0, 0, 0, 0};
 };
 
@@ -204,7 +204,8 @@ struct FaultSimOptions {
   /// — under the same internal lock as progress, so calls never overlap
   /// (but come from worker threads when threads != 1). `duration_ms` is
   /// the wall clock this run spent on the group (0 when seeded or
-  /// expired unstarted). Callers (src/campaign) checkpoint the unseeded
+  /// expired unstarted); a sweep group running beside others is charged
+  /// its share of each pass (telemetry::GroupMetric::duration_ms). Callers (src/campaign) checkpoint the unseeded
   /// records and feed every record to telemetry.
   std::function<void(const GroupRecord&, bool seeded, double duration_ms)>
       on_group;
@@ -340,12 +341,16 @@ struct GroupSlice {
   std::uint64_t detected = 0;  // machines detected so far
   /// Flip-flops whose state diverges entering `cycle`, with their word.
   std::vector<std::pair<nl::GateId, std::uint64_t>> diverged_dffs;
+  /// Event kernel: dense cycles left before its next probe cycle (0 = the
+  /// next active cycle runs through the wavefront). Carried like the
+  /// state, so where a group parks cannot change the work it counts.
+  std::uint32_t dense_left = 0;
   /// When the group was claimed, and its wall-clock bound for the next
   /// slice (time_point::max() = unbounded; GroupDriver sets it).
   std::chrono::steady_clock::time_point claimed;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  double run_ms = 0;  // wall clock of the slices run so far
+  double run_ms = 0;  // wall clock charged to the slices run so far
 };
 
 /// Worker-owned simulation state (kernel scratch + injection tables)

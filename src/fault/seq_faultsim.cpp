@@ -123,7 +123,6 @@ struct SweepLane {
   Word all_mask = 0;
   const Word* stimulus = nullptr;  // recorded inputs of this pass's cycle
   std::uint64_t evaluated = 0;     // cycles evaluated (work counters)
-  std::chrono::steady_clock::time_point started;
 };
 
 /// Forced re-evaluation of one injected combinational gate in one lane.
@@ -170,6 +169,8 @@ struct LaneSweep {
   std::vector<std::vector<LaneFixup>> fix_by_level;
   std::vector<std::uint32_t> fix_levels;
   int busy = 0;
+  // The busy lanes' wall clock is charged up to here (charge_lanes).
+  std::chrono::steady_clock::time_point charged;
 };
 
 // One cycle of every busy lane: replay of the lane's recorded inputs and
@@ -343,11 +344,6 @@ struct GroupSimulator::Impl {
   // Primary-output bits and the event engine's injection table.
   std::vector<nl::GateId> po_bits;
   InjectionTable inj;
-  // Per-cycle static sweep tallies: how many comb gates of each base-op
-  // class one full sweep evaluates (folded BUFs class as the AND lane
-  // they forward through). A pure function of the netlist.
-  std::array<std::uint64_t, nl::kNumCompiledOps> sweep_kinds_per_cycle = {
-      0, 0, 0, 0};
   // The campaign-shared recording of the good run, and the differential
   // kernel, built on first use when the recording has planes.
   std::shared_ptr<const GoodTrace> trace;
@@ -383,10 +379,6 @@ struct GroupSimulator::Impl {
     for (const nl::Port& port : n.outputs()) {
       po_bits.insert(po_bits.end(), port.bits.begin(), port.bits.end());
     }
-    for (nl::GateId g : compiled->lv.comb_order) {
-      ++sweep_kinds_per_cycle[static_cast<std::size_t>(
-          nl::op_class(n.gate(g).kind))];
-    }
   }
 
   /// Takes `good_run` as the recording every later slice runs against.
@@ -420,7 +412,7 @@ struct GroupSimulator::Impl {
     rec.gates_evaluated = cycles * compiled->lv.comb_order.size();
     rec.sim_cycles = cycles;
     for (std::size_t i = 0; i < rec.evals_by_kind.size(); ++i) {
-      rec.evals_by_kind[i] = cycles * sweep_kinds_per_cycle[i];
+      rec.evals_by_kind[i] = cycles * compiled->sweep_evals_by_kind[i];
     }
     rec.engine_used = GroupEngine::kSweep;
   }
@@ -432,6 +424,7 @@ struct GroupSimulator::Impl {
   // Lane bookkeeping of the sweep (run_lanes); sweep_pass is the rest.
   void load_lane(int l, GroupSlice&& slice);
   void finish_lane(int l, bool timed_out, const EmitSlice& emit);
+  void charge_lanes();
   void rebuild_fixups();
 };
 
@@ -541,7 +534,7 @@ void GroupSimulator::Impl::load_lane(int l, GroupSlice&& slice) {
   for (const auto& [g, w] : sweep->reset_image) v[g][l] = w;
   ln.all_mask = (Word{1} << ln.slice.rec.count) - 1;  // count <= 63
   ln.evaluated = 0;
-  ln.started = Clock::now();
+  charge_lanes();
   ln.busy = true;
   ++sweep->busy;
   rebuild_fixups();
@@ -550,6 +543,7 @@ void GroupSimulator::Impl::load_lane(int l, GroupSlice&& slice) {
 void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
                                        const EmitSlice& emit) {
   SweepLane& ln = sweep->lanes[static_cast<std::size_t>(l)];
+  charge_lanes();
   ln.busy = false;
   --sweep->busy;
   rebuild_fixups();
@@ -558,10 +552,26 @@ void GroupSimulator::Impl::finish_lane(int l, bool timed_out,
   rec.detected_mask = ln.slice.detected;
   rec.cycles = ln.slice.cycle;
   set_sweep_counters(rec, ln.evaluated);
-  ln.slice.run_ms +=
-      std::chrono::duration<double, std::milli>(Clock::now() - ln.started)
-          .count();
   emit(std::move(ln.slice), true);
+}
+
+// The lanes share their worker's wall clock: the time since the busy set
+// last changed is charged in equal shares to the lanes busy in it, so a
+// run's slices add up to the time its worker was busy. Called before the
+// busy set changes; with no lane busy (the worker was idle or waiting
+// for a slice) it only moves the mark.
+void GroupSimulator::Impl::charge_lanes() {
+  LaneSweep& s = *sweep;
+  const Clock::time_point now = Clock::now();
+  if (s.busy != 0) {
+    const double share =
+        std::chrono::duration<double, std::milli>(now - s.charged).count() /
+        s.busy;
+    for (SweepLane& ln : s.lanes) {
+      if (ln.busy) ln.slice.run_ms += share;
+    }
+  }
+  s.charged = now;
 }
 
 void GroupSimulator::Impl::rebuild_fixups() {

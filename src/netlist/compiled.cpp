@@ -121,6 +121,7 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
   kept.reserve(cn.lv.comb_order.size());
   for (GateId g : cn.lv.comb_order) {
     const Gate& gate = netlist.gate(g);
+    ++cn.sweep_evals_by_kind[static_cast<std::size_t>(op_class(gate.kind))];
     if (gate.kind == GateKind::kBuf && !is_po[g] &&
         valid_gate(netlist, gate.in[0])) {
       cn.fold_root[g] = cn.fold_root[gate.in[0]];

@@ -29,6 +29,7 @@
 // tested in compiled_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -133,6 +134,14 @@ struct CompiledNetlist {
   static constexpr std::uint32_t kGuardPin1 = 0x80000000u;
   std::vector<std::uint32_t> guard_offset;
   std::vector<std::uint32_t> guards;
+
+  /// Work of one full sweep, per base-op class: how many combinational
+  /// gates (lv.comb_order, folded BUFs included and classed with the AND
+  /// lane they forward through) it evaluates. Both kernels count a
+  /// sweep-shaped cycle with it, so their tallies stay a pure function
+  /// of the netlist and the cycles swept.
+  std::array<std::uint64_t, kNumCompiledOps> sweep_evals_by_kind = {0, 0, 0,
+                                                                    0};
 
   std::size_t num_nodes() const { return node_gate.size(); }
 };

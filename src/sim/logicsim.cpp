@@ -34,7 +34,11 @@ void LogicSim::set_input(const nl::Port& port, std::uint64_t value) {
   }
 }
 
-void LogicSim::eval() {
+// The good run of every halt check and recording spends its time in
+// these run loops. Aligned to a cache line, they sit at the same offset
+// whatever code is linked before them: unaligned, an unrelated change
+// elsewhere in the library moved the Plasma halt check by up to 3%.
+__attribute__((aligned(64))) void LogicSim::eval() {
   Word* const v = val_.data();
   for (const nl::CompiledRun& r : cn_->runs) nl::eval_run(*cn_, r, v);
   nl::apply_copies(*cn_, v);

@@ -74,7 +74,12 @@ struct GroupMetric {
   std::uint64_t evals_mux = 0;
   /// Worker attempts this group consumed (isolated mode; 1 elsewhere).
   std::uint32_t attempts = 1;
-  /// Wall clock this run spent resolving the group (~0 when seeded).
+  /// Wall clock this run spent resolving the group (~0 when seeded). A
+  /// sweep worker simulates up to eight groups side by side, one per
+  /// lane, and each of its passes is charged in equal shares to the
+  /// groups busy in it; so for a sweep group this is its share of its
+  /// worker's time, and the durations of a run sum to at most workers x
+  /// its wall clock.
   double duration_ms = 0.0;
   /// Run-local like duration_ms: wall nanoseconds per gate evaluation
   /// this run achieved on the group (duration_ms / gates_evaluated,

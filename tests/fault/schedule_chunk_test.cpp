@@ -12,7 +12,9 @@
 // reference campaigns: the schedule decides only *when* the wavefront
 // runs, so any change to it must reproduce these numbers exactly. They
 // count the evaluations left after the select filter and the
-// observability guards (DESIGN.md §5, "Unobservable work").
+// observability guards (DESIGN.md §5, "Unobservable work"), once for a
+// kernel that never runs a cycle dense and once under the default
+// dense-cycle policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -367,31 +369,55 @@ TEST(EventKernel, ScheduleChunkTimeoutCutsAFilledChunk) {
   }
 }
 
-/// Work counters of one event-engine campaign, summed over its
-/// group records.
+/// Work counters of one event-engine campaign, summed over its group
+/// records.
 struct Work {
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
   std::array<std::uint64_t, nl::kNumCompiledOps> by_kind = {0, 0, 0, 0};
+  bool operator==(const Work&) const = default;
 };
 
+Work add(Work w, const GroupRecord& r) {
+  EXPECT_EQ(r.engine_used, GroupEngine::kEvent);
+  w.gates_evaluated += r.gates_evaluated;
+  w.sim_cycles += r.sim_cycles;
+  for (std::size_t i = 0; i < w.by_kind.size(); ++i) {
+    w.by_kind[i] += r.evals_by_kind[i];
+  }
+  return w;
+}
+
+/// The work of a kernel that runs its active cycles dense as `dense`
+/// says, each group in one go.
+Work kernel_work(const nl::Netlist& n, const nl::FaultList& fl,
+                 const EnvFactory& env, FaultSimOptions opt,
+                 DenseCycles dense) {
+  opt.engine = Engine::kEvent;
+  Work w;
+  for (const auto& [g, r] : testutil::event_kernel_records(
+           n, fl, opt, testutil::good_run(n, env, opt), dense)) {
+    w = add(w, r);
+  }
+  return w;
+}
+
+/// The work of a two-thread event-engine campaign, whose groups park
+/// and resume.
 Work event_work(const nl::Netlist& n, const nl::FaultList& fl,
                 const EnvFactory& env, FaultSimOptions opt) {
   Work w;
   opt.engine = Engine::kEvent;
   opt.threads = 2;
-  opt.on_group = [&w](const GroupRecord& r, bool, double) {
-    EXPECT_EQ(r.engine_used, GroupEngine::kEvent);
-    for (std::size_t i = 0; i < w.by_kind.size(); ++i) {
-      w.by_kind[i] += r.evals_by_kind[i];
-    }
-  };
+  opt.on_group = [&w](const GroupRecord& r, bool, double) { w = add(w, r); };
   const FaultSimResult res = run_fault_sim(n, fl, env, opt);
-  w.gates_evaluated = res.gates_evaluated;
-  w.sim_cycles = res.sim_cycles;
+  EXPECT_EQ(w.gates_evaluated, res.gates_evaluated);
+  EXPECT_EQ(w.sim_cycles, res.sim_cycles);
   return w;
 }
 
+// Without dense cycles the wavefront alone does the work; the default
+// policy runs wide cycles dense, each counted as one full sweep.
 TEST(EventKernel, CompiledWorkCountersPinned) {
   {
     const plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
@@ -401,13 +427,21 @@ TEST(EventKernel, CompiledWorkCountersPinned) {
     FaultSimOptions opt;
     opt.max_cycles = 1'000'000;
     opt.sample = 630;
-    const Work w = event_work(cpu.netlist, nl::enumerate_faults(cpu.netlist),
-                              plasma::make_cpu_env_factory(cpu, p.image),
-                              opt);
-    EXPECT_EQ(w.gates_evaluated, 814'668u);
+    const nl::FaultList fl = nl::enumerate_faults(cpu.netlist);
+    const EnvFactory env = plasma::make_cpu_env_factory(cpu, p.image);
+    const Work never =
+        kernel_work(cpu.netlist, fl, env, opt, DenseCycles::kNever);
+    EXPECT_EQ(never.gates_evaluated, 814'668u);
+    EXPECT_EQ(never.sim_cycles, 41'295u);
+    EXPECT_EQ(never.by_kind, (std::array<std::uint64_t, 4>{225'317, 25'455,
+                                                           72'117, 491'779}));
+    const Work w = event_work(cpu.netlist, fl, env, opt);
+    EXPECT_EQ(w, kernel_work(cpu.netlist, fl, env, opt,
+                             DenseCycles::kAdaptive));
+    EXPECT_EQ(w.gates_evaluated, 3'032'147u);
     EXPECT_EQ(w.sim_cycles, 41'295u);
-    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{225'317, 25'455,
-                                                       72'117, 491'779}));
+    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{740'334, 110'657,
+                                                       243'840, 1'937'316}));
   }
   {
     const parwan::ParwanCpu cpu = parwan::build_parwan_cpu();
@@ -415,13 +449,19 @@ TEST(EventKernel, CompiledWorkCountersPinned) {
     ASSERT_TRUE(st.halted);
     FaultSimOptions opt;
     opt.max_cycles = 100'000;
-    const Work w = event_work(cpu.netlist, nl::enumerate_faults(cpu.netlist),
-                              parwan::make_parwan_env_factory(cpu, st.image),
-                              opt);
-    EXPECT_EQ(w.gates_evaluated, 397'013u);
-    EXPECT_EQ(w.sim_cycles, 27'259u);
-    EXPECT_EQ(w.by_kind, (std::array<std::uint64_t, 4>{238'280, 23'407,
-                                                       15'924, 119'402}));
+    const nl::FaultList fl = nl::enumerate_faults(cpu.netlist);
+    const EnvFactory env = parwan::make_parwan_env_factory(cpu, st.image);
+    const Work never =
+        kernel_work(cpu.netlist, fl, env, opt, DenseCycles::kNever);
+    EXPECT_EQ(never.gates_evaluated, 397'013u);
+    EXPECT_EQ(never.sim_cycles, 27'259u);
+    EXPECT_EQ(never.by_kind, (std::array<std::uint64_t, 4>{238'280, 23'407,
+                                                           15'924, 119'402}));
+    const Work w = event_work(cpu.netlist, fl, env, opt);
+    EXPECT_EQ(w, kernel_work(cpu.netlist, fl, env, opt,
+                             DenseCycles::kAdaptive));
+    // No Parwan wavefront is wide enough to start a dense stretch.
+    EXPECT_EQ(w, never);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "campaign/supervisor.h"
 #include "core/classify.h"
 #include "core/program.h"
 #include "fault/faultsim.h"
@@ -517,6 +518,54 @@ TEST(SweepLanes, GroupTimeoutInOneLaneWhileTheOtherCompletes) {
   EXPECT_LT(hung.cycles, opt.max_cycles);
   expect_same_records(one(1, want), one(1, run.records.at(1)),
                       "healthy lane");
+}
+
+TEST(SweepLanes, GroupDurationsSumToAtMostWorkersTimesWallClock) {
+  // Ten groups at four workers, up to eight side by side in one worker.
+  // A sweep group is charged its share of each pass it ran in, so the
+  // durations of a run add up to at most workers x its wall clock,
+  // threaded or isolated.
+  const plasma::PlasmaCpu cpu = plasma::build_plasma_cpu();
+  const core::SelfTestProgram p =
+      core::build_phase_ab(core::classify_plasma(cpu));
+  ASSERT_TRUE(p.halted);
+  const nl::FaultList faults = nl::enumerate_faults(cpu.netlist);
+  const EnvFactory env = plasma::make_cpu_env_factory(cpu, p.image);
+  FaultSimOptions opt;
+  opt.max_cycles = 1'000'000;
+  opt.sample = 630;
+  opt.engine = Engine::kSweep;
+  opt.threads = 1;
+  const Records want = grade(cpu.netlist, faults, env, opt);
+  ASSERT_EQ(want.size(), 10u);
+
+  constexpr unsigned kWorkers = 4;
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "threads");
+    Records got;
+    double busy_ms = 0;
+    opt.threads = kWorkers;
+    opt.on_group = [&](const GroupRecord& r, bool, double duration_ms) {
+      got[r.group] = r;
+      busy_ms += duration_ms;
+    };
+    const auto start = std::chrono::steady_clock::now();
+    if (isolate) {
+      campaign::IsolateOptions iso;
+      iso.workers = kWorkers;
+      std::size_t restarts = 0;
+      campaign::run_fault_sim_isolated(cpu.netlist, faults, env, opt, iso,
+                                       &restarts);
+    } else {
+      run_fault_sim(cpu.netlist, faults, env, opt);
+    }
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    expect_same_records(want, got, "charged");
+    EXPECT_GT(busy_ms, 0.0);
+    EXPECT_LE(busy_ms, kWorkers * wall_ms);
+  }
 }
 
 TEST(SweepLanes, CancelMidStreamThenResumeIsIdentical) {

@@ -13,8 +13,11 @@
 #include <memory>
 #include <vector>
 
+#include "fault/compiled_event_kernel.h"
 #include "fault/faultsim.h"
 #include "fault/good_trace.h"
+#include "fault/injection.h"
+#include "netlist/compiled.h"
 #include "netlist/fault.h"
 #include "netlist/netlist.h"
 #include "verify/fault_oracle.h"
@@ -203,6 +206,50 @@ inline std::shared_ptr<const GoodTrace> good_run(const nl::Netlist& n,
 
 /// Group records keyed by group index.
 using Records = std::map<std::uint64_t, GroupRecord>;
+
+/// Every primary-output bit of `n`, as the simulators list them.
+inline std::vector<nl::GateId> po_bits(const nl::Netlist& n) {
+  std::vector<nl::GateId> bits;
+  for (const nl::Port& port : n.outputs()) {
+    bits.insert(bits.end(), port.bits.begin(), port.bits.end());
+  }
+  return bits;
+}
+
+/// Loads the faults of `plan`'s group `group` into `inj`, one machine bit
+/// each, as the group simulator does.
+inline void load_group(const nl::Netlist& n, const nl::FaultList& fl,
+                       const GroupPlan& plan, std::size_t group,
+                       detail::InjectionTable* inj) {
+  inj->clear();
+  for (std::uint32_t i = 0; i < plan.group_count(group); ++i) {
+    inj->add(n, fl.faults[plan.active()[group * 63 + i]],
+             static_cast<int>(i));
+  }
+}
+
+/// Every group of `opt`'s plan simulated in one go against `trace` (a
+/// complete recording with planes) by an event kernel that runs its
+/// active cycles dense as `dense` says.
+inline Records event_kernel_records(const nl::Netlist& n,
+                                    const nl::FaultList& fl,
+                                    const FaultSimOptions& opt,
+                                    std::shared_ptr<const GoodTrace> trace,
+                                    DenseCycles dense) {
+  const GroupPlan plan(fl, opt);
+  const std::shared_ptr<const nl::CompiledNetlist> cn = nl::compile(n);
+  CompiledEventKernel kernel(n, *cn, po_bits(n), std::move(trace), dense);
+  detail::InjectionTable inj(n.size());
+  Records recs;
+  for (std::size_t g = 0; g < plan.num_groups(); ++g) {
+    load_group(n, fl, plan, g, &inj);
+    GroupSlice s;
+    s.rec = plan.unstarted_record(g);
+    EXPECT_TRUE(kernel.simulate(inj, &s)) << "group " << g;
+    recs[g] = std::move(s.rec);
+  }
+  return recs;
+}
 
 /// Checks the detect cycle of every fault in `recs` (groups of an
 /// unsampled, unsharded campaign over `fl`) against the single-fault
