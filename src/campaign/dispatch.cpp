@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -84,6 +85,7 @@ pid_t spawn_runner(const std::vector<std::string>& argv) {
     cargv.push_back(const_cast<char*>(a.c_str()));
   }
   cargv.push_back(nullptr);
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid == 0) {
@@ -91,6 +93,14 @@ pid_t spawn_runner(const std::vector<std::string>& argv) {
     // explicitly, so a terminal Ctrl-C must not also reach every runner
     // twice (once from the terminal's process group, once forwarded).
     ::setpgid(0, 0);
+    // A runner drains, as on a forwarded SIGTERM, when its dispatcher
+    // dies, SIGKILL included, instead of running on unsupervised. The
+    // signal is tied to the forking thread, not the process: run_dispatch
+    // forks from the thread that calls it and reaps every runner before
+    // it returns. A dispatcher that died before the prctl took effect
+    // has already reparented this child, so it must not exec at all.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    if (::getppid() != parent) _exit(127);
     ::execv(cargv[0], cargv.data());
     std::fprintf(stderr, "exec %s failed: %s\n", cargv[0],
                  std::strerror(errno));

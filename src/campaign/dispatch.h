@@ -139,7 +139,9 @@ struct DispatchResult {
 
 /// Runs the dispatch loop until every shard completes, fails, or a
 /// drain is requested. Throws std::runtime_error on unusable options
-/// (no shards, no argv factory, missing journal_dir).
+/// (no shards, no argv factory, missing journal_dir). Runners get
+/// SIGTERM, and so drain, when the calling thread dies before them: the
+/// dispatcher's process killed outright, or the thread itself ended.
 DispatchResult run_dispatch(const DispatchOptions& options);
 
 }  // namespace sbst::campaign

@@ -192,8 +192,13 @@ void CompiledEventKernel::fill_chunk(const detail::InjectionTable& inj,
   }
 }
 
-bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
-                                   GroupSlice* slice) {
+// Aligned to a cache line, like LogicSim::eval: the event grade spends
+// its time in this function's loops, whose placement otherwise moves
+// with the code linked before it. Unaligned, a 200-byte change to the
+// per-slice set-up above the loops moved the full A+B grade by 1%;
+// aligned, by 0.4%.
+__attribute__((aligned(64))) bool CompiledEventKernel::simulate(
+    const detail::InjectionTable& inj, GroupSlice* slice) {
   using Clock = std::chrono::steady_clock;
   const GoodTrace& tr = *trace_;
   const nl::CompiledNetlist& cn = *cn_;
@@ -216,12 +221,7 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
   for (nl::GateId g : inj.slotted_gates()) {
     const nl::Gate& gate = netlist_->gate(g);
     if (gate.kind == nl::GateKind::kDff) {
-      for (std::size_t d = 0; d < cn.dff_gate.size(); ++d) {
-        if (cn.dff_gate[d] == g) {
-          dffd_dffs_.push_back(static_cast<std::uint32_t>(d));
-          break;
-        }
-      }
+      dffd_dffs_.push_back(cn.dff_of_gate[g]);
       continue;
     }
     const std::uint32_t nidx = cn.node_of_gate[g];
@@ -229,12 +229,9 @@ bool CompiledEventKernel::simulate(const detail::InjectionTable& inj,
     InjectedNode r;
     r.kind = gate.kind;
     r.f = inj.force_record(inj.slot(g));
-    const auto pin = [&](nl::GateId d) -> std::uint32_t {
-      return d < n32 ? cn.fold_root[d] : cn.zero_slot;
-    };
-    r.q0 = pin(gate.in[0]);
-    r.q1 = pin(gate.in[1]);
-    r.q2 = pin(gate.in[2]);
+    r.q0 = cn.pin_slot(gate.in[0]);
+    r.q1 = cn.pin_slot(gate.in[1]);
+    r.q2 = cn.pin_slot(gate.in[2]);
     // A pin contributes to the LUT iff it resolved to a real slot. A
     // missing pin is the zero slot, whose good bit is 0 and whose valid
     // bit is never set, so the LUT holds its input at 0 as the lane-wise

@@ -125,10 +125,14 @@ struct SweepLane {
   std::uint64_t evaluated = 0;     // cycles evaluated (work counters)
 };
 
-/// Forced re-evaluation of one injected combinational gate in one lane.
+/// Forced re-evaluation of one injected combinational gate in one lane,
+/// with the gate's kind and fold-rooted pin slots (zero_slot for a
+/// missing pin) resolved when the lane is loaded.
 struct LaneFixup {
   nl::GateId gate;
-  int lane;
+  std::uint32_t in[3];
+  nl::GateKind kind;
+  std::uint8_t lane;
   detail::GateForce force;
 };
 
@@ -137,13 +141,9 @@ struct LaneSweep {
   LaneSweep(const nl::Netlist& netlist,
             const std::shared_ptr<const nl::CompiledNetlist>& compiled)
       : v(lane_words(compiled->num_gates + 1)),
-        next(lane_words(compiled->dff_gate.size())) {
+        staged(lane_words(compiled->dff_chained.size())) {
     const nl::CompiledNetlist& cn = *compiled;
     fix_by_level.resize(static_cast<std::size_t>(cn.lv.max_level) + 1);
-    dff_index.assign(netlist.size(), 0);
-    for (std::size_t i = 0; i < cn.dff_gate.size(); ++i) {
-      dff_index[cn.dff_gate[i]] = static_cast<std::uint32_t>(i);
-    }
     // Lane-local reset: sources and flip-flops take the values
     // LogicSim::reset() gives them; everything else is recomputed before
     // it is read.
@@ -159,11 +159,10 @@ struct LaneSweep {
     for (int l = 0; l < kLanes; ++l) lanes.emplace_back(netlist);
   }
 
-  LaneWords v;     // value slots, num_gates + 1
-  LaneWords next;  // per DFF, sampled D words
+  LaneWords v;       // value slots, num_gates + 1
+  LaneWords staged;  // clock_edge's samples of chained DFFs
   std::vector<SweepLane> lanes;
   std::vector<std::pair<nl::GateId, Word>> reset_image;
-  std::vector<std::uint32_t> dff_index;  // gate -> Levelization::dffs index
   // Comb fixups of the busy lanes, by level; fix_levels lists the
   // non-empty levels in ascending order.
   std::vector<std::vector<LaneFixup>> fix_by_level;
@@ -179,13 +178,14 @@ struct LaneSweep {
 // level (its consumers sit at strictly higher levels, so the fixup lands
 // before anything reads the forced word); per lane, the bits where a
 // machine's PO differs from its lane's good machine (bit 63) into
-// diff[l]; one DFF step. Operands are read through the fold roots:
-// folded BUF copies are never materialized, since only POs (always
-// materialized) and fold-rooted DFF D slots are read from the lane.
-// D-pin forcing applies to the sampled (pre-update) words, so a DFF
-// feeding another DFF hands over its old, forced-or-not Q; Q-output
-// forcing is re-applied after the next drive. Idle lanes are evaluated
-// too and never read: a lane starts from lane-local reset.
+// diff[l]; one in-place clock edge (nl::clock_edge). Operands are read
+// through the fold roots: folded BUF copies are never materialized,
+// since only POs (always materialized) and fold-rooted DFF D slots are
+// read from the lane. The edge hands a DFF fed by another DFF that
+// DFF's old, forced-or-not Q; a D-pin force then lands on its own DFF's
+// new Q word, which nothing has read yet, and Q-output forcing is
+// re-applied after the next drive. Idle lanes are evaluated too and
+// never read: a lane starts from lane-local reset.
 //
 // This is the one place the sweep spends its time, so it is compiled for
 // three ISAs and the loader picks the widest the CPU has: one LaneWord
@@ -205,8 +205,7 @@ struct LaneSweep {
 #define SBST_SWEEP_PASS_CLONES target_clones("default", "avx2", "avx512f"),
 #endif
 __attribute__((SBST_SWEEP_PASS_CLONES flatten))
-void sweep_pass(LaneSweep& s, const nl::Netlist& netlist,
-                const nl::CompiledNetlist& cn,
+void sweep_pass(LaneSweep& s, const nl::CompiledNetlist& cn,
                 const std::vector<nl::GateId>& inputs,
                 const std::vector<nl::GateId>& po_bits, Word* diff) {
   LaneWord* const v = s.v.get();
@@ -231,16 +230,13 @@ void sweep_pass(LaneSweep& s, const nl::Netlist& netlist,
       nl::eval_run(cn, cn.runs[r], v);
     }
     for (const LaneFixup& fx : s.fix_by_level[lvl]) {
-      const nl::Gate& gate = netlist.gate(fx.gate);
-      const auto rd = [&](nl::GateId d) -> Word {
-        return d < cn.num_gates ? v[cn.fold_root[d]][fx.lane] : 0;
-      };
+      const int l = fx.lane;
       const detail::GateForce& f = fx.force;
-      const Word a = (rd(gate.in[0]) | f.set[1]) & ~f.clr[1];
-      const Word b = (rd(gate.in[1]) | f.set[2]) & ~f.clr[2];
-      const Word c = (rd(gate.in[2]) | f.set[3]) & ~f.clr[3];
-      v[fx.gate][fx.lane] =
-          (sim::eval_gate(gate.kind, a, b, c) | f.set[0]) & ~f.clr[0];
+      const Word a = (v[fx.in[0]][l] | f.set[1]) & ~f.clr[1];
+      const Word b = (v[fx.in[1]][l] | f.set[2]) & ~f.clr[2];
+      const Word c = (v[fx.in[2]][l] | f.set[3]) & ~f.clr[3];
+      v[fx.gate][l] =
+          (sim::eval_gate(fx.kind, a, b, c) | f.set[0]) & ~f.clr[0];
     }
   }
   for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], v);
@@ -253,18 +249,14 @@ void sweep_pass(LaneSweep& s, const nl::Netlist& netlist,
   }
   for (int l = 0; l < kLanes; ++l) diff[l] = d[l];
 
-  LaneWord* const next = s.next.get();
-  const std::size_t num_dffs = cn.dff_gate.size();
-  for (std::size_t i = 0; i < num_dffs; ++i) next[i] = v[cn.dff_d[i]];
+  nl::clock_edge(cn, v, s.staged.get());
   for (int l = 0; l < kLanes; ++l) {
     const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
     if (!ln.busy) continue;
     for (const Injection& i : ln.inj.dff_d()) {
-      LaneWord& n = next[s.dff_index[i.gate]];
-      n[l] = force(n[l], i.mask, i.stuck);
+      v[i.gate][l] = force(v[i.gate][l], i.mask, i.stuck);
     }
   }
-  for (std::size_t i = 0; i < num_dffs; ++i) v[cn.dff_gate[i]] = next[i];
 }
 
 }  // namespace
@@ -498,7 +490,7 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
     if (s.busy == 0) continue;
 
     Word diff[kLanes] = {};
-    sweep_pass(s, netlist, *compiled, trace->inputs(), po_bits, diff);
+    sweep_pass(s, *compiled, trace->inputs(), po_bits, diff);
 
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
@@ -582,11 +574,17 @@ void GroupSimulator::Impl::rebuild_fixups() {
     const SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
     if (!ln.busy) continue;
     for (nl::GateId g : ln.inj.slotted_gates()) {
-      if (netlist.gate(g).kind == nl::GateKind::kDff) continue;  // D pin
+      const nl::Gate& gate = netlist.gate(g);
+      if (gate.kind == nl::GateKind::kDff) continue;  // D pin
       const std::uint32_t lvl = compiled->lv.level[g];
       if (s.fix_by_level[lvl].empty()) s.fix_levels.push_back(lvl);
       s.fix_by_level[lvl].push_back(
-          {g, l, ln.inj.force_record(ln.inj.slot(g))});
+          {g,
+           {compiled->pin_slot(gate.in[0]), compiled->pin_slot(gate.in[1]),
+            compiled->pin_slot(gate.in[2])},
+           gate.kind,
+           static_cast<std::uint8_t>(l),
+           ln.inj.force_record(ln.inj.slot(g))});
     }
   }
   std::sort(s.fix_levels.begin(), s.fix_levels.end());

@@ -151,11 +151,6 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     return a.g < b.g;
   });
 
-  const auto slot = [&](GateId d) -> std::uint32_t {
-    if (!valid_gate(netlist, d)) return cn.zero_slot;
-    return cn.fold_root[d];
-  };
-
   const std::size_t num_nodes = keys.size();
   cn.node_gate.reserve(num_nodes);
   cn.node_in0.reserve(num_nodes);
@@ -166,10 +161,11 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     const std::uint32_t idx = static_cast<std::uint32_t>(cn.node_gate.size());
     cn.node_of_gate[k.g] = idx;
     cn.node_gate.push_back(k.g);
-    cn.node_in0.push_back(slot(k.low.in0));
-    cn.node_in1.push_back(slot(k.low.in1));
-    cn.node_in2.push_back(k.low.op == CompiledOp::kMux ? slot(k.low.in2)
-                                                       : cn.zero_slot);
+    cn.node_in0.push_back(cn.pin_slot(k.low.in0));
+    cn.node_in1.push_back(cn.pin_slot(k.low.in1));
+    cn.node_in2.push_back(k.low.op == CompiledOp::kMux
+                              ? cn.pin_slot(k.low.in2)
+                              : cn.zero_slot);
     std::uint8_t meta = static_cast<std::uint8_t>(k.low.op);
     if (k.low.invert) meta |= CompiledNetlist::kMetaInvert;
     if (is_po[k.g]) meta |= CompiledNetlist::kMetaPo;
@@ -212,11 +208,21 @@ std::shared_ptr<const CompiledNetlist> compile(const Netlist& netlist) {
     cn.level_run_begin[num_levels] = static_cast<std::uint32_t>(cn.runs.size());
   }
 
-  // Pass 4: DFFs (Levelization order) with fold-rooted D drivers.
+  // Pass 4: DFFs (Levelization order) with fold-rooted D drivers, the
+  // gate -> flip-flop index, and the flip-flops fed by a flip-flop.
   cn.dff_gate = cn.lv.dffs;
   cn.dff_d.reserve(cn.dff_gate.size());
-  for (GateId g : cn.dff_gate) {
-    cn.dff_d.push_back(slot(netlist.gate(g).in[0]));
+  cn.dff_of_gate.assign(n, kNoDff);
+  for (std::size_t d = 0; d < cn.dff_gate.size(); ++d) {
+    const GateId g = cn.dff_gate[d];
+    cn.dff_d.push_back(cn.pin_slot(netlist.gate(g).in[0]));
+    cn.dff_of_gate[g] = static_cast<std::uint32_t>(d);
+  }
+  for (std::size_t d = 0; d < cn.dff_gate.size(); ++d) {
+    const std::uint32_t s = cn.dff_d[d];
+    if (s < n && cn.dff_of_gate[s] != kNoDff) {
+      cn.dff_chained.push_back(static_cast<std::uint32_t>(d));
+    }
   }
 
   // Pass 5: compiled fanout CSR over fold-rooted edges. An edge is one

@@ -19,7 +19,12 @@
 //     gates are aliases of themselves — they are never re-evaluated and
 //     never constant-propagated (output-stem faults on constants are
 //     forced per group by the injection layer, which aggressive folding
-//     would break).
+//     would break);
+//   * flip-flops clock in place (clock_edge): only the few whose D slot
+//     is another flip-flop's Q (dff_chained) are sampled before the
+//     edge, so no simulator keeps a next-state buffer per flip-flop.
+//     Kernels that re-evaluate an injected gate on their own read its
+//     pins through pin_slot(), the same fold-rooted slots the runs read.
 //
 // Values stay indexed by original GateId (one extra always-zero slot at
 // index num_gates stands in for kNoGate), so the injection tables, the
@@ -45,6 +50,8 @@ inline constexpr int kNumCompiledOps = 4;
 
 /// Sentinel for "gate has no compiled node" (folded BUF or non-comb).
 inline constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
+/// Sentinel for "gate is not a flip-flop" in CompiledNetlist::dff_of_gate.
+inline constexpr std::uint32_t kNoDff = 0xFFFFFFFFu;
 
 /// Base-op class a combinational GateKind lowers to (kAnd for sources,
 /// which never lower). BUF classes with the AND lane it is materialized
@@ -113,6 +120,11 @@ struct CompiledNetlist {
   // --- flip-flops (Levelization::dffs order) ------------------------------
   std::vector<GateId> dff_gate;
   std::vector<std::uint32_t> dff_d;  // fold root of the D driver
+  /// Flip-flop index per gate (kNoDff for every other gate).
+  std::vector<std::uint32_t> dff_of_gate;
+  /// Flip-flops whose D slot is a flip-flop's Q, ascending: the only
+  /// ones clock_edge() must sample before it writes any Q.
+  std::vector<std::uint32_t> dff_chained;
 
   // --- compiled fanout CSR over fold-rooted edges -------------------------
   // Consumers of value slot s are fanout[fanout_offset[s] ..
@@ -144,6 +156,11 @@ struct CompiledNetlist {
                                                                     0};
 
   std::size_t num_nodes() const { return node_gate.size(); }
+  /// Value slot a gate pin reads: the fold root of its driver, or
+  /// zero_slot for an unconnected pin.
+  std::uint32_t pin_slot(GateId d) const {
+    return d < num_gates ? fold_root[d] : zero_slot;
+  }
 };
 
 /// Branch-free evaluation of one run over a value array of size
@@ -190,6 +207,27 @@ inline void apply_copies(const CompiledNetlist& cn, std::uint64_t* v) {
   const std::uint32_t* const src = cn.copy_src.data();
   const std::size_t n = cn.copy_dst.size();
   for (std::size_t i = 0; i < n; ++i) v[dst[i]] = v[src[i]];
+}
+
+/// One clock edge over a value array: every flip-flop's Q takes the
+/// value of its D slot, as if all D slots were sampled before any Q was
+/// written. Only the flip-flops in dff_chained read a Q, so only they are
+/// sampled into `staged` (dff_chained.size() words) first. Then every Q
+/// is copied in place from its D slot, and the chained ones are written
+/// again from `staged`, which undoes any read of an already-clocked Q.
+/// No other flip-flop reads a Q, so the copy order does not matter for
+/// them. Run after the sweep; D slots are fold roots, so the folded BUF
+/// copies need not have run. `W` is as for eval_run.
+template <typename W>
+inline void clock_edge(const CompiledNetlist& cn, W* v, W* staged) {
+  const std::uint32_t* const q = cn.dff_gate.data();
+  const std::uint32_t* const d = cn.dff_d.data();
+  const std::uint32_t* const chained = cn.dff_chained.data();
+  const std::size_t num_chained = cn.dff_chained.size();
+  for (std::size_t k = 0; k < num_chained; ++k) staged[k] = v[d[chained[k]]];
+  const std::size_t num_dffs = cn.dff_gate.size();
+  for (std::size_t i = 0; i < num_dffs; ++i) v[q[i]] = v[d[i]];
+  for (std::size_t k = 0; k < num_chained; ++k) v[q[chained[k]]] = staged[k];
 }
 
 /// Lowers the netlist; throws NetlistError on combinational cycles

@@ -9,7 +9,8 @@ LogicSim::LogicSim(const nl::Netlist& netlist,
                    std::shared_ptr<const nl::CompiledNetlist> compiled)
     : nl_(&netlist),
       cn_(std::move(compiled)),
-      val_(netlist.size() + 1, 0) {
+      val_(netlist.size() + 1, 0),
+      staged_(cn_->dff_chained.size(), 0) {
   reset();
 }
 
@@ -56,18 +57,7 @@ void LogicSim::eval_reference() {
 }
 
 void LogicSim::step_clock() {
-  // Two-phase: sample all D inputs, then update, so DFF->DFF paths see
-  // pre-edge values. D is read through the compiled fold root — the
-  // same value as the original driver since copies ran in eval().
-  thread_local std::vector<Word> next;
-  const std::size_t num_dffs = cn_->dff_gate.size();
-  next.resize(num_dffs);
-  for (std::size_t i = 0; i < num_dffs; ++i) {
-    next[i] = val_[cn_->dff_d[i]];
-  }
-  for (std::size_t i = 0; i < num_dffs; ++i) {
-    val_[cn_->dff_gate[i]] = next[i];
-  }
+  nl::clock_edge(*cn_, val_.data(), staged_.data());
 }
 
 std::uint64_t LogicSim::read_output(const nl::Port& port, int machine) const {

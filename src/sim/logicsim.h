@@ -11,7 +11,8 @@
 // branch-free per-(level, op) runs with folded inversions and BUF
 // chains. eval_reference() keeps the original per-gate interpreted
 // sweep for differential testing; both produce bit-identical values on
-// every net, folded BUFs included.
+// every net, folded BUFs included. step_clock() is the in-place clock
+// edge the eight-lane sweep kernel also runs (nl::clock_edge).
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,8 @@ class LogicSim {
   /// every net; kept as the differential-testing reference.
   void eval_reference();
 
-  /// Clocks every DFF: state <- D. Call after eval().
+  /// Clocks every DFF: state <- D, in place (nl::clock_edge); a DFF fed
+  /// by another DFF takes that DFF's pre-edge Q. Call after eval().
   void step_clock();
 
   /// Raw word on a net (valid after eval()).
@@ -93,6 +95,7 @@ class LogicSim {
   const nl::Netlist* nl_;
   std::shared_ptr<const nl::CompiledNetlist> cn_;
   std::vector<Word> val_;
+  std::vector<Word> staged_;  // clock_edge's samples of chained DFFs
 };
 
 }  // namespace sbst::sim

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <utime.h>
 
@@ -239,6 +241,69 @@ TEST(Dispatch, RevokedRunnerLeavesNoDescendants) {
   }
   EXPECT_LT(std::chrono::steady_clock::now() - started,
             std::chrono::seconds(10));
+}
+
+TEST(Dispatch, KilledDispatcherTakesItsRunnersDown) {
+  const std::string dir = make_dir("dispatch_parent_death");
+  // Each runner records its pid and waits on a long sleeper without
+  // ever finishing. On SIGTERM it drains like `sbst grade`: it stops its
+  // work, leaves its journal resumable and exits 3. A second dispatch
+  // finishes every shard whose journal a drain left behind.
+  DispatchOptions opt = sh_runner_options(
+      dir, "runner.sh",
+      "if [ \"$(cat \"$2\" 2>/dev/null)\" = resumable ]; then\n"
+      "  echo done > \"$2\"; exit 0\n"
+      "fi\n"
+      "trap 'kill $sleeper; echo resumable > \"$2\"; exit 3' TERM\n"
+      "sleep 30 & sleeper=$!\n"
+      "echo $$ > \"$2.pid\"\n"
+      "wait\n",
+      3);
+  opt.stale_after_s = 60;
+  const pid_t dispatcher = ::fork();
+  ASSERT_GE(dispatcher, 0);
+  if (dispatcher == 0) {
+    run_dispatch(opt);
+    _exit(0);
+  }
+  std::vector<std::string> runners;
+  for (unsigned shard = 0; shard < opt.shards; ++shard) {
+    const std::string pid_file =
+        shard_journal_path(dir, shard, opt.shards) + ".pid";
+    for (int i = 0; i < 500 && slurp(pid_file).empty(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    std::istringstream in(slurp(pid_file));
+    std::string pid;
+    ASSERT_TRUE(in >> pid) << "shard " << shard << " never started";
+    runners.push_back(pid);
+  }
+  ::kill(dispatcher, SIGKILL);
+  ASSERT_EQ(::waitpid(dispatcher, nullptr, 0), dispatcher);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (const std::string& pid : runners) {
+    while (process_running(pid) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (process_running(pid)) {
+      ADD_FAILURE() << "runner " << pid << " survived its dispatcher";
+      ::kill(std::stoi(pid), SIGKILL);
+    }
+  }
+  if (HasFailure()) return;
+  for (unsigned shard = 0; shard < opt.shards; ++shard) {
+    const std::string journal = shard_journal_path(dir, shard, opt.shards);
+    EXPECT_EQ(slurp(journal), "resumable\n") << "shard " << shard;
+  }
+
+  const DispatchResult res = run_dispatch(opt);
+  EXPECT_TRUE(res.all_completed());
+  for (const ShardOutcome& s : res.shards) {
+    EXPECT_EQ(slurp(s.journal), "done\n") << "shard " << s.shard;
+  }
 }
 
 TEST(Dispatch, ForeignLiveLeaseBlocksTheShard) {
