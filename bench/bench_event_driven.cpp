@@ -36,7 +36,6 @@ struct EngineRun {
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
   std::size_t trace_bytes = 0;
-  bool trace_fallback = false;
 };
 
 struct Target {
@@ -100,7 +99,6 @@ Target run_target(const std::string& name, const nl::Netlist& netlist,
       run.gates_evaluated = results[pass].gates_evaluated;
       run.sim_cycles = results[pass].sim_cycles;
       run.trace_bytes = results[pass].trace_bytes;
-      run.trace_fallback = results[pass].trace_fallback;
     }
   }
   t.good_cycles = results[0].good_cycles;
@@ -121,11 +119,10 @@ Target run_target(const std::string& name, const nl::Netlist& netlist,
                            static_cast<double>(r.sim_cycles)
                      : 0.0;
     std::printf("  %-13s %8.3fs  %14llu gate-evals  %12.0f /group"
-                "  %8.1f /cycle%s\n",
+                "  %8.1f /cycle\n",
                 tag, r.seconds,
                 static_cast<unsigned long long>(r.gates_evaluated),
-                per_group, per_cycle,
-                r.trace_fallback ? "  [FELL BACK TO SWEEP]" : "");
+                per_group, per_cycle);
   };
   row("sweep", t.sweep);
   row("event", t.event);
@@ -149,13 +146,11 @@ void emit_engine(std::FILE* f, const char* tag, const Target& t,
   std::fprintf(f,
                "      \"%s\": {\"seconds\": %.4f, \"gates_evaluated\": %llu,"
                " \"sim_cycles\": %llu, \"gate_evals_per_group\": %.1f,"
-               " \"gate_evals_per_cycle\": %.2f, \"trace_bytes\": %zu,"
-               " \"trace_fallback\": %s}%s\n",
+               " \"gate_evals_per_cycle\": %.2f, \"trace_bytes\": %zu}%s\n",
                tag, r.seconds,
                static_cast<unsigned long long>(r.gates_evaluated),
                static_cast<unsigned long long>(r.sim_cycles), per_group,
-               per_cycle, r.trace_bytes, r.trace_fallback ? "true" : "false",
-               trail);
+               per_cycle, r.trace_bytes, trail);
 }
 
 }  // namespace

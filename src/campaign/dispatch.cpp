@@ -1,9 +1,11 @@
 #include "campaign/dispatch.h"
 
 #include <poll.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -77,7 +79,31 @@ std::time_t file_mtime(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? st.st_mtime : 0;
 }
 
-pid_t spawn_runner(const std::vector<std::string>& argv) {
+/// Blocks the drain signals on the calling thread for its lifetime, so
+/// that one landing between the loop's drain check and its sleep stays
+/// pending until ppoll unblocks it, which then ends the sleep at once.
+class DrainSignalsHeld {
+ public:
+  DrainSignalsHeld() {
+    sigset_t drain;
+    ::sigemptyset(&drain);
+    for (int sig : {SIGINT, SIGTERM, SIGHUP}) ::sigaddset(&drain, sig);
+    ::pthread_sigmask(SIG_BLOCK, &drain, &outside_);
+  }
+  ~DrainSignalsHeld() { ::pthread_sigmask(SIG_SETMASK, &outside_, nullptr); }
+  DrainSignalsHeld(const DrainSignalsHeld&) = delete;
+  DrainSignalsHeld& operator=(const DrainSignalsHeld&) = delete;
+
+  /// The caller's own mask: the sleep's, and the runners'.
+  const sigset_t& outside() const { return outside_; }
+
+ private:
+  sigset_t outside_;
+};
+
+/// Forks and execs one runner with the signal mask `mask`.
+pid_t spawn_runner(const std::vector<std::string>& argv,
+                   const sigset_t& mask) {
   if (argv.empty()) return -1;
   std::vector<char*> cargv;
   cargv.reserve(argv.size() + 1);
@@ -101,6 +127,7 @@ pid_t spawn_runner(const std::vector<std::string>& argv) {
     // has already reparented this child, so it must not exec at all.
     ::prctl(PR_SET_PDEATHSIG, SIGTERM);
     if (::getppid() != parent) _exit(127);
+    ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
     ::execv(cargv[0], cargv.data());
     std::fprintf(stderr, "exec %s failed: %s\n", cargv[0],
                  std::strerror(errno));
@@ -119,6 +146,7 @@ struct Shard {
   unsigned id = 0;
   ShardState state = ShardState::kPending;
   pid_t pid = -1;
+  int pidfd = -1;  // readable once the runner exits; -1 when none
   unsigned attempt = 0;  // runners spawned so far
   unsigned redispatches = 0;
   unsigned stale_leases = 0;
@@ -166,6 +194,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                              " does not exist");
   }
   std::FILE* log = options.log ? options.log : stderr;
+  const DrainSignalsHeld held;
 
   std::vector<Shard> shards(options.shards);
   for (unsigned i = 0; i < options.shards; ++i) {
@@ -242,11 +271,15 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
     ++s.attempt;
     const std::vector<std::string> argv =
         options.make_runner_argv(s.id, s.journal, s.status);
-    s.pid = spawn_runner(argv);
+    s.pid = spawn_runner(argv, held.outside());
     if (s.pid < 0) {
       fail_shard(s, "cannot spawn runner");
       return;
     }
+    // Without a pidfd (no descriptor left) the exit is seen by the next
+    // status write's pass instead. The raw syscall: glibc 2.36's
+    // <sys/pidfd.h> declares pidfd_open without C linkage.
+    s.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, s.pid, 0));
     s.spawned_wall = std::time(nullptr);
     s.state = ShardState::kRunning;
     std::fprintf(log, "[dispatch] shard %u/%u -> pid %d (attempt %u)\n", s.id,
@@ -258,6 +291,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
   Clock::time_point last_status = Clock::time_point::min();
 
   const auto write_status = [&](const char* state) {
+    last_status = Clock::now();
     if (options.status_path.empty()) return;
     std::string j = "{\"schema\":\"sbst-dispatch-status-v1\",\"state\":\"";
     j += state;
@@ -291,7 +325,23 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
       util::write_file_atomic(options.status_path, j, options.durability);
     } catch (...) {
     }
-    last_status = Clock::now();
+  };
+
+  const auto release = [](Shard& s) {
+    s.pid = -1;
+    if (s.pidfd >= 0) ::close(s.pidfd);
+    s.pidfd = -1;
+  };
+
+  // When the heartbeat age check of a running shard first fires: the
+  // age is counted in whole wall-clock seconds (time_t).
+  const auto stale_at = [&](const Shard& s, Clock::time_point now) {
+    const std::time_t base = std::max(file_mtime(s.status), s.spawned_wall);
+    const auto wall = std::chrono::system_clock::from_time_t(base) +
+                      std::chrono::seconds(
+                          static_cast<long>(options.stale_after_s) + 1);
+    return now + std::chrono::duration_cast<Clock::duration>(
+                     wall - std::chrono::system_clock::now());
   };
 
   const auto signal_running = [&](int sig) {
@@ -328,7 +378,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
         case ShardState::kRunning: {
           if (const std::optional<util::ChildExit> exit =
                   util::reap_child(s.pid, /*block=*/false)) {
-            s.pid = -1;
+            release(s);
             if (exit->exited(0)) {
               s.state = ShardState::kDone;
               std::fprintf(log, "[dispatch] shard %u/%u complete\n", s.id,
@@ -365,7 +415,7 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
                 s.id, options.shards, age, options.stale_after_s);
             ::kill(-s.pid, SIGKILL);
             util::reap_child(s.pid, /*block=*/true);
-            s.pid = -1;
+            release(s);
             redispatch(s, "stale lease");
           }
           break;
@@ -382,19 +432,32 @@ DispatchResult run_dispatch(const DispatchOptions& options) {
       }
     }
 
+    const auto heartbeat = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(options.heartbeat_period_s));
     // min() marks "never written"; subtracting it would overflow.
     if (last_status == Clock::time_point::min() ||
-        now - last_status >=
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(options.heartbeat_period_s))) {
+        now - last_status >= heartbeat) {
       write_status("running");
     }
 
     if (!active) break;
-    // Not sleep_for, which resumes after a signal: a drain signal ends
-    // this wait (poll is never restarted after a handler runs), so the
-    // runners hear of it at once, not a poll period later.
-    ::poll(nullptr, 0, static_cast<int>(options.poll_period_s * 1000));
+    // Sleep until a runner exits, a drain signal lands (ppoll unblocks
+    // the drain signals and is never restarted after a handler runs), or
+    // the next status write, staleness check or backoff expiry.
+    std::vector<pollfd> exits;
+    Clock::time_point wake = last_status + heartbeat;
+    for (const Shard& s : shards) {
+      if (s.state == ShardState::kBackoff) wake = std::min(wake, s.eligible);
+      if (s.state != ShardState::kRunning) continue;
+      if (s.pidfd >= 0) exits.push_back({s.pidfd, POLLIN, 0});
+      if (!draining) wake = std::min(wake, stale_at(s, now));
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::max(wake - Clock::now(), Clock::duration::zero()));
+    const timespec timeout{
+        static_cast<std::time_t>(left.count() / 1'000'000'000),
+        static_cast<long>(left.count() % 1'000'000'000)};
+    ::ppoll(exits.data(), exits.size(), &timeout, &held.outside());
   }
 
   out.interrupted = draining;

@@ -69,8 +69,6 @@ struct DispatchOptions {
   /// A running shard whose status mtime (or spawn, before the first
   /// heartbeat) is older than this is declared dead and re-dispatched.
   double stale_after_s = 10.0;
-  /// Supervision loop wake period.
-  double poll_period_s = 0.2;
   /// Backoff before re-dispatch attempt k: min(cap, initial * 2^(k-1)),
   /// scaled by a deterministic jitter in [0.75, 1.25) hashed from
   /// (shard, attempt) so simultaneous deaths don't re-dispatch in
@@ -142,6 +140,14 @@ struct DispatchResult {
 /// (no shards, no argv factory, missing journal_dir). Runners get
 /// SIGTERM, and so drain, when the calling thread dies before them: the
 /// dispatcher's process killed outright, or the thread itself ended.
+///
+/// Between passes the loop sleeps until a runner exits (one pidfd per
+/// runner), a drain signal (SIGINT, SIGTERM, SIGHUP) arrives, or the
+/// next status write, lease-staleness check or backoff expiry is due.
+/// The drain signals are blocked on the calling thread while it runs,
+/// except inside that sleep, so one is never missed between the drain
+/// check and the sleep; a drain flag set without a signal is seen by
+/// the next status write at the latest (heartbeat_period_s).
 DispatchResult run_dispatch(const DispatchOptions& options);
 
 }  // namespace sbst::campaign

@@ -81,12 +81,11 @@ CompiledEventKernel::CompiledEventKernel(
   inj_slot_of_node_.assign(cn.num_nodes(), 0);
 }
 
-CompiledEventKernel::Word CompiledEventKernel::forced_eval(
-    const InjectedNode& r, Word a, Word b, Word c) {
-  a = (a | r.f.set[1]) & ~r.f.clr[1];
-  b = (b | r.f.set[2]) & ~r.f.clr[2];
-  c = (c | r.f.set[3]) & ~r.f.clr[3];
-  return (sim::eval_gate(r.kind, a, b, c) | r.f.set[0]) & ~r.f.clr[0];
+const Word* CompiledEventKernel::block(std::uint64_t b) {
+  if (const Word* blk = trace_->block(b)) return blk;
+  if (scratch_.empty()) scratch_.assign(trace_->block_words(), 0);
+  trace_->build_block(*cn_, b, scratch_.data());
+  return scratch_.data();
 }
 
 CompiledEventKernel::Word CompiledEventKernel::dense_eval(const Word* blk,
@@ -119,7 +118,7 @@ CompiledEventKernel::Word CompiledEventKernel::dense_eval(const Word* blk,
       const std::uint32_t k = dense_fix_[i].second;
       const InjectedNode& in = inj_nodes_[k];
       vm[nodes_[comb_injected_[k]].gate] =
-          forced_eval(in, vm[in.q0], vm[in.q1], vm[in.q2]);
+          detail::forced_eval(in.kind, in.f, vm[in.q0], vm[in.q1], vm[in.q2]);
     }
   }
   for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], vm);
@@ -243,14 +242,9 @@ __attribute__((aligned(64))) bool CompiledEventKernel::simulate(
       const Word A = u0 ? Word{0} - (ix & 1) : 0;
       const Word B = u1 ? Word{0} - ((ix >> 1) & 1) : 0;
       const Word C = u2 ? Word{0} - ((ix >> 2) & 1) : 0;
-      const Word good = sim::eval_gate(r.kind, A, B, C);
-      const Word a = (A | r.f.set[1]) & ~r.f.clr[1];
-      const Word b = (B | r.f.set[2]) & ~r.f.clr[2];
-      const Word c = (C | r.f.set[3]) & ~r.f.clr[3];
-      const Word w =
-          (sim::eval_gate(r.kind, a, b, c) | r.f.set[0]) & ~r.f.clr[0];
+      const Word w = detail::forced_eval(r.kind, r.f, A, B, C);
       r.lut[ix] = w;
-      r.dv[ix] = w ^ good;
+      r.dv[ix] = w ^ sim::eval_gate(r.kind, A, B, C);
     }
     inj_slot_of_node_[nidx] =
         static_cast<std::uint32_t>(inj_nodes_.size());
@@ -303,7 +297,7 @@ __attribute__((aligned(64))) bool CompiledEventKernel::simulate(
   const Word* blk = nullptr;
   const auto enter_block = [&](std::uint64_t c) {
     const std::uint64_t first = c - c % kChunk;
-    blk = tr.block(c / kChunk);
+    blk = block(c / kChunk);
     fill_chunk(inj, blk, std::min(kChunk, end - first));
   };
   if (cycle < end && cycle % kChunk != 0) enter_block(cycle);
@@ -514,8 +508,8 @@ __attribute__((aligned(64))) bool CompiledEventKernel::simulate(
             continue;
           }
           // Lane-wise fallback on diverged fanins.
-          w = forced_eval(r, value_of(r.q0).w, value_of(r.q1).w,
-                          value_of(r.q2).w);
+          w = detail::forced_eval(r.kind, r.f, value_of(r.q0).w,
+                                  value_of(r.q1).w, value_of(r.q2).w);
           set_value(nd.gate, w);
           ++evals;
           ++kind_evals[meta & nl::CompiledNetlist::kMetaOpMask];

@@ -30,7 +30,9 @@
 //     evaluations) and carry DFF consumers as tagged entries;
 //   * good values come from the trace's gate-major 64-cycle blocks
 //     (GoodTrace::block): one 64-cycle chunk of the loop reads one block,
-//     and reconstructing a gate across the chunk's cycles reads one word;
+//     and reconstructing a gate across the chunk's cycles reads one word.
+//     A block recorded past the memory cap is rebuilt from its rows into
+//     the kernel's own scratch block (GoodTrace::build_block);
 //   * each injected node gets a per-group record holding its forcing
 //     masks and an 8-entry LUT of the forced output word as a function
 //     of the good fanin bits. While its fanins match the good machine
@@ -180,10 +182,9 @@ class CompiledEventKernel {
     Word dv[8];
   };
 
-  /// The lane-wise forced evaluation of injected node `r`'s original
-  /// GateKind over fanin words a, b, c (pin semantics identical to the
-  /// sweep kernel, including pins the lowering duplicated or dropped).
-  static Word forced_eval(const InjectedNode& r, Word a, Word b, Word c);
+  /// Block b's planes: the trace's cached block, or b rebuilt from its
+  /// rows into scratch_ (allocated on first use).
+  const Word* block(std::uint64_t b);
 
   /// Steps 1-5 of one dense cycle at bit `ci` of block `blk`: fills vm_
   /// for every value slot and returns the PO divergence of the live lanes.
@@ -196,6 +197,7 @@ class CompiledEventKernel {
   const nl::Netlist* netlist_;
   const nl::CompiledNetlist* cn_;
   std::shared_ptr<const GoodTrace> trace_;
+  std::vector<Word> scratch_;  // a rebuilt block (see block())
   DenseCycles dense_;
   std::vector<Node> nodes_;
   /// Dense cycles write these slots before the sweep: every source and

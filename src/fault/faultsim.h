@@ -120,8 +120,8 @@ struct GroupRecord {
 enum class Engine : std::uint8_t {
   /// Event-driven differential kernel (compiled_event_kernel.h): per
   /// group it simulates only the divergence wavefront from the recorded
-  /// good-value planes. Falls back to kSweep for the whole run when the
-  /// planes would exceed `trace_mem_mb`.
+  /// good-value planes. Blocks of planes past `trace_mem_mb` are rebuilt
+  /// by each reader, so a lower cap is slower, never a different engine.
   kEvent,
   /// Eight-lane compiled sweep of every combinational gate each cycle.
   kSweep,
@@ -142,10 +142,11 @@ struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
   Engine engine = Engine::kEvent;
-  /// Memory cap for the event engine's good-value planes, in MiB
-  /// (0 = unlimited). One packed bit per gate per cycle; exceeding the
-  /// cap silently falls back to the sweep kernel for the whole run
-  /// (reported via FaultSimResult::trace_fallback).
+  /// Memory cap for the event engine's cached good-value planes, in MiB
+  /// (0 = unlimited). One packed bit per gate per cycle; past the cap the
+  /// recording keeps each block's stimulus and flip-flop rows (160 bytes
+  /// per cycle on Plasma), and each kernel rebuilds the block it enters
+  /// from them. Same verdicts and records, more time.
   std::size_t trace_mem_mb = 1024;
   /// If non-zero, simulate only a pseudo-random sample of this many
   /// representative faults (statistical fault grading); coverage is then
@@ -256,13 +257,13 @@ struct FaultSimResult {
   /// accounting existed contribute 0).
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
-  /// Size of the recording's good-value planes: 0 under the sweep
-  /// engine, when no group was left to simulate, when recording was cut
-  /// (run deadline, drain) and when the planes exceeded trace_mem_mb.
-  /// trace_fallback is set only in that last case, so the event engine's
-  /// groups ran on the sweep kernel; a recording cut by the deadline or
-  /// a drain leaves no group to simulate and sets no fallback.
+  /// Size of the recording's cached good-value planes, at most
+  /// trace_mem_mb: 0 under the sweep engine, when no group was left to
+  /// simulate and when recording was cut (run deadline, drain).
   std::size_t trace_bytes = 0;
+  /// Always false: the event engine no longer falls back to the sweep.
+  /// Kept only for the benchmark harness that reads it; delete it with
+  /// the next change to the benchmark.
   bool trace_fallback = false;
   /// Times a group parked at the watermark of a recording still being
   /// written (see GroupDriver::next_slice). Timing-dependent, like
@@ -328,15 +329,14 @@ class GroupPlan {
 class GoodTrace;
 
 /// A group on its way through a simulator: its record so far (work
-/// counters included: each kernel adds its own), the recording it runs
-/// against and the kernel state carried from one slice to the next. The
-/// sweep runs a fresh slice to the end. The event kernel runs it to the
-/// recording's watermark; a group that reaches the watermark of a
-/// recording still being written *parks* there and resumes from exactly
-/// this state, at any cycle, on any worker.
+/// counters included: each kernel adds its own) and the kernel state
+/// carried from one slice to the next. The sweep runs a fresh slice to
+/// the end. The event kernel runs it to the recording's watermark; a
+/// group that reaches the watermark of a recording still being written
+/// *parks* there and resumes from exactly this state, at any cycle, on
+/// any worker.
 struct GroupSlice {
   GroupRecord rec;
-  std::shared_ptr<const GoodTrace> good_run;
   std::uint64_t cycle = 0;     // next cycle to simulate
   std::uint64_t detected = 0;  // machines detected so far
   /// Flip-flops whose state diverges entering `cycle`, with their word.
@@ -362,13 +362,11 @@ struct GroupSlice {
 /// BUF that is not a primary output; nl::enumerate_faults never places
 /// one there).
 ///
-/// Every group replays a campaign-shared recording of the good machine
-/// up to its stop cycle: `good_run`, or the recording a pulled slice
-/// names, on which the kernel is then rebuilt (a run whose planes crossed
-/// the memory cap goes on against a stimulus-only copy). Planes in the
-/// recording select the event-driven differential kernel, otherwise the
-/// sweep. Null only for a recording cut short, which leaves no group to
-/// simulate (run() throws std::logic_error on one).
+/// Every group replays `good_run`, the campaign-shared recording of the
+/// good machine, up to its stop cycle; the simulator keeps it for life.
+/// Planes in the recording select the event-driven differential kernel,
+/// otherwise the sweep. Null only for a recording cut short, which leaves
+/// no group to simulate (run() throws std::logic_error on one).
 ///
 /// The compiled sweep kernel simulates eight groups side by side, one per
 /// 64-bit lane of a 512-bit word; run() keeps every lane busy by pulling
@@ -448,19 +446,20 @@ class GroupDriver {
   ~GroupDriver();
 
   /// Records the good run on the calling thread, if groups are left to
-  /// simulate: the only call of `make_env`; planes under the event engine
-  /// within trace_mem_mb; cut by the run deadline, options.cancel and
-  /// stop(). Each 64-cycle block of planes is published as it is built,
-  /// so next_slice() can hand out event-kernel work while this runs.
+  /// simulate: the only call of `make_env`; planes under the event
+  /// engine, cached within trace_mem_mb; cut by the run deadline,
+  /// options.cancel and stop(). Each 64-cycle block of planes is
+  /// published as it is built, so next_slice() can hand out event-kernel
+  /// work while this runs.
   /// Call once.
   ///
   /// When the recording ends, the records of groups that finished during
   /// it are folded (one by one; a drain set meanwhile leaves the rest
   /// unsimulated), and parked groups become resumable — but only if it
-  /// ended complete with its planes, undrained, unstopped and before the
-  /// run deadline. Otherwise both are discarded, and their groups go back
-  /// to the schedule as if never claimed, so the run proceeds exactly as
-  /// if the recording had been made before any group started.
+  /// ended complete, undrained, unstopped and before the run deadline.
+  /// Otherwise both are discarded, and their groups go back to the
+  /// schedule as if never claimed, so the run proceeds exactly as if the
+  /// recording had been made before any group started.
   void record();
 
   const GroupPlan& plan() const { return plan_; }
@@ -495,8 +494,8 @@ class GroupDriver {
 
   /// Takes back a slice from GroupSimulator::run(): `finished` records
   /// are held while recording and folded once it is kept (see record());
-  /// parked groups wait for next_slice(). A slice run against a recording
-  /// that was discarded returns its group to the schedule instead.
+  /// parked groups wait for next_slice(). A slice settled after the
+  /// recording was discarded returns its group to the schedule instead.
   /// slice.run_ms is the duration reported to on_group. Thread-safe.
   void settle(GroupSlice&& slice, bool finished);
 

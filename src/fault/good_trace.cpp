@@ -1,5 +1,7 @@
 #include "fault/good_trace.h"
 
+#include <algorithm>
+
 namespace sbst::fault {
 
 namespace {
@@ -41,32 +43,40 @@ void scatter_columns(const Word* rows, std::size_t row_words, std::size_t len,
 GoodTrace::GoodTrace(const nl::Netlist& netlist, bool planes)
     : block_words_(netlist.size() + 1), planes_(planes) {
   for (nl::GateId g = 0; g < netlist.size(); ++g) {
-    if (netlist.gate(g).kind == nl::GateKind::kInput) inputs_.push_back(g);
+    const nl::GateKind k = netlist.gate(g).kind;
+    if (k == nl::GateKind::kInput) inputs_.push_back(g);
+    if (k == nl::GateKind::kConst1) ones_.push_back(g);
   }
   stimulus_words_ = (inputs_.size() + 63) / 64;
 }
 
-Word* GoodTrace::add_block() {
+GoodTrace::Block& GoodTrace::add_block() {
   const std::uint64_t b = blocks_;
   const unsigned k = std::bit_width(b + 1) - 1;
   if (segments_[k] == nullptr) {
-    segments_[k] =
-        std::make_unique<std::unique_ptr<Word[]>[]>(std::size_t{1} << k);
+    segments_[k] = std::make_unique<Block[]>(std::size_t{1} << k);
   }
-  std::unique_ptr<Word[]>& slot = segments_[k][b + 1 - (std::uint64_t{1} << k)];
-  slot = std::make_unique<Word[]>(block_words_);  // zeroed
   ++blocks_;
-  return slot.get();
+  return segments_[k][b + 1 - (std::uint64_t{1} << k)];
 }
 
-std::shared_ptr<const GoodTrace> GoodTrace::without_planes() const {
-  std::shared_ptr<GoodTrace> copy(new GoodTrace(block_words_));
-  copy->inputs_ = inputs_;
-  copy->stimulus_words_ = stimulus_words_;
-  copy->stimulus_ = stimulus_;
-  copy->cycles_ = cycles_;
-  copy->mark_.store(cycles_ | kComplete, std::memory_order_release);
-  return copy;
+// One compiled sweep over the block: the 64 bit lanes are its cycles.
+void GoodTrace::finish_block(const nl::CompiledNetlist& cn, const Word* rows,
+                             std::uint64_t len, Word* blk) const {
+  const std::size_t q_words = (cn.dff_gate.size() + 63) / 64;
+  scatter_columns(rows, stimulus_words_, len, inputs_, blk);
+  scatter_columns(rows + kBlockCycles * stimulus_words_, q_words,
+                  len, cn.dff_gate, blk);
+  for (nl::GateId g : ones_) blk[g] = ~Word{0};
+  for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, blk);
+  nl::apply_copies(cn, blk);
+}
+
+// The rows past the last cycle of a partial block are zero, as
+// scatter_columns reads them for a cached one.
+void GoodTrace::build_block(const nl::CompiledNetlist& cn, std::uint64_t b,
+                            Word* blk) const {
+  finish_block(cn, slot(b).rows.get(), kBlockCycles, blk);
 }
 
 std::shared_ptr<const GoodTrace> record_good_trace(
@@ -97,51 +107,42 @@ std::shared_ptr<const GoodTrace> record_good_trace(
   if (compiled == nullptr) compiled = nl::compile(netlist);
   const nl::CompiledNetlist& cn = *compiled;
 
-  // Per cycle the serial run keeps the stimulus and, with planes, the
-  // flip-flop Q bits; everything else in a block is computed from them
-  // when the block ends.
+  // Per cycle the serial run keeps the stimulus and, with planes, a row
+  // of the block: the stimulus again and the flip-flop Q bits. A cached
+  // block's rows go to `scratch` and are built into planes when the block
+  // ends; past the cap they are the block's own rows.
   const std::vector<nl::GateId>& inputs = tr.inputs_;
   const std::size_t stimulus_words = tr.stimulus_words_;
   const std::vector<nl::GateId>& dffs = cn.dff_gate;
   const std::size_t q_words = (dffs.size() + 63) / 64;
-  std::vector<Word> q_rows(kBlock * q_words);
-  std::vector<nl::GateId> ones;  // kConst1 gates: all-ones in every block
-  for (nl::GateId g = 0; g < netlist.size(); ++g) {
-    if (netlist.gate(g).kind == nl::GateKind::kConst1) ones.push_back(g);
-  }
+  const std::size_t row_words = kBlock * (stimulus_words + q_words);
+  std::vector<Word> scratch(tr.planes_ ? row_words : 0);
   const std::size_t block_bytes = tr.block_words_ * sizeof(Word);
-  bool planes = tr.has_planes();
-  bool dropped = false;
-
-  // One compiled sweep over the block: the 64 bit lanes are its cycles.
-  Word* blk = nullptr;
-  const auto finish_block = [&](std::uint64_t first, std::uint64_t len) {
-    scatter_columns(tr.stimulus_.data() + first * stimulus_words,
-                    stimulus_words, len, inputs, blk);
-    scatter_columns(q_rows.data(), q_words, len, dffs, blk);
-    for (nl::GateId g : ones) blk[g] = ~Word{0};
-    for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, blk);
-    nl::apply_copies(cn, blk);
-  };
+  Word* rows = nullptr;
+  Word* blk = nullptr;  // null past the cap
 
   sim::LogicSim s(netlist, compiled);
   s.reset();
   std::unique_ptr<Environment> env = make_env();
 
   std::uint64_t cycle = 0;
-  std::uint64_t built = 0;  // cycles whose block is finished
+  std::uint64_t built = 0;  // cycles whose block is published
   for (; cycle < max_cycles; ++cycle) {
     const std::uint64_t c = cycle % kBlock;
-    // A new block is allocated (zeroed) as it starts; the cap is checked
-    // at block granularity, so the planes never exceed it. Over the cap
-    // they are dropped for good.
-    if (planes && c == 0) {
-      if (mem_cap_bytes != 0 && (tr.blocks_ + 1) * block_bytes > mem_cap_bytes) {
-        planes = false;
-        dropped = true;
-        tr.planes_.store(false, std::memory_order_relaxed);
+    // A new block starts; the cap is checked at block granularity, so
+    // the cached planes never exceed it.
+    if (tr.planes_ && c == 0) {
+      GoodTrace::Block& b = tr.add_block();
+      if (mem_cap_bytes == 0 ||
+          (tr.cached_ + 1) * block_bytes <= mem_cap_bytes) {
+        b.planes = std::make_unique<Word[]>(tr.block_words_);  // zeroed
+        ++tr.cached_;
+        blk = b.planes.get();
+        rows = scratch.data();
       } else {
-        blk = tr.add_block();
+        b.rows = std::make_unique<Word[]>(row_words);  // zeroed
+        blk = nullptr;
+        rows = b.rows.get();
       }
     }
     // Same amortized cadence as the simulation kernels' watchdog, but
@@ -163,8 +164,9 @@ std::shared_ptr<const GoodTrace> record_good_trace(
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       in[i >> 6] |= (v[inputs[i]] & 1) << (i & 63);
     }
-    if (planes) {
-      Word* const q = q_rows.data() + c * q_words;
+    if (tr.planes_) {
+      std::copy_n(in, stimulus_words, rows + c * stimulus_words);
+      Word* const q = rows + kBlock * stimulus_words + c * q_words;
       for (std::size_t w = 0; w < q_words; ++w) {
         const std::size_t lo = w * 64;
         const std::size_t hi = std::min(dffs.size(), lo + 64);
@@ -181,16 +183,17 @@ std::shared_ptr<const GoodTrace> record_good_trace(
       ++cycle;
       break;
     }
-    if (planes && c == kBlock - 1) {
-      finish_block(built, kBlock);
+    if (tr.planes_ && c == kBlock - 1) {
+      if (blk != nullptr) tr.finish_block(cn, rows, kBlock, blk);
       built = cycle + 1;
       tr.mark_.store(built, std::memory_order_release);
       if (on_publish) on_publish();
     }
   }
   tr.cycles_ = cycle;
-  if (dropped) return tr.without_planes();
-  if (planes && cycle > built) finish_block(built, cycle - built);
+  if (blk != nullptr && cycle > built) {
+    tr.finish_block(cn, rows, cycle - built, blk);
+  }
   tr.mark_.store(cycle | GoodTrace::kComplete, std::memory_order_release);
   if (on_publish) on_publish();
   return trace;

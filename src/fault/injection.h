@@ -42,6 +42,18 @@ struct GateForce {
   Word clr[4] = {0, 0, 0, 0};
 };
 
+/// Forced evaluation of a gate of `kind` whose pins carry the forces `f`,
+/// lane-wise over its fanin words a, b, c: each input pin p reads
+/// (w | set[p]) & ~clr[p], the output is forced the same way with slot 0.
+/// The one formula for an injected gate in both kernels.
+inline Word forced_eval(nl::GateKind kind, const GateForce& f, Word a, Word b,
+                        Word c) {
+  a = (a | f.set[1]) & ~f.clr[1];
+  b = (b | f.set[2]) & ~f.clr[2];
+  c = (c | f.set[3]) & ~f.clr[3];
+  return (sim::eval_gate(kind, a, b, c) | f.set[0]) & ~f.clr[0];
+}
+
 /// Per-group injection table. Injections on combinational gates and on
 /// DFF pins are indexed per gate (slot() is an O(1) lookup into dense
 /// GateForce records), so neither the evaluation sweep nor the clock

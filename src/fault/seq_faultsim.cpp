@@ -231,12 +231,8 @@ void sweep_pass(LaneSweep& s, const nl::CompiledNetlist& cn,
     }
     for (const LaneFixup& fx : s.fix_by_level[lvl]) {
       const int l = fx.lane;
-      const detail::GateForce& f = fx.force;
-      const Word a = (v[fx.in[0]][l] | f.set[1]) & ~f.clr[1];
-      const Word b = (v[fx.in[1]][l] | f.set[2]) & ~f.clr[2];
-      const Word c = (v[fx.in[2]][l] | f.set[3]) & ~f.clr[3];
-      v[fx.gate][l] =
-          (sim::eval_gate(fx.kind, a, b, c) | f.set[0]) & ~f.clr[0];
+      v[fx.gate][l] = detail::forced_eval(fx.kind, fx.force, v[fx.in[0]][l],
+                                          v[fx.in[1]][l], v[fx.in[2]][l]);
     }
   }
   for (; r < cn.runs.size(); ++r) nl::eval_run(cn, cn.runs[r], v);
@@ -338,7 +334,7 @@ struct GroupSimulator::Impl {
   InjectionTable inj;
   // The campaign-shared recording of the good run, and the differential
   // kernel, built on first use when the recording has planes.
-  std::shared_ptr<const GoodTrace> trace;
+  const std::shared_ptr<const GoodTrace> trace;
   std::optional<CompiledEventKernel> event;
   // Compiled sweep, built on first use.
   std::unique_ptr<LaneSweep> sweep;
@@ -350,8 +346,8 @@ struct GroupSimulator::Impl {
         faults(f),
         plan(p),
         compiled(comp ? std::move(comp) : nl::compile(n)),
-        inj(n.size()) {
-    use(std::move(good_trace));
+        inj(n.size()),
+        trace(std::move(good_trace)) {
     // The kernels force faults on compiled nodes: a fault on a gate the
     // compiler folded away (a BUF that is not a primary output) has no
     // node to force. Generated fault lists never hold one
@@ -371,20 +367,6 @@ struct GroupSimulator::Impl {
     for (const nl::Port& port : n.outputs()) {
       po_bits.insert(po_bits.end(), port.bits.begin(), port.bits.end());
     }
-  }
-
-  /// Takes `good_run` as the recording every later slice runs against.
-  void use(std::shared_ptr<const GoodTrace> good_run) {
-    trace = std::move(good_run);
-    event.reset();
-  }
-
-  /// Whether the event kernel reads the recording: one still being
-  /// written has planes, or lost them to the memory cap and only serves
-  /// slices that will be discarded (a recording without planes hands out
-  /// no slice before it completes); a complete one iff it kept them.
-  bool reads_planes() const {
-    return trace->has_planes() || !trace->watermark().complete;
   }
 
   /// Loads `group`'s faults into `table`.
@@ -600,13 +582,12 @@ GroupSimulator::GroupSimulator(
 GroupSimulator::~GroupSimulator() = default;
 
 std::size_t GroupSimulator::lanes() const {
-  return impl_->trace && impl_->reads_planes() ? 1 : kLanes;
+  return impl_->trace && impl_->trace->has_planes() ? 1 : kLanes;
 }
 
 GroupSlice GroupSimulator::slice(std::size_t group) const {
   GroupSlice s;
   s.rec = impl_->plan.unstarted_record(group);
-  s.good_run = impl_->trace;
   s.claimed = Impl::Clock::now();
   return s;
 }
@@ -615,14 +596,11 @@ void GroupSimulator::run(const PullSlice& pull, const EmitSlice& emit) {
   using Clock = Impl::Clock;
   Impl& im = *impl_;
   while (std::optional<GroupSlice> s = pull(true)) {
-    // The one rebuild: slices that name another recording (the
-    // stimulus-only copy of planes that crossed the memory cap).
-    if (s->good_run != im.trace) im.use(s->good_run);
     if (!im.trace) {
       throw std::logic_error("no recorded good run to simulate group " +
                              std::to_string(s->rec.group) + " against");
     }
-    if (!im.reads_planes()) {
+    if (!im.trace->has_planes()) {
       im.run_lanes(std::move(*s), pull, emit);
       return;
     }
@@ -654,8 +632,8 @@ struct GroupDriver::Stream {
   std::shared_ptr<const GoodTrace> trace;  // once ended; null = cut
   /// The recording slices run against: `live` while it is written, then
   /// `trace`, or null when a drain or the run deadline came first and
-  /// nothing more is simulated. A slice run against another recording
-  /// does not stand.
+  /// nothing more is simulated. A slice settled once it is null does not
+  /// stand.
   std::shared_ptr<const GoodTrace> current;
   Clock::time_point ended;  // the epoch until the recording ends
   std::vector<GroupSlice> parked;
@@ -785,15 +763,12 @@ void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
     st.ended = Clock::now();
     // Work done against the recording stands only if the recording is
     // exactly what a run that recorded first would go on to simulate: it
-    // ended before a drain and the run deadline, and it is the recording
-    // the work read, not the stimulus-only copy made when its planes
-    // crossed the memory cap. A cut (null) comes only after a drain or
-    // the deadline.
+    // ended before a drain and the run deadline. A cut (null) comes only
+    // after a drain or the deadline.
     st.current = !draining() && st.ended < deadline_ ? trace : nullptr;
-    const bool keep = st.current != nullptr && st.current == st.live;
     st.trace = std::move(trace);
     st.live.reset();
-    if (keep) {
+    if (st.current != nullptr) {
       held.swap(st.held);
     } else {
       for (const GroupSlice& s : st.held) st.returned.push_back(s.rec.group);
@@ -836,7 +811,6 @@ GroupSlice GroupDriver::slice(std::size_t group) const {
   s.rec = plan_.unstarted_record(group);
   s.claimed = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(stream_->mu);
-  s.good_run = stream_->current;
   bound(&s);
   return s;
 }
@@ -845,7 +819,9 @@ void GroupDriver::bound(GroupSlice* s) const {
   // Unbounded before the recording completes (a slice stops at the
   // watermark); after, the group timeout counts from the later of the
   // claim and the end of the recording.
-  if (s->good_run != nullptr && !s->good_run->watermark().complete) return;
+  if (stream_->live != nullptr && !stream_->live->watermark().complete) {
+    return;
+  }
   s->deadline = deadline_;
   if (options_.group_timeout_ms != 0) {
     s->deadline = std::min(
@@ -897,14 +873,12 @@ std::optional<GroupSlice> GroupDriver::next_slice(bool wait) {
     std::optional<GroupSlice> s;
     if (!recording && !draining()) s = st.take_parked(mark);
     if (!s && mark > 0) {
-      std::shared_ptr<const GoodTrace> good_run = st.current;
       lock.unlock();
       const std::optional<std::size_t> group = claim();
       lock.lock();
       if (group) {
         s.emplace();
         s->rec = plan_.unstarted_record(*group);
-        s->good_run = std::move(good_run);
         s->claimed = Clock::now();
       } else if (!recording) {
         // Groups parked later are resumed by the worker that parks them.
@@ -936,7 +910,7 @@ void GroupDriver::settle(GroupSlice&& slice, bool finished) {
   Stream& st = *stream_;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    if (slice.good_run != st.current) {
+    if (st.current == nullptr) {  // the recording was cut
       st.returned.push_back(slice.rec.group);
       return;
     }
@@ -978,8 +952,6 @@ FaultSimResult GroupDriver::finish() {
   std::lock_guard<std::mutex> lock(mu_);
   const std::shared_ptr<const GoodTrace>& trace = stream_->trace;
   result_.trace_bytes = trace ? trace->memory_bytes() : 0;
-  result_.trace_fallback = options_.engine == Engine::kEvent && trace &&
-                           !trace->has_planes();
   result_.parks = stream_->parks;
   result_.cancelled = options_.cancel &&
                       options_.cancel->load(std::memory_order_relaxed) &&

@@ -88,7 +88,6 @@ DispatchOptions sh_runner_options(const std::string& dir,
   DispatchOptions opt;
   opt.shards = shards;
   opt.journal_dir = dir;
-  opt.poll_period_s = 0.02;
   opt.backoff_initial_s = 0.05;
   opt.heartbeat_period_s = 0.05;
   opt.make_runner_argv = [script](unsigned shard, const std::string& journal,

@@ -183,36 +183,68 @@ TEST(EventKernel, GroupTimeoutBoundsIdenticalWhenNothingTimesOut) {
   EXPECT_FALSE(event.trace_fallback);
 }
 
-TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
+TEST(EventKernel, TraceMemoryCapRebuildsBlocksFromRows) {
   const nl::Netlist n = make_seq_netlist();
   const nl::FaultList fl = nl::enumerate_faults(n);
+  const std::shared_ptr<const nl::CompiledNetlist> cn = nl::compile(n);
 
-  // Unit level: over the cap the recording drops its planes but keeps
-  // the stimulus, which replays on the sweep kernel to the uncapped
-  // run's verdicts.
-  const auto uncapped = record_good_trace(n, pattern_env(100), 4096, 0);
-  const auto capped = record_good_trace(n, pattern_env(100), 4096, 8);
+  // Unit level: past the cap a block keeps only its rows, and a block
+  // rebuilt from them equals the cached block word for word — every
+  // block, the partial last one (300 = 4 * 64 + 44 cycles) included. One
+  // scratch block serves every rebuild, in reverse order, as a kernel
+  // reuses its own.
+  const auto uncapped = record_good_trace(n, pattern_env(300), 4096, 0);
   ASSERT_NE(uncapped, nullptr);
-  ASSERT_NE(capped, nullptr);
-  EXPECT_TRUE(uncapped->has_planes());
-  EXPECT_FALSE(capped->has_planes());
-  EXPECT_EQ(capped->memory_bytes(), 0u);
-  EXPECT_EQ(capped->cycles(), uncapped->cycles());
-  {
+  const std::size_t words = uncapped->block_words();
+  const std::size_t block_bytes = words * sizeof(sim::Word);
+  const std::uint64_t blocks = (uncapped->cycles() + 63) / 64;
+  ASSERT_EQ(uncapped->cycles(), 300u);
+  EXPECT_EQ(uncapped->memory_bytes(), blocks * block_bytes);
+  // No block fits in 8 bytes; two fit in 2.5 blocks' worth.
+  for (const std::size_t cap : {std::size_t{8}, block_bytes * 5 / 2}) {
+    SCOPED_TRACE(cap);
+    const std::uint64_t cached = cap / block_bytes;
+    const auto capped = record_good_trace(n, pattern_env(300), 4096, cap);
+    ASSERT_NE(capped, nullptr);
+    EXPECT_TRUE(capped->has_planes());
+    EXPECT_TRUE(capped->watermark().complete);
+    EXPECT_EQ(capped->cycles(), uncapped->cycles());
+    EXPECT_EQ(capped->memory_bytes(), cached * block_bytes);
+    std::vector<sim::Word> scratch(words, 0);
+    for (std::uint64_t b = blocks; b-- > 0;) {
+      const std::vector<sim::Word> want(uncapped->block(b),
+                                        uncapped->block(b) + words);
+      if (b < cached) {
+        ASSERT_NE(capped->block(b), nullptr) << b;
+        EXPECT_EQ(std::vector<sim::Word>(capped->block(b),
+                                         capped->block(b) + words),
+                  want)
+            << b;
+        continue;
+      }
+      EXPECT_EQ(capped->block(b), nullptr) << b;
+      capped->build_block(*cn, b, scratch.data());
+      EXPECT_EQ(scratch, want) << "block " << b << " rebuilt from its rows";
+    }
+
+    // Kernel level: every group's record, work counters included, is the
+    // uncapped one's, on the event kernel.
     FaultSimOptions opt;
     opt.max_cycles = 4096;
     const GroupPlan plan(fl, opt);
-    GroupSimulator event(n, fl, plan, uncapped);
-    GroupSimulator replay(n, fl, plan, capped);
-    EXPECT_EQ(event.lanes(), 1u);
-    EXPECT_EQ(replay.lanes(), 8u);
+    GroupSimulator event(n, fl, plan, uncapped, cn);
+    GroupSimulator rebuilt(n, fl, plan, capped, cn);
+    EXPECT_EQ(rebuilt.lanes(), 1u);
     for (std::size_t g = 0; g < plan.num_groups(); ++g) {
       const GroupRecord want = event.simulate(g);
-      const GroupRecord got = replay.simulate(g);
+      const GroupRecord got = rebuilt.simulate(g);
       EXPECT_EQ(got.detected_mask, want.detected_mask) << g;
       EXPECT_EQ(got.detect_cycle, want.detect_cycle) << g;
       EXPECT_EQ(got.cycles, want.cycles) << g;
-      EXPECT_EQ(got.engine_used, GroupEngine::kSweep) << g;
+      EXPECT_EQ(got.gates_evaluated, want.gates_evaluated) << g;
+      EXPECT_EQ(got.sim_cycles, want.sim_cycles) << g;
+      EXPECT_EQ(got.evals_by_kind, want.evals_by_kind) << g;
+      EXPECT_EQ(got.engine_used, GroupEngine::kEvent) << g;
     }
   }
 
@@ -226,25 +258,36 @@ TEST(EventKernel, TraceMemoryCapFallsBackToSweep) {
                               &drained),
             nullptr);
 
-  // Engine level: a run whose planes exceed trace_mem_mb completes on
-  // the sweep kernel with identical results and reports the fallback.
-  // trace_bytes counts planes only: 0 for the sweep and the fallback.
-  // One bit per gate per cycle: 8 Mi gate-cycles fill the 1 MiB cap in
-  // any plane layout, and one more block crosses it.
+  // Engine level: a run whose planes exceed trace_mem_mb stays on the
+  // event kernel, with the uncapped run's results and work counters and
+  // at most the cap of cached planes. One bit per gate per cycle: 8 Mi
+  // gate-cycles fill the 1 MiB cap in any plane layout, and one more
+  // block crosses it.
   const std::uint64_t cycles = (std::size_t{1} << 23) / n.size() + 64;
   FaultSimOptions opt;
   opt.max_cycles = cycles + 64;
-  opt.threads = 1;
-  opt.engine = Engine::kSweep;
-  const FaultSimResult sweep = run_fault_sim(n, fl, pattern_env(cycles), opt);
-  EXPECT_FALSE(sweep.trace_fallback);
-  EXPECT_EQ(sweep.trace_bytes, 0u);
   opt.engine = Engine::kEvent;
-  opt.trace_mem_mb = 1;
-  const FaultSimResult event = run_fault_sim(n, fl, pattern_env(cycles), opt);
-  expect_identical(sweep, event, "mem cap fallback");
-  EXPECT_TRUE(event.trace_fallback);
-  EXPECT_EQ(event.trace_bytes, 0u);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    opt.threads = threads;
+    opt.trace_mem_mb = 0;
+    opt.on_group = {};
+    const FaultSimResult want = run_fault_sim(n, fl, pattern_env(cycles), opt);
+    EXPECT_GT(want.trace_bytes, std::size_t{1} << 20);
+    opt.trace_mem_mb = 1;
+    std::atomic<std::size_t> sweep_records{0};
+    opt.on_group = [&](const GroupRecord& rec, bool, double) {
+      if (rec.engine_used != GroupEngine::kEvent) ++sweep_records;
+    };
+    const FaultSimResult got = run_fault_sim(n, fl, pattern_env(cycles), opt);
+    expect_identical(want, got, "mem cap");
+    EXPECT_EQ(got.gates_evaluated, want.gates_evaluated);
+    EXPECT_EQ(got.sim_cycles, want.sim_cycles);
+    EXPECT_EQ(sweep_records.load(), 0u);
+    EXPECT_FALSE(got.trace_fallback);
+    EXPECT_GT(got.trace_bytes, 0u);
+    EXPECT_LE(got.trace_bytes, std::size_t{1} << 20);
+  }
 }
 
 TEST(EventKernel, IsolatedCampaignIdenticalAcrossEngines) {

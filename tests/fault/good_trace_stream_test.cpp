@@ -8,7 +8,8 @@
 // suite checks that every outcome equals the one of a run that recorded
 // first: records and compacted journals at 1, 2 and 4 threads, a drain or
 // a run deadline landing mid-recording under either engine, and planes
-// crossing the memory cap mid-stream.
+// crossing the memory cap mid-stream, which must leave every group on the
+// event kernel, --isolate included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -229,30 +230,44 @@ TEST(GoodTraceStream, RunDeadlineDuringRecordingExpiresEveryGroup) {
   }
 }
 
-TEST(GoodTraceStream, MemoryCapCrossedMidStreamReplaysOnTheSweep) {
+TEST(GoodTraceStream, MemoryCapCrossedMidStreamStaysOnTheEventKernel) {
   const Plasma& fx = plasma_fixture();
   // About 1 KiB of planes per cycle: a 1 MiB cap is crossed a thousand
   // cycles into a four-thousand-cycle run, after groups have parked and
-  // finished.
+  // finished; the later blocks are rebuilt from their rows by every
+  // group that reaches them, parked groups included.
   const std::string ref_path = temp_path("stream_cap_ref.sbstj");
-  campaign::CampaignOptions ref_opt = options(4, ref_path);
-  ref_opt.sim.engine = Engine::kSweep;
   const campaign::CampaignResult ref = campaign::run_campaign(
-      fx.cpu.netlist, fx.faults, fx.env(), kFp, ref_opt);
+      fx.cpu.netlist, fx.faults, fx.env(), kFp, options(1, ref_path));
+  const std::string want = compacted(ref_path);
+  ASSERT_GT(ref.result.trace_bytes, std::size_t{1} << 20);
 
-  for (unsigned threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
+  for (unsigned threads : {1u, 2u, 4u, 0u}) {
+    const bool isolate = threads == 0;
+    SCOPED_TRACE(isolate ? std::string("isolate") : std::to_string(threads));
     const std::string path = temp_path("stream_cap.sbstj");
     campaign::CampaignOptions o = options(threads, path);
     o.sim.trace_mem_mb = 1;
+    o.isolate = isolate;
+    o.iso.workers = 2;
     const campaign::CampaignResult got = campaign::run_campaign(
         fx.cpu.netlist, fx.faults, paced(fx.env(), Pacing{}), kFp, o);
-    EXPECT_TRUE(got.result.trace_fallback);
     if (threads > 1) {
       EXPECT_GT(got.result.parks, 0u);
     }
-    expect_identical(ref.result, got.result);
-    EXPECT_EQ(compacted(path), compacted(ref_path));
+    EXPECT_FALSE(got.result.trace_fallback);
+    EXPECT_GT(got.result.trace_bytes, 0u);
+    EXPECT_LE(got.result.trace_bytes, std::size_t{1} << 20);
+    FaultSimResult same_bytes = got.result;
+    same_bytes.trace_bytes = ref.result.trace_bytes;
+    expect_identical(ref.result, same_bytes);
+    EXPECT_EQ(compacted(path), want);
+    const auto load = campaign::load_journal_raw(path);
+    ASSERT_TRUE(load.has_value());
+    EXPECT_EQ(load->records.size(), 32u);
+    for (const GroupRecord& rec : load->records) {
+      EXPECT_EQ(rec.engine_used, GroupEngine::kEvent) << rec.group;
+    }
   }
 }
 

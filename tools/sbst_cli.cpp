@@ -41,9 +41,12 @@
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
 //                                      engines. --trace-mem-mb caps the
-//                                      event engine's recorded good trace
-//                                      (default 1024 MiB, 0 = unlimited);
-//                                      exceeding it falls back to sweep.
+//                                      event engine's cached good-value
+//                                      planes (default 1024 MiB, 0 =
+//                                      unlimited); blocks past it are
+//                                      rebuilt as groups reach them, so a
+//                                      lower cap is slower, with the same
+//                                      verdicts and the same engine.
 //                                      --metrics streams one NDJSON object
 //                                      per resolved 63-fault group (see
 //                                      telemetry/metrics.h for the schema);
@@ -593,12 +596,6 @@ int cmd_grade(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: %zu worker process(es) died and were respawned\n",
                  cres.worker_restarts);
-  }
-  if (cres.result.trace_fallback) {
-    std::fprintf(stderr,
-                 "note: good trace exceeded --trace-mem-mb %zu; fell back "
-                 "to the sweep engine\n",
-                 trace_mem_mb);
   }
 
   if (cres.interrupted) {
