@@ -5,6 +5,10 @@
 // rounds; the rounds alternate the order of the thread counts, so a
 // burst of load on a shared host does not always land on the same one,
 // and the JSON carries the host's 1-minute load average at start and end.
+// Beside the best time, the JSON keeps every round's time and their
+// min, median and max: a leg whose rounds fall into two bands (the
+// 4-thread leg on a 4-vCPU VM can) shows as a wide spread, which the
+// best time alone hides.
 //
 // Also re-verifies the engine's determinism contract end to end: every
 // thread count must produce bit-identical verdicts, good-run length,
@@ -14,6 +18,7 @@
 //        default grades a 6300-fault statistical sample (~100 groups);
 //        --full grades the entire collapsed fault list.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -63,11 +68,12 @@ int main(int argc, char** argv) {
       plasma::make_cpu_env_factory(ctx.cpu, pab.image);
   struct Run {
     unsigned threads;
-    double seconds;
+    double seconds;  // best round
     double speedup;
+    std::vector<double> rounds;  // every round's time, in round order
   };
   std::vector<Run> runs;
-  for (unsigned t : counts) runs.push_back({t, 1e300, 0.0});
+  for (unsigned t : counts) runs.push_back({t, 1e300, 0.0, {}});
   fault::FaultSimResult reference;
   bool have_reference = false;
   bool deterministic = true;
@@ -96,12 +102,23 @@ int main(int argc, char** argv) {
         deterministic = false;
       }
       r.seconds = std::min(r.seconds, secs);
+      r.rounds.push_back(secs);
     }
   }
   const double load_end = bench::load_average();
+  // Min, median and max of a leg's rounds.
+  const auto spread = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    const double median =
+        n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+    return std::array<double, 3>{v.front(), median, v.back()};
+  };
   for (const Run& r : runs) {
-    std::printf("  threads=%-2u  %7.2fs (best of %d)\n", r.threads, r.seconds,
-                bench::kBestOf);
+    const std::array<double, 3> m = spread(r.rounds);
+    std::printf(
+        "  threads=%-2u  %7.4fs (best of %d; median %.4fs, max %.4fs)\n",
+        r.threads, r.seconds, bench::kBestOf, m[1], m[2]);
   }
   std::printf("load average %.2f at start, %.2f at end\n", load_start,
               load_end);
@@ -141,11 +158,23 @@ int main(int argc, char** argv) {
                deterministic ? "true" : "false", bench::kBestOf, load_start,
                load_end);
   for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& r = runs[i];
+    const std::array<double, 3> m = spread(r.rounds);
+    std::string rounds;
+    for (double secs : r.rounds) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%s%.4f", rounds.empty() ? "" : ", ",
+                    secs);
+      rounds += buf;
+    }
     std::fprintf(f,
                  "    {\"threads\": %u, \"seconds\": %.4f,"
-                 " \"speedup_vs_1\": %.3f}%s\n",
-                 runs[i].threads, runs[i].seconds, runs[i].speedup,
-                 i + 1 < runs.size() ? "," : "");
+                 " \"speedup_vs_1\": %.3f,\n"
+                 "     \"rounds_seconds\": [%s],\n"
+                 "     \"min_seconds\": %.4f, \"median_seconds\": %.4f,"
+                 " \"max_seconds\": %.4f}%s\n",
+                 r.threads, r.seconds, r.speedup, rounds.c_str(), m[0], m[1],
+                 m[2], i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -94,9 +94,11 @@ struct WorkerContext {
     // The simulator pulls a request whenever one of its lanes is free:
     // blocking when every lane is idle, a non-blocking peek at the pipe
     // while another lane is still busy. EOF ends the stream once the
-    // lanes drain. The recording is complete, so every slice finishes.
-    // The driver bounds each slice from when its request is read (the
-    // supervisor forks outside the driver's lock).
+    // lanes drain. A slice that reaches the watermark of the recording
+    // still being written sleeps on it and resumes here, so every slice
+    // finishes unless the recording is cut. The driver bounds each slice
+    // from when its request is read, or, while the recording streams,
+    // from its end (the supervisor forks outside the driver's lock).
     const auto pull = [&](bool wait) -> std::optional<fault::GroupSlice> {
       if (!wait) {
         pollfd p{in_fd, POLLIN, 0};
@@ -113,11 +115,19 @@ struct WorkerContext {
       }
       return ctx.driver.slice(static_cast<std::size_t>(req.group));
     };
-    ctx.sim.run(pull, [&](fault::GroupSlice&& slice, bool) {
+    const auto emit = [&](fault::GroupSlice&& slice, bool finished) {
+      if (!finished) {
+        // A cut recording: the supervisor hands every group this worker
+        // holds back to the run itself, and kills it.
+        if (ctx.sim.recording_cut()) _exit(0);
+        throw std::logic_error("unfinished slice of group " +
+                               std::to_string(slice.rec.group));
+      }
       // One write of one journal frame: atomic on the pipe.
       const std::string frame = encode_record_frame(slice.rec);
       if (!util::write_full(out_fd, frame.data(), frame.size())) _exit(2);
-    });
+    };
+    ctx.sim.run(pull, emit, fault::GroupSimulator::AtWatermark::kWait);
   } catch (...) {
     // bad_alloc under RLIMIT_AS, or any simulator failure: die the way
     // an uncaught exception would, so the supervisor records SIGABRT.
@@ -239,11 +249,12 @@ fault::FaultSimResult run_fault_sim_isolated(
     const IsolateOptions& iso, std::size_t* worker_restarts) {
   fault::GroupDriver driver(netlist, faults, make_env, options);
   if (driver.pending() == 0) return driver.finish();
-  driver.record();
 
-  // Built once, before any fork, over the driver's compiled netlist and
-  // recording: children inherit all three copy-on-write. The supervisor
-  // itself never simulates.
+  // Built once, before the recording starts and before any fork, over the
+  // driver's compiled netlist and the recording it is about to write:
+  // children inherit the program and the driver copy-on-write, and read
+  // the recording through its shared mapping, blocks published after
+  // their fork included. The supervisor itself never simulates.
   const std::unique_ptr<fault::GroupSimulator> sim = driver.make_simulator();
   const WorkerContext ctx{driver, *sim, iso, options.time_budget_ms};
 
@@ -263,11 +274,19 @@ fault::FaultSimResult run_fault_sim_isolated(
   // Grace period before a busy worker is declared hung and hard-killed.
   // The worker enforces group_timeout_ms cooperatively inside its kernel;
   // the hard deadline only fires when the group wedges the worker so
-  // badly the cooperative check never runs.
+  // badly the cooperative check never runs. It counts from the later of
+  // a job's dispatch and the end of the recording: until then a worker
+  // may sleep at the watermark.
   const auto hang_grace =
       options.group_timeout_ms != 0
           ? std::chrono::milliseconds(options.group_timeout_ms * 2 + 1000)
           : std::chrono::milliseconds(0);
+  bool recording = true;  // this thread is recording the good run
+  const auto arm = [&](Job& job, Clock::time_point from) {
+    job.deadline = !recording && hang_grace.count() != 0
+                       ? from + hang_grace
+                       : Clock::time_point::max();
+  };
 
   // Hands a job's slice back to the driver, finished with `rec` and its
   // attempt accounting in rec.error (see fault::GroupRecord::error).
@@ -340,102 +359,144 @@ fault::FaultSimResult run_fault_sim_isolated(
     return Job{{slice->rec.group, 0}, std::move(*slice)};
   };
 
+  // One pass of the supervisor loop: hand out requests, wait for results
+  // (at most `wait_ms`, and never past a hang deadline), read them, and
+  // reap dead or hung workers. Returns false once the run is over.
+  bool draining = false;
+  const auto pass = [&](int wait_ms) -> bool {
+    if (!draining && options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      draining = true;  // in-flight groups finish; nothing new starts
+    }
+
+    if (!draining) {
+      // While the recording runs, the supervisor's own thread is busy
+      // with it: one worker slot less keeps the CPUs the run asked for
+      // from being oversubscribed, as the threaded executor records on
+      // one of its N threads.
+      const std::size_t slots =
+          recording ? std::max<std::size_t>(workers.size() - 1, 1)
+                    : workers.size();
+      for (std::size_t i = 0; i < slots; ++i) {
+        Worker& w = workers[i];
+        while (std::optional<Job> job = next_job(w)) {
+          if (!w.alive()) w = spawn_worker(ctx);
+          job->started = Clock::now();
+          charge(w, job->started);
+          arm(*job, job->started);
+          w.held.push_back(*job);
+          if (!write_request(w.to_fd, job->req)) {
+            // The worker died before reading the request (startup OOM,
+            // external kill). Indistinguishable from dying right after
+            // reading it, so it costs the request an attempt — keeping
+            // every failure path bounded by max_group_retries.
+            worker_died(w, job->started);
+            break;
+          }
+        }
+      }
+    }
+
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> fd_worker;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      if (!workers[i].alive() || workers[i].held.empty()) continue;
+      fds.push_back({workers[i].from_fd, POLLIN, 0});
+      fd_worker.push_back(i);
+    }
+    if (fds.empty() &&
+        (draining || (driver.pending() == 0 && retries.empty()))) {
+      return false;
+    }
+
+    // A worker's hang deadline is its earliest in-flight group's.
+    const auto hang_deadline = [](const Worker& w) {
+      Clock::time_point d = Clock::time_point::max();
+      for (const Job& job : w.held) d = std::min(d, job.deadline);
+      return d;
+    };
+    int timeout_ms = wait_ms;
+    const Clock::time_point now = Clock::now();
+    for (std::size_t i : fd_worker) {
+      const Clock::time_point d = hang_deadline(workers[i]);
+      if (d == Clock::time_point::max()) continue;
+      auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(d - now)
+              .count();
+      if (left < 0) left = 0;
+      if (left < timeout_ms) timeout_ms = static_cast<int>(left);
+    }
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms) < 0 &&
+        errno != EINTR) {
+      throw std::runtime_error("poll failed in campaign supervisor");
+    }
+
+    const Clock::time_point after = Clock::now();
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      Worker& w = workers[fd_worker[k]];
+      if (!w.alive() || w.held.empty()) continue;  // handled this pass
+      const bool readable = (fds[k].revents & (POLLIN | POLLHUP)) != 0;
+      if (!readable) {
+        if (after >= hang_deadline(w)) {
+          // Hung: the cooperative timeout inside the worker never
+          // fired. SIGKILL and let the EOF below classify it.
+          ::kill(w.pid, SIGKILL);
+          for (Job& job : w.held) job.deadline = Clock::time_point::max();
+        }
+        continue;
+      }
+      fault::GroupRecord rec;
+      const bool ok = read_record_frame(w.from_fd, &rec);
+      const auto job = std::find_if(
+          w.held.begin(), w.held.end(),
+          [&](const Job& j) { return ok && j.req.group == rec.group; });
+      if (job != w.held.end()) {
+        charge(w, after);
+        Job done = std::move(*job);
+        w.held.erase(job);
+        const double busy_ms = done.busy_ms;
+        resolve(std::move(done), std::move(rec), busy_ms);
+        continue;
+      }
+      // EOF (crash/OOM/hard kill) or a desynchronized stream.
+      worker_died(w, after);
+    }
+    return true;
+  };
+
+  // A cut recording: every group in flight goes back to the run
+  // unsimulated, as under threads, and its worker is killed (it may be
+  // sleeping at the watermark). Not a restart: no worker failed.
+  const auto release = [&] {
+    for (Worker& w : workers) {
+      if (!w.alive()) continue;
+      ::kill(w.pid, SIGKILL);
+      reap_worker(&w);
+      for (Job& job : w.held) driver.settle(std::move(job.slice), false);
+      w.held.clear();
+    }
+    for (Job& job : retries) driver.settle(std::move(job.slice), false);
+    retries.clear();
+  };
+
   try {
-    bool draining = false;
-    while (true) {
-      if (!draining && options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        draining = true;  // in-flight groups finish; nothing new starts
+    // The recording runs here, on the supervisor's one thread, and each
+    // block it publishes is followed by one pass that does not wait: so
+    // workers are forked and fed from the first block on, and forks stay
+    // single-threaded.
+    const bool kept = driver.record([&] { pass(0); });
+    recording = false;
+    if (kept) {
+      const Clock::time_point ended = Clock::now();
+      for (Worker& w : workers) {
+        for (Job& job : w.held) arm(job, std::max(job.started, ended));
       }
-
-      if (!draining) {
-        for (Worker& w : workers) {
-          while (std::optional<Job> job = next_job(w)) {
-            if (!w.alive()) w = spawn_worker(ctx);
-            job->started = Clock::now();
-            charge(w, job->started);
-            job->deadline = hang_grace.count() != 0
-                                ? job->started + hang_grace
-                                : Clock::time_point::max();
-            w.held.push_back(*job);
-            if (!write_request(w.to_fd, job->req)) {
-              // The worker died before reading the request (startup OOM,
-              // external kill). Indistinguishable from dying right after
-              // reading it, so it costs the request an attempt — keeping
-              // every failure path bounded by max_group_retries.
-              worker_died(w, job->started);
-              break;
-            }
-          }
-        }
-      }
-
-      std::vector<pollfd> fds;
-      std::vector<std::size_t> fd_worker;
-      for (std::size_t i = 0; i < workers.size(); ++i) {
-        if (!workers[i].alive() || workers[i].held.empty()) continue;
-        fds.push_back({workers[i].from_fd, POLLIN, 0});
-        fd_worker.push_back(i);
-      }
-      if (fds.empty() &&
-          (draining || (driver.pending() == 0 && retries.empty()))) {
-        break;
-      }
-
-      // Wake at least every 200 ms to notice drain requests and hang
-      // deadlines even when no worker produces events. A worker's hang
-      // deadline is its earliest in-flight group's.
-      const auto hang_deadline = [](const Worker& w) {
-        Clock::time_point d = Clock::time_point::max();
-        for (const Job& job : w.held) d = std::min(d, job.deadline);
-        return d;
-      };
-      int timeout_ms = 200;
-      const Clock::time_point now = Clock::now();
-      for (std::size_t i : fd_worker) {
-        const Clock::time_point d = hang_deadline(workers[i]);
-        if (d == Clock::time_point::max()) continue;
-        auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(d - now)
-                .count();
-        if (left < 0) left = 0;
-        if (left < timeout_ms) timeout_ms = static_cast<int>(left);
-      }
-      if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms) < 0 &&
-          errno != EINTR) {
-        throw std::runtime_error("poll failed in campaign supervisor");
-      }
-
-      const Clock::time_point after = Clock::now();
-      for (std::size_t k = 0; k < fds.size(); ++k) {
-        Worker& w = workers[fd_worker[k]];
-        if (!w.alive() || w.held.empty()) continue;  // handled this pass
-        const bool readable = (fds[k].revents & (POLLIN | POLLHUP)) != 0;
-        if (!readable) {
-          if (after >= hang_deadline(w)) {
-            // Hung: the cooperative timeout inside the worker never
-            // fired. SIGKILL and let the EOF below classify it.
-            ::kill(w.pid, SIGKILL);
-            for (Job& job : w.held) job.deadline = Clock::time_point::max();
-          }
-          continue;
-        }
-        fault::GroupRecord rec;
-        const bool ok = read_record_frame(w.from_fd, &rec);
-        const auto job = std::find_if(
-            w.held.begin(), w.held.end(),
-            [&](const Job& j) { return ok && j.req.group == rec.group; });
-        if (job != w.held.end()) {
-          charge(w, after);
-          Job done = std::move(*job);
-          w.held.erase(job);
-          const double busy_ms = done.busy_ms;
-          resolve(std::move(done), std::move(rec), busy_ms);
-          continue;
-        }
-        // EOF (crash/OOM/hard kill) or a desynchronized stream.
-        worker_died(w, after);
-      }
+    } else {
+      release();
+    }
+    // Wake at least every 200 ms to notice drain requests and hang
+    // deadlines even when no worker produces events.
+    while (pass(200)) {
     }
     shutdown_workers(&workers);
   } catch (...) {

@@ -124,6 +124,9 @@ enum class Engine : std::uint8_t {
   /// by each reader, so a lower cap is slower, never a different engine.
   kEvent,
   /// Eight-lane compiled sweep of every combinational gate each cycle.
+  /// It reads only the recording's stimulus rows, which stream like the
+  /// planes: its lanes start on the first published block and sleep when
+  /// they reach the watermark.
   kSweep,
 };
 
@@ -167,11 +170,11 @@ struct FaultSimOptions {
   /// Cooperative cancellation (graceful drain). Checked between groups
   /// only: when the flag becomes true, in-flight groups finish normally,
   /// unstarted groups are left unsimulated, and the run returns early
-  /// with FaultSimResult::cancelled set. Groups parked at the watermark
-  /// of a streamed recording, and records held until it completes, count
-  /// as unstarted (GroupDriver::record()). Stored records (seed_group) are
-  /// replayed even when the flag is already set. Safe to flip from a
-  /// signal handler or another thread.
+  /// with FaultSimResult::cancelled set. Groups parked or waiting at the
+  /// watermark of a streamed recording, and records held until it
+  /// completes, count as unstarted (GroupDriver::record()). Stored
+  /// records (seed_group) are replayed even when the flag is already set.
+  /// Safe to flip from a signal handler or another thread.
   const std::atomic<bool>* cancel = nullptr;
   /// Shard restriction for distributed campaigns: when shard_count > 1,
   /// only groups with group % shard_count == shard_index are scheduled;
@@ -187,7 +190,8 @@ struct FaultSimOptions {
   /// recorded as timed out (inconclusive), never as undetected. It
   /// counts from the group's claim, or from the end of the good-run
   /// recording for a group claimed while it streamed; under --isolate,
-  /// from when the worker reads the request (fresh for every attempt).
+  /// from when the worker reads the request, with the same rule for a
+  /// request read while the recording streams (fresh for every attempt).
   std::uint64_t group_timeout_ms = 0;
   /// Wall-clock budget for the whole run in milliseconds (0 = unlimited).
   /// Groups unstarted when the budget expires are recorded as timed out
@@ -356,8 +360,9 @@ struct GroupSlice {
 /// Worker-owned simulation state (kernel scratch + injection tables)
 /// able to simulate any group of a plan. Build one per worker thread, or
 /// once before forking isolated worker processes (children inherit it
-/// copy-on-write). Not thread-safe; `plan`, `netlist` and `faults` must
-/// outlive the simulator. Throws std::invalid_argument when an active
+/// copy-on-write, and read the recording through its shared mapping).
+/// Not thread-safe; `plan`, `netlist` and `faults` must outlive the
+/// simulator. Throws std::invalid_argument when an active
 /// fault sits on a combinational gate the netlist compiler folds away (a
 /// BUF that is not a primary output; nl::enumerate_faults never places
 /// one there).
@@ -373,14 +378,22 @@ struct GroupSlice {
 /// the next slice the moment a lane's group ends.
 class GroupSimulator {
  public:
+  /// Sets a slice's wall-clock bound once the recording is complete
+  /// (GroupDriver::bound, the run's one group-timeout rule).
+  using BoundSlice = std::function<void(GroupSlice*)>;
+
   /// `compiled` is the campaign-shared program (nl::compile(netlist));
   /// pass null to compile privately. Like the recording it is built
   /// once per campaign and inherited copy-on-write by forked workers.
+  /// `bound` is applied to a slice that was claimed while the recording
+  /// streamed, when run() sees the recording complete; without it such
+  /// a slice stays unbounded.
   GroupSimulator(const nl::Netlist& netlist, const nl::FaultList& faults,
                  const GroupPlan& plan,
                  std::shared_ptr<const GoodTrace> good_run,
                  std::shared_ptr<const nl::CompiledNetlist> compiled =
-                     nullptr);
+                     nullptr,
+                 BoundSlice bound = {});
   ~GroupSimulator();
   GroupSimulator(const GroupSimulator&) = delete;
   GroupSimulator& operator=(const GroupSimulator&) = delete;
@@ -407,14 +420,30 @@ class GroupSimulator {
   using PullSlice = std::function<std::optional<GroupSlice>(bool wait)>;
   /// Receives each slice the kernel is done with, in completion order:
   /// `finished` when its record is final (identical to what simulate()
-  /// returns, absent wall-clock cut-offs), false when it parked.
+  /// returns, absent wall-clock cut-offs), false when it parked or the
+  /// recording was cut under it.
   using EmitSlice = std::function<void(GroupSlice&&, bool finished)>;
+
+  /// What run() does with an event slice that reaches the watermark of a
+  /// recording still being written. kPark emits it unfinished, for any
+  /// worker thread to resume (GroupDriver::next_slice). kWait sleeps on
+  /// the watermark (GoodTrace::wait) and resumes the slice in place: an
+  /// isolated worker owns its slices. The sweep always waits, since its
+  /// lanes cannot resume.
+  enum class AtWatermark : std::uint8_t { kPark, kWait };
 
   /// Streams slices through the kernel until `pull` ends the stream and
   /// every lane has drained. The event kernel runs each slice to the
   /// watermark under its deadline; the sweep runs fresh slices to the
-  /// end under theirs. Each kernel adds a slice's work to its record.
-  void run(const PullSlice& pull, const EmitSlice& emit);
+  /// end under theirs. Each kernel adds a slice's work to its record. A
+  /// slice waiting at the watermark when the recording is cut is emitted
+  /// unfinished.
+  void run(const PullSlice& pull, const EmitSlice& emit,
+           AtWatermark at = AtWatermark::kPark);
+
+  /// Whether the recording was cut (GoodTrace::Watermark::cut): the only
+  /// case in which run() emits a slice unfinished under kWait.
+  bool recording_cut() const;
 
  private:
   struct Impl;
@@ -430,6 +459,12 @@ class GroupSimulator {
 /// a run's verdicts, counters and hook calls do not depend on the
 /// executor. An executor takes slices from next_slice(), runs them on
 /// simulators from make_simulator(), and hands each back to settle().
+///
+/// The recording streams into every executor: record() runs on the
+/// executor's own thread while the workers start below the watermark.
+/// Worker threads park event slices at the watermark and take them up
+/// again from next_slice(); sweep lanes, and every slice in an isolated
+/// worker process, wait on the watermark in place (GroupSimulator::run).
 class GroupDriver {
  public:
   /// Plans the run and builds its shard schedule (std::runtime_error
@@ -448,19 +483,21 @@ class GroupDriver {
   /// Records the good run on the calling thread, if groups are left to
   /// simulate: the only call of `make_env`; planes under the event
   /// engine, cached within trace_mem_mb; cut by the run deadline,
-  /// options.cancel and stop(). Each 64-cycle block of planes is
-  /// published as it is built, so next_slice() can hand out event-kernel
-  /// work while this runs.
-  /// Call once.
+  /// options.cancel and stop(). Each 64-cycle block is published as it
+  /// is built, under either engine, so next_slice() hands out work while
+  /// this runs; `on_publish` (if set) runs on this thread after each
+  /// block and at the end. Call once.
   ///
   /// When the recording ends, the records of groups that finished during
   /// it are folded (one by one; a drain set meanwhile leaves the rest
   /// unsimulated), and parked groups become resumable — but only if it
   /// ended complete, undrained, unstopped and before the run deadline.
-  /// Otherwise both are discarded, and their groups go back to the
-  /// schedule as if never claimed, so the run proceeds exactly as if the
-  /// recording had been made before any group started.
-  void record();
+  /// Otherwise both are discarded, the recording is marked cut (slices
+  /// waiting at its watermark come back unfinished), and their groups go
+  /// back to the schedule as if never claimed, so the run proceeds
+  /// exactly as if the recording had been made before any group started.
+  /// Returns whether the recording stands.
+  bool record(const std::function<void()>& on_publish = {});
 
   const GroupPlan& plan() const { return plan_; }
 
@@ -484,12 +521,12 @@ class GroupDriver {
   /// claim once the watermark has reached one block, else the parked
   /// group furthest behind the watermark, else nullopt without `wait`,
   /// and with it a block until the watermark moves or the recording
-  /// ends. A recording without planes (the sweep) has no watermark
-  /// before it completes, so its slices wait for the end. A slice's
-  /// deadline is its group timeout counted from the later of its claim
-  /// and the end of the recording (and the run deadline); before the
-  /// recording completes it has none. Groups still unstarted at the run
-  /// deadline resolve here, as timed out. Thread-safe.
+  /// ends. A slice's deadline is its group timeout counted from the
+  /// later of its claim and the end of the recording (and the run
+  /// deadline); before the recording completes it has none, and the
+  /// simulator bounds it when it sees the recording complete. Groups
+  /// still unstarted at the run deadline resolve here, as timed out.
+  /// Thread-safe.
   std::optional<GroupSlice> next_slice(bool wait);
 
   /// Takes back a slice from GroupSimulator::run(): `finished` records
@@ -511,11 +548,13 @@ class GroupDriver {
   /// exhausted, options.cancel is set or stop() was called. Groups still
   /// unstarted at the run deadline resolve here, as timed out.
   std::optional<std::size_t> claim();
-  /// The run's one group bound on s->deadline (see next_slice()). Call
-  /// with the stream mutex held.
+  /// The run's one group bound on s->deadline (see next_slice()).
+  /// Thread-safe, and valid in a forked worker: it reads only the
+  /// recording's shared watermark and end time.
   void bound(GroupSlice* s) const;
   void fold(const GroupRecord& rec, bool seeded, double duration_ms);
-  void end_recording(std::shared_ptr<const GoodTrace> trace);
+  /// Ends the recording; returns whether it stands (see record()).
+  bool end_recording(std::shared_ptr<const GoodTrace> trace);
   /// options.cancel is set or stop() was called.
   bool draining() const;
 
@@ -530,6 +569,9 @@ class GroupDriver {
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   std::shared_ptr<const nl::CompiledNetlist> compiled_;
+  /// The run's one recording of the good run (null when no group is left
+  /// to simulate), created with its shared mapping before any worker.
+  std::shared_ptr<GoodTrace> recording_;
   /// Recording state shared with next_slice()/settle() (seq_faultsim.cpp).
   struct Stream;
   std::unique_ptr<Stream> stream_;

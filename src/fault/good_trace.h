@@ -8,21 +8,29 @@
 // plus for the differential kernel one bit per gate per cycle — removes
 // the environment from every group.
 //
-// The recording is a stream. Its planes are written in 64-cycle blocks
-// (kBlockCycles): the serial good run keeps only the stimulus and the
-// flip-flop Q bits of each cycle, and one compiled sweep over a block's
-// rows — the 64 bit lanes of every word being its 64 cycles, the inputs
-// being the transposed stimulus and Q bits — computes every gate's 64
-// values in place (build_block). While the planes fit in the memory cap
-// the recorder runs that sweep as each block ends and caches the block;
-// past the cap it keeps only the block's rows, and a reader rebuilds the
-// block from them into its own scratch. Either way the block is then
-// published behind an atomic cycle watermark. Blocks and rows never
-// move, so event-kernel groups can read below the watermark while the
-// recorder is still writing above it (GroupDriver parks a group that
-// reaches it; see faultsim.h).
+// The recording is a stream of 64-cycle blocks (kBlockCycles), published
+// one by one behind an atomic cycle watermark, for either engine. Every
+// block holds its 64 stimulus rows. With planes, the serial good run also
+// keeps each cycle's flip-flop Q bits, and one compiled sweep over a
+// block's rows — the 64 bit lanes of every word being its 64 cycles, the
+// inputs being the transposed stimulus and Q bits — computes every gate's
+// 64 values in place (build_block). While the planes fit in the memory
+// cap the recorder runs that sweep as each block ends and keeps the
+// planes; past the cap it keeps the block's Q rows instead, and a reader
+// rebuilds the block from them into its own scratch.
+//
+// Blocks live in one shared mapping, created with the GoodTrace: a
+// memfd holding a header page (the watermark, the futex word waiters
+// sleep on, the end time) and then the blocks, back to back. Blocks never
+// move, so a kernel can read below the watermark while the recorder is
+// still writing above it — on another thread, or in a worker process
+// forked at any point: each process maps the blocks it reads on first
+// use, so a block published after the fork is as readable as one from
+// before. A kernel that reaches the watermark either parks there
+// (GroupDriver, faultsim.h) or sleeps on it (wait()).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -43,8 +51,7 @@ namespace sbst::fault {
 /// stop cycle and optional good-value planes holding, for every cycle, one
 /// bit per gate with the value after drive+eval of that cycle (the
 /// instant the sweep kernel compares primary outputs). Shared read-only
-/// across worker threads and inherited copy-on-write by forked --isolate
-/// workers.
+/// across worker threads and forked --isolate workers.
 ///
 /// Planes are stored gate-major per block: block b is num_gates + 1
 /// words, and bit c of word g is gate g's value at cycle 64 * b + c (the
@@ -55,41 +62,55 @@ namespace sbst::fault {
 /// unspecified.
 class GoodTrace {
  public:
-  /// Cycles per plane block, the unit of publication.
+  /// Cycles per block, the unit of publication.
   static constexpr std::uint64_t kBlockCycles = 64;
 
   /// Published extent: blocks of cycles [0, cycles) are readable. While
   /// recording, `cycles` is a multiple of kBlockCycles; once `complete`,
-  /// it is the stop cycle. A cut recording never completes (the recorder
-  /// returns null).
+  /// it is the stop cycle. `cut` is set when the run gave the recording
+  /// up (GroupDriver: a drain, the run deadline, a failure); a cut
+  /// recording may still be complete.
   struct Watermark {
     std::uint64_t cycles;
     bool complete;
+    bool cut;
   };
 
   /// An empty recording of `netlist`'s good run (with planes iff
-  /// `planes`), for record_good_trace to write.
+  /// `planes`), for record_good_trace to write. Creates the shared
+  /// mapping: std::system_error when the kernel refuses it.
   GoodTrace(const nl::Netlist& netlist, bool planes);
+  ~GoodTrace();
   GoodTrace(const GoodTrace&) = delete;
   GoodTrace& operator=(const GoodTrace&) = delete;
 
   /// Acquire-load of the watermark: every block below it is visible.
   Watermark watermark() const {
-    const std::uint64_t w = mark_.load(std::memory_order_acquire);
-    return {w & ~kComplete, (w & kComplete) != 0};
+    const std::uint64_t w = shared_->mark.load(std::memory_order_acquire);
+    return {w & ~(kComplete | kCut), (w & kComplete) != 0, (w & kCut) != 0};
   }
+
+  /// Sleeps (on a futex in the shared mapping, from any process) until
+  /// the watermark is past `cycles`, or complete, or cut; returns it.
+  Watermark wait(std::uint64_t cycles) const;
+
+  /// Marks the recording cut and wakes every waiter (see Watermark).
+  void cut();
+
+  /// When the recorder completed the recording (valid once complete).
+  std::chrono::steady_clock::time_point ended() const;
 
   // --- the complete recording ---------------------------------------------
 
   /// Cycles recorded: the environment's stop cycle, or max_cycles.
-  std::uint64_t cycles() const { return cycles_; }
+  std::uint64_t cycles() const { return watermark().cycles; }
 
   /// Primary-input gates (every kInput gate, ascending id), and their
-  /// driven bits at cycle t: (inputs().size() + 63) / 64 words, bit i of
-  /// word i / 64 being inputs()[i].
+  /// driven bits at cycle t (below the watermark): (inputs().size() + 63)
+  /// / 64 words, bit i of word i / 64 being inputs()[i].
   const std::vector<nl::GateId>& inputs() const { return inputs_; }
   const sim::Word* stimulus(std::uint64_t t) const {
-    return stimulus_.data() + t * stimulus_words_;
+    return stimulus_rows(t / kBlockCycles) + t % kBlockCycles * stimulus_words_;
   }
 
   /// Whether the recording has planes (the event engine's).
@@ -105,7 +126,9 @@ class GoodTrace {
   std::size_t block_words() const { return block_words_; }
   /// Block b, cycles [64 b, 64 b + 64), when the recorder cached it; null
   /// for a block recorded past the memory cap (see build_block).
-  const sim::Word* block(std::uint64_t b) const { return slot(b).planes.get(); }
+  const sim::Word* block(std::uint64_t b) const {
+    return b < cached_limit_ ? words(b) : nullptr;
+  }
   /// Builds block b's planes into `blk` (block_words() words, zeroed
   /// before its first use) from the block's own recorded rows, exactly as
   /// the recorder builds a cached block. For blocks past the memory cap.
@@ -127,38 +150,73 @@ class GoodTrace {
       std::shared_ptr<const nl::CompiledNetlist> compiled);
 
   static constexpr std::uint64_t kComplete = std::uint64_t{1} << 63;
+  /// The header page; blocks start after it.
+  static constexpr std::uint64_t kHeaderBytes = 4096;
+  static constexpr std::uint64_t kCut = std::uint64_t{1} << 62;
+  static constexpr unsigned kWindows = 64;
 
-  /// One published block: its planes (cached), or its rows (past the
-  /// cap): kBlockCycles stimulus rows, then kBlockCycles flip-flop Q rows
-  /// of (dff_gate.size() + 63) / 64 words, bit d being dff_gate[d].
-  struct Block {
-    std::unique_ptr<sim::Word[]> planes;
-    std::unique_ptr<sim::Word[]> rows;
+  /// The header page of the mapping: what every process shares besides
+  /// the blocks.
+  struct Shared {
+    std::atomic<std::uint64_t> mark{0};
+    std::atomic<std::uint32_t> seq{0};      // futex word: bumped per publish
+    std::atomic<std::uint32_t> waiters{0};  // sleepers on `seq`
+    std::atomic<std::int64_t> ended_ns{0};  // steady_clock at completion
   };
-  const Block& slot(std::uint64_t b) const {
-    const unsigned k = std::bit_width(b + 1) - 1;
-    return segments_[k][b + 1 - (std::uint64_t{1} << k)];
+
+  // Block b sits at a fixed file offset (offset()): the first
+  // cached_limit_ blocks hold their planes and then their stimulus rows;
+  // every later block holds its stimulus rows and, with planes, its Q
+  // rows. Window w maps blocks [2^w - 1, 2^(w+1) - 1) in each process that
+  // reads one of them, so the recorder never moves a mapped block.
+  std::uint64_t offset(std::uint64_t b) const {
+    const std::uint64_t cached = std::min(b, cached_limit_);
+    return kHeaderBytes + cached * cached_bytes_ + (b - cached) * plain_bytes_;
   }
-  /// Appends an empty block (writer only; published by the watermark).
-  Block& add_block();
-  /// The one plane build: a compiled sweep over `len` rows laid out as a
-  /// Block's, into `blk`.
-  void finish_block(const nl::CompiledNetlist& cn, const sim::Word* rows,
-                    std::uint64_t len, sim::Word* blk) const;
+  /// File offset window w's mapping starts at: its first block's, down
+  /// to a page boundary.
+  std::uint64_t window_start(unsigned w) const {
+    return offset((std::uint64_t{1} << w) - 1) & ~page_mask_;
+  }
+  /// Start of block b in this process, mapping its window read-only on
+  /// first use.
+  const sim::Word* words(std::uint64_t b) const {
+    const unsigned w = std::bit_width(b + 1) - 1;
+    char* base = windows_[w].load(std::memory_order_acquire);
+    if (base == nullptr) base = map_window(w, false);
+    return reinterpret_cast<const sim::Word*>(base + (offset(b) -
+                                                      window_start(w)));
+  }
+  /// Maps window w (the recorder writable, after growing the file over
+  /// it) unless this process has; returns the mapping.
+  char* map_window(unsigned w, bool writable) const;
+  const sim::Word* stimulus_rows(std::uint64_t b) const {
+    return words(b) + (b < cached_limit_ ? block_words_ : 0);
+  }
+  /// Publishes `mark` and wakes the waiters (writer only).
+  void publish(std::uint64_t mark);
+  /// The one plane build: a compiled sweep over `len` stimulus and Q rows
+  /// (kBlockCycles rows each, the first `len` recorded), into `blk`.
+  void finish_block(const nl::CompiledNetlist& cn, const sim::Word* stimulus,
+                    const sim::Word* q, std::uint64_t len,
+                    sim::Word* blk) const;
 
   const std::size_t block_words_;
   const bool planes_;
   std::vector<nl::GateId> inputs_;
   std::vector<nl::GateId> ones_;  // kConst1 gates: all-ones in every block
-  std::size_t stimulus_words_;
-  std::vector<sim::Word> stimulus_;
-  std::uint64_t cycles_ = 0;
-  std::atomic<std::uint64_t> mark_{0};
-  // Block b lives in segment k = bit_width(b + 1) - 1, which holds 2^k
-  // blocks: growing the directory never moves a published block.
-  std::size_t blocks_ = 0;
-  std::size_t cached_ = 0;  // blocks with planes: the first cached_
-  std::array<std::unique_ptr<Block[]>, 64> segments_;
+  std::size_t stimulus_words_ = 0;
+  std::size_t q_words_ = 0;
+  // Set by the recorder before it publishes a block (a reader sees it
+  // through the watermark's acquire, or inherits it with a fork).
+  std::uint64_t cached_limit_ = 0;  // blocks below this keep their planes
+  std::size_t cached_ = 0;          // blocks written with planes
+  std::size_t cached_bytes_ = 0;    // bytes of a block with planes
+  std::size_t plain_bytes_ = 0;     // bytes of a block without
+  std::uint64_t page_mask_ = 0;     // page size - 1
+  int fd_ = -1;
+  Shared* shared_ = nullptr;
+  mutable std::array<std::atomic<char*>, kWindows> windows_{};
 };
 
 /// Runs the environment once on a plain LogicSim and records the run:
@@ -179,8 +237,9 @@ std::shared_ptr<const GoodTrace> record_good_trace(
     std::shared_ptr<const nl::CompiledNetlist> compiled = nullptr);
 
 /// The same recorder, writing into `trace` (a fresh GoodTrace of
-/// `netlist`) while other threads read it: each finished block is
-/// published behind the watermark and then `on_publish` (if set) runs.
+/// `netlist`) while other threads or processes read it: each finished
+/// block is published behind the watermark, waiters are woken, and then
+/// `on_publish` (if set) runs on the recording thread.
 /// `stop` (if set) is polled with the deadline. Returns `trace` itself,
 /// complete, or nullptr when cut.
 std::shared_ptr<const GoodTrace> record_good_trace(

@@ -191,6 +191,9 @@ struct LaneSweep {
 // three ISAs and the loader picks the widest the CPU has: one LaneWord
 // is four SSE2, two AVX2 or one AVX-512 register. `flatten` inlines
 // nl::eval_run into each clone; a call would reach the generic build.
+// Each clone starts on a cache line, like LogicSim::eval and
+// CompiledEventKernel::simulate, so its loops do not move with the code
+// linked before it.
 // ThreadSanitizer instruments the ifunc resolver of the clones, which
 // runs before its runtime is up (a GCC 12 -fsanitize=thread binary dies
 // there before main), so a build for race checks compiles the pass once.
@@ -204,7 +207,7 @@ struct LaneSweep {
 #ifndef SBST_SWEEP_PASS_CLONES
 #define SBST_SWEEP_PASS_CLONES target_clones("default", "avx2", "avx512f"),
 #endif
-__attribute__((SBST_SWEEP_PASS_CLONES flatten))
+__attribute__((SBST_SWEEP_PASS_CLONES flatten, aligned(64)))
 void sweep_pass(LaneSweep& s, const nl::CompiledNetlist& cn,
                 const std::vector<nl::GateId>& inputs,
                 const std::vector<nl::GateId>& po_bits, Word* diff) {
@@ -338,16 +341,20 @@ struct GroupSimulator::Impl {
   std::optional<CompiledEventKernel> event;
   // Compiled sweep, built on first use.
   std::unique_ptr<LaneSweep> sweep;
+  // The run's group bound, applied to a slice that sees the recording
+  // complete while it waits (empty: slices stay unbounded).
+  const BoundSlice bound;
 
   Impl(const nl::Netlist& n, const nl::FaultList& f, const GroupPlan& p,
        std::shared_ptr<const GoodTrace> good_trace,
-       std::shared_ptr<const nl::CompiledNetlist> comp)
+       std::shared_ptr<const nl::CompiledNetlist> comp, BoundSlice b)
       : netlist(n),
         faults(f),
         plan(p),
         compiled(comp ? std::move(comp) : nl::compile(n)),
         inj(n.size()),
-        trace(std::move(good_trace)) {
+        trace(std::move(good_trace)),
+        bound(std::move(b)) {
     // The kernels force faults on compiled nodes: a fault on a gate the
     // compiler folded away (a BUF that is not a primary output) has no
     // node to force. Generated fault lists never hold one
@@ -394,6 +401,9 @@ struct GroupSimulator::Impl {
   bool advance_event(GroupSlice* slice);
   void run_lanes(GroupSlice first, const PullSlice& pull,
                  const EmitSlice& emit);
+  void rebound(GroupSlice* slice) const {
+    if (bound) bound(slice);
+  }
 
   // Lane bookkeeping of the sweep (run_lanes); sweep_pass is the rest.
   void load_lane(int l, GroupSlice&& slice);
@@ -418,11 +428,21 @@ bool GroupSimulator::Impl::advance_event(GroupSlice* slice) {
 // the next pass, while the other lanes carry on. No step reads another
 // lane, so records are bit-identical whichever lane (and whichever
 // partners) a group runs with.
+//
+// The lanes run behind the recording's watermark. A pass needs the
+// stimulus of every busy lane's cycle, so when one lane reaches the
+// watermark of a recording still being written the whole pass sleeps on
+// it (the lanes share their flip-flop words, so none can run ahead
+// alone). A recording cut meanwhile hands every busy lane back
+// unfinished. Slices claimed while it streamed get their bound once the
+// lanes see it complete.
 void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
                                      const EmitSlice& emit) {
   if (!sweep) sweep = std::make_unique<LaneSweep>(netlist, compiled);
   LaneSweep& s = *sweep;
-  const std::uint64_t stop = trace->cycles();
+  const GoodTrace& tr = *trace;
+  GoodTrace::Watermark mark = tr.watermark();
+  bool bounded = mark.complete;  // slices pulled from here on are bounded
 
   std::optional<GroupSlice> next = std::move(first);
   unsigned since_poll = kPollCycles;  // the first idle lane polls at once
@@ -449,14 +469,27 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
     }
     ++since_poll;
 
-    // Cycle bounds (the recorded stop cycle, the watchdog), then the
-    // recorded inputs of the lane's cycle.
+    if (!mark.complete) mark = tr.watermark();
+    if (mark.complete && !bounded) {
+      for (SweepLane& ln : s.lanes) {
+        if (ln.busy) rebound(&ln.slice);
+      }
+      bounded = true;
+    }
+
+    // Cycle bounds (the recorded stop cycle, the watermark, the
+    // watchdog), then the recorded inputs of the lane's cycle.
+    bool behind = false;  // some lane waits for the watermark
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
       if (!ln.busy) continue;
       const std::uint64_t cycle = ln.slice.cycle;
-      if (cycle >= stop) {
-        finish_lane(l, false, emit);
+      if (cycle >= mark.cycles) {
+        if (mark.complete) {
+          finish_lane(l, false, emit);
+        } else {
+          behind = true;
+        }
         continue;
       }
       // Amortized watchdog: one clock read every 1024 cycles keeps the
@@ -467,12 +500,29 @@ void GroupSimulator::Impl::run_lanes(GroupSlice first, const PullSlice& pull,
         finish_lane(l, true, emit);
         continue;
       }
-      ln.stimulus = trace->stimulus(cycle);
+      ln.stimulus = tr.stimulus(cycle);
     }
     if (s.busy == 0) continue;
+    if (behind) {
+      // The wait is not charged to the lanes.
+      charge_lanes();
+      mark = tr.wait(mark.cycles);
+      s.charged = Clock::now();
+      if (mark.cut) {
+        for (int l = 0; l < kLanes; ++l) {
+          SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
+          if (!ln.busy) continue;
+          ln.busy = false;
+          --s.busy;
+          emit(std::move(ln.slice), false);
+        }
+        rebuild_fixups();
+      }
+      continue;
+    }
 
     Word diff[kLanes] = {};
-    sweep_pass(s, *compiled, trace->inputs(), po_bits, diff);
+    sweep_pass(s, *compiled, tr.inputs(), po_bits, diff);
 
     for (int l = 0; l < kLanes; ++l) {
       SweepLane& ln = s.lanes[static_cast<std::size_t>(l)];
@@ -575,14 +625,18 @@ void GroupSimulator::Impl::rebuild_fixups() {
 GroupSimulator::GroupSimulator(
     const nl::Netlist& netlist, const nl::FaultList& faults,
     const GroupPlan& plan, std::shared_ptr<const GoodTrace> good_run,
-    std::shared_ptr<const nl::CompiledNetlist> compiled)
+    std::shared_ptr<const nl::CompiledNetlist> compiled, BoundSlice bound)
     : impl_(std::make_unique<Impl>(netlist, faults, plan, std::move(good_run),
-                                   std::move(compiled))) {}
+                                   std::move(compiled), std::move(bound))) {}
 
 GroupSimulator::~GroupSimulator() = default;
 
 std::size_t GroupSimulator::lanes() const {
   return impl_->trace && impl_->trace->has_planes() ? 1 : kLanes;
+}
+
+bool GroupSimulator::recording_cut() const {
+  return impl_->trace && impl_->trace->watermark().cut;
 }
 
 GroupSlice GroupSimulator::slice(std::size_t group) const {
@@ -592,7 +646,8 @@ GroupSlice GroupSimulator::slice(std::size_t group) const {
   return s;
 }
 
-void GroupSimulator::run(const PullSlice& pull, const EmitSlice& emit) {
+void GroupSimulator::run(const PullSlice& pull, const EmitSlice& emit,
+                         AtWatermark at) {
   using Clock = Impl::Clock;
   Impl& im = *impl_;
   while (std::optional<GroupSlice> s = pull(true)) {
@@ -604,11 +659,19 @@ void GroupSimulator::run(const PullSlice& pull, const EmitSlice& emit) {
       im.run_lanes(std::move(*s), pull, emit);
       return;
     }
-    const auto start = Clock::now();
-    const bool finished = im.advance_event(&*s);
-    s->run_ms +=
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
+    bool finished = false;
+    for (;;) {
+      const auto start = Clock::now();
+      finished = im.advance_event(&*s);
+      s->run_ms +=
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      if (finished || at == AtWatermark::kPark) break;
+      // Sleep at the watermark and resume in place.
+      const GoodTrace::Watermark mark = im.trace->wait(s->cycle);
+      if (mark.cut) break;
+      if (mark.complete) im.rebound(&*s);
+    }
     emit(std::move(*s), finished);
   }
 }
@@ -624,18 +687,15 @@ GroupRecord GroupSimulator::simulate(std::size_t group) {
 // --- GroupDriver ------------------------------------------------------------
 
 struct GroupDriver::Stream {
-  using Clock = std::chrono::steady_clock;
-
   std::mutex mu;
   std::condition_variable cv;  // watermark moved, or the recording ended
-  std::shared_ptr<GoodTrace> live;         // being written; null once ended
+  bool recording = false;      // a recording exists and record() is on
   std::shared_ptr<const GoodTrace> trace;  // once ended; null = cut
-  /// The recording slices run against: `live` while it is written, then
+  /// The recording slices run against: the one being written, then
   /// `trace`, or null when a drain or the run deadline came first and
   /// nothing more is simulated. A slice settled once it is null does not
   /// stand.
   std::shared_ptr<const GoodTrace> current;
-  Clock::time_point ended;  // the epoch until the recording ends
   std::vector<GroupSlice> parked;
   std::vector<GroupSlice> held;  // finished while recording
   std::vector<std::size_t> returned;  // claimed, then discarded
@@ -716,9 +776,10 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   // once per campaign and shared read-only by every worker; forked
   // workers inherit both.
   compiled_ = nl::compile(netlist);
-  stream_->live = std::make_shared<GoodTrace>(
-      netlist, options.engine == Engine::kEvent);
-  stream_->current = stream_->live;
+  recording_ =
+      std::make_shared<GoodTrace>(netlist, options.engine == Engine::kEvent);
+  stream_->recording = true;
+  stream_->current = recording_;
 }
 
 GroupDriver::~GroupDriver() = default;
@@ -727,23 +788,23 @@ GroupDriver::~GroupDriver() = default;
 // deadline, a drain or stop() is null and leaves nothing to simulate:
 // claim() expires every group past the deadline and claims none while
 // draining or stopped.
-void GroupDriver::record() {
+bool GroupDriver::record(const std::function<void()>& on_publish) {
   Stream& st = *stream_;
-  if (st.live == nullptr) {  // nothing to simulate: no environment
-    end_recording(nullptr);
-    return;
+  if (recording_ == nullptr) {  // nothing to simulate: no environment
+    return end_recording(nullptr);
   }
   const std::size_t cap_bytes =
       options_.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
   std::shared_ptr<const GoodTrace> trace;
   try {
     trace = record_good_trace(
-        st.live, netlist_, make_env_, options_.max_cycles, cap_bytes,
+        recording_, netlist_, make_env_, options_.max_cycles, cap_bytes,
         deadline_,
         [this] { return draining(); },
-        [&st] {
+        [&st, &on_publish] {
           { std::lock_guard<std::mutex> lock(st.mu); }
           st.cv.notify_all();
+          if (on_publish) on_publish();
         },
         compiled_);
   } catch (...) {
@@ -751,24 +812,25 @@ void GroupDriver::record() {
     end_recording(nullptr);
     throw;
   }
-  end_recording(std::move(trace));
+  return end_recording(std::move(trace));
 }
 
-void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
+bool GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
   using Clock = std::chrono::steady_clock;
   Stream& st = *stream_;
   std::vector<GroupSlice> held;
+  bool kept = false;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    st.ended = Clock::now();
+    st.recording = false;
     // Work done against the recording stands only if the recording is
     // exactly what a run that recorded first would go on to simulate: it
     // ended before a drain and the run deadline. A cut (null) comes only
     // after a drain or the deadline.
-    st.current = !draining() && st.ended < deadline_ ? trace : nullptr;
+    st.current = !draining() && Clock::now() < deadline_ ? trace : nullptr;
     st.trace = std::move(trace);
-    st.live.reset();
-    if (st.current != nullptr) {
+    kept = st.current != nullptr;
+    if (kept) {
       held.swap(st.held);
     } else {
       for (const GroupSlice& s : st.held) st.returned.push_back(s.rec.group);
@@ -778,12 +840,16 @@ void GroupDriver::end_recording(std::shared_ptr<const GoodTrace> trace) {
     }
   }
   st.cv.notify_all();
+  // Slices waiting at the watermark come back unfinished, and settle()
+  // returns their groups.
+  if (!kept && recording_ != nullptr) recording_->cut();
   // Held groups fold as if each had started only now: once a drain is
   // set (say by a progress hook), the rest stay unsimulated.
   for (const GroupSlice& s : held) {
     if (draining()) break;
     fold(s.rec, /*seeded=*/false, s.run_ms);
   }
+  return kept;
 }
 
 bool GroupDriver::draining() const {
@@ -802,30 +868,31 @@ std::unique_ptr<GroupSimulator> GroupDriver::make_simulator() const {
     std::lock_guard<std::mutex> lock(stream_->mu);
     trace = stream_->current;
   }
-  return std::make_unique<GroupSimulator>(netlist_, faults_, plan_,
-                                          std::move(trace), compiled_);
+  return std::make_unique<GroupSimulator>(
+      netlist_, faults_, plan_, std::move(trace), compiled_,
+      [this](GroupSlice* s) { bound(s); });
 }
 
 GroupSlice GroupDriver::slice(std::size_t group) const {
   GroupSlice s;
   s.rec = plan_.unstarted_record(group);
   s.claimed = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(stream_->mu);
   bound(&s);
   return s;
 }
 
+// Reads only the recording's shared watermark and end time and the
+// run's constants, so it holds no lock and gives the same bound in a
+// forked worker as in the process that records.
 void GroupDriver::bound(GroupSlice* s) const {
-  // Unbounded before the recording completes (a slice stops at the
-  // watermark); after, the group timeout counts from the later of the
+  // Unbounded before the recording completes (a slice stops or waits at
+  // the watermark); after, the group timeout counts from the later of the
   // claim and the end of the recording.
-  if (stream_->live != nullptr && !stream_->live->watermark().complete) {
-    return;
-  }
+  if (!recording_->watermark().complete) return;
   s->deadline = deadline_;
   if (options_.group_timeout_ms != 0) {
     s->deadline = std::min(
-        deadline_, std::max(s->claimed, stream_->ended) +
+        deadline_, std::max(s->claimed, recording_->ended()) +
                        std::chrono::milliseconds(options_.group_timeout_ms));
   }
 }
@@ -863,9 +930,9 @@ std::optional<GroupSlice> GroupDriver::next_slice(bool wait) {
   Stream& st = *stream_;
   std::unique_lock<std::mutex> lock(st.mu);
   for (;;) {
-    const bool recording = st.live != nullptr;
+    const bool recording = st.recording;
     const std::uint64_t mark = recording
-                                   ? st.live->watermark().cycles
+                                   ? recording_->watermark().cycles
                                    : std::numeric_limits<std::uint64_t>::max();
     // Once the recording has ended, parked groups go first, furthest
     // behind first: they are the groups that outlived the most cycles.
@@ -888,20 +955,20 @@ std::optional<GroupSlice> GroupDriver::next_slice(bool wait) {
     // While recording, fresh claims go first (they have the most cycles
     // below the watermark), then the group furthest behind it.
     std::uint64_t seen = mark;
-    if (!s && st.live != nullptr) {
-      seen = st.live->watermark().cycles;
+    if (!s && st.recording) {
+      seen = recording_->watermark().cycles;
       s = st.take_parked(seen);
     }
     if (s) {
       bound(&*s);
       return s;
     }
-    if (st.live == nullptr) continue;
+    if (!st.recording) continue;
     if (!wait) return std::nullopt;
     // Nothing below the watermark: block until it moves or the
     // recording ends.
     st.cv.wait(lock, [&] {
-      return st.live == nullptr || st.live->watermark().cycles != seen;
+      return !st.recording || recording_->watermark().cycles != seen;
     });
   }
 }
@@ -919,7 +986,7 @@ void GroupDriver::settle(GroupSlice&& slice, bool finished) {
       st.parked.push_back(std::move(slice));
       return;
     }
-    if (st.live != nullptr) {
+    if (st.recording) {
       st.held.push_back(std::move(slice));
       return;
     }
@@ -968,8 +1035,8 @@ FaultSimResult run_fault_sim(const nl::Netlist& netlist,
   GroupDriver driver(netlist, faults, make_env, options);
 
   // N workers on N OS threads. The calling thread records the good run
-  // while the other N - 1 start on it (the event kernel below the
-  // watermark; the sweep once it completes), then joins them as worker 0.
+  // while the other N - 1 start on it below the watermark (event groups
+  // park there, sweep lanes wait), then joins them as worker 0.
   const std::size_t workers = std::min<std::size_t>(
       options.threads == 0 ? util::hardware_threads() : options.threads,
       driver.pending());
