@@ -45,7 +45,8 @@ enum class Rounding {
 /// nudged across a hundredth.
 std::string format_percent(double pct, Rounding rounding);
 
-/// Prints one or two phases side by side in the Table 5 layout.
+/// Prints one or two phases side by side in the Table 5 layout. One
+/// report's column is headed "FC"; two are "Phase A FC" and "Phase A+B FC".
 void print_coverage_table(std::ostream& os, const CoverageReport& phase_a,
                           const CoverageReport* phase_ab);
 

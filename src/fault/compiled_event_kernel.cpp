@@ -81,13 +81,6 @@ CompiledEventKernel::CompiledEventKernel(
   inj_slot_of_node_.assign(cn.num_nodes(), 0);
 }
 
-const Word* CompiledEventKernel::block(std::uint64_t b) {
-  if (const Word* blk = trace_->block(b)) return blk;
-  if (scratch_.empty()) scratch_.assign(trace_->block_words(), 0);
-  trace_->build_block(*cn_, b, scratch_.data());
-  return scratch_.data();
-}
-
 CompiledEventKernel::Word CompiledEventKernel::dense_eval(const Word* blk,
                                                           std::uint64_t ci,
                                                           Word live) {
@@ -297,7 +290,7 @@ __attribute__((aligned(64))) bool CompiledEventKernel::simulate(
   const Word* blk = nullptr;
   const auto enter_block = [&](std::uint64_t c) {
     const std::uint64_t first = c - c % kChunk;
-    blk = block(c / kChunk);
+    blk = tr.block(cn, c / kChunk, &scratch_);
     fill_chunk(inj, blk, std::min(kChunk, end - first));
   };
   if (cycle < end && cycle % kChunk != 0) enter_block(cycle);

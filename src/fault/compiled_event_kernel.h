@@ -31,8 +31,8 @@
 //   * good values come from the trace's gate-major 64-cycle blocks
 //     (GoodTrace::block): one 64-cycle chunk of the loop reads one block,
 //     and reconstructing a gate across the chunk's cycles reads one word.
-//     A block recorded past the memory cap is rebuilt from its rows into
-//     the kernel's own scratch block (GoodTrace::build_block);
+//     The process's threads share a block's planes within the memory
+//     cap; past it the kernel builds the block into its own scratch;
 //   * each injected node gets a per-group record holding its forcing
 //     masks and an 8-entry LUT of the forced output word as a function
 //     of the good fanin bits. While its fanins match the good machine
@@ -182,10 +182,6 @@ class CompiledEventKernel {
     Word dv[8];
   };
 
-  /// Block b's planes: the trace's cached block, or b rebuilt from its
-  /// rows into scratch_ (allocated on first use).
-  const Word* block(std::uint64_t b);
-
   /// Steps 1-5 of one dense cycle at bit `ci` of block `blk`: fills vm_
   /// for every value slot and returns the PO divergence of the live lanes.
   Word dense_eval(const Word* blk, std::uint64_t ci, Word live);
@@ -197,7 +193,7 @@ class CompiledEventKernel {
   const nl::Netlist* netlist_;
   const nl::CompiledNetlist* cn_;
   std::shared_ptr<const GoodTrace> trace_;
-  std::vector<Word> scratch_;  // a rebuilt block (see block())
+  std::vector<Word> scratch_;  // a block past the trace's memory cap
   DenseCycles dense_;
   std::vector<Node> nodes_;
   /// Dense cycles write these slots before the sweep: every source and

@@ -119,14 +119,14 @@ struct GroupRecord {
 /// so records journaled by one engine seed resumes under the other.
 enum class Engine : std::uint8_t {
   /// Event-driven differential kernel (compiled_event_kernel.h): per
-  /// group it simulates only the divergence wavefront from the recorded
-  /// good-value planes. Blocks of planes past `trace_mem_mb` are rebuilt
-  /// by each reader, so a lower cap is slower, never a different engine.
+  /// group it simulates only the divergence wavefront from the good-value
+  /// planes, which each process builds from the recorded rows. A lower
+  /// `trace_mem_mb` is slower, never a different engine.
   kEvent,
   /// Eight-lane compiled sweep of every combinational gate each cycle.
-  /// It reads only the recording's stimulus rows, which stream like the
-  /// planes: its lanes start on the first published block and sleep when
-  /// they reach the watermark.
+  /// It reads only the recording's stimulus rows, which stream by block:
+  /// its lanes start on the first published block and sleep when they
+  /// reach the watermark.
   kSweep,
 };
 
@@ -145,11 +145,11 @@ struct FaultSimOptions {
   std::uint64_t max_cycles = 1'000'000;
   /// Kernel used to simulate fault groups; see Engine.
   Engine engine = Engine::kEvent;
-  /// Memory cap for the event engine's cached good-value planes, in MiB
-  /// (0 = unlimited). One packed bit per gate per cycle; past the cap the
-  /// recording keeps each block's stimulus and flip-flop rows (160 bytes
-  /// per cycle on Plasma), and each kernel rebuilds the block it enters
-  /// from them. Same verdicts and records, more time.
+  /// Per-process cap on the event engine's cached good-value planes, in
+  /// MiB (0 = unlimited): one bit per gate per cycle, built from the
+  /// recorded stimulus and flip-flop rows. Past the cap each kernel
+  /// builds the block it enters into its own scratch. Same verdicts and
+  /// records, more time.
   std::size_t trace_mem_mb = 1024;
   /// If non-zero, simulate only a pseudo-random sample of this many
   /// representative faults (statistical fault grading); coverage is then
@@ -261,7 +261,7 @@ struct FaultSimResult {
   /// accounting existed contribute 0).
   std::uint64_t gates_evaluated = 0;
   std::uint64_t sim_cycles = 0;
-  /// Size of the recording's cached good-value planes, at most
+  /// Bytes of planes a process caches for the whole recording, at most
   /// trace_mem_mb: 0 under the sweep engine, when no group was left to
   /// simulate and when recording was cut (run deadline, drain).
   std::size_t trace_bytes = 0;
@@ -369,7 +369,7 @@ struct GroupSlice {
 ///
 /// Every group replays `good_run`, the campaign-shared recording of the
 /// good machine, up to its stop cycle; the simulator keeps it for life.
-/// Planes in the recording select the event-driven differential kernel,
+/// Q rows in the recording select the event-driven differential kernel,
 /// otherwise the sweep. Null only for a recording cut short, which leaves
 /// no group to simulate (run() throws std::logic_error on one).
 ///
@@ -481,12 +481,11 @@ class GroupDriver {
   ~GroupDriver();
 
   /// Records the good run on the calling thread, if groups are left to
-  /// simulate: the only call of `make_env`; planes under the event
-  /// engine, cached within trace_mem_mb; cut by the run deadline,
-  /// options.cancel and stop(). Each 64-cycle block is published as it
-  /// is built, under either engine, so next_slice() hands out work while
-  /// this runs; `on_publish` (if set) runs on this thread after each
-  /// block and at the end. Call once.
+  /// simulate: the only call of `make_env`; Q rows under the event
+  /// engine; cut by the run deadline, options.cancel and stop(). Each
+  /// 64-cycle block is published as it is recorded, under either engine,
+  /// so next_slice() hands out work while this runs; `on_publish` (if
+  /// set) runs on this thread after each block and at the end. Call once.
   ///
   /// When the recording ends, the records of groups that finished during
   /// it are folded (one by one; a drain set meanwhile leaves the rest

@@ -32,15 +32,13 @@ void transpose64(Word* a) {
 }
 
 /// Scatters source bits recorded one row per cycle (`rows`, `row_words`
-/// words per row, `len` rows) into a block as one 64-cycle word per
-/// source: bit c of blk[gates[i]] is bit i of row c.
-void scatter_columns(const Word* rows, std::size_t row_words, std::size_t len,
+/// words per row, 64 rows) into a block as one 64-cycle word per source:
+/// bit c of blk[gates[i]] is bit i of row c.
+void scatter_columns(const Word* rows, std::size_t row_words,
                      const std::vector<nl::GateId>& gates, Word* blk) {
   Word m[64];
   for (std::size_t k = 0; k < row_words; ++k) {
-    for (std::size_t c = 0; c < 64; ++c) {
-      m[c] = c < len ? rows[c * row_words + k] : 0;
-    }
+    for (std::size_t c = 0; c < 64; ++c) m[c] = rows[c * row_words + k];
     transpose64(m);
     const std::size_t lo = k * 64;
     const std::size_t hi = std::min(gates.size(), lo + 64);
@@ -64,6 +62,19 @@ void futex_wake_all(std::atomic<std::uint32_t>* word) {
             INT_MAX, nullptr, nullptr, 0);
 }
 
+/// Installs mapping `p` in `slot` unless another thread beat us to it.
+char* install(std::atomic<char*>& slot, void* p, std::size_t bytes) {
+  char* base = nullptr;
+  if (slot.compare_exchange_strong(base, static_cast<char*>(p),
+                                   std::memory_order_acq_rel)) {
+    return static_cast<char*>(p);
+  }
+  ::munmap(p, bytes);  // another thread of this process won
+  return base;
+}
+
+constexpr std::uint32_t kBuilding = 1, kBuilt = 2;  // cached block state
+
 }  // namespace
 
 // Other processes share the header: its atomics must be lock-free.
@@ -71,7 +82,8 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
               std::atomic<std::uint32_t>::is_always_lock_free &&
               std::atomic<std::int64_t>::is_always_lock_free);
 
-GoodTrace::GoodTrace(const nl::Netlist& netlist, bool planes)
+GoodTrace::GoodTrace(const nl::Netlist& netlist, bool planes,
+                     std::size_t mem_cap_bytes)
     : block_words_(netlist.size() + 1), planes_(planes) {
   static_assert(sizeof(Shared) <= kHeaderBytes);
   std::size_t dffs = 0;
@@ -83,14 +95,16 @@ GoodTrace::GoodTrace(const nl::Netlist& netlist, bool planes)
   }
   stimulus_words_ = (inputs_.size() + 63) / 64;
   q_words_ = planes ? (dffs + 63) / 64 : 0;
-  const std::size_t stimulus_bytes =
-      kBlockCycles * stimulus_words_ * sizeof(sim::Word);
-  cached_bytes_ = block_words_ * sizeof(sim::Word) + stimulus_bytes;
   // At least a word, so that no window is empty (a netlist without
   // inputs or flip-flops records empty rows).
-  plain_bytes_ = std::max(
-      stimulus_bytes + kBlockCycles * q_words_ * sizeof(sim::Word),
+  row_bytes_ = std::max(
+      kBlockCycles * (stimulus_words_ + q_words_) * sizeof(sim::Word),
       sizeof(sim::Word));
+  // Whole blocks within the cap, so the cached planes never exceed it.
+  cache_blocks_ = !planes ? 0
+                  : mem_cap_bytes == 0
+                      ? std::numeric_limits<std::uint64_t>::max()
+                      : mem_cap_bytes / (block_words_ * sizeof(sim::Word));
   page_mask_ = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) - 1;
 
   fd_ = ::memfd_create("sbst-good-trace", MFD_CLOEXEC);
@@ -111,25 +125,25 @@ GoodTrace::GoodTrace(const nl::Netlist& netlist, bool planes)
 
 GoodTrace::~GoodTrace() {
   for (unsigned w = 0; w < kWindows; ++w) {
-    char* const base = windows_[w].load(std::memory_order_relaxed);
-    if (base == nullptr) continue;
-    const std::uint64_t first = (std::uint64_t{1} << w) - 1;
-    ::munmap(base, offset(2 * first + 1) - window_start(w));
+    if (char* const base = windows_[w].load(std::memory_order_relaxed)) {
+      ::munmap(base, offset(2 * first_block(w) + 1) - window_start(w));
+    }
+    if (char* const base = cache_[w].load(std::memory_order_relaxed)) {
+      ::munmap(base, cache_bytes(w));
+    }
   }
   ::munmap(shared_, kHeaderBytes);
   ::close(fd_);
 }
 
-// Window w covers blocks [first, 2 first + 1), first = 2^w - 1. The
-// recorder maps each window writable as its first block starts, after
-// growing the file over the whole window; a reader maps it read-only the
-// first time it reads one of its blocks.
+// The recorder maps each window writable as its first block starts,
+// after growing the file over the whole window; a reader maps it
+// read-only the first time it reads one of its blocks.
 char* GoodTrace::map_window(unsigned w, bool writable) const {
-  char* base = windows_[w].load(std::memory_order_acquire);
+  char* const base = windows_[w].load(std::memory_order_acquire);
   if (base != nullptr) return base;
-  const std::uint64_t first = (std::uint64_t{1} << w) - 1;
   const std::uint64_t lo = window_start(w);
-  const std::uint64_t hi = offset(2 * first + 1);
+  const std::uint64_t hi = offset(2 * first_block(w) + 1);
   if (writable && ::ftruncate(fd_, static_cast<off_t>(hi)) != 0) {
     throw_errno("cannot grow the good-run mapping");
   }
@@ -137,13 +151,50 @@ char* GoodTrace::map_window(unsigned w, bool writable) const {
       ::mmap(nullptr, hi - lo, writable ? PROT_READ | PROT_WRITE : PROT_READ,
              MAP_SHARED, fd_, static_cast<off_t>(lo));
   if (p == MAP_FAILED) throw std::bad_alloc();
-  char* const mapped = static_cast<char*>(p);
-  if (windows_[w].compare_exchange_strong(base, mapped,
-                                          std::memory_order_acq_rel)) {
-    return mapped;
+  return install(windows_[w], p, hi - lo);
+}
+
+// The plane cache is private to this process: a forked child sees it
+// zero-filled, every block's state 0 (unbuilt).
+char* GoodTrace::map_cache(unsigned w) const {
+  const std::size_t bytes = cache_bytes(w);
+  void* const p =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  if (::madvise(p, bytes, MADV_WIPEONFORK) != 0) {
+    ::munmap(p, bytes);  // leaves madvise's errno
+    throw_errno("cannot keep the plane cache from forked workers");
   }
-  ::munmap(mapped, hi - lo);  // another thread of this process won
-  return base;
+  return install(cache_[w], p, bytes);
+}
+
+const Word* GoodTrace::block(const nl::CompiledNetlist& cn, std::uint64_t b,
+                             std::vector<Word>* scratch) const {
+  if (b >= cache_blocks_) {
+    if (scratch->empty()) scratch->assign(block_words_, 0);
+    finish_block(cn, b, scratch->data());
+    return scratch->data();
+  }
+  const unsigned w = std::bit_width(b + 1) - 1;
+  char* base = cache_[w].load(std::memory_order_acquire);
+  if (base == nullptr) base = map_cache(w);
+  Word* const blk = reinterpret_cast<Word*>(base) +
+                    (b - first_block(w)) * (block_words_ + 1);
+  const std::atomic_ref<std::uint32_t> state(
+      *reinterpret_cast<std::uint32_t*>(blk + block_words_));
+  std::uint32_t st;
+  while ((st = state.load(std::memory_order_acquire)) != kBuilt) {
+    if (st == 0 && state.compare_exchange_strong(st, kBuilding,
+                                                 std::memory_order_acquire)) {
+      finish_block(cn, b, blk);
+      state.store(kBuilt, std::memory_order_release);
+      state.notify_all();
+    } else {
+      state.wait(kBuilding, std::memory_order_acquire);  // at once if built
+    }
+  }
+  return blk;
 }
 
 GoodTrace::Watermark GoodTrace::wait(std::uint64_t cycles) const {
@@ -178,23 +229,17 @@ std::chrono::steady_clock::time_point GoodTrace::ended() const {
 }
 
 // One compiled sweep over the block: the 64 bit lanes are its cycles.
-void GoodTrace::finish_block(const nl::CompiledNetlist& cn,
-                             const Word* stimulus, const Word* q,
-                             std::uint64_t len, Word* blk) const {
-  scatter_columns(stimulus, stimulus_words_, len, inputs_, blk);
-  scatter_columns(q, q_words_, len, cn.dff_gate, blk);
+// The rows past the stop cycle of a partial block were never written and
+// read as zero.
+void GoodTrace::finish_block(const nl::CompiledNetlist& cn, std::uint64_t b,
+                             Word* blk) const {
+  const Word* const stimulus = rows(b);
+  scatter_columns(stimulus, stimulus_words_, inputs_, blk);
+  scatter_columns(stimulus + kBlockCycles * stimulus_words_, q_words_,
+                  cn.dff_gate, blk);
   for (nl::GateId g : ones_) blk[g] = ~Word{0};
   for (const nl::CompiledRun& r : cn.runs) nl::eval_run(cn, r, blk);
   nl::apply_copies(cn, blk);
-}
-
-// The rows past the last cycle of a partial block are zero, as
-// scatter_columns reads them for a cached one.
-void GoodTrace::build_block(const nl::CompiledNetlist& cn, std::uint64_t b,
-                            Word* blk) const {
-  const Word* const stimulus = stimulus_rows(b);
-  finish_block(cn, stimulus, stimulus + kBlockCycles * stimulus_words_,
-               kBlockCycles, blk);
 }
 
 std::shared_ptr<const GoodTrace> record_good_trace(
@@ -207,15 +252,15 @@ std::shared_ptr<const GoodTrace> record_good_trace(
   if (cancel != nullptr) {
     stop = [cancel] { return cancel->load(std::memory_order_relaxed); };
   }
-  return record_good_trace(std::make_shared<GoodTrace>(netlist, planes),
-                           netlist, make_env, max_cycles, mem_cap_bytes,
-                           deadline, stop, {}, std::move(compiled));
+  return record_good_trace(
+      std::make_shared<GoodTrace>(netlist, planes, mem_cap_bytes), netlist,
+      make_env, max_cycles, deadline, stop, {}, std::move(compiled));
 }
 
 std::shared_ptr<const GoodTrace> record_good_trace(
     std::shared_ptr<GoodTrace> trace, const nl::Netlist& netlist,
     const EnvFactory& make_env, std::uint64_t max_cycles,
-    std::size_t mem_cap_bytes, std::chrono::steady_clock::time_point deadline,
+    std::chrono::steady_clock::time_point deadline,
     const std::function<bool()>& stop, const std::function<void()>& on_publish,
     std::shared_ptr<const nl::CompiledNetlist> compiled) {
   using Clock = std::chrono::steady_clock;
@@ -223,51 +268,29 @@ std::shared_ptr<const GoodTrace> record_good_trace(
   GoodTrace& tr = *trace;
   const bool has_deadline = deadline != Clock::time_point::max();
   if (compiled == nullptr) compiled = nl::compile(netlist);
-  const nl::CompiledNetlist& cn = *compiled;
 
-  // Per cycle the serial run writes the stimulus row into the block and,
-  // with planes, a row of flip-flop Q bits: into `scratch` for a block
-  // whose planes are built when it ends, into the block itself past the
-  // cap.
+  // Per cycle the serial run writes the block's stimulus row and, with
+  // planes, its row of flip-flop Q bits.
   const std::vector<nl::GateId>& inputs = tr.inputs_;
   const std::size_t stimulus_words = tr.stimulus_words_;
-  const std::vector<nl::GateId>& dffs = cn.dff_gate;
+  const std::vector<nl::GateId>& dffs = compiled->dff_gate;
   const std::size_t q_words = tr.q_words_;
-  std::vector<Word> scratch(kBlock * q_words);
-  // The cap is checked at block granularity, so the cached planes never
-  // exceed it.
-  const std::size_t block_bytes = tr.block_words_ * sizeof(Word);
-  tr.cached_limit_ = !tr.planes_ ? 0
-                     : mem_cap_bytes == 0
-                         ? std::numeric_limits<std::uint64_t>::max()
-                         : mem_cap_bytes / block_bytes;
   Word* stimulus = nullptr;
   Word* q = nullptr;
-  Word* blk = nullptr;  // null past the cap and without planes
 
   sim::LogicSim s(netlist, compiled);
   s.reset();
   std::unique_ptr<Environment> env = make_env();
 
   std::uint64_t cycle = 0;
-  std::uint64_t built = 0;  // cycles whose block is published
   for (; cycle < max_cycles; ++cycle) {
     const std::uint64_t c = cycle % kBlock;
     if (c == 0) {  // a new block starts, its pages zero
       const std::uint64_t b = cycle / kBlock;
       // The recorder maps each window writable before anyone reads it.
       tr.map_window(std::bit_width(b + 1) - 1, true);
-      Word* const start = const_cast<Word*>(tr.words(b));
-      if (b < tr.cached_limit_) {
-        ++tr.cached_;
-        blk = start;
-        stimulus = start + tr.block_words_;
-        q = scratch.data();
-      } else {
-        blk = nullptr;
-        stimulus = start;
-        q = start + kBlock * stimulus_words;
-      }
+      stimulus = const_cast<Word*>(tr.rows(b));
+      q = stimulus + kBlock * stimulus_words;
     }
     // Same amortized cadence as the simulation kernels' watchdog, but
     // checked as each window starts, so no cycle is recorded for a run
@@ -303,14 +326,9 @@ std::shared_ptr<const GoodTrace> record_good_trace(
       break;
     }
     if (c == kBlock - 1) {
-      if (blk != nullptr) tr.finish_block(cn, stimulus, q, kBlock, blk);
-      built = cycle + 1;
-      tr.publish(built);
+      tr.publish(cycle + 1);
       if (on_publish) on_publish();
     }
-  }
-  if (blk != nullptr && cycle > built) {
-    tr.finish_block(cn, stimulus, q, cycle - built, blk);
   }
   tr.shared_->ended_ns.store(Clock::now().time_since_epoch().count(),
                              std::memory_order_relaxed);

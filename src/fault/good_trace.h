@@ -4,22 +4,22 @@
 // function of the good machine only: an undetected faulty machine has by
 // definition issued bit-identical memory traffic (DESIGN.md §5), so the
 // closed-loop run of every 63-fault group replays the *same* good
-// machine. Recording that run once per campaign — its primary inputs,
-// plus for the differential kernel one bit per gate per cycle — removes
-// the environment from every group.
+// machine. Recording that run once per campaign removes the environment
+// from every group.
 //
-// The recording is a stream of 64-cycle blocks (kBlockCycles), published
-// one by one behind an atomic cycle watermark, for either engine. Every
-// block holds its 64 stimulus rows. With planes, the serial good run also
-// keeps each cycle's flip-flop Q bits, and one compiled sweep over a
-// block's rows — the 64 bit lanes of every word being its 64 cycles, the
-// inputs being the transposed stimulus and Q bits — computes every gate's
-// 64 values in place (build_block). While the planes fit in the memory
-// cap the recorder runs that sweep as each block ends and keeps the
-// planes; past the cap it keeps the block's Q rows instead, and a reader
-// rebuilds the block from them into its own scratch.
+// The recording is its rows: a stream of 64-cycle blocks (kBlockCycles),
+// published one by one behind an atomic cycle watermark, each holding
+// its 64 stimulus rows and, for the event engine, its 64 rows of
+// flip-flop Q bits. One compiled sweep over a block's rows — the 64 bit
+// lanes of every word being its 64 cycles — computes every gate's 64
+// good values (finish_block). These planes are a per-process cache: the
+// first thread of a process to read a block builds it, and the others
+// wait for it and share it, up to the memory cap's worth of blocks; past
+// the cap each reader builds the block into its own scratch. A fork
+// hands the cache to the child zero-filled (MADV_WIPEONFORK), so a
+// forked worker inherits no built or half-built block and builds its own.
 //
-// Blocks live in one shared mapping, created with the GoodTrace: a
+// The rows live in one shared mapping, created with the GoodTrace: a
 // memfd holding a header page (the watermark, the futex word waiters
 // sleep on, the end time) and then the blocks, back to back. Blocks never
 // move, so a kernel can read below the watermark while the recorder is
@@ -47,11 +47,12 @@
 
 namespace sbst::fault {
 
-/// The stimulus (per cycle, the driven bit of every primary input), the
-/// stop cycle and optional good-value planes holding, for every cycle, one
-/// bit per gate with the value after drive+eval of that cycle (the
-/// instant the sweep kernel compares primary outputs). Shared read-only
-/// across worker threads and forked --isolate workers.
+/// The stimulus (per cycle, the driven bit of every primary input) and
+/// the stop cycle, plus for the event engine each cycle's flip-flop Q
+/// bits, from which any block's good-value planes are built: for every
+/// cycle, one bit per gate with the value after drive+eval of that cycle
+/// (the instant the sweep kernel compares primary outputs). Shared
+/// read-only across worker threads and forked --isolate workers.
 ///
 /// Planes are stored gate-major per block: block b is num_gates + 1
 /// words, and bit c of word g is gate g's value at cycle 64 * b + c (the
@@ -76,10 +77,12 @@ class GoodTrace {
     bool cut;
   };
 
-  /// An empty recording of `netlist`'s good run (with planes iff
-  /// `planes`), for record_good_trace to write. Creates the shared
+  /// An empty recording of `netlist`'s good run (with Q rows iff
+  /// `planes`), for record_good_trace to write; a process caches at most
+  /// `mem_cap_bytes` of its planes (0 = unlimited). Creates the shared
   /// mapping: std::system_error when the kernel refuses it.
-  GoodTrace(const nl::Netlist& netlist, bool planes);
+  GoodTrace(const nl::Netlist& netlist, bool planes,
+            std::size_t mem_cap_bytes);
   ~GoodTrace();
   GoodTrace(const GoodTrace&) = delete;
   GoodTrace& operator=(const GoodTrace&) = delete;
@@ -110,40 +113,31 @@ class GoodTrace {
   /// / 64 words, bit i of word i / 64 being inputs()[i].
   const std::vector<nl::GateId>& inputs() const { return inputs_; }
   const sim::Word* stimulus(std::uint64_t t) const {
-    return stimulus_rows(t / kBlockCycles) + t % kBlockCycles * stimulus_words_;
+    return rows(t / kBlockCycles) + t % kBlockCycles * stimulus_words_;
   }
 
   /// Whether the recording has planes (the event engine's).
   bool has_planes() const { return planes_; }
-  /// Size of the cached planes: at most the memory cap, 0 without planes.
+  /// Planes a process caches of the complete recording: its blocks within
+  /// the memory cap, 0 without planes.
   std::size_t memory_bytes() const {
-    return cached_ * block_words_ * sizeof(sim::Word);
+    const std::uint64_t blocks = (cycles() + kBlockCycles - 1) / kBlockCycles;
+    return std::min(blocks, cache_blocks_) * block_words_ * sizeof(sim::Word);
   }
 
   // --- planes (readable below the watermark) -------------------------------
 
-  /// Words per block: one per gate plus the zero slot.
-  std::size_t block_words() const { return block_words_; }
-  /// Block b, cycles [64 b, 64 b + 64), when the recorder cached it; null
-  /// for a block recorded past the memory cap (see build_block).
-  const sim::Word* block(std::uint64_t b) const {
-    return b < cached_limit_ ? words(b) : nullptr;
-  }
-  /// Builds block b's planes into `blk` (block_words() words, zeroed
-  /// before its first use) from the block's own recorded rows, exactly as
-  /// the recorder builds a cached block. For blocks past the memory cap.
-  void build_block(const nl::CompiledNetlist& cn, std::uint64_t b,
-                   sim::Word* blk) const;
-  /// Good value of gate g at cycle t (cached blocks only).
-  bool good_bit(std::uint64_t t, nl::GateId g) const {
-    return (block(t / kBlockCycles)[g] >> (t % kBlockCycles)) & 1;
-  }
+  /// Block b's planes, cycles [64 b, 64 b + 64), built from its rows by
+  /// the compiled program `cn`: within the memory cap, this process's
+  /// cached block (a reader that finds it being built waits); past it,
+  /// built into `scratch` (sized and zeroed on first use, then reused).
+  const sim::Word* block(const nl::CompiledNetlist& cn, std::uint64_t b,
+                         std::vector<sim::Word>* scratch) const;
 
  private:
   friend std::shared_ptr<const GoodTrace> record_good_trace(
       std::shared_ptr<GoodTrace> trace, const nl::Netlist& netlist,
       const EnvFactory& make_env, std::uint64_t max_cycles,
-      std::size_t mem_cap_bytes,
       std::chrono::steady_clock::time_point deadline,
       const std::function<bool()>& stop,
       const std::function<void()>& on_publish,
@@ -164,23 +158,25 @@ class GoodTrace {
     std::atomic<std::int64_t> ended_ns{0};  // steady_clock at completion
   };
 
-  // Block b sits at a fixed file offset (offset()): the first
-  // cached_limit_ blocks hold their planes and then their stimulus rows;
-  // every later block holds its stimulus rows and, with planes, its Q
-  // rows. Window w maps blocks [2^w - 1, 2^(w+1) - 1) in each process that
-  // reads one of them, so the recorder never moves a mapped block.
+  // Window w holds blocks [2^w - 1, 2^(w+1) - 1): their rows in the
+  // shared mapping, mapped in each process that reads one of them, so the
+  // recorder never moves a mapped block; and their planes in this
+  // process's cache.
+  static std::uint64_t first_block(unsigned w) {
+    return (std::uint64_t{1} << w) - 1;
+  }
+  /// File offset of block b's rows: its stimulus rows, then its Q rows.
   std::uint64_t offset(std::uint64_t b) const {
-    const std::uint64_t cached = std::min(b, cached_limit_);
-    return kHeaderBytes + cached * cached_bytes_ + (b - cached) * plain_bytes_;
+    return kHeaderBytes + b * row_bytes_;
   }
   /// File offset window w's mapping starts at: its first block's, down
   /// to a page boundary.
   std::uint64_t window_start(unsigned w) const {
-    return offset((std::uint64_t{1} << w) - 1) & ~page_mask_;
+    return offset(first_block(w)) & ~page_mask_;
   }
-  /// Start of block b in this process, mapping its window read-only on
+  /// Block b's rows in this process, mapping its window read-only on
   /// first use.
-  const sim::Word* words(std::uint64_t b) const {
+  const sim::Word* rows(std::uint64_t b) const {
     const unsigned w = std::bit_width(b + 1) - 1;
     char* base = windows_[w].load(std::memory_order_acquire);
     if (base == nullptr) base = map_window(w, false);
@@ -190,15 +186,18 @@ class GoodTrace {
   /// Maps window w (the recorder writable, after growing the file over
   /// it) unless this process has; returns the mapping.
   char* map_window(unsigned w, bool writable) const;
-  const sim::Word* stimulus_rows(std::uint64_t b) const {
-    return words(b) + (b < cached_limit_ ? block_words_ : 0);
+  /// Bytes of window w of the plane cache (its first block is within the
+  /// cap): each cached block's planes and a state word.
+  std::size_t cache_bytes(unsigned w) const {
+    return std::min(first_block(w) + 1, cache_blocks_ - first_block(w)) *
+           (block_words_ + 1) * sizeof(sim::Word);
   }
+  /// Maps window w of the plane cache unless this process has.
+  char* map_cache(unsigned w) const;
   /// Publishes `mark` and wakes the waiters (writer only).
   void publish(std::uint64_t mark);
-  /// The one plane build: a compiled sweep over `len` stimulus and Q rows
-  /// (kBlockCycles rows each, the first `len` recorded), into `blk`.
-  void finish_block(const nl::CompiledNetlist& cn, const sim::Word* stimulus,
-                    const sim::Word* q, std::uint64_t len,
+  /// The one plane build: a compiled sweep over block b's rows into blk.
+  void finish_block(const nl::CompiledNetlist& cn, std::uint64_t b,
                     sim::Word* blk) const;
 
   const std::size_t block_words_;
@@ -207,27 +206,22 @@ class GoodTrace {
   std::vector<nl::GateId> ones_;  // kConst1 gates: all-ones in every block
   std::size_t stimulus_words_ = 0;
   std::size_t q_words_ = 0;
-  // Set by the recorder before it publishes a block (a reader sees it
-  // through the watermark's acquire, or inherits it with a fork).
-  std::uint64_t cached_limit_ = 0;  // blocks below this keep their planes
-  std::size_t cached_ = 0;          // blocks written with planes
-  std::size_t cached_bytes_ = 0;    // bytes of a block with planes
-  std::size_t plain_bytes_ = 0;     // bytes of a block without
+  std::size_t row_bytes_ = 0;       // bytes of one block's rows
+  std::uint64_t cache_blocks_ = 0;  // blocks within the cap, 0 without planes
   std::uint64_t page_mask_ = 0;     // page size - 1
   int fd_ = -1;
   Shared* shared_ = nullptr;
   mutable std::array<std::atomic<char*>, kWindows> windows_{};
+  mutable std::array<std::atomic<char*>, kWindows> cache_{};
 };
 
 /// Runs the environment once on a plain LogicSim and records the run:
-/// always the stimulus and the stop cycle, plus the planes when `planes`
-/// is set. Blocks are cached while they fit in `mem_cap_bytes` (0 =
-/// unlimited; checked as each block starts); past it each block keeps
-/// only its rows. Returns nullptr only when `deadline` has passed or
-/// `cancel` is set at the start of a 1024-cycle window — cycle 0
-/// included, so a run already past its deadline or draining records
-/// nothing. A campaign-shared compiled program may be passed to skip
-/// re-compiling the netlist.
+/// the stimulus and the stop cycle, plus the Q rows when `planes` is set;
+/// `mem_cap_bytes` is the GoodTrace's cap. Returns nullptr only when
+/// `deadline` has passed or `cancel` is set at the start of a 1024-cycle
+/// window — cycle 0 included, so a run already past its deadline or
+/// draining records nothing. A campaign-shared compiled program may be
+/// passed to skip re-compiling the netlist.
 std::shared_ptr<const GoodTrace> record_good_trace(
     const nl::Netlist& netlist, const EnvFactory& make_env,
     std::uint64_t max_cycles, std::size_t mem_cap_bytes, bool planes = true,
@@ -245,7 +239,7 @@ std::shared_ptr<const GoodTrace> record_good_trace(
 std::shared_ptr<const GoodTrace> record_good_trace(
     std::shared_ptr<GoodTrace> trace, const nl::Netlist& netlist,
     const EnvFactory& make_env, std::uint64_t max_cycles,
-    std::size_t mem_cap_bytes, std::chrono::steady_clock::time_point deadline,
+    std::chrono::steady_clock::time_point deadline,
     const std::function<bool()>& stop, const std::function<void()>& on_publish,
     std::shared_ptr<const nl::CompiledNetlist> compiled);
 

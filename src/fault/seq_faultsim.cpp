@@ -776,8 +776,9 @@ GroupDriver::GroupDriver(const nl::Netlist& netlist,
   // once per campaign and shared read-only by every worker; forked
   // workers inherit both.
   compiled_ = nl::compile(netlist);
-  recording_ =
-      std::make_shared<GoodTrace>(netlist, options.engine == Engine::kEvent);
+  recording_ = std::make_shared<GoodTrace>(
+      netlist, options.engine == Engine::kEvent,
+      options.trace_mem_mb * std::size_t{1024} * 1024);  // 0 = unlimited
   stream_->recording = true;
   stream_->current = recording_;
 }
@@ -793,13 +794,10 @@ bool GroupDriver::record(const std::function<void()>& on_publish) {
   if (recording_ == nullptr) {  // nothing to simulate: no environment
     return end_recording(nullptr);
   }
-  const std::size_t cap_bytes =
-      options_.trace_mem_mb * std::size_t{1024} * 1024;  // 0 = unlimited
   std::shared_ptr<const GoodTrace> trace;
   try {
     trace = record_good_trace(
-        recording_, netlist_, make_env_, options_.max_cycles, cap_bytes,
-        deadline_,
+        recording_, netlist_, make_env_, options_.max_cycles, deadline_,
         [this] { return draining(); },
         [&st, &on_publish] {
           { std::lock_guard<std::mutex> lock(st.mu); }

@@ -73,6 +73,15 @@ TEST(Report, PrintsTableWithAllComponents) {
                            "CTRL", "BMUX", "PLN", "Processor overall"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
+  // Two reports are Table 5's phases; one is whatever program was graded,
+  // so its column names no phase.
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "Component   Class        Phase A FC    MOFC     Phase A+B FC"
+            "    MOFC");
+  std::ostringstream one;
+  print_coverage_table(one, rep, nullptr);
+  EXPECT_EQ(one.str().substr(0, one.str().find('\n')),
+            "Component   Class                FC    MOFC");
 }
 
 // Regression: rows whose faults were never simulated (routine in sampled

@@ -168,7 +168,7 @@ TEST(DenseCycle, GroupsParkedMidStretchMatchOneGo) {
 
   // Lock-step streaming on one thread: each time the recorder publishes
   // a block, every unfinished group runs to the new watermark and parks.
-  const auto live = std::make_shared<GoodTrace>(n, true);
+  const auto live = std::make_shared<GoodTrace>(n, true, 0);
   CompiledEventKernel kernel(n, *cn, testutil::po_bits(n), live);
   detail::InjectionTable inj(n.size());
   std::vector<GroupSlice> slices(plan.num_groups());
@@ -186,7 +186,7 @@ TEST(DenseCycle, GroupsParkedMidStretchMatchOneGo) {
     }
   };
   const std::shared_ptr<const GoodTrace> trace = record_good_trace(
-      live, n, env, opt.max_cycles, 0,
+      live, n, env, opt.max_cycles,
       std::chrono::steady_clock::time_point::max(), nullptr, advance, cn);
   ASSERT_EQ(trace, live);
   advance();

@@ -188,18 +188,19 @@ TEST(EventKernel, TraceMemoryCapRebuildsBlocksFromRows) {
   const nl::FaultList fl = nl::enumerate_faults(n);
   const std::shared_ptr<const nl::CompiledNetlist> cn = nl::compile(n);
 
-  // Unit level: past the cap a block keeps only its rows, and a block
-  // rebuilt from them equals the cached block word for word — every
-  // block, the partial last one (300 = 4 * 64 + 44 cycles) included. One
-  // scratch block serves every rebuild, in reverse order, as a kernel
-  // reuses its own.
+  // Unit level: within the cap a block's planes are cached, past it they
+  // are built into the reader's scratch, and both equal the uncapped
+  // recording's word for word — every block, the partial last one (300 =
+  // 4 * 64 + 44 cycles) included. One scratch block serves every build,
+  // in reverse order, as a kernel reuses its own.
   const auto uncapped = record_good_trace(n, pattern_env(300), 4096, 0);
   ASSERT_NE(uncapped, nullptr);
-  const std::size_t words = uncapped->block_words();
+  const std::size_t words = n.size() + 1;
   const std::size_t block_bytes = words * sizeof(sim::Word);
   const std::uint64_t blocks = (uncapped->cycles() + 63) / 64;
   ASSERT_EQ(uncapped->cycles(), 300u);
   EXPECT_EQ(uncapped->memory_bytes(), blocks * block_bytes);
+  std::vector<sim::Word> unused;
   // No block fits in 8 bytes; two fit in 2.5 blocks' worth.
   for (const std::size_t cap : {std::size_t{8}, block_bytes * 5 / 2}) {
     SCOPED_TRACE(cap);
@@ -210,22 +211,16 @@ TEST(EventKernel, TraceMemoryCapRebuildsBlocksFromRows) {
     EXPECT_TRUE(capped->watermark().complete);
     EXPECT_EQ(capped->cycles(), uncapped->cycles());
     EXPECT_EQ(capped->memory_bytes(), cached * block_bytes);
-    std::vector<sim::Word> scratch(words, 0);
+    std::vector<sim::Word> scratch;
     for (std::uint64_t b = blocks; b-- > 0;) {
-      const std::vector<sim::Word> want(uncapped->block(b),
-                                        uncapped->block(b) + words);
-      if (b < cached) {
-        ASSERT_NE(capped->block(b), nullptr) << b;
-        EXPECT_EQ(std::vector<sim::Word>(capped->block(b),
-                                         capped->block(b) + words),
-                  want)
-            << b;
-        continue;
-      }
-      EXPECT_EQ(capped->block(b), nullptr) << b;
-      capped->build_block(*cn, b, scratch.data());
-      EXPECT_EQ(scratch, want) << "block " << b << " rebuilt from its rows";
+      const sim::Word* want = uncapped->block(*cn, b, &unused);
+      const sim::Word* got = capped->block(*cn, b, &scratch);
+      EXPECT_EQ(got == scratch.data(), b >= cached) << b;
+      EXPECT_EQ(std::vector<sim::Word>(got, got + words),
+                std::vector<sim::Word>(want, want + words))
+          << "block " << b << (b < cached ? " cached" : " in scratch");
     }
+    EXPECT_TRUE(unused.empty()) << "an uncapped block built in scratch";
 
     // Kernel level: every group's record, work counters included, is the
     // uncapped one's, on the event kernel.

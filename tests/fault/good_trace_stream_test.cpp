@@ -490,12 +490,16 @@ TEST(GoodTraceStream, IsolatedGroupTimeoutCountsFromTheEndOfTheRecording) {
   }
 }
 
+// A 1 MiB cap holds about a quarter of the planes: each isolated worker
+// caches the first blocks, built once by its first reader, and builds
+// every later one in scratch.
 TEST(GoodTraceStream, IsolatedMemoryCapCrossedMidStreamMatches) {
   const Plasma& fx = plasma_fixture();
   const std::string ref_path = temp_path("stream_iso_cap_ref.sbstj");
   const campaign::CampaignResult ref = campaign::run_campaign(
       fx.cpu.netlist, fx.faults, fx.env(), kFp, options(4, ref_path));
   const std::string want = compacted(ref_path);
+  ASSERT_GT(ref.result.trace_bytes, std::size_t{1} << 20);
   for (unsigned workers : {2u, 4u}) {
     SCOPED_TRACE(workers);
     const std::string path = temp_path("stream_iso_cap.sbstj");

@@ -41,12 +41,13 @@
 //                                      both produce bit-identical grades,
 //                                      and journals mix freely across
 //                                      engines. --trace-mem-mb caps the
-//                                      event engine's cached good-value
-//                                      planes (default 1024 MiB, 0 =
-//                                      unlimited); blocks past it are
-//                                      rebuilt as groups reach them, so a
-//                                      lower cap is slower, with the same
-//                                      verdicts and the same engine.
+//                                      good-value planes each process
+//                                      caches for the event engine
+//                                      (default 1024 MiB, 0 = unlimited);
+//                                      blocks past it are built from the
+//                                      recorded rows as groups reach them,
+//                                      so a lower cap is slower, with the
+//                                      same verdicts and the same engine.
 //                                      --metrics streams one NDJSON object
 //                                      per resolved 63-fault group (see
 //                                      telemetry/metrics.h for the schema);
